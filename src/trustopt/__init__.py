@@ -40,7 +40,7 @@ from .ea import (
     sbx_crossover,
     tournament_select,
 )
-from .engine import RunState, advance_step, island_model_run, run_repetitions, step_dispatch, tbo_run
+from .engine import island_model_run, run_repetitions, tbo_run
 from .harness import (
     BASELINE_ALGORITHM,
     ExperimentManifest,

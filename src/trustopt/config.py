@@ -168,6 +168,10 @@ def validate_config(cfg: TboConfig) -> None:
                 "the synchronous engine does not support heterogeneous epochs"
             )
 
+    if len({(t.population_size, t.offspring_size) for t in cfg.per_agent}) > 1:
+        bad.append("per_agent templates must share population_size and offspring_size; "
+                   "the engine holds the society as one (N, n, D) stack")
+
     if not isinstance(cfg.objective_params, dict):
         bad.append("objective_params must be a mapping")
 

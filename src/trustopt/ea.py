@@ -59,6 +59,7 @@ __all__ = [
     "replace_mu_plus_lambda",
     "ea_step",
     "ea_step_all",
+    "evaluate_stack",
 ]
 
 
@@ -300,6 +301,26 @@ def ea_step(
     return agent.population
 
 
+def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveSpec,
+                   streams: Sequence[np.random.Generator]) -> None:
+    """Fill the NaN entries of an (N, n) fitness stack in place.
+
+    Noise is drawn agent by agent from the agent's own stream, in member
+    order, so the values equal per-agent :func:`evaluate_population` calls.
+    """
+    miss = np.isnan(fitness)
+    if not miss.any():
+        return
+    vals = np.atleast_1d(objective.base(genes[miss]))
+    if objective.noisy:
+        counts = miss.sum(axis=1)
+        end = np.cumsum(counts)
+        for rng, lo, hi in zip(streams, end - counts, end):
+            if hi > lo:
+                vals[lo:hi] += rng.normal(0.0, objective.noise_sigma, size=hi - lo)
+    fitness[miss] = vals
+
+
 def ea_step_all(
     genes: np.ndarray,
     fitness: np.ndarray,
@@ -321,23 +342,7 @@ def ea_step_all(
     n_agents, n, d = genes.shape
     lam = offspring_size
 
-    miss = np.isnan(fitness)
-    if miss.any():
-        if objective.noisy:
-            if miss.all():
-                # batch the noise-free part, then one Normal block per agent
-                # from its own stream, matching per-agent evaluate() draws
-                base = np.atleast_1d(objective.base(genes.reshape(-1, d))).reshape(n_agents, n)
-                sigma = objective.noise_sigma
-                for i in range(n_agents):
-                    fitness[i] = base[i] + streams[i].normal(0.0, sigma, size=n)
-            else:
-                for i in range(n_agents):
-                    row = miss[i]
-                    if row.any():
-                        fitness[i, row] = np.atleast_1d(objective.evaluate(genes[i, row], streams[i]))
-        else:
-            fitness[miss] = np.atleast_1d(objective.evaluate(genes[miss]))
+    evaluate_stack(genes, fitness, objective, streams)
     if lam == 0:
         return
 

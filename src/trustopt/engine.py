@@ -3,20 +3,28 @@
 Both algorithms share one global step counter ``t`` and one epoch clock.
 At ``t mod epoch_length != 0`` every agent runs an independent EA step; at
 epoch boundaries the EA step is replaced by an exchange: a credibility-
-gated interaction (tbo) or a best-genome migration (island_model).  Each
-agent draws its exchange partner uniformly from the other agents using its
-own stream.
+gated interaction (tbo) or a best-genome migration (island_model).
 
-Epoch exchanges read a consistent snapshot of all populations and of the
-credibility state taken at the start of the step, so one agent's update
-never leaks into another agent's same-step decision and relabeling agents
-(together with their streams) relabels the run.  Writes are applied in
-agent-index order; credibility changes are accumulated as raw deltas and
-clamped into ``[min_value, max_value]`` once per step, which makes the
-result independent of application order even when several interactions
-touch the same reputation cell.
+The society is held as stacked arrays for the whole run: ``(N, n, D)``
+genes, an ``(N, n)`` fitness cache and per-agent vectors for the EA rates,
+genome intensity and gene operator.  Agents must therefore share their
+population and offspring sizes (``validate_config`` rejects templates that
+differ in either).  Each step is one batched pass over all agents:
+:func:`~trustopt.ea.ea_step_all` off-epoch, :func:`advance_step` on epoch.
 
-For noisy objectives every fitness cache is cleared at the start of each
+On an epoch step each agent draws from its own stream, in this order:
+noise for re-evaluating its population (noisy objectives only), its
+exchange partner (uniform over the other agents), then, for tbo and only
+if its share is accepted, its offspring's resident partners and their
+objective noise.  Shares, thresholds and adoption depths are read from the
+populations and credibility as they stood at step start, so one agent's
+update never leaks into another agent's same-step decision and relabeling
+agents (with their streams) relabels the run.  Credibility deltas are
+summed and clamped into ``[min_value, max_value]`` once per step, so their
+order does not matter.  The result equals running
+:func:`~trustopt.socio.interaction_step` agent by agent.
+
+For noisy objectives every fitness value is cleared at the start of each
 step: values are evaluated at most once within a step and never reused
 across steps.  The trace's global best is the running minimum of observed
 fitness, so it never increases even under noise.
@@ -24,56 +32,42 @@ fitness, so it never increases even under noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .benchmarks import ObjectiveSpec, get_objective
 from .config import TboConfig, validate_config
-from .ea import EaOperatorConfig, ea_step, ea_step_all
+from .ea import EaOperatorConfig, ea_step, ea_step_all, evaluate_stack  # noqa: F401
 from .rng import agent_stream
-from .socio import InteractionOutcome, ReputationDelta, TrustDelta, interaction_step
-from .types import (
-    AgentState,
-    ConvergenceTrace,
-    CredibilityState,
-    GlobalBest,
-    Population,
-    ScCrossoverConfig,
-    effective_rates,
-    evaluate_population,
-    init_population,
-)
+from .socio import exchange_all, interaction_step  # noqa: F401
+from .types import ConvergenceTrace, CredibilityState, GlobalBest, effective_rates, init_population
 
-__all__ = ["RunState", "step_dispatch", "advance_step", "tbo_run", "island_model_run", "run_repetitions"]
+# ea_step and interaction_step are unused here: perfbench/tracer.py patches them by name.
+
+__all__ = ["tbo_run", "island_model_run", "run_repetitions"]
 
 
 @dataclass
 class RunState:
-    """Mutable state of one run between global steps."""
+    """The stacked society of one run between global steps."""
 
     cfg: TboConfig
     algorithm: str
     objective: ObjectiveSpec
     op: EaOperatorConfig
-    agents: list[AgentState]
     streams: list[np.random.Generator]
+    genes: np.ndarray  # (N, n, D)
+    fitness: np.ndarray  # (N, n), NaN = not evaluated
+    crossover_rates: np.ndarray  # (N,)
+    mutation_rates: np.ndarray  # (N,)
+    intensity: np.ndarray  # (N,) genome intensity names
+    gene_op: np.ndarray  # (N,) gene operator names
     credibility: Optional[CredibilityState]
     t: int
-    # step-start snapshots, valid while epoch_step == t
-    epoch_populations: Optional[list[Population]] = None
-    epoch_credibility: Optional[CredibilityState] = None
-    epoch_step: int = -1
-    pending_deltas: list = field(default_factory=list)
+    repetition: int
     interaction_log: Optional[list] = None
-
-    @property
-    def agent_count(self) -> int:
-        return len(self.agents)
-
-    def is_epoch(self, t: Optional[int] = None) -> bool:
-        return (self.t if t is None else t) % self.cfg.epoch_length == 0
 
 
 def _build_state(
@@ -98,220 +92,87 @@ def _build_state(
             raise ValueError("need one injected stream per agent")
         streams = list(agent_rngs)
 
-    agents: list[AgentState] = []
-    for i in range(cfg.agent_count):
-        tpl = cfg.agent_template(i)
-        pc, pm = effective_rates(tpl.base_crossover_rate, tpl.base_mutation_rate,
-                                 i, cfg.diversity_factor)
-        agents.append(AgentState(
-            index=i,
-            population=init_population(tpl.population_size, objective, streams[i]),
-            offspring_size=tpl.offspring_size,
-            base_crossover_rate=tpl.base_crossover_rate,
-            base_mutation_rate=tpl.base_mutation_rate,
-            effective_crossover_rate=pc,
-            effective_mutation_rate=pm,
-            crossover_config=ScCrossoverConfig(tpl.genome_intensity, tpl.gene_op),
-        ))
+    templates = [cfg.agent_template(i) for i in range(cfg.agent_count)]
+    rates = np.array([effective_rates(t.base_crossover_rate, t.base_mutation_rate,
+                                      i, cfg.diversity_factor) for i, t in enumerate(templates)])
+    genes = np.stack([init_population(t.population_size, objective, rng).genes
+                      for t, rng in zip(templates, streams)])
 
     credibility = None
     if algorithm == "tbo":
         c = cfg.credibility
         credibility = CredibilityState.initial(c.kind, cfg.agent_count, c.start_value,
                                                c.min_value, c.max_value)
-    return RunState(cfg, algorithm, objective, op, agents, streams, credibility,
-                    t=cfg.first_step, interaction_log=interaction_log)
-
-
-def _prepare_epoch(state: RunState) -> None:
-    """Evaluate and snapshot all populations (and credibility) at step start."""
-    for agent in state.agents:
-        evaluate_population(agent.population, state.objective, state.streams[agent.index])
-    state.epoch_populations = [a.population.copy() for a in state.agents]
-    state.epoch_credibility = None if state.credibility is None else state.credibility.copy()
-    state.epoch_step = state.t
-    state.pending_deltas = []
-
-
-def _draw_other(rng: np.random.Generator, own: int, n: int) -> int:
-    """Uniform draw over the other agents: one integer draw, gap mapped."""
-    k = int(rng.integers(0, n - 1))
-    return k + (k >= own)
-
-
-def _migrate(state: RunState, agent_index: int) -> None:
-    """Receive the best genome of a random other island, replacing the
-    recipient's worst member (first-worst on ties)."""
-    rng = state.streams[agent_index]
-    src = _draw_other(rng, agent_index, state.agent_count)
-    donor = state.epoch_populations[src]
-    best = int(np.argmin(donor.fitness))
-    pop = state.agents[agent_index].population
-    worst = int(np.argmax(pop.fitness))
-    pop.genes[worst] = donor.genes[best]
-    pop.fitness[worst] = donor.fitness[best]
-
-
-def step_dispatch(state: RunState, agent_index: int) -> Optional[InteractionOutcome]:
-    """Advance one agent at the current step: EA step off-epoch, exchange
-    on epoch.  Returns the interaction outcome when one happened."""
-    agent = state.agents[agent_index]
-    rng = state.streams[agent_index]
-    if not state.is_epoch():
-        ea_step(agent, state.objective, rng, state.op)
-        return None
-
-    if state.epoch_step != state.t:
-        _prepare_epoch(state)
-    if state.algorithm == "island_model":
-        _migrate(state, agent_index)
-        return None
-
-    sender = _draw_other(rng, agent_index, state.agent_count)
-    outcome = interaction_step(
-        agent, state.epoch_populations[sender], sender,
-        state.epoch_credibility, state.objective, rng, state.cfg.partner_policy,
+    return RunState(
+        cfg, algorithm, objective, op, streams, genes, np.full(genes.shape[:2], np.nan),
+        rates[:, 0].copy(), rates[:, 1].copy(),
+        np.array([t.genome_intensity for t in templates]),
+        np.array([t.gene_op for t in templates]),
+        credibility, cfg.first_step, repetition, interaction_log,
     )
-    state.pending_deltas.extend(outcome.credibility_deltas)
-    if state.interaction_log is not None:
-        state.interaction_log.append((state.t, outcome))
-    return outcome
-
-
-def _apply_pending(state: RunState) -> None:
-    """Fold the step's raw credibility deltas into the live state.
-
-    Deltas touching the same cell are summed before a single clamp, so the
-    outcome does not depend on the order interactions ran in."""
-    if not state.pending_deltas:
-        return
-    cred = state.credibility
-    sums: dict[tuple, int] = {}
-    for d in state.pending_deltas:
-        key = ("t", d.truster, d.trustee) if isinstance(d, TrustDelta) else ("r", d.agent)
-        sums[key] = sums.get(key, 0) + d.delta
-    lo, hi = cred.min_value, cred.max_value
-    for key, s in sums.items():
-        if key[0] == "t":
-            _, a, b = key
-            cred.trust[a, b] = min(hi, max(lo, int(cred.trust[a, b]) + s))
-        else:
-            _, a = key
-            cred.reputation[a] = min(hi, max(lo, int(cred.reputation[a]) + s))
-    state.pending_deltas = []
 
 
 def advance_step(state: RunState) -> None:
-    """Execute one full global step for every agent, then advance ``t``."""
+    """Run one epoch step for every agent, then advance ``t``.  In a
+    migration the source's first best genome replaces the recipient's first
+    worst member, both read from the step-start populations."""
+    genes, fitness, streams = state.genes, state.fitness, state.streams
     if state.objective.noisy:
-        for a in state.agents:
-            a.population.clear_fitness()
-    if state.is_epoch():
-        _prepare_epoch(state)
-    for i in range(state.agent_count):
-        step_dispatch(state, i)
-    if state.is_epoch():
-        _apply_pending(state)
-        state.epoch_populations = None
-        state.epoch_credibility = None
+        fitness.fill(np.nan)
+    evaluate_stack(genes, fitness, state.objective, streams)
+    # one integer draw per agent, uniform over the other agents
+    draws = [int(rng.integers(0, len(streams) - 1)) for rng in streams]
+    others = np.array([k + (k >= i) for i, k in enumerate(draws)])
+    if state.algorithm == "island_model":
+        best = fitness.argmin(axis=1)[others]
+        worst = fitness.argmax(axis=1)
+        rows = np.arange(len(streams))
+        genes[rows, worst] = genes[others, best]
+        fitness[rows, worst] = fitness[others, best]
+    else:
+        outcomes = None if state.interaction_log is None else []
+        exchange_all(genes, fitness, others, state.credibility, state.intensity, state.gene_op,
+                     state.objective, streams, state.cfg.partner_policy, outcomes)
+        if outcomes is not None:
+            state.interaction_log.extend((state.t, out) for out in outcomes)
     state.t += 1
 
 
-def _run(
-    cfg: TboConfig,
-    algorithm: str,
-    repetition: int,
-    record_every: int,
-    agent_rngs: Optional[Sequence[np.random.Generator]],
-    interaction_log: Optional[list],
-) -> ConvergenceTrace:
+def _run(state: RunState, record_every: int) -> ConvergenceTrace:
+    """Advance a freshly built state through ``max_steps`` global steps."""
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    state = _build_state(cfg, algorithm, repetition, agent_rngs, interaction_log)
-    n_agents = cfg.agent_count
-    first = cfg.first_step
-    last = first + cfg.max_steps - 1
-
-    n_regular = (cfg.max_steps + record_every - 1) // record_every
-    last_included = (cfg.max_steps - 1) % record_every == 0
-    n_recorded = n_regular + (0 if last_included else 1)
-    size = n_recorded * n_agents
-    steps_buf = np.empty(size, dtype=np.int64)
-    agent_buf = np.empty(size, dtype=np.int64)
-    best_buf = np.empty(size, dtype=float)
-    mean_buf = np.empty(size, dtype=float)
-    agent_ids = np.arange(n_agents)
-    w = 0
-
-    best_fit = np.inf
-    best_genes: Optional[np.ndarray] = None
-    best_step = -1
-
-    # Homogeneous societies (every shipped preset) take the batched EA path
-    # between epochs; epoch steps always go through advance_step so both
-    # paths share one exchange implementation.
-    shapes = {(cfg.agent_template(i).population_size, cfg.agent_template(i).offspring_size)
-              for i in range(n_agents)}
-    batch = len(shapes) == 1
-    if batch:
-        genes = np.stack([a.population.genes for a in state.agents])
-        fit = np.stack([a.population.fitness for a in state.agents])
-        lam = state.agents[0].offspring_size
-        pc = np.array([a.effective_crossover_rate for a in state.agents])
-        pm = np.array([a.effective_mutation_rate for a in state.agents])
-        noisy = state.objective.noisy
+    cfg = state.cfg
+    genes, fit = state.genes, state.fitness
+    first, last = cfg.first_step, cfg.first_step + cfg.max_steps - 1
+    lam = cfg.per_agent[0].offspring_size
+    recorded, bests, means = [], [], []
+    best_fit, best_genes, best_step = np.inf, None, -1
 
     for t in range(first, last + 1):
-        record = (t - first) % record_every == 0 or t == last
-        if batch:
-            if state.is_epoch(t):
-                for i, a in enumerate(state.agents):
-                    a.population = Population(genes[i].copy(), fit[i].copy())
-                state.t = t
-                advance_step(state)
-                for i, a in enumerate(state.agents):
-                    genes[i] = a.population.genes
-                    fit[i] = a.population.fitness
-            else:
-                if noisy:
-                    fit[...] = np.nan
-                state.t = t + 1
-                ea_step_all(genes, fit, lam, pc, pm, state.objective, state.streams, state.op)
-            step_best = fit.min(axis=1)
-            m = step_best.min()
-            if m < best_fit:
-                best_fit = float(m)
-                i = int(step_best.argmin())
-                best_genes = genes[i, int(fit[i].argmin())].copy()
-                best_step = t
-            if record:
-                steps_buf[w:w + n_agents] = t
-                agent_buf[w:w + n_agents] = agent_ids
-                best_buf[w:w + n_agents] = step_best
-                mean_buf[w:w + n_agents] = fit.mean(axis=1)
-                w += n_agents
-        else:
-            state.t = t
+        if state.t % cfg.epoch_length == 0:
             advance_step(state)
-            for a in state.agents:
-                afit = a.population.fitness
-                m = afit.min()
-                if m < best_fit:
-                    best_fit = float(m)
-                    best_genes = a.population.genes[int(afit.argmin())].copy()
-                    best_step = t
-                if record:
-                    steps_buf[w] = t
-                    agent_buf[w] = a.index
-                    best_buf[w] = m
-                    mean_buf[w] = afit.mean()
-                    w += 1
+        else:
+            if state.objective.noisy:
+                fit.fill(np.nan)
+            ea_step_all(genes, fit, lam, state.crossover_rates, state.mutation_rates,
+                        state.objective, state.streams, state.op)
+            state.t += 1
+        i, j = divmod(int(fit.argmin()), fit.shape[1])  # first agent, first member
+        if fit[i, j] < best_fit:
+            best_fit, best_genes, best_step = float(fit[i, j]), genes[i, j].copy(), t
+        if (t - first) % record_every == 0 or t == last:
+            recorded.append(t)
+            bests.append(fit.min(axis=1))
+            means.append(fit.mean(axis=1))
 
-    assert w == size, "trace buffer accounting is off"
+    n_agents = cfg.agent_count
     return ConvergenceTrace(
-        steps=steps_buf, agent_ids=agent_buf, best=best_buf, mean=mean_buf,
+        steps=np.repeat(np.array(recorded, dtype=np.int64), n_agents),
+        agent_ids=np.tile(np.arange(n_agents, dtype=np.int64), len(recorded)),
+        best=np.concatenate(bests), mean=np.concatenate(means),
         global_best=GlobalBest(best_step, best_genes, best_fit),
-        repetition=repetition, algorithm=algorithm, objective=cfg.objective,
+        repetition=state.repetition, algorithm=state.algorithm, objective=cfg.objective,
         dimension=cfg.dimension, seed=cfg.seed, total_steps=cfg.max_steps,
     )
 
@@ -330,7 +191,7 @@ def tbo_run(
     overrides stream derivation (mainly for tests); ``interaction_log``
     collects ``(t, InteractionOutcome)`` pairs when given.
     """
-    return _run(cfg, "tbo", repetition, record_every, agent_rngs, interaction_log)
+    return _run(_build_state(cfg, "tbo", repetition, agent_rngs, interaction_log), record_every)
 
 
 def island_model_run(
@@ -342,7 +203,7 @@ def island_model_run(
 ) -> ConvergenceTrace:
     """Run the plain island-model baseline once: same EA, same epoch clock,
     best-genome migration instead of credibility-gated interaction."""
-    return _run(cfg, "island_model", repetition, record_every, agent_rngs, None)
+    return _run(_build_state(cfg, "island_model", repetition, agent_rngs, None), record_every)
 
 
 def run_repetitions(
@@ -358,6 +219,6 @@ def run_repetitions(
     """
     algorithm = algorithm or cfg.algorithm
     return [
-        _run(cfg, algorithm, r, record_every, None, None)
+        _run(_build_state(cfg, algorithm, r, None, None), record_every)
         for r in range(cfg.repetitions)
     ]

@@ -21,12 +21,17 @@ sender's standing, rejection lowers it, anything else leaves it unchanged.
 Draw discipline (recipient's stream): partner indices are drawn in shared-
 member order, one draw per offspring under the "redraw" policy or one per
 shared member under "fixed"; a rejected share consumes no partner draws.
+
+:func:`interaction_step` runs one interaction on objects and is the
+reference; :func:`exchange_all` runs every interaction of an epoch step on
+the stacked society at once, taking the same draws from the same streams,
+and matches looping :func:`interaction_step` bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,6 +60,7 @@ __all__ = [
     "update_trust",
     "update_reputation",
     "interaction_step",
+    "exchange_all",
 ]
 
 
@@ -178,17 +184,6 @@ def phi(y: np.ndarray, x: np.ndarray, k: int, gene_op: str) -> np.ndarray:
     return out
 
 
-def _phi_batch(y: np.ndarray, x: np.ndarray, k: int, gene_op: str) -> np.ndarray:
-    """Vectorised :func:`phi` over matching (B, D) blocks."""
-    b, d = y.shape
-    order = np.argsort(-np.abs(x - y), axis=1, kind="stable")[:, : min(k, d)]
-    mask = np.zeros((b, d), dtype=bool)
-    mask[np.arange(b)[:, None], order] = True
-    if gene_op == "swap":
-        return np.where(mask, x, y)
-    return np.where(mask, 0.5 * (x + y), y)
-
-
 def sc_crossover(
     recipient_pop: Population,
     shared: SharedPopulation,
@@ -226,20 +221,12 @@ def sc_crossover(
     # supplies the gene values.  At full depth under swap an offspring is a
     # copy of the received genome, so credibility directly scales how much
     # foreign material the recipient adopts.
-    if cfg.genome_intensity == "weak":
-        partners = rng.integers(0, n, size=m)
-        z = shared.genes
-        x = recipient_pop.genes[partners]
-        children = _phi_batch(x, z, k, cfg.gene_op)
-    else:
-        if partner_policy == "redraw":
-            partners = rng.integers(0, n, size=(m, k)).ravel()
-        else:
-            partners = np.repeat(rng.integers(0, n, size=m), k)
-        z = np.repeat(shared.genes, k, axis=0)
-        x = recipient_pop.genes[partners]
-        depth = k if cfg.genome_intensity == "moderate" else 1
-        children = _phi_batch(x, z, depth, cfg.gene_op)
+    weak = cfg.genome_intensity == "weak"
+    partners = _draw_partners(rng, n, m, k, weak, partner_policy)
+    z = np.repeat(shared.genes, 1 if weak else k, axis=0)
+    depth = np.full(len(z), 1 if cfg.genome_intensity == "strong" else k)
+    children = _adopt(recipient_pop.genes[partners], z, depth,
+                      np.full(len(z), cfg.gene_op == "average"))
     return Population.from_genes(children)
 
 
@@ -327,6 +314,16 @@ def update_reputation(
     return recipient_rep, sender_rep
 
 
+def _deltas(kind: str, recipient: int, sender: int,
+            branch: int) -> tuple[Union[TrustDelta, ReputationDelta], ...]:
+    """Raw credibility changes one interaction requests (see :func:`_branch`)."""
+    if branch == 0:
+        return ()
+    if kind == "trust":
+        return (TrustDelta(recipient, sender, branch),)
+    return (ReputationDelta(recipient, -branch), ReputationDelta(sender, branch))
+
+
 def interaction_step(
     recipient: AgentState,
     sender_pop: Population,
@@ -363,13 +360,7 @@ def interaction_step(
     improved = mean_after < mean_before
 
     b = _branch(mean_before, mean_after, shared.mean_fitness(), eps)
-    deltas: tuple[Union[TrustDelta, ReputationDelta], ...]
-    if b == 0:
-        deltas = ()
-    elif cred.kind == "trust":
-        deltas = (TrustDelta(i, j, b),)
-    else:
-        deltas = (ReputationDelta(i, -b), ReputationDelta(j, b))
+    deltas = _deltas(cred.kind, i, j, b)
 
     return InteractionOutcome(
         recipient=i,
@@ -383,3 +374,150 @@ def interaction_step(
         mean_shared=shared.mean_fitness(),
         threshold=eps,
     )
+
+
+def exchange_all(
+    genes: np.ndarray,
+    fitness: np.ndarray,
+    senders: np.ndarray,
+    cred: CredibilityState,
+    intensity: np.ndarray,
+    gene_op: np.ndarray,
+    objective: ObjectiveSpec,
+    streams: Sequence[np.random.Generator],
+    partner_policy: str = "redraw",
+    outcomes: Optional[list] = None,
+) -> None:
+    """Every interaction of one epoch step on the stacked society, in place.
+
+    ``genes`` is the (N, n, D) stack, ``fitness`` the evaluated (N, n)
+    cache; agent ``i`` receives from ``senders[i]`` with the crossover
+    config ``intensity[i]``/``gene_op[i]``.  Shares, thresholds and depths
+    come from the step-start state; the raw credibility deltas are summed
+    into ``cred`` and clamped once.  Each agent draws its partners, then
+    its offspring noise, from its own stream, so the result equals calling
+    :func:`interaction_step` per agent on a snapshot.  When ``outcomes`` is
+    a list, every agent's :class:`InteractionOutcome` is appended to it.
+    """
+    n_agents, n, d = genes.shape
+    rows = np.arange(n_agents)
+    if cred.kind == "trust":
+        c_in, c_out = cred.trust[senders, rows], cred.trust[rows, senders]
+    else:
+        c_in, c_out = cred.reputation, cred.reputation[senders]
+    m, k = np.minimum(c_in, n), np.minimum(c_out, d)
+
+    mean_before = fitness.mean(axis=1)
+    threshold = np.where(mean_before > 0.0, 2.0 * mean_before, 0.0)
+    worst_first = np.argsort(-fitness, axis=1, kind="stable")
+    shared_idx = worst_first[senders]  # sender members, worst first
+    shared_fit = fitness[senders[:, None], shared_idx]
+    mean_shared = np.empty(n_agents)
+    for size in set(m.tolist()):
+        sel = m == size
+        mean_shared[sel] = shared_fit[sel, :size].mean(axis=1)
+    accepted = ~(mean_shared > threshold)
+
+    # offspring per shared member: one (weak) or K (moderate, strong)
+    weak = intensity == "weak"
+    per_member = np.where(weak, 1, k)
+    counts = np.where(accepted, m * per_member, 0)
+    acc = np.flatnonzero(accepted)
+    if len(acc):
+        partners = [_draw_partners(streams[i], n, m[i], k[i], weak[i], partner_policy)
+                    for i in acc.tolist()]
+        local = np.repeat(np.arange(len(acc)), counts[acc])
+        starts = np.cumsum(counts[acc]) - counts[acc]
+        slot = np.arange(len(local)) - starts[local]
+        member = slot // per_member[acc][local]
+        # an offspring depends only on its recipient, shared member and
+        # partner, so each distinct triple is built once, then copied out
+        key = (local * n + member) * n + np.concatenate(partners)
+        used = np.zeros(len(acc) * n * n, dtype=bool)
+        used[key] = True
+        triple = np.flatnonzero(used)
+        row = np.cumsum(used)[key] - 1
+        owner = acc[triple // (n * n)]
+        base = genes[owner, triple % n]
+        donor = genes[senders[owner], shared_idx[owner, triple // n % n]]
+        depth = np.where(intensity[owner] == "strong", 1, k[owner])
+        distinct = _adopt(base, donor, depth, gene_op[owner] == "average")
+        # one evaluation per recipient keeps its block in cache and draws
+        # its noise from its own stream
+        off_fit = np.concatenate([
+            np.atleast_1d(objective.evaluate(distinct[row[lo:lo + c]], streams[i]))
+            for i, lo, c in zip(acc.tolist(), starts.tolist(), counts[acc].tolist())])
+
+        # mu+lambda per recipient on its parents' and offspring's fitness,
+        # padded with +inf, which a stable sort never keeps
+        union = np.full((len(acc), n + counts.max()), np.inf)
+        union[:, :n] = fitness[acc]
+        union[local, n + slot] = off_fit
+        keep = np.sort(np.argsort(union, axis=1, kind="stable")[:, :n], axis=1)
+        parent = genes[acc[:, None], np.minimum(keep, n - 1)]
+        child = distinct[row[starts[:, None] + np.maximum(keep - n, 0)]]
+        genes[acc] = np.where((keep >= n)[..., None], child, parent)
+        fitness[acc] = np.take_along_axis(union, keep, axis=1)
+
+    mean_after = fitness.mean(axis=1)
+    branch = np.where(mean_after < mean_before, 1, np.where(accepted, 0, -1))
+    if cred.kind == "trust":
+        table = cred.trust
+        np.add.at(table, (rows, senders), branch)
+    else:
+        table = cred.reputation
+        np.add.at(table, rows, -branch)
+        np.add.at(table, senders, branch)
+    np.clip(table, cred.min_value, cred.max_value, out=table)
+    if outcomes is None:
+        return
+    for i, (j, b) in enumerate(zip(senders.tolist(), branch.tolist())):
+        outcomes.append(InteractionOutcome(
+            recipient=i, sender=j, accepted=bool(accepted[i]), improved=b > 0,
+            population=Population(genes[i].copy(), fitness[i].copy()),
+            credibility_deltas=_deltas(cred.kind, i, j, b), mean_before=float(mean_before[i]),
+            mean_after=float(mean_after[i]), mean_shared=float(mean_shared[i]),
+            threshold=float(threshold[i]),
+        ))
+
+
+def _draw_partners(rng: np.random.Generator, n: int, m: int, k: int, weak: bool,
+                   partner_policy: str) -> np.ndarray:
+    """Resident partner index of every offspring of one interaction, in
+    offspring order (see the module's draw discipline)."""
+    if weak:
+        return rng.integers(0, n, size=m)
+    if partner_policy == "redraw":
+        return rng.integers(0, n, size=(m, k)).ravel()
+    return np.repeat(rng.integers(0, n, size=m), k)
+
+
+def _adopt(base: np.ndarray, donor: np.ndarray, depth: np.ndarray,
+           average: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`phi` on (C, D) blocks with per-row depth and operator;
+    rewrites ``base`` in place and returns it.
+
+    A row's ``depth`` most divergent genes are those at or above its
+    ``depth``-th largest divergence, which a sort finds without a per-row
+    argsort.  Where that threshold is 0 the tied genes equal the donor's,
+    so adopting them changes nothing; only ties above 0 with more
+    candidates than places keep the stable order of
+    :func:`divergence_ranking` (lowest index first).
+    """
+    c, d = base.shape
+    value = donor if not average.any() else np.where(average[:, None], 0.5 * (donor + base), donor)
+    if (depth >= d).all():
+        base[...] = value
+        return base
+    diff = np.abs(donor - base)
+    k = np.minimum(depth, d)
+    v = diff.max(axis=1) if (k == 1).all() else np.sort(diff, axis=1)[np.arange(c), d - k]
+    mask = diff >= v[:, None]
+    over = np.flatnonzero((mask.sum(axis=1) > k) & (v > 0))
+    if len(over):
+        gt = diff[over] > v[over, None]
+        eq = diff[over] == v[over, None]
+        room = k[over] - gt.sum(axis=1)
+        mask[over] = gt | (eq & (np.cumsum(eq, axis=1) <= room[:, None]))
+    np.copyto(base, value, where=mask)
+    return base

@@ -3,7 +3,8 @@
 Implements the rank machinery by hand (pooled mid-ranks with tie
 correction, Kruskal-Wallis H, Dunn pairwise z statistics, Holm step-down
 adjustment); only the distribution tails (chi-squared, standard normal)
-come from scipy.
+come from scipy, imported inside the two tests so that only ``stats``
+commands load it.
 
 References
 ----------
@@ -21,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
-from scipy.stats import norm as _norm
 
 __all__ = [
     "SampleGroup",
@@ -137,7 +136,8 @@ def kruskal_wallis(groups: Groups) -> TestReport:
         h += r.sum() ** 2 / len(g.values)
     h = (12.0 / (n * (n + 1))) * h - 3.0 * (n + 1)
     h /= correction
-    p = float(_chi2.sf(h, df))
+    from scipy.stats import chi2
+    p = float(chi2.sf(h, df))
     return TestReport(float(h), p, df, labels)
 
 
@@ -191,13 +191,14 @@ def dunn_holm(groups: Groups, alpha: float = 0.01) -> TestReport:
         return TestReport(math.nan, math.nan, len(gs) - 1, labels, degenerate=True,
                           pairwise=comps)
 
+    from scipy.stats import norm
     zs = []
     raws = []
     for a, b in pairs:
         se = math.sqrt(var_factor * (1.0 / sizes[a] + 1.0 / sizes[b]))
         z = (mean_ranks[a] - mean_ranks[b]) / se
         zs.append(z)
-        raws.append(2.0 * float(_norm.sf(abs(z))))
+        raws.append(2.0 * float(norm.sf(abs(z))))
     adjusted = holm_adjust(raws)
     comps = tuple(
         PairwiseComparison(labels[a], labels[b], zs[i], raws[i], float(adjusted[i]),

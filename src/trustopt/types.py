@@ -62,10 +62,6 @@ class Population:
     def size(self) -> int:
         return self.genes.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        return self.genes.shape[1]
-
     def copy(self) -> "Population":
         return Population(self.genes.copy(), self.fitness.copy())
 
@@ -174,15 +170,6 @@ class CredibilityState:
                        trust=np.full((n_agents, n_agents), start, dtype=np.int64))
         return cls(kind, min_value, max_value,
                    reputation=np.full(n_agents, start, dtype=np.int64))
-
-    def copy(self) -> "CredibilityState":
-        return CredibilityState(
-            self.kind,
-            self.min_value,
-            self.max_value,
-            trust=None if self.trust is None else self.trust.copy(),
-            reputation=None if self.reputation is None else self.reputation.copy(),
-        )
 
     def credibility_in(self, sender: int, recipient: int) -> int:
         """Credibility that sizes the share: sender's trust in the

@@ -3,13 +3,35 @@
 The linear objective reads gene 0, so a population's fitness values can be
 prescribed exactly (including negative ones, which no shipped benchmark
 reaches at will).
+
+:func:`stepwise_run` is the reference the stacked engine is checked
+against: it advances the society agent by agent on ``AgentState`` objects
+with the reference operators ``ea_step`` and ``interaction_step``.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
+from dataclasses import dataclass, replace
+
 import numpy as np
 
-from trustopt import AgentState, ObjectiveSpec, Population, ScCrossoverConfig
+from trustopt import (
+    AgentState,
+    CredibilityState,
+    EaOperatorConfig,
+    ObjectiveSpec,
+    Population,
+    ScCrossoverConfig,
+    TrustDelta,
+    agent_stream,
+    ea_step,
+    effective_rates,
+    evaluate_population,
+    get_objective,
+    init_population,
+    interaction_step,
+)
 
 
 def linear_objective(dimension: int = 2, bound: float = 1e6) -> ObjectiveSpec:
@@ -54,3 +76,95 @@ def make_agent(
 def twin_rngs(seed: int = 0) -> tuple[np.random.Generator, np.random.Generator]:
     """Two generators that produce identical streams."""
     return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@dataclass
+class StepwiseRun:
+    """What the agent-by-agent reference loop saw: per-step agent bests and
+    means (rows are steps), the global best and the final credibility."""
+
+    best: np.ndarray
+    mean: np.ndarray
+    best_step: int
+    best_genes: np.ndarray
+    best_fitness: float
+    credibility: CredibilityState
+    log: list
+
+
+def _draw_other(rng, own, n):
+    k = int(rng.integers(0, n - 1))
+    return k + (k >= own)
+
+
+def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> StepwiseRun:
+    """Run ``cfg`` one agent at a time on objects.
+
+    Epoch steps evaluate and snapshot every population and the credibility
+    first; each agent then draws its partner and runs ``interaction_step``
+    (tbo) or receives the partner's best in place of its worst member
+    (island_model) against the snapshot.  The step's raw credibility deltas
+    are summed per cell and clamped once at the end of the step.
+    """
+    objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
+    op = EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope)
+    n_agents = cfg.agent_count
+    streams = (list(agent_rngs) if agent_rngs is not None
+               else [agent_stream(cfg.seed, repetition, i) for i in range(n_agents)])
+    agents = []
+    for i in range(n_agents):
+        tpl = cfg.agent_template(i)
+        pc, pm = effective_rates(tpl.base_crossover_rate, tpl.base_mutation_rate,
+                                 i, cfg.diversity_factor)
+        agents.append(AgentState(i, init_population(tpl.population_size, objective, streams[i]),
+                                 tpl.offspring_size, tpl.base_crossover_rate,
+                                 tpl.base_mutation_rate, pc, pm,
+                                 ScCrossoverConfig(tpl.genome_intensity, tpl.gene_op)))
+    cred = None
+    if algorithm == "tbo":
+        c = cfg.credibility
+        cred = CredibilityState.initial(c.kind, n_agents, c.start_value, c.min_value, c.max_value)
+
+    bests, means, log = [], [], []
+    best_fit, best_genes, best_step = np.inf, None, -1
+    for t in range(cfg.first_step, cfg.first_step + cfg.max_steps):
+        if objective.noisy:
+            for a in agents:
+                a.population.clear_fitness()
+        if t % cfg.epoch_length:
+            for a in agents:
+                ea_step(a, objective, streams[a.index], op)
+        else:
+            for a in agents:
+                evaluate_population(a.population, objective, streams[a.index])
+            snapshot = [a.population.copy() for a in agents]
+            frozen = deepcopy(cred)
+            sums = {}
+            for a in agents:
+                rng = streams[a.index]
+                src = _draw_other(rng, a.index, n_agents)
+                if algorithm == "island_model":
+                    donor = snapshot[src]
+                    best = int(np.argmin(donor.fitness))
+                    worst = int(np.argmax(a.population.fitness))
+                    a.population.genes[worst] = donor.genes[best]
+                    a.population.fitness[worst] = donor.fitness[best]
+                    continue
+                out = interaction_step(a, snapshot[src], src, frozen, objective, rng,
+                                       cfg.partner_policy)
+                # the live population changes later; log it as it is now
+                log.append((t, replace(out, population=out.population.copy())))
+                for d in out.credibility_deltas:
+                    key = (d.truster, d.trustee) if isinstance(d, TrustDelta) else d.agent
+                    sums[key] = sums.get(key, 0) + d.delta
+            for key, total in sums.items():
+                table = cred.trust if cred.kind == "trust" else cred.reputation
+                table[key] = min(cred.max_value, max(cred.min_value, int(table[key]) + total))
+        for a in agents:
+            f = a.population.fitness
+            if f.min() < best_fit:
+                best_fit, best_step = float(f.min()), t
+                best_genes = a.population.genes[int(f.argmin())].copy()
+        bests.append([a.population.fitness.min() for a in agents])
+        means.append([a.population.fitness.mean() for a in agents])
+    return StepwiseRun(np.array(bests), np.array(means), best_step, best_genes, best_fit, cred, log)

@@ -1,9 +1,14 @@
 """CLI subcommands, exit codes and error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trustopt
 from trustopt import dump_config, load_preset
 from trustopt.cli import main
 
@@ -131,3 +136,22 @@ def test_run_rejects_bad_jobs(manifest_path, tmp_path, capsys):
     assert main(["run", "--manifest", str(manifest_path),
                  "--out", str(tmp_path / "x"), "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_import_and_validate_leave_scipy_unloaded(manifest_path):
+    # scipy is needed only by `trustopt stats`; importing the CLI and
+    # validating a manifest must not pay for loading it
+    package = Path(trustopt.__file__).parent
+    code = (
+        "import sys\n"
+        "import trustopt.cli\n"
+        "assert 'scipy' not in sys.modules, 'loaded by the import'\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert trustopt.cli.main(['validate', '--manifest', path]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'loaded by validate'\n"
+    )
+    desk = package / "data" / "manifests" / "desk.json"
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    proc = subprocess.run([sys.executable, "-c", code, str(desk), str(manifest_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

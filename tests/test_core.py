@@ -225,6 +225,18 @@ def test_validate_rejects_heterogeneous_epochs():
     validate_config(_valid_cfg(per_agent=(AgentTemplate(epoch_length=25),)))
 
 
+def test_validate_rejects_heterogeneous_shapes():
+    for field in ("population_size", "offspring_size"):
+        tpl = tuple(AgentTemplate(**{field: 4 + (i == 2)}) for i in range(4))
+        with pytest.raises(ConfigError, match="share population_size and offspring_size"):
+            validate_config(_valid_cfg(per_agent=tpl))
+    # per-agent rates, intensities and gene operators may still differ
+    mixed = tuple(AgentTemplate(base_mutation_rate=0.01 * i,
+                                genome_intensity=("weak", "moderate", "strong", "weak")[i],
+                                gene_op=("swap", "average")[i % 2]) for i in range(4))
+    validate_config(_valid_cfg(per_agent=mixed))
+
+
 def test_agent_template_accessor_broadcasts():
     cfg = _valid_cfg()
     assert cfg.agent_template(0) is cfg.agent_template(3)

@@ -1,8 +1,11 @@
-"""Run-loop behavior: dispatch, epochs, relabeling, batch path, traces."""
+"""Run-loop behavior: epoch steps, relabeling, stacked engine vs the
+stepwise reference, traces."""
 
 import numpy as np
 import pytest
-from helpers import make_agent, twin_rngs
+from helpers import make_agent, stepwise_run, twin_rngs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustopt import (
     AgentTemplate,
@@ -15,10 +18,9 @@ from trustopt import (
     init_population,
     island_model_run,
     run_repetitions,
-    step_dispatch,
     tbo_run,
 )
-from trustopt.engine import _build_state, _prepare_epoch, advance_step
+from trustopt.engine import _build_state, _run, advance_step
 
 
 def _cfg(**kw):
@@ -50,40 +52,44 @@ def _series(trace, agent):
     return trace.steps[mask], trace.best[mask], trace.mean[mask]
 
 
-# --- dispatch ---------------------------------------------------------------
+# --- one global step -------------------------------------------------------
 
 
 def test_dispatch_runs_ea_step_off_epoch():
-    state = _build_state(_cfg(), "tbo", 0, None, None)
-    assert state.t == 1
+    log = []
+    state = _build_state(_cfg(max_steps=1), "tbo", 0, None, log)
+    assert state.t == 1 and state.t % 5 != 0  # not an epoch step
     before = state.streams[0].bit_generator.state
-    out = step_dispatch(state, 0)
-    assert out is None
+    _run(state, 1)
+    assert log == []  # an EA step produces no interaction
     assert state.streams[0].bit_generator.state != before
-    assert not np.any(np.isnan(state.agents[0].population.fitness))
+    assert not np.any(np.isnan(state.fitness[0]))
+    assert np.all(state.credibility.trust == 5)
 
 
 def test_dispatch_runs_interaction_on_epoch():
-    state = _build_state(_cfg(), "tbo", 0, None, None)
+    log = []
+    state = _build_state(_cfg(), "tbo", 0, None, log)
     state.t = 5
-    out = step_dispatch(state, 0)
+    advance_step(state)
+    out = log[0][1]
     assert out is not None
     assert out.recipient == 0
     assert out.sender in (1, 2)
+    assert [t for t, _ in log] == [5, 5, 5]
+    assert state.t == 6
 
 
 def test_credibility_untouched_between_epochs():
-    state = _build_state(_cfg(epoch_length=50), "tbo", 0, None, None)
-    for _ in range(10):
-        advance_step(state)
+    state = _build_state(_cfg(epoch_length=50, max_steps=10), "tbo", 0, None, None)
+    _run(state, 1)
     assert np.all(state.credibility.trust == 5)
     assert state.t == 11
 
 
 def test_trust_updates_stay_off_the_diagonal():
-    state = _build_state(_cfg(agent_count=2, epoch_length=2), "tbo", 0, None, None)
-    for _ in range(20):
-        advance_step(state)
+    state = _build_state(_cfg(agent_count=2, epoch_length=2, max_steps=20), "tbo", 0, None, None)
+    _run(state, 1)
     trust = state.credibility.trust
     assert trust[0, 0] == 5 and trust[1, 1] == 5
     assert np.all((trust >= 1) & (trust <= 50))
@@ -93,23 +99,23 @@ def test_trust_updates_stay_off_the_diagonal():
 
 
 def test_migration_replaces_worst_with_donor_best():
-    state = _build_state(_island_cfg(), "island_model", 0, None, None)
+    log = []
+    state = _build_state(_island_cfg(), "island_model", 0, None, log)
     state.t = 5
-    _prepare_epoch(state)
     state.streams[0], probe = twin_rngs(777)
-    snapshot_before = [p.copy() for p in state.epoch_populations]
-    out = step_dispatch(state, 0)
-    assert out is None
+    spec = get_objective("sphere", 2)
+    genes_before = state.genes.copy()
+    fit_before = spec.base(genes_before)
+    advance_step(state)
+    assert log == []  # migrations are not interactions
     k = int(probe.integers(0, 2))
     src = k + (k >= 0)
-    donor = state.epoch_populations[src]
-    best = int(np.argmin(donor.fitness))
-    worst = int(np.argmax(snapshot_before[0].fitness))
-    pop = state.agents[0].population
-    expected = snapshot_before[0].genes.copy()
-    expected[worst] = donor.genes[best]
-    assert np.array_equal(pop.genes, expected)
-    assert pop.fitness[worst] == donor.fitness[best]
+    best = int(np.argmin(fit_before[src]))
+    worst = int(np.argmax(fit_before[0]))
+    expected = genes_before[0].copy()
+    expected[worst] = genes_before[src, best]
+    assert np.array_equal(state.genes[0], expected)
+    assert state.fitness[0, worst] == fit_before[src, best]
 
 
 def test_epoch_snapshot_is_taken_before_any_write():
@@ -117,11 +123,14 @@ def test_epoch_snapshot_is_taken_before_any_write():
     # population, not its freshly merged one
     state = _build_state(_island_cfg(agent_count=2), "island_model", 0, None, None)
     state.t = 5
-    _prepare_epoch(state)
-    frozen = [p.copy() for p in state.epoch_populations]
-    step_dispatch(state, 0)
-    for p, f in zip(state.epoch_populations, frozen):
-        assert np.array_equal(p.genes, f.genes)
+    spec = get_objective("sphere", 2)
+    frozen = state.genes.copy()
+    fit = spec.base(frozen)
+    advance_step(state)
+    for i in (0, 1):
+        expected = frozen[i].copy()
+        expected[int(np.argmax(fit[i]))] = frozen[1 - i, int(np.argmin(fit[1 - i]))]
+        assert np.array_equal(state.genes[i], expected)
 
 
 # --- no-exchange runs reduce to independent chains --------------------------
@@ -237,26 +246,79 @@ def test_record_every_must_be_positive():
         tbo_run(_cfg(), record_every=0)
 
 
-# --- batched fast path vs plain object path ---------------------------------
+# --- stacked engine vs the stepwise reference ------------------------------
+
+
+_templates = st.builds(
+    AgentTemplate,
+    base_crossover_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    base_mutation_rate=st.sampled_from([0.0, 0.1, 1.0]),
+    genome_intensity=st.sampled_from(["weak", "moderate", "strong"]),
+    gene_op=st.sampled_from(["swap", "average"]),
+)
+
+
+@st.composite
+def _configs(draw, objective, algorithm):
+    n_agents = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 6))
+    lam = draw(st.sampled_from([0, 1, 3, 4, 6]))
+    lo = draw(st.integers(1, 4))
+    hi = draw(st.integers(lo, 8))
+    per_agent = draw(st.one_of(st.lists(_templates, min_size=1, max_size=1),
+                               st.lists(_templates, min_size=n_agents, max_size=n_agents)))
+    per_agent = tuple(AgentTemplate(n, lam, t.base_crossover_rate, t.base_mutation_rate,
+                                    t.genome_intensity, t.gene_op) for t in per_agent)
+    kw = dict(
+        agent_count=n_agents, dimension=draw(st.sampled_from([1, 2, 6])),
+        objective=objective, epoch_length=draw(st.integers(1, 3)),
+        diversity_factor=draw(st.sampled_from([0.0, 1.3])),
+        max_steps=draw(st.integers(1, 9)), seed=draw(st.integers(0, 2**32)),
+        credibility=CredibilityConfig(draw(st.sampled_from(["trust", "reputation"])),
+                                      draw(st.integers(lo, hi)), lo, hi),
+        per_agent=per_agent, partner_policy=draw(st.sampled_from(["redraw", "fixed"])),
+        crossover_scope=draw(st.sampled_from(["gene", "pair"])),
+        first_step=draw(st.integers(0, 1)),
+    )
+    return _cfg(**kw) if algorithm == "tbo" else _island_cfg(**kw)
 
 
 @pytest.mark.parametrize("objective", ["sphere", "schwefel_noise"])
 @pytest.mark.parametrize("algorithm", ["tbo", "island_model"])
-def test_fast_path_matches_stepwise_object_path(objective, algorithm):
-    kw = dict(objective=objective, dimension=3, epoch_length=4, max_steps=10,
-              diversity_factor=1.3, seed=424)
-    cfg = _cfg(**kw) if algorithm == "tbo" else _island_cfg(**kw)
-    runner = tbo_run if algorithm == "tbo" else island_model_run
-    trace = runner(cfg)
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_fast_path_matches_stepwise_object_path(objective, algorithm, data):
+    cfg = data.draw(_configs(objective, algorithm))
+    log = []
+    state = _build_state(cfg, algorithm, 0, None, log)
+    trace = _run(state, 1)
+    ref = stepwise_run(cfg, algorithm)
 
-    state = _build_state(cfg, algorithm, 0, None, None)
-    bests, means = [], []
-    for _ in range(cfg.max_steps):
-        advance_step(state)
-        bests.append([a.population.fitness.min() for a in state.agents])
-        means.append([a.population.fitness.mean() for a in state.agents])
-    assert np.array_equal(trace.best, np.array(bests).ravel())
-    assert np.array_equal(trace.mean, np.array(means).ravel())
+    runner = tbo_run if algorithm == "tbo" else island_model_run
+    direct = runner(cfg)
+    assert np.array_equal(direct.best, trace.best)
+    assert np.array_equal(direct.mean, trace.mean)
+
+    assert np.array_equal(trace.best, ref.best.ravel())
+    assert np.array_equal(trace.mean, ref.mean.ravel())
+    assert trace.global_best.step == ref.best_step
+    assert trace.global_best.fitness == ref.best_fitness
+    assert np.array_equal(trace.global_best.genes, ref.best_genes)
+    if algorithm == "island_model":
+        assert state.credibility is None and log == []
+        return
+    assert np.array_equal(state.credibility.trust, ref.credibility.trust)
+    assert np.array_equal(state.credibility.reputation, ref.credibility.reputation)
+    assert len(log) == len(ref.log)
+    for (t, out), (rt, rout) in zip(log, ref.log):
+        assert t == rt
+        assert (out.recipient, out.sender, out.accepted, out.improved) == (
+            rout.recipient, rout.sender, rout.accepted, rout.improved)
+        assert out.credibility_deltas == rout.credibility_deltas
+        assert (out.mean_before, out.mean_after, out.mean_shared, out.threshold) == (
+            rout.mean_before, rout.mean_after, rout.mean_shared, rout.threshold)
+        assert np.array_equal(out.population.genes, rout.population.genes)
+        assert np.array_equal(out.population.fitness, rout.population.fitness)
 
 
 # --- repetitions and logging ------------------------------------------------
