@@ -9,7 +9,9 @@ every violation instead of stopping at the first one.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+import numbers
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -94,10 +96,43 @@ class TboConfig:
         return self.per_agent[index]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# field annotation, as written in the dataclasses -> (check, what is required)
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "Optional[int]": (lambda v: v is None or _is_int(v), "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and math.isfinite(v), "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "a mapping"),
+}
+
+
+def type_errors(cls, values: dict, tag: str = "") -> dict[str, str]:
+    """Violation per entry of ``values`` whose type does not match the
+    annotation of the same-named field of dataclass ``cls``."""
+    bad = {}
+    for f in fields(cls):
+        check = _TYPE_CHECKS.get(f.type)
+        if check and f.name in values and not check[0](values[f.name]):
+            bad[f.name] = f"{tag}{f.name} must be {check[1]}, got {values[f.name]!r}"
+    return bad
+
+
 def validate_config(cfg: TboConfig) -> None:
     """Check every schema constraint, raising :class:`ConfigError` with the
-    full list of violations when any fail."""
-    bad: list[str] = []
+    full list of violations when any fail.  Wrongly typed values are
+    reported on their own, before any range is checked."""
+    bad = list(type_errors(TboConfig, vars(cfg)).values())
+    if isinstance(cfg.credibility, CredibilityConfig):
+        bad += type_errors(CredibilityConfig, vars(cfg.credibility), "credibility ").values()
+    for i, t in enumerate(cfg.per_agent):
+        bad += type_errors(AgentTemplate, vars(t), f"per_agent[{i}]: ").values()
+    if bad:
+        raise ConfigError(bad)
 
     if cfg.algorithm not in ALGORITHMS:
         bad.append(f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
@@ -172,9 +207,6 @@ def validate_config(cfg: TboConfig) -> None:
         bad.append("per_agent templates must share population_size and offspring_size; "
                    "the engine holds the society as one (N, n, D) stack")
 
-    if not isinstance(cfg.objective_params, dict):
-        bad.append("objective_params must be a mapping")
-
     if bad:
         raise ConfigError(bad)
 
@@ -197,42 +229,40 @@ def config_to_dict(cfg: TboConfig) -> dict:
 
 def config_from_dict(data: dict) -> TboConfig:
     """Inverse of :func:`config_to_dict`; unknown keys are rejected."""
+    if not isinstance(data, dict):
+        raise ConfigError([f"config must be a JSON object, got {type(data).__name__}"])
     data = dict(data)
-    known = {
-        "agent_count", "dimension", "objective", "epoch_length", "diversity_factor",
-        "max_steps", "seed", "repetitions", "algorithm", "credibility", "per_agent",
-        "objective_params", "eta_c", "eta_m", "crossover_scope", "partner_policy",
-        "first_step",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError([f"unknown config field: {k}" for k in sorted(unknown)])
+    unknown = set(data) - {f.name for f in fields(TboConfig)}
+    bad = [f"unknown config field: {k}" for k in sorted(unknown)]
+    bad += [f"missing config field: {f.name}" for f in fields(TboConfig)
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data]
+    if bad:
+        raise ConfigError(bad)
 
     cred = data.get("credibility")
-    if cred is not None:
-        extra = set(cred) - {"kind", "start_value", "min_value", "max_value"}
+    if isinstance(cred, dict):
+        extra = set(cred) - {f.name for f in fields(CredibilityConfig)}
         if extra:
             raise ConfigError([f"unknown credibility field: {k}" for k in sorted(extra)])
         data["credibility"] = CredibilityConfig(**cred)
-    elif "credibility" in data:
-        data["credibility"] = None
-    elif data.get("algorithm", "tbo") != "tbo":
+    elif cred is not None:
+        raise ConfigError([f"credibility must be an object or null, got {cred!r}"])
+    elif "credibility" in data or data.get("algorithm", "tbo") != "tbo":
         data["credibility"] = None
 
-    pa = data.get("per_agent", AgentTemplate())
-    if isinstance(pa, dict):
-        data["per_agent"] = (_template_from_dict(pa),)
-    elif isinstance(pa, (list, tuple)):
-        data["per_agent"] = tuple(_template_from_dict(t) if isinstance(t, dict) else t for t in pa)
+    if "per_agent" in data:
+        pa = data["per_agent"]
+        items = [pa] if isinstance(pa, dict) else pa if isinstance(pa, (list, tuple)) else None
+        if items is None or not all(isinstance(t, (dict, AgentTemplate)) for t in items):
+            raise ConfigError([f"per_agent must be an object or a list of objects, got {pa!r}"])
+        data["per_agent"] = tuple(_template_from_dict(t) if isinstance(t, dict) else t
+                                  for t in items)
 
     return TboConfig(**data)
 
 
 def _template_from_dict(d: dict) -> AgentTemplate:
-    extra = set(d) - {
-        "population_size", "offspring_size", "base_crossover_rate",
-        "base_mutation_rate", "genome_intensity", "gene_op", "epoch_length",
-    }
+    extra = set(d) - {f.name for f in fields(AgentTemplate)}
     if extra:
         raise ConfigError([f"unknown per_agent field: {k}" for k in sorted(extra)])
     return AgentTemplate(**d)

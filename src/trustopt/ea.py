@@ -7,13 +7,17 @@ and replaces the population with the best ``n`` of parents and offspring
 
 Draw discipline
 ---------------
-:func:`ea_step` consumes the agent's random stream in a fixed documented
-order so a run can be replayed call by call.  With ``npairs =
-ceil(offspring_size / 2)``, ``n`` parents and dimension ``D``:
+:func:`ea_step_all` advances every agent of a homogeneous society at once.
+Each agent consumes its own random stream in a fixed documented order, so
+a run can be replayed call by call; the arithmetic runs on stacked arrays.
+With ``npairs = ceil(offspring_size / 2)``, ``n`` parents and dimension
+``D``, agent ``i`` draws from its stream:
 
-1. ``rng.integers(0, n, size=(npairs, 2, 2))`` -- tournament candidates,
+1. noise for evaluating its unevaluated members, in member order, when the
+   objective is noisy (see :func:`~trustopt.types.evaluate_stack`);
+2. ``rng.integers(0, n, size=(npairs, 2, 2))`` -- tournament candidates,
    two per parent slot, drawn with replacement;
-2. one flat ``rng.random(2*npairs + 2*npairs*D + 2*offspring_size*D)``
+3. one flat ``rng.random(2*npairs + 2*npairs*D + 2*offspring_size*D)``
    block, consumed left to right as
 
    * ``(npairs, 2)`` tournament tie coins (candidate 0 wins a tie when its
@@ -21,24 +25,23 @@ ceil(offspring_size / 2)``, ``n`` parents and dimension ``D``:
    * ``(2, npairs, D)`` crossover gates and spread draws,
    * ``(2, offspring_size, D)`` mutation gates and magnitude draws;
 
-3. objective noise draws for the offspring evaluation, when the objective
-   is noisy.
+4. objective noise draws for the offspring evaluation, in offspring order,
+   when the objective is noisy (the same rule as step 1).
 
-Gate blocks are always drawn in full; spread/magnitude draws are used only
-where the matching gate fires.  Pair ``k`` contributes children ``2k`` and
-``2k + 1``; with an odd ``offspring_size`` the last child is dropped.
+All agents take step 1, then steps 2 and 3 agent by agent, then step 4;
+each agent has its own stream, so the order across agents changes no
+value.  Gate blocks are always drawn in full; spread/magnitude draws are
+used only where the matching gate fires.  Pair ``k`` contributes children
+``2k`` and ``2k + 1``; with an odd ``offspring_size`` the last child is
+dropped.
 With the "pair" crossover scope only the first gate column of each pair is
 consulted, but the full gate block is still drawn.
 
-The standalone operators (:func:`tournament_select`,
+:func:`ea_step` is the one-agent case: it runs :func:`ea_step_all` on a
+``(1, n, D)`` stack.  The standalone operators (:func:`tournament_select`,
 :func:`sbx_crossover`, :func:`polynomial_mutation`) draw their own blocks:
 two candidate indices plus two coins for a tournament, a ``(2, D)`` block
 for one crossover or mutation.
-
-:func:`ea_step_all` advances every agent of a homogeneous society at once:
-draws are taken agent by agent from the per-agent streams (so results are
-bit-identical to looping :func:`ea_step`), the arithmetic runs on stacked
-arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import ObjectiveSpec
-from .types import AgentState, Population, evaluate_population
+from .types import AgentState, Population, _evaluate_rows, evaluate_population, evaluate_stack
 
 __all__ = [
     "EaOperatorConfig",
@@ -59,7 +62,6 @@ __all__ = [
     "replace_mu_plus_lambda",
     "ea_step",
     "ea_step_all",
-    "evaluate_stack",
 ]
 
 
@@ -161,14 +163,10 @@ def _poly_apply(
     return out
 
 
-def _interleave(c1: np.ndarray, c2: np.ndarray, lam: int) -> np.ndarray:
-    """Children of pair k at positions 2k and 2k+1, truncated to lam."""
-    n_pairs, d = c1.shape[-2], c1.shape[-1]
-    lead = c1.shape[:-2]
-    children = np.empty(lead + (2 * n_pairs, d))
-    children[..., 0::2, :] = c1
-    children[..., 1::2, :] = c2
-    return children[..., :lam, :]
+def _survivors(union_fit: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the ``n`` lowest values along the last axis, back in
+    insertion order; ties keep the earlier entry (parents come first)."""
+    return np.sort(np.argsort(union_fit, axis=-1, kind="stable")[..., :n], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +247,9 @@ def replace_mu_plus_lambda(
     union_fit = np.concatenate([pf, of])
     if n > len(union_fit):
         raise ValueError("replacement size exceeds available genomes")
-    keep = np.sort(np.argsort(union_fit, kind="stable")[:n])
+    keep = _survivors(union_fit, n)
     union_genes = np.concatenate([parents.genes, offspring.genes])
     return Population(union_genes[keep], union_fit[keep])
-
-
-def _block_parts(block: np.ndarray, n_pairs: int, lam: int, d: int):
-    """Split one flat draw block into coins, crossover and mutation parts."""
-    c = 2 * n_pairs
-    coins = block[..., :c].reshape(block.shape[:-1] + (n_pairs, 2))
-    u_c = block[..., c: c + 2 * n_pairs * d].reshape(block.shape[:-1] + (2, n_pairs, d))
-    u_m = block[..., c + 2 * n_pairs * d:].reshape(block.shape[:-1] + (2, lam, d))
-    return coins, u_c, u_m
 
 
 def ea_step(
@@ -269,64 +258,27 @@ def ea_step(
     rng: np.random.Generator,
     op: EaOperatorConfig = EaOperatorConfig(),
 ) -> Population:
-    """Advance one agent by one evolutionary step (in place).
+    """Advance one agent by one evolutionary step (in place): the
+    one-agent case of :func:`ea_step_all`.
 
-    Follows the module draw discipline exactly; with ``offspring_size == 0``
-    or both effective rates zero the population is unchanged as a multiset.
-    The population minimum fitness never increases for deterministic
-    objectives.
+    With ``offspring_size == 0`` or both effective rates zero the
+    population is unchanged as a multiset.  The population minimum fitness
+    never increases for deterministic objectives.
     """
-    pop = agent.population
-    evaluate_population(pop, objective, rng)
-    lam = agent.offspring_size
-    if lam == 0:
-        return pop
-    n, d = pop.genes.shape
-    n_pairs = (lam + 1) // 2
-
-    cand = rng.integers(0, n, size=(n_pairs, 2, 2))
-    block = rng.random(2 * n_pairs + 2 * n_pairs * d + 2 * lam * d)
-    coins, u_c, u_m = _block_parts(block, n_pairs, lam, d)
-
-    winners = _tournament_apply(pop.fitness, cand, coins)
-    c1, c2 = _sbx_apply(pop.genes[winners[:, 0]], pop.genes[winners[:, 1]],
-                        u_c[0], u_c[1], agent.effective_crossover_rate, op.eta_c,
-                        objective.lower, objective.upper, op.crossover_scope)
-    children = _interleave(c1, c2, lam)
-    children = _poly_apply(children, u_m[0], u_m[1], agent.effective_mutation_rate,
-                           op.eta_m, objective.lower, objective.upper)
-
-    off = Population(children, np.atleast_1d(objective.evaluate(children, rng)).astype(float))
-    agent.population = replace_mu_plus_lambda(pop, off, n, objective, rng)
+    genes = agent.population.genes[None].copy()
+    fitness = agent.population.fitness[None].copy()
+    ea_step_all(genes, fitness, agent.offspring_size, [agent.effective_crossover_rate],
+                [agent.effective_mutation_rate], objective, [rng], op)
+    agent.population = Population(genes[0], fitness[0])
     return agent.population
-
-
-def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveSpec,
-                   streams: Sequence[np.random.Generator]) -> None:
-    """Fill the NaN entries of an (N, n) fitness stack in place.
-
-    Noise is drawn agent by agent from the agent's own stream, in member
-    order, so the values equal per-agent :func:`evaluate_population` calls.
-    """
-    miss = np.isnan(fitness)
-    if not miss.any():
-        return
-    vals = np.atleast_1d(objective.base(genes[miss]))
-    if objective.noisy:
-        counts = miss.sum(axis=1)
-        end = np.cumsum(counts)
-        for rng, lo, hi in zip(streams, end - counts, end):
-            if hi > lo:
-                vals[lo:hi] += rng.normal(0.0, objective.noise_sigma, size=hi - lo)
-    fitness[miss] = vals
 
 
 def ea_step_all(
     genes: np.ndarray,
     fitness: np.ndarray,
     offspring_size: int,
-    crossover_rates: np.ndarray,
-    mutation_rates: np.ndarray,
+    crossover_rates: Sequence[float],
+    mutation_rates: Sequence[float],
     objective: ObjectiveSpec,
     streams: Sequence[np.random.Generator],
     op: EaOperatorConfig = EaOperatorConfig(),
@@ -334,10 +286,9 @@ def ea_step_all(
     """One EA step for all agents of a homogeneous society, in place.
 
     ``genes`` is the (N, n, D) stack of agent populations, ``fitness`` the
-    matching (N, n) cache (NaN = not evaluated).  Draws are taken from the
-    per-agent ``streams`` in agent order with the exact :func:`ea_step`
-    discipline, then the arithmetic runs batched; the result is
-    bit-identical to calling :func:`ea_step` once per agent.
+    matching (N, n) cache (NaN = not evaluated), ``crossover_rates`` and
+    ``mutation_rates`` the agents' effective rates.  Draws follow the
+    module draw discipline.
     """
     n_agents, n, d = genes.shape
     lam = offspring_size
@@ -353,37 +304,31 @@ def ea_step_all(
     for i, rng in enumerate(streams):
         cand[i] = rng.integers(0, n, size=(n_pairs, 2, 2))
         rng.random(out=blocks[i])
-    coins, u_c, u_m = _block_parts(blocks, n_pairs, lam, d)
+    c = 2 * n_pairs
+    coins = blocks[:, :c].reshape(n_agents, n_pairs, 2)
+    u_c = blocks[:, c: c + 2 * n_pairs * d].reshape(n_agents, 2, n_pairs, d)
+    u_m = blocks[:, c + 2 * n_pairs * d:].reshape(n_agents, 2, lam, d)
 
-    rows = np.arange(n_agents)[:, None, None]
-    f0 = fitness[rows, cand[..., 0]]
-    f1 = fitness[rows, cand[..., 1]]
-    first = (f0 < f1) | ((f0 == f1) & (coins < 0.5))
-    winners = np.where(first, cand[..., 0], cand[..., 1])  # (N, n_pairs, 2)
-
-    rows2 = np.arange(n_agents)[:, None]
-    p1 = genes[rows2, winners[..., 0]].reshape(n_agents * n_pairs, d)
-    p2 = genes[rows2, winners[..., 1]].reshape(n_agents * n_pairs, d)
+    # tournaments on the flattened (N*n) society: agent i's members start at i*n
+    cand += (n * np.arange(n_agents))[:, None, None, None]
+    winners = _tournament_apply(fitness.ravel(), cand, coins)  # (N, n_pairs, 2)
+    flat = genes.reshape(n_agents * n, d)
     pc = np.repeat(np.asarray(crossover_rates, dtype=float), n_pairs)[:, None]
-    c1, c2 = _sbx_apply(p1, p2, u_c[:, 0].reshape(-1, d), u_c[:, 1].reshape(-1, d),
+    c1, c2 = _sbx_apply(flat[winners[..., 0].ravel()], flat[winners[..., 1].ravel()],
+                        u_c[:, 0].reshape(-1, d), u_c[:, 1].reshape(-1, d),
                         pc, op.eta_c, objective.lower, objective.upper, op.crossover_scope)
-    children = _interleave(c1.reshape(n_agents, n_pairs, d), c2.reshape(n_agents, n_pairs, d), lam)
+    # pair k's children at positions 2k and 2k+1; an odd lam drops the last
+    children = np.empty((n_agents, 2 * n_pairs, d))
+    children[:, 0::2] = c1.reshape(n_agents, n_pairs, d)
+    children[:, 1::2] = c2.reshape(n_agents, n_pairs, d)
     pm = np.repeat(np.asarray(mutation_rates, dtype=float), lam)[:, None]
-    children = _poly_apply(children.reshape(n_agents * lam, d),
+    children = _poly_apply(children[:, :lam].reshape(n_agents * lam, d),
                            u_m[:, 0].reshape(-1, d), u_m[:, 1].reshape(-1, d),
                            pm, op.eta_m, objective.lower, objective.upper)
-    children = children.reshape(n_agents, lam, d)
 
-    if objective.noisy:
-        off_fit = np.atleast_1d(objective.base(children.reshape(-1, d))).reshape(n_agents, lam)
-        sigma = objective.noise_sigma
-        for i in range(n_agents):
-            off_fit[i] += streams[i].normal(0.0, sigma, size=lam)
-    else:
-        off_fit = np.atleast_1d(objective.evaluate(children.reshape(-1, d))).reshape(n_agents, lam)
-
-    union_genes = np.concatenate([genes, children], axis=1)
-    union_fit = np.concatenate([fitness, off_fit], axis=1)
-    keep = np.sort(np.argsort(union_fit, axis=1, kind="stable")[:, :n], axis=1)
-    genes[...] = union_genes[rows2, keep]
+    off_fit = _evaluate_rows(children, np.full(n_agents, lam), objective, streams)
+    union_genes = np.concatenate([genes, children.reshape(n_agents, lam, d)], axis=1)
+    union_fit = np.concatenate([fitness, off_fit.reshape(n_agents, lam)], axis=1)
+    keep = _survivors(union_fit, n)
+    genes[...] = union_genes[np.arange(n_agents)[:, None], keep]
     fitness[...] = np.take_along_axis(union_fit, keep, axis=1)

@@ -21,8 +21,8 @@ populations and credibility as they stood at step start, so one agent's
 update never leaks into another agent's same-step decision and relabeling
 agents (with their streams) relabels the run.  Credibility deltas are
 summed and clamped into ``[min_value, max_value]`` once per step, so their
-order does not matter.  The result equals running
-:func:`~trustopt.socio.interaction_step` agent by agent.
+order does not matter.  The tbo exchange, :func:`~trustopt.socio.exchange_all`,
+equals running :func:`~trustopt.socio.interaction_step` agent by agent.
 
 For noisy objectives every fitness value is cleared at the start of each
 step: values are evaluated at most once within a step and never reused
@@ -39,10 +39,11 @@ import numpy as np
 
 from .benchmarks import ObjectiveSpec, get_objective
 from .config import TboConfig, validate_config
-from .ea import EaOperatorConfig, ea_step, ea_step_all, evaluate_stack  # noqa: F401
+from .ea import EaOperatorConfig, ea_step, ea_step_all  # noqa: F401
 from .rng import agent_stream
 from .socio import exchange_all, interaction_step  # noqa: F401
-from .types import ConvergenceTrace, CredibilityState, GlobalBest, effective_rates, init_population
+from .types import (ConvergenceTrace, CredibilityState, GlobalBest, effective_rates,
+                    evaluate_stack, init_population)
 
 # ea_step and interaction_step are unused here: perfbench/tracer.py patches them by name.
 

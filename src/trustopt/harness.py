@@ -30,13 +30,21 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .config import ConfigError, with_cell
+from .benchmarks import get_objective
+from .config import (
+    AgentTemplate,
+    ConfigError,
+    TboConfig,
+    type_errors,
+    validate_config,
+    with_cell,
+)
 from .engine import run_repetitions
 from .presets import PRESET_NAMES, load_preset
 from .results import (
@@ -97,53 +105,65 @@ def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
     """Parse and validate a manifest file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    known = {"name", "seed", "repetitions", "algorithms", "problems", "record_every",
-             "overrides"}
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise ConfigError([f"manifest must be a JSON object, got {type(data).__name__}"])
+    unknown = set(data) - {f.name for f in fields(ExperimentManifest)}
     bad: list[str] = [f"unknown manifest field: {k}" for k in sorted(unknown)]
+    wrong = type_errors(ExperimentManifest, data)
+    bad += wrong.values()
 
-    overrides = dict(data.get("overrides", {}))
+    overrides = dict(data.get("overrides", {})) if "overrides" not in wrong else {}
     for k in sorted(set(overrides) - set(_AGENT_OVERRIDES) - set(_RUN_OVERRIDES)):
         bad.append(f"overrides: unknown parameter {k!r}")
+    # epoch_length is a run override; the TboConfig check replaces the template's
+    bad += {**type_errors(AgentTemplate, overrides, "overrides: "),
+            **type_errors(TboConfig, overrides, "overrides: ")}.values()
 
     name = data.get("name", Path(path).stem)
     seed = data.get("seed", 0)
     reps = data.get("repetitions", 1)
     record_every = data.get("record_every", 1)
-    if not isinstance(seed, int) or not (0 <= seed < 2**64):
+    if "seed" not in wrong and not (0 <= seed < 2**64):
         bad.append("seed must be an unsigned 64-bit integer")
-    if not isinstance(reps, int) or reps < 1:
+    if "repetitions" not in wrong and reps < 1:
         bad.append("repetitions must be >= 1")
-    if not isinstance(record_every, int) or record_every < 1:
+    if "record_every" not in wrong and record_every < 1:
         bad.append("record_every must be >= 1")
 
-    algorithms = tuple(data.get("algorithms", ()))
-    if not algorithms:
+    algorithms = data.get("algorithms", [])
+    if not isinstance(algorithms, list):
+        bad.append(f"algorithms must be a list of preset names, got {algorithms!r}")
+        algorithms = []
+    elif not algorithms:
         bad.append("manifest needs at least one algorithm")
     for a in algorithms:
         if a not in PRESET_NAMES:
             bad.append(f"unknown algorithm preset: {a!r}")
 
     problems = []
-    raw_problems = data.get("problems", ())
-    if not raw_problems:
+    raw_problems = data.get("problems", [])
+    if not isinstance(raw_problems, list):
+        bad.append(f"problems must be a list of objects, got {raw_problems!r}")
+        raw_problems = []
+    elif not raw_problems:
         bad.append("manifest needs at least one problem")
     for k, p in enumerate(raw_problems):
-        extra = set(p) - {"objective", "dimension", "max_steps", "objective_params"}
-        for e in sorted(extra):
-            bad.append(f"problems[{k}]: unknown field {e!r}")
-        try:
-            cell = ProblemCell(p["objective"], int(p["dimension"]), int(p["max_steps"]),
-                               dict(p.get("objective_params", {})))
-        except KeyError as miss:
-            bad.append(f"problems[{k}]: missing field {miss.args[0]!r}")
+        if not isinstance(p, dict):
+            bad.append(f"problems[{k}] must be an object, got {p!r}")
             continue
-        problems.append(cell)
+        cell_bad = [f"problems[{k}]: unknown field {e!r}"
+                    for e in sorted(set(p) - {f.name for f in fields(ProblemCell)})]
+        cell_bad += [f"problems[{k}]: missing field {m!r}"
+                     for m in ("objective", "dimension", "max_steps") if m not in p]
+        cell_bad += type_errors(ProblemCell, p, f"problems[{k}]: ").values()
+        bad += cell_bad
+        if not cell_bad:
+            problems.append(ProblemCell(**p))
 
     if bad:
         raise ConfigError(bad)
 
-    manifest = ExperimentManifest(name, seed, reps, algorithms, tuple(problems),
+    manifest = ExperimentManifest(name, seed, reps, tuple(algorithms), tuple(problems),
                                   record_every, overrides)
     validate_manifest_cells(manifest)
     return manifest
@@ -164,11 +184,6 @@ def validate_manifest_cells(manifest: ExperimentManifest) -> None:
 
 
 def _cell_config(manifest: ExperimentManifest, problem: ProblemCell, algorithm: str):
-    from dataclasses import replace
-
-    from .benchmarks import get_objective
-    from .config import validate_config
-
     cfg = with_cell(
         load_preset(algorithm),
         objective=problem.objective,
@@ -222,9 +237,7 @@ def run_manifest(
     identical either way.  Returns the written summary paths.
     """
     if seed is not None:
-        manifest = ExperimentManifest(manifest.name, seed, manifest.repetitions,
-                                      manifest.algorithms, manifest.problems,
-                                      manifest.record_every, manifest.overrides)
+        manifest = replace(manifest, seed=seed)
     every = manifest.record_every if record_every is None else record_every
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

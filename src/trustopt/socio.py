@@ -22,10 +22,15 @@ Draw discipline (recipient's stream): partner indices are drawn in shared-
 member order, one draw per offspring under the "redraw" policy or one per
 shared member under "fixed"; a rejected share consumes no partner draws.
 
-:func:`interaction_step` runs one interaction on objects and is the
-reference; :func:`exchange_all` runs every interaction of an epoch step on
-the stacked society at once, taking the same draws from the same streams,
-and matches looping :func:`interaction_step` bit for bit.
+:func:`exchange_all` runs every interaction of an epoch step on the
+stacked society at once; the engine calls it.  :func:`interaction_step`
+composes the public one-interaction operators on objects; it takes the
+same draws from the same streams, and looping it matches
+:func:`exchange_all` bit for bit, which the tests check.  Each rule is
+written once and shared by both: the credibility roles
+(:class:`~trustopt.types.CredibilityState`), the acceptance threshold,
+gene adoption, the mu+lambda survivors (from :mod:`trustopt.ea`) and the
+outcome branch.
 """
 
 from __future__ import annotations
@@ -36,12 +41,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .benchmarks import ObjectiveSpec
-from .ea import replace_mu_plus_lambda
+from .ea import _survivors, replace_mu_plus_lambda
 from .types import (
     AgentState,
     CredibilityState,
     Population,
     ScCrossoverConfig,
+    _evaluate_rows,
     evaluate_population,
     mean_fitness,
 )
@@ -152,8 +158,12 @@ def acceptance_threshold(
     rng: Optional[np.random.Generator] = None,
 ) -> float:
     """Twice the recipient's mean fitness when positive, else zero."""
-    mean = mean_fitness(recipient_pop, objective, rng)
-    return 2.0 * mean if mean > 0.0 else 0.0
+    return float(_threshold(mean_fitness(recipient_pop, objective, rng)))
+
+
+def _threshold(mean):
+    """Acceptance threshold of a recipient mean (scalar or array)."""
+    return np.where(mean > 0.0, 2.0 * mean, 0.0)
 
 
 def divergence_ranking(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -176,12 +186,11 @@ def phi(y: np.ndarray, x: np.ndarray, k: int, gene_op: str) -> np.ndarray:
         raise ValueError("k must be >= 1")
     if gene_op not in ("swap", "average"):
         raise ValueError("gene_op must be 'swap' or 'average'")
-    y = np.asarray(y, dtype=float)
+    y = np.array(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    idx = divergence_ranking(y, x)[: min(k, len(y))]
-    out = y.copy()
-    out[idx] = x[idx] if gene_op == "swap" else 0.5 * (y[idx] + x[idx])
-    return out
+    if y.shape != x.shape or y.ndim != 1:
+        raise ValueError("genomes must be 1-D and of equal length")
+    return _adopt(y[None], x[None], np.array([k]), np.array([gene_op == "average"]))[0]
 
 
 def sc_crossover(
@@ -255,17 +264,13 @@ def sc_variation(
     return merged, True
 
 
-def _branch(mean_before: float, mean_after: float, mean_shared: float, threshold: float) -> int:
-    """+1 improvement, -1 rejected share, 0 otherwise.
+def _branch(mean_before, mean_after, mean_shared, threshold):
+    """+1 improvement, -1 rejected share, 0 otherwise (element-wise).
 
     Improvement is checked first; in a real interaction the two cases are
     mutually exclusive because a rejected share leaves the mean unchanged.
     """
-    if mean_after < mean_before:
-        return 1
-    if mean_shared > threshold:
-        return -1
-    return 0
+    return np.where(mean_after < mean_before, 1, np.where(mean_shared > threshold, -1, 0))
 
 
 def update_trust(
@@ -345,34 +350,20 @@ def interaction_step(
     if i == j:
         raise ValueError("an agent cannot interact with itself")
 
-    cred_in = cred.credibility_in(j, i)
-    cred_out = cred.credibility_out(j, i)
     mean_before = mean_fitness(recipient.population, objective, rng)
-    # same value sc_variation derives internally; the mean is cached
-    eps = 2.0 * mean_before if mean_before > 0.0 else 0.0
-    shared = select_shared(sender_pop, objective, cred_in, rng)
+    eps = acceptance_threshold(recipient.population, objective, rng)  # the mean is cached
+    shared = select_shared(sender_pop, objective, cred.credibility_in(j, i), rng)
     new_pop, accepted = sc_variation(
-        recipient.population, shared, cred_out, recipient.crossover_config,
+        recipient.population, shared, cred.credibility_out(j, i), recipient.crossover_config,
         objective, rng, partner_policy,
     )
     recipient.population = new_pop
     mean_after = mean_fitness(new_pop, objective, rng)
-    improved = mean_after < mean_before
-
-    b = _branch(mean_before, mean_after, shared.mean_fitness(), eps)
-    deltas = _deltas(cred.kind, i, j, b)
-
+    b = int(_branch(mean_before, mean_after, shared.mean_fitness(), eps))
     return InteractionOutcome(
-        recipient=i,
-        sender=j,
-        accepted=accepted,
-        improved=improved,
-        population=new_pop,
-        credibility_deltas=deltas,
-        mean_before=mean_before,
-        mean_after=mean_after,
-        mean_shared=shared.mean_fitness(),
-        threshold=eps,
+        recipient=i, sender=j, accepted=accepted, improved=b > 0, population=new_pop,
+        credibility_deltas=_deltas(cred.kind, i, j, b), mean_before=mean_before,
+        mean_after=mean_after, mean_shared=shared.mean_fitness(), threshold=eps,
     )
 
 
@@ -401,14 +392,11 @@ def exchange_all(
     """
     n_agents, n, d = genes.shape
     rows = np.arange(n_agents)
-    if cred.kind == "trust":
-        c_in, c_out = cred.trust[senders, rows], cred.trust[rows, senders]
-    else:
-        c_in, c_out = cred.reputation, cred.reputation[senders]
-    m, k = np.minimum(c_in, n), np.minimum(c_out, d)
+    m = np.minimum(cred.credibility_in(senders, rows), n)
+    k = np.minimum(cred.credibility_out(senders, rows), d)
 
     mean_before = fitness.mean(axis=1)
-    threshold = np.where(mean_before > 0.0, 2.0 * mean_before, 0.0)
+    threshold = _threshold(mean_before)
     worst_first = np.argsort(-fitness, axis=1, kind="stable")
     shared_idx = worst_first[senders]  # sender members, worst first
     shared_fit = fitness[senders[:, None], shared_idx]
@@ -442,10 +430,9 @@ def exchange_all(
         donor = genes[senders[owner], shared_idx[owner, triple // n % n]]
         depth = np.where(intensity[owner] == "strong", 1, k[owner])
         distinct = _adopt(base, donor, depth, gene_op[owner] == "average")
-        # one evaluation per recipient keeps its block in cache and draws
-        # its noise from its own stream
+        # one evaluation per recipient keeps its block in cache
         off_fit = np.concatenate([
-            np.atleast_1d(objective.evaluate(distinct[row[lo:lo + c]], streams[i]))
+            _evaluate_rows(distinct[row[lo:lo + c]], [c], objective, [streams[i]])
             for i, lo, c in zip(acc.tolist(), starts.tolist(), counts[acc].tolist())])
 
         # mu+lambda per recipient on its parents' and offspring's fitness,
@@ -453,14 +440,14 @@ def exchange_all(
         union = np.full((len(acc), n + counts.max()), np.inf)
         union[:, :n] = fitness[acc]
         union[local, n + slot] = off_fit
-        keep = np.sort(np.argsort(union, axis=1, kind="stable")[:, :n], axis=1)
+        keep = _survivors(union, n)
         parent = genes[acc[:, None], np.minimum(keep, n - 1)]
         child = distinct[row[starts[:, None] + np.maximum(keep - n, 0)]]
         genes[acc] = np.where((keep >= n)[..., None], child, parent)
         fitness[acc] = np.take_along_axis(union, keep, axis=1)
 
     mean_after = fitness.mean(axis=1)
-    branch = np.where(mean_after < mean_before, 1, np.where(accepted, 0, -1))
+    branch = _branch(mean_before, mean_after, mean_shared, threshold)
     if cred.kind == "trust":
         table = cred.trust
         np.add.at(table, (rows, senders), branch)

@@ -10,7 +10,7 @@ is never carried across steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "ConvergenceTrace",
     "init_population",
     "evaluate_population",
+    "evaluate_stack",
     "mean_fitness",
     "effective_rates",
     "GENOME_INTENSITIES",
@@ -91,20 +92,40 @@ def init_population(
     return Population.from_genes(genes)
 
 
+def _evaluate_rows(rows: np.ndarray, counts: np.ndarray, objective: ObjectiveSpec,
+                   streams: Sequence[Optional[np.random.Generator]]) -> np.ndarray:
+    """Values of an (M, D) block: ``counts[i]`` consecutive rows per agent
+    ``i``; a noisy objective adds one Normal draw per row from the row's
+    agent's stream, in row order."""
+    vals = np.atleast_1d(objective.base(rows))
+    if objective.noisy:
+        end = np.cumsum(counts)
+        for rng, lo, hi in zip(streams, end - counts, end):
+            if hi > lo:
+                if rng is None:
+                    raise ValueError(f"{objective.name} is noisy and needs a Generator")
+                vals[lo:hi] += rng.normal(0.0, objective.noise_sigma, size=hi - lo)
+    return vals
+
+
+def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveSpec,
+                   streams: Sequence[Optional[np.random.Generator]]) -> None:
+    """Fill the NaN entries of an (N, n) fitness stack in place, agent by
+    agent in member order, so noisy draws are consumed exactly once per
+    member per step."""
+    miss = np.isnan(fitness)
+    if miss.any():
+        fitness[miss] = _evaluate_rows(genes[miss], miss.sum(axis=1), objective, streams)
+
+
 def evaluate_population(
     pop: Population,
     objective: ObjectiveSpec,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Fill missing cache entries and return the fitness vector.
-
-    Only NaN entries are evaluated, in index order, so repeated calls within
-    one step are free and noisy draws are consumed exactly once per member
-    per step.
-    """
-    missing = np.isnan(pop.fitness)
-    if missing.any():
-        pop.fitness[missing] = np.atleast_1d(objective.evaluate(pop.genes[missing], rng))
+    """Fill missing cache entries and return the fitness vector: the
+    one-agent case of :func:`evaluate_stack`."""
+    evaluate_stack(pop.genes[None], pop.fitness[None], objective, [rng])
     return pop.fitness
 
 
@@ -171,19 +192,19 @@ class CredibilityState:
         return cls(kind, min_value, max_value,
                    reputation=np.full(n_agents, start, dtype=np.int64))
 
-    def credibility_in(self, sender: int, recipient: int) -> int:
+    def credibility_in(self, sender, recipient):
         """Credibility that sizes the share: sender's trust in the
-        recipient, or the recipient's reputation."""
+        recipient, or the recipient's reputation.  Indices may be arrays."""
         if self.kind == "trust":
-            return int(self.trust[sender, recipient])
-        return int(self.reputation[recipient])
+            return self.trust[sender, recipient]
+        return self.reputation[recipient]
 
-    def credibility_out(self, sender: int, recipient: int) -> int:
+    def credibility_out(self, sender, recipient):
         """Credibility that drives variation depth: recipient's trust in
-        the sender, or the sender's reputation."""
+        the sender, or the sender's reputation.  Indices may be arrays."""
         if self.kind == "trust":
-            return int(self.trust[recipient, sender])
-        return int(self.reputation[sender])
+            return self.trust[recipient, sender]
+        return self.reputation[sender]
 
 
 @dataclass
@@ -197,8 +218,6 @@ class AgentState:
     index: int
     population: Population
     offspring_size: int
-    base_crossover_rate: float
-    base_mutation_rate: float
     effective_crossover_rate: float
     effective_mutation_rate: float
     crossover_config: ScCrossoverConfig

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import trustopt
-from trustopt import dump_config, load_preset
+from trustopt import config_to_dict, dump_config, load_preset
 from trustopt.cli import main
 
 TINY = {
@@ -50,6 +50,67 @@ def test_validate_names_unknown_objective(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warp_core" in err
     assert err.startswith("error:")
+
+
+def _problem(**kw):
+    return [{**TINY["problems"][0], **kw}]
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"problems": _problem(dimension="ten")}, "dimension"),
+    ({"problems": _problem(dimension=4.9)}, "dimension"),
+    ({"problems": _problem(max_steps=True)}, "max_steps"),
+    ({"problems": _problem(objective_params=[1])}, "objective_params"),
+    ({"problems": [["sphere", 4, 5]]}, "problems[0]"),
+    ({"problems": {"objective": "sphere"}}, "problems"),
+    ({"overrides": {"population_size": "5"}}, "population_size"),
+    ({"overrides": {"base_mutation_rate": "low"}}, "base_mutation_rate"),
+    ({"overrides": [3]}, "overrides"),
+    ({"seed": True}, "seed"),
+    ({"repetitions": 2.0}, "repetitions"),
+    ({"algorithms": "island_model"}, "algorithms"),
+    (None, "manifest must be a JSON object"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_validate_rejects_wrongly_typed_manifest(tmp_path, capsys, change, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([TINY] if change is None else {**TINY, **change}))
+    assert main(["validate", "--manifest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+def _config(**kw):
+    data = config_to_dict(load_preset("small_society"))
+    for key, value in kw.items():
+        if isinstance(value, dict) and isinstance(data.get(key), dict):
+            data[key] = {**data[key], **value}
+        else:
+            data[key] = value
+    return data
+
+
+@pytest.mark.parametrize("data,field", [
+    (_config(agent_count="4"), "agent_count"),
+    (_config(dimension=10.0), "dimension"),
+    (_config(eta_c=True), "eta_c"),
+    (_config(diversity_factor="1.3"), "diversity_factor"),
+    (_config(diversity_factor=float("nan")), "diversity_factor"),
+    (_config(eta_m=float("inf")), "eta_m"),
+    (_config(credibility=5), "credibility"),
+    (_config(credibility={"min_value": "1"}), "min_value"),
+    (_config(per_agent={"offspring_size": 2.5}), "offspring_size"),
+    (_config(per_agent={"base_crossover_rate": None}), "base_crossover_rate"),
+    (_config(per_agent="moderate"), "per_agent"),
+    (_config(per_agent=[5]), "per_agent"),
+    ({k: v for k, v in _config().items() if k != "seed"}, "seed"),
+    ([_config()], "config must be a JSON object"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_validate_rejects_wrongly_typed_config(tmp_path, capsys, data, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
 
 
 def test_presets_overview_lists_all(capsys):

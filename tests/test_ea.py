@@ -1,13 +1,22 @@
 """Evolutionary operators: selection, variation, replacement, full steps.
 
-The recorded-trace oracle replays the documented draw order with plain
-Python loops, so any drift in how ``ea_step`` consumes its stream fails
-loudly here.
+``helpers.replay_ea_step`` replays the documented draw order with plain
+Python loops, so any drift in how ``ea_step_all`` (and its one-agent case
+``ea_step``) consumes its streams or combines its draws fails loudly here.
 """
 
 import numpy as np
 import pytest
-from helpers import linear_objective, make_agent, population_with_values, twin_rngs
+from helpers import (
+    linear_objective,
+    make_agent,
+    plateau_objective,
+    population_with_values,
+    replay_ea_step,
+    twin_rngs,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustopt import (
     EaOperatorConfig,
@@ -248,60 +257,6 @@ def test_ea_step_preserves_size_and_never_worsens(rng):
             best = pop.fitness.min()
 
 
-def _oracle_ea_step(genes, fitness, lam, pc, pm, spec, rng, eta_c=20.0, eta_m=40.0):
-    """Plain-loop replay of the documented draw order."""
-    n, d = genes.shape
-    n_pairs = (lam + 1) // 2
-    cand = rng.integers(0, n, size=(n_pairs, 2, 2))
-    block = rng.random(2 * n_pairs + 2 * n_pairs * d + 2 * lam * d)
-    coins = block[: 2 * n_pairs].reshape(n_pairs, 2)
-    u_c = block[2 * n_pairs: 2 * n_pairs + 2 * n_pairs * d].reshape(2, n_pairs, d)
-    u_m = block[2 * n_pairs + 2 * n_pairs * d:].reshape(2, lam, d)
-
-    children = []
-    for p in range(n_pairs):
-        w = []
-        for s in range(2):
-            a, b = cand[p, s]
-            if fitness[a] < fitness[b] or (fitness[a] == fitness[b] and coins[p, s] < 0.5):
-                w.append(a)
-            else:
-                w.append(b)
-        c1 = genes[w[0]].copy()
-        c2 = genes[w[1]].copy()
-        for g in range(d):
-            if u_c[0, p, g] < pc and c1[g] != c2[g]:
-                s = u_c[1, p, g]
-                if s <= 0.5:
-                    beta = (2.0 * s) ** (1.0 / (eta_c + 1.0))
-                else:
-                    beta = (2.0 * (1.0 - s)) ** (-1.0 / (eta_c + 1.0))
-                va, vb = c1[g], c2[g]
-                c1[g] = np.clip(0.5 * ((1 + beta) * va + (1 - beta) * vb),
-                                spec.lower[g], spec.upper[g])
-                c2[g] = np.clip(0.5 * ((1 - beta) * va + (1 + beta) * vb),
-                                spec.lower[g], spec.upper[g])
-        children.extend([c1, c2])
-    children = children[:lam]
-    for k in range(lam):
-        for g in range(d):
-            if u_m[0, k, g] < pm:
-                m = u_m[1, k, g]
-                if m < 0.5:
-                    delta = (2.0 * m) ** (1.0 / (eta_m + 1.0)) - 1.0
-                else:
-                    delta = 1.0 - (2.0 * (1.0 - m)) ** (1.0 / (eta_m + 1.0))
-                children[k][g] = np.clip(
-                    children[k][g] + delta * (spec.upper[g] - spec.lower[g]),
-                    spec.lower[g], spec.upper[g])
-    off_fit = [float(spec.evaluate(c)) for c in children]
-
-    union_genes = list(genes) + children
-    union_fit = list(fitness) + off_fit
-    keep = sorted(sorted(range(len(union_fit)), key=lambda i: (union_fit[i], i))[:n])
-    return np.array([union_genes[i] for i in keep]), np.array([union_fit[i] for i in keep])
-
-
 def test_ea_step_matches_recorded_trace_oracle():
     spec = get_objective("sphere", 2)
     r1, r2 = twin_rngs(314)
@@ -311,10 +266,10 @@ def test_ea_step_matches_recorded_trace_oracle():
 
     ea_step(agent, spec, r1)
 
-    fit = np.asarray(spec.evaluate(base), dtype=float)
-    oracle_genes, oracle_fit = _oracle_ea_step(base, fit, 4, 0.9, 0.5, spec, r2)
+    oracle_genes, oracle_fit = replay_ea_step(base, np.full(3, np.nan), 4, 0.9, 0.5, spec, r2)
     assert np.array_equal(agent.population.genes, oracle_genes)
     assert np.array_equal(agent.population.fitness, oracle_fit)
+    assert r1.bit_generator.state == r2.bit_generator.state
 
 
 def test_ea_step_oracle_odd_offspring_and_pair_scope():
@@ -327,118 +282,72 @@ def test_ea_step_oracle_odd_offspring_and_pair_scope():
 
     ea_step(agent, spec, r1, op)
 
-    # whole-pair gating reads only each pair's first gate; peek at the same
-    # draws with a third aligned stream to precompute the fire decisions
-    n, d = base.shape
-    n_pairs = 3
-    probe = np.random.default_rng(2718)
-    init_population(4, spec, probe)
-    probe.integers(0, n, size=(n_pairs, 2, 2))
-    blk = probe.random(2 * n_pairs + 2 * n_pairs * d + 2 * 5 * d)
-    gates = blk[2 * n_pairs: 2 * n_pairs + n_pairs * d].reshape(n_pairs, d)
-    pair_fires = gates[:, 0] < 0.7
-
-    fit = np.asarray(spec.evaluate(base), dtype=float)
-    genes_out, fit_out = _oracle_ea_step_pair(base, fit, 5, pair_fires, 0.3, spec, r2,
-                                              eta_c=15.0, eta_m=25.0)
+    genes_out, fit_out = replay_ea_step(base, np.full(4, np.nan), 5, 0.7, 0.3, spec, r2, op)
     assert np.array_equal(agent.population.genes, genes_out)
     assert np.array_equal(agent.population.fitness, fit_out)
-
-
-def _oracle_ea_step_pair(genes, fitness, lam, pair_fires, pm, spec, rng, eta_c, eta_m):
-    """Same replay with a precomputed fire/skip decision per pair."""
-    n, d = genes.shape
-    n_pairs = (lam + 1) // 2
-    cand = rng.integers(0, n, size=(n_pairs, 2, 2))
-    block = rng.random(2 * n_pairs + 2 * n_pairs * d + 2 * lam * d)
-    coins = block[: 2 * n_pairs].reshape(n_pairs, 2)
-    u_c = block[2 * n_pairs: 2 * n_pairs + 2 * n_pairs * d].reshape(2, n_pairs, d)
-    u_m = block[2 * n_pairs + 2 * n_pairs * d:].reshape(2, lam, d)
-
-    children = []
-    for p in range(n_pairs):
-        w = []
-        for s in range(2):
-            a, b = cand[p, s]
-            if fitness[a] < fitness[b] or (fitness[a] == fitness[b] and coins[p, s] < 0.5):
-                w.append(a)
-            else:
-                w.append(b)
-        c1 = genes[w[0]].copy()
-        c2 = genes[w[1]].copy()
-        if pair_fires[p]:
-            for g in range(d):
-                if c1[g] == c2[g]:
-                    continue
-                s = u_c[1, p, g]
-                if s <= 0.5:
-                    beta = (2.0 * s) ** (1.0 / (eta_c + 1.0))
-                else:
-                    beta = (2.0 * (1.0 - s)) ** (-1.0 / (eta_c + 1.0))
-                va, vb = c1[g], c2[g]
-                c1[g] = np.clip(0.5 * ((1 + beta) * va + (1 - beta) * vb),
-                                spec.lower[g], spec.upper[g])
-                c2[g] = np.clip(0.5 * ((1 - beta) * va + (1 + beta) * vb),
-                                spec.lower[g], spec.upper[g])
-        children.extend([c1, c2])
-    children = children[:lam]
-    for k in range(lam):
-        for g in range(d):
-            if u_m[0, k, g] < pm:
-                m = u_m[1, k, g]
-                if m < 0.5:
-                    delta = (2.0 * m) ** (1.0 / (eta_m + 1.0)) - 1.0
-                else:
-                    delta = 1.0 - (2.0 * (1.0 - m)) ** (1.0 / (eta_m + 1.0))
-                children[k][g] = np.clip(
-                    children[k][g] + delta * (spec.upper[g] - spec.lower[g]),
-                    spec.lower[g], spec.upper[g])
-    off_fit = [float(spec.evaluate(c)) for c in children]
-    union_genes = list(genes) + children
-    union_fit = list(fitness) + off_fit
-    keep = sorted(sorted(range(len(union_fit)), key=lambda i: (union_fit[i], i))[:n])
-    return np.array([union_genes[i] for i in keep]), np.array([union_fit[i] for i in keep])
+    assert r1.bit_generator.state == r2.bit_generator.state
 
 
 # --- batched kernel ---------------------------------------------------------
 
 
-def _looped_reference(spec, seeds, n, lam, pcs, pms, steps):
-    streams = [np.random.default_rng(s) for s in seeds]
-    agents = [make_agent(init_population(n, spec, streams[i]), index=i,
-                         offspring_size=lam, pc=pcs[i], pm=pms[i])
-              for i in range(len(seeds))]
-    for _ in range(steps):
-        for i, agent in enumerate(agents):
+@st.composite
+def _societies(draw):
+    n_agents = draw(st.integers(1, 5))
+    rates = st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0])
+    return dict(
+        n_agents=n_agents, n=draw(st.integers(1, 6)), lam=draw(st.integers(0, 7)),
+        d=draw(st.integers(1, 5)),
+        pcs=draw(st.lists(rates, min_size=n_agents, max_size=n_agents)),
+        pms=draw(st.lists(rates, min_size=n_agents, max_size=n_agents)),
+        op=EaOperatorConfig(draw(st.sampled_from([2.0, 20.0])), draw(st.sampled_from([5.0, 40.0])),
+                            draw(st.sampled_from(["gene", "pair"]))),
+        seed=draw(st.integers(0, 2**32)), steps=draw(st.integers(1, 3)),
+    )
+
+
+def _assert_batched_matches_replay(spec, s):
+    seeds = [s["seed"] + i for i in range(s["n_agents"])]
+    streams = [np.random.default_rng(x) for x in seeds]
+    genes = np.stack([init_population(s["n"], spec, g).genes for g in streams])
+    fitness = np.full(genes.shape[:2], np.nan)
+
+    ref_streams = [np.random.default_rng(x) for x in seeds]
+    ref = [[init_population(s["n"], spec, g).genes, np.full(s["n"], np.nan)]
+           for g in ref_streams]
+    for _ in range(s["steps"]):
+        if spec.noisy:
+            fitness[...] = np.nan
+        ea_step_all(genes, fitness, s["lam"], s["pcs"], s["pms"], spec, streams, s["op"])
+        for i, rng in enumerate(ref_streams):
             if spec.noisy:
-                agent.population.clear_fitness()
-            ea_step(agent, spec, streams[i])
-    return agents
+                ref[i][1] = np.full(s["n"], np.nan)
+            ref[i] = list(replay_ea_step(*ref[i], s["lam"], s["pcs"][i], s["pms"][i],
+                                         spec, rng, s["op"]))
+
+    for i in range(s["n_agents"]):
+        assert np.array_equal(genes[i], ref[i][0])
+        assert np.array_equal(fitness[i], ref[i][1])
+        assert streams[i].bit_generator.state == ref_streams[i].bit_generator.state
 
 
 @pytest.mark.parametrize("objective,params", [
     ("sphere", {}),
     ("schwefel_noise", {"noise_sigma": 0.5}),
 ])
-def test_batched_step_matches_looped_steps(objective, params):
-    spec = get_objective(objective, 4, **params)
-    seeds = [11, 22, 33]
-    n, lam = 5, 6
-    pcs = np.array([0.3, 0.6, 0.9])
-    pms = np.array([0.05, 0.1, 0.2])
+@settings(max_examples=60, deadline=None, database=None)
+@given(society=_societies())
+def test_batched_step_matches_looped_steps(objective, params, society):
+    # every agent's batched step equals the plain-loop replay of its stream
+    _assert_batched_matches_replay(get_objective(objective, society["d"], **params), society)
 
-    streams = [np.random.default_rng(s) for s in seeds]
-    genes = np.stack([init_population(n, spec, st).genes for st in streams])
-    fitness = np.full((3, n), np.nan)
-    for _ in range(4):
-        if spec.noisy:
-            fitness[...] = np.nan
-        ea_step_all(genes, fitness, lam, pcs, pms, spec, streams)
 
-    reference = _looped_reference(spec, seeds, n, lam, pcs, pms, 4)
-    for i, agent in enumerate(reference):
-        assert np.array_equal(genes[i], agent.population.genes)
-        assert np.array_equal(fitness[i], agent.population.fitness)
+@settings(max_examples=60, deadline=None, database=None)
+@given(society=_societies())
+def test_batched_step_breaks_ties_like_the_replay(society):
+    # distinct genomes share a fitness on the plateaus, so the tournament
+    # tie coins and the survivor tie order decide the outcome
+    _assert_batched_matches_replay(plateau_objective(society["d"]), society)
 
 
 def test_batched_step_zero_offspring_only_evaluates():

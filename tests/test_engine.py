@@ -1,18 +1,20 @@
 """Run-loop behavior: epoch steps, relabeling, stacked engine vs the
-stepwise reference, traces."""
+stepwise reference, invariants over random configs, traces."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import make_agent, stepwise_run, twin_rngs
+from helpers import replay_ea_step, stepwise_run, twin_rngs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustopt import (
+    OBJECTIVE_NAMES,
     AgentTemplate,
     CredibilityConfig,
     EaOperatorConfig,
     TboConfig,
-    ea_step,
     effective_rates,
     get_objective,
     init_population,
@@ -148,14 +150,14 @@ def test_long_epoch_run_equals_independent_ea_chains():
         rng = np.random.default_rng(seed)
         pc, pm = effective_rates(tpl.base_crossover_rate, tpl.base_mutation_rate,
                                  i, cfg.diversity_factor)
-        agent = make_agent(init_population(tpl.population_size, spec, rng),
-                           index=i, offspring_size=tpl.offspring_size,
-                           pc=pc, pm=pm)
+        genes = init_population(tpl.population_size, spec, rng).genes
+        fitness = np.full(tpl.population_size, np.nan)
         bests, means = [], []
         for _ in range(cfg.max_steps):
-            ea_step(agent, spec, rng, op)
-            bests.append(agent.population.fitness.min())
-            means.append(agent.population.fitness.mean())
+            genes, fitness = replay_ea_step(genes, fitness, tpl.offspring_size, pc, pm,
+                                            spec, rng, op)
+            bests.append(fitness.min())
+            means.append(fitness.mean())
         _, tb, tm = _series(trace, i)
         assert np.array_equal(tb, np.array(bests))
         assert np.array_equal(tm, np.array(means))
@@ -319,6 +321,38 @@ def test_fast_path_matches_stepwise_object_path(objective, algorithm, data):
             rout.mean_before, rout.mean_after, rout.mean_shared, rout.threshold)
         assert np.array_equal(out.population.genes, rout.population.genes)
         assert np.array_equal(out.population.fitness, rout.population.fitness)
+
+
+_DIMENSION_FLOORS = {"expanded_schaffer": 2, "lennard_jones": 6}
+
+
+@pytest.mark.parametrize("algorithm", ["tbo", "island_model"])
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_invariants_hold_over_random_configs(algorithm, data):
+    objective = data.draw(st.sampled_from(OBJECTIVE_NAMES))
+    cfg = data.draw(_configs(objective, algorithm))
+    cfg = replace(cfg, dimension=max(cfg.dimension, _DIMENSION_FLOORS.get(objective, 1)))
+    n = cfg.per_agent[0].population_size
+    state = _build_state(replace(cfg, max_steps=1), algorithm, 0, None, None)
+    spec, cred = state.objective, state.credibility
+    # with one member, a migration overwrites the agent's only genome, so
+    # its best may rise; with two or more it overwrites a worst member and
+    # a member at least as good survives
+    monotone = not spec.noisy and (algorithm == "tbo" or n >= 2)
+    previous = np.full(cfg.agent_count, np.inf)
+    for _ in range(cfg.max_steps):
+        _run(state, 1)
+        assert state.genes.shape == (cfg.agent_count, n, cfg.dimension)
+        assert state.fitness.shape == (cfg.agent_count, n)
+        assert np.all((state.genes >= spec.lower) & (state.genes <= spec.upper))
+        if cred is not None:
+            table = cred.trust if cred.kind == "trust" else cred.reputation
+            assert np.all((table >= cred.min_value) & (table <= cred.max_value))
+        best = state.fitness.min(axis=1)
+        if monotone:
+            assert np.all(best <= previous)
+        previous = best
 
 
 # --- repetitions and logging ------------------------------------------------
