@@ -15,7 +15,7 @@ Registered names::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -188,17 +188,32 @@ class ObjectiveSpec:
         return self._fn(genes)
 
     def evaluate(self, genes: np.ndarray, rng: Optional[np.random.Generator] = None):
-        """Evaluate one genome ``(D,)`` or a block ``(n, D)``.
+        """Evaluate one genome ``(D,)`` or a block ``(n, D)``: the one-owner
+        case of :meth:`evaluate_rows`.
 
-        ``rng`` is required for noisy objectives (one Normal(0, noise_sigma)
-        draw per genome, added to the noise-free value) and ignored
-        otherwise.
+        ``rng`` is required for noisy objectives and ignored otherwise.
         """
-        vals = self.base(genes)
+        genes = np.asarray(genes, dtype=float)
+        owned = int(np.prod(genes.shape[:-1]))
+        return self.evaluate_rows(genes, [owned], [rng]).reshape(genes.shape[:-1])[()]
+
+    def evaluate_rows(self, rows: np.ndarray, counts: Sequence[int],
+                      streams: Sequence[Optional[np.random.Generator]]) -> np.ndarray:
+        """Flat values of a block of genomes (last axis D) whose owners come
+        in order: ``counts[i]`` consecutive genomes belong to owner ``i``.
+
+        The noise rule: a noisy objective adds one Normal(0, noise_sigma)
+        draw per genome to the noise-free value, from the owner's stream in
+        genome order; an owner of any genome then needs a Generator.
+        """
+        vals = np.atleast_1d(self.base(rows)).ravel()
         if self.noisy:
-            if rng is None:
-                raise ValueError(f"{self.name} is noisy and needs a Generator")
-            vals = vals + rng.normal(0.0, self.noise_sigma, size=np.shape(vals))
+            end = np.cumsum(counts)
+            for rng, lo, hi in zip(streams, end - counts, end):
+                if hi > lo:
+                    if rng is None:
+                        raise ValueError(f"{self.name} is noisy and needs a Generator")
+                    vals[lo:hi] += rng.normal(0.0, self.noise_sigma, size=hi - lo)
         return vals
 
 

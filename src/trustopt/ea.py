@@ -5,54 +5,77 @@ One EA step generates ``offspring_size`` children by repeated
 and replaces the population with the best ``n`` of parents and offspring
 (mu+lambda elitism).
 
-Draw discipline
----------------
+Draw discipline (version 2)
+---------------------------
 :func:`ea_step_all` advances every agent of a homogeneous society at once.
 Each agent consumes its own random stream in a fixed documented order, so
 a run can be replayed call by call; the arithmetic runs on stacked arrays.
+Every draw is a uniform from ``rng.random`` except objective noise.
+
+The crossover and mutation gates are sampled sparsely: a gate stream of
+``M`` Bernoulli(p) trials is walked with geometric gaps
+``floor(log1p(-u) / log1p(-p))`` (the number of silent trials before the
+next firing one), so each trial still fires with probability ``p`` on its
+own, and spread/magnitude values are drawn only for the trials that fire.
+SBX (Deb & Agrawal 1995) and polynomial mutation (Deb & Goyal 1996) fix a
+per-variable firing probability, not a sampling scheme, so the operators
+are unchanged; the streams are not (version 1 drew dense gate and value
+blocks).  A gate stream's gap budget is ``min(M, ceil(mu + 6 sqrt(mu) +
+4))`` with ``mu = M p``; ``p = 0`` draws nothing and fires nothing,
+``p = 1`` draws nothing and fires every trial.
+
 With ``npairs = ceil(offspring_size / 2)``, ``n`` parents and dimension
-``D``, agent ``i`` draws from its stream:
+``D``, the crossover gates have ``Mc = npairs * D`` trials ordered pair by
+pair, gene by gene ("gene" scope) or ``Mc = npairs``, one per pair
+("pair" scope); the mutation gates have ``Mm = offspring_size * D``
+trials ordered child by child, gene by gene.  Agent ``i`` draws from its
+stream:
 
 1. noise for evaluating its unevaluated members, in member order, when the
    objective is noisy (see :func:`~trustopt.types.evaluate_stack`);
-2. ``rng.integers(0, n, size=(npairs, 2, 2))`` -- tournament candidates,
-   two per parent slot, drawn with replacement;
-3. one flat ``rng.random(2*npairs + 2*npairs*D + 2*offspring_size*D)``
-   block, consumed left to right as
+2. one flat block of ``6 * npairs + bc + bm`` uniforms, consumed left to
+   right as
 
-   * ``(npairs, 2)`` tournament tie coins (candidate 0 wins a tie when its
-     coin is below 0.5; coins are consumed whether or not a tie occurs),
-   * ``(2, npairs, D)`` crossover gates and spread draws,
-   * ``(2, offspring_size, D)`` mutation gates and magnitude draws;
+   * ``(npairs, 2, 2)`` tournament candidates ``min(floor(u * n), n - 1)``,
+     two per parent slot (with replacement),
+   * ``(npairs, 2)`` tie coins (candidate 0 wins a tie when its coin is
+     below 0.5; coins are consumed whether or not a tie occurs),
+   * ``bc`` crossover gaps, then ``bm`` mutation gaps: the budgets above,
+     none at p = 0 or p = 1;
 
-4. objective noise draws for the offspring evaluation, in offspring order,
+3. a top-up, only when a budget ran out before its gate stream ended:
+   one uniform per remaining trial, each firing below ``p`` (crossover
+   first, then mutation);
+4. one block of values: ``D`` spread values for each firing pair ("pair"
+   scope) or one per firing gene ("gene" scope), in trial order, then one
+   mutation magnitude per firing gene, in trial order;
+5. objective noise draws for the offspring evaluation, in offspring order,
    when the objective is noisy (the same rule as step 1).
 
-All agents take step 1, then steps 2 and 3 agent by agent, then step 4;
-each agent has its own stream, so the order across agents changes no
-value.  Gate blocks are always drawn in full; spread/magnitude draws are
-used only where the matching gate fires.  Pair ``k`` contributes children
-``2k`` and ``2k + 1``; with an odd ``offspring_size`` the last child is
-dropped.
-With the "pair" crossover scope only the first gate column of each pair is
-consulted, but the full gate block is still drawn.
+Each agent takes these steps in this order; each agent has its own
+stream, so how the agents' steps interleave changes no value.  A spread
+value is consumed even where the two parents agree and the gene passes
+through.  Pair ``k`` contributes children ``2k`` and ``2k + 1``; with an
+odd ``offspring_size`` the last child is dropped (its crossover values
+are still drawn).
 
 :func:`ea_step` is the one-agent case: it runs :func:`ea_step_all` on a
 ``(1, n, D)`` stack.  The standalone operators (:func:`tournament_select`,
-:func:`sbx_crossover`, :func:`polynomial_mutation`) draw their own blocks:
-two candidate indices plus two coins for a tournament, a ``(2, D)`` block
-for one crossover or mutation.
+:func:`sbx_crossover`, :func:`polynomial_mutation`) keep dense blocks:
+two candidate indices plus two coins for a tournament, a ``(2, D)`` gate
+and value block for one crossover or mutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .benchmarks import ObjectiveSpec
-from .types import AgentState, Population, _evaluate_rows, evaluate_population, evaluate_stack
+from .types import AgentState, Population, evaluate_population, evaluate_stack
 
 __all__ = [
     "EaOperatorConfig",
@@ -86,7 +109,7 @@ class EaOperatorConfig:
 
 
 # ---------------------------------------------------------------------------
-# kernels: pure arithmetic on pre-drawn random blocks
+# kernels: arithmetic on drawn values, and the sparse gate sampler
 
 def _tournament_apply(fitness: np.ndarray, cand: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """Winners of paired binary tournaments.
@@ -94,73 +117,187 @@ def _tournament_apply(fitness: np.ndarray, cand: np.ndarray, coins: np.ndarray) 
     ``cand[..., 0]`` and ``cand[..., 1]`` are the candidate indices,
     ``coins`` the matching tie coins; shapes agree up to the last axis.
     """
-    f0 = fitness[cand[..., 0]]
-    f1 = fitness[cand[..., 1]]
+    f = fitness[cand]
+    f0, f1 = f[..., 0], f[..., 1]
     first = (f0 < f1) | ((f0 == f1) & (coins < 0.5))
     return np.where(first, cand[..., 0], cand[..., 1])
 
 
 def _sbx_apply(
-    p1: np.ndarray,
-    p2: np.ndarray,
-    gate: np.ndarray,
+    genes: np.ndarray,
+    at1: np.ndarray,
+    at2: np.ndarray,
+    gene: np.ndarray,
     spread: np.ndarray,
-    rate,
     eta_c: float,
     lower: np.ndarray,
     upper: np.ndarray,
-    scope: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover on (B, D) blocks with given draws.
+) -> None:
+    """Simulated binary crossover, in place, on the flat array ``genes``:
+    ``at1`` and ``at2`` locate the two parents' firing genes, ``gene`` is
+    their index in the genome and ``spread`` holds one value each.
 
-    Only firing genes are transformed; parents are inside the box by
-    invariant, so pass-through genes need no clamping.  ``rate`` may be a
-    scalar or broadcastable to the gate shape.
+    Parents are inside the box by invariant, so pass-through genes need no
+    clamping.
     """
-    b, d = p1.shape
-    if scope == "pair":
-        fire = np.broadcast_to(gate[:, :1] < np.broadcast_to(rate, gate.shape)[:, :1], (b, d))
-    else:
-        fire = gate < rate
-    # genes where the parents agree are fixed points of the exact map; skip
+    if not len(spread):
+        return
+    a = genes[at1]
+    bb = genes[at2]
+    exp = 1.0 / (eta_c + 1.0)
+    beta = np.where(spread <= 0.5, (2.0 * spread) ** exp, (2.0 * (1.0 - spread)) ** -exp)
+    lo = lower[gene]
+    hi = upper[gene]
+    up, down = 1.0 + beta, 1.0 - beta
+    # genes where the parents agree are fixed points of the exact map; keep
     # them so identical parents yield bitwise-identical children
-    fire = fire & (p1 != p2)
-    c1 = p1.copy()
-    c2 = p2.copy()
-    rows, cols = np.nonzero(fire)
-    if len(rows):
-        exp = 1.0 / (eta_c + 1.0)
-        s = spread[rows, cols]
-        beta = np.where(s <= 0.5, (2.0 * s) ** exp, (2.0 * (1.0 - s)) ** -exp)
-        a = p1[rows, cols]
-        bb = p2[rows, cols]
-        lo = lower[cols]
-        hi = upper[cols]
-        c1[rows, cols] = np.clip(0.5 * ((1.0 + beta) * a + (1.0 - beta) * bb), lo, hi)
-        c2[rows, cols] = np.clip(0.5 * ((1.0 - beta) * a + (1.0 + beta) * bb), lo, hi)
-    return c1, c2
+    differ = a != bb
+    genes[at1] = np.where(differ, _clamp(0.5 * (up * a + down * bb), lo, hi), a)
+    genes[at2] = np.where(differ, _clamp(0.5 * (down * a + up * bb), lo, hi), bb)
 
 
 def _poly_apply(
     genes: np.ndarray,
-    gate: np.ndarray,
+    at: np.ndarray,
+    gene: np.ndarray,
     mag: np.ndarray,
-    rate,
     eta_m: float,
     lower: np.ndarray,
     upper: np.ndarray,
-) -> np.ndarray:
-    """Polynomial mutation on a (B, D) block with given draws."""
-    out = genes.copy()
-    rows, cols = np.nonzero(gate < rate)
-    if len(rows):
+) -> None:
+    """Polynomial mutation, in place, on the flat array ``genes``: ``at``
+    locates the firing genes, ``gene`` is their index in the genome and
+    ``mag`` holds one magnitude value each."""
+    if len(mag):
         exp = 1.0 / (eta_m + 1.0)
-        m = mag[rows, cols]
-        delta = np.where(m < 0.5, (2.0 * m) ** exp - 1.0, 1.0 - (2.0 * (1.0 - m)) ** exp)
-        lo = lower[cols]
-        hi = upper[cols]
-        out[rows, cols] = np.clip(genes[rows, cols] + delta * (hi - lo), lo, hi)
-    return out
+        delta = np.where(mag < 0.5, (2.0 * mag) ** exp - 1.0, 1.0 - (2.0 * (1.0 - mag)) ** exp)
+        lo = lower[gene]
+        hi = upper[gene]
+        genes[at] = _clamp(genes[at] + delta * (hi - lo), lo, hi)
+
+
+def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``np.clip`` for finite values without its wrapper overhead."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _gate_budget(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gaps per stream of ``m`` Bernoulli(p) gates: none at p = 0, ``m``
+    (all 0, not drawn) at p = 1, otherwise the mean fire count plus six
+    standard deviations plus four, at most ``m``."""
+    mu = m * np.clip(p, 0.0, 1.0)
+    budget = np.minimum(m, np.ceil(mu + 6.0 * np.sqrt(mu) + 4.0))
+    return np.where(p <= 0.0, 0, np.where(p >= 1.0, m, budget)).astype(np.int64)
+
+
+class _StepPlan(NamedTuple):
+    """The per-step constants of one society shape and rate vector; the
+    rates are fixed for a run, so a plan is built once.
+
+    Sparse sampler: rows ``i`` and ``N + i`` of the stream arrays belong to
+    agent ``i``'s crossover and mutation gates: ``gates`` trials fire with
+    probability ``p``.  Agent ``i`` draws ``draws[i]`` uniforms into row
+    ``i`` of a copy of ``block`` (NaN, with a 0 in the last column), which
+    ``gather`` turns into one row of gap uniforms per stream: NaN past the
+    budget, 0 at p = 1.  ``den`` holds ``log1p(-p)`` per stream.  The
+    ``j``-th gap fires while the running gap sum is at most ``limit =
+    gates - 1 - j``; the streams whose budget is below ``gates`` end at
+    ``short`` (row, column).
+
+    Children layout, in the flat block of all parents, then every agent's
+    ``lam`` children, then (odd ``lam``) each agent's dropped second child
+    of its last pair: ``pick`` orders the flattened (N, npairs, 2)
+    tournament winners that way, ``c1[i, q]`` and ``c2[i, q]`` are the
+    elements where agent ``i``'s pair ``q`` children start, ``first[i]``
+    where its first child starts.
+    """
+
+    gates: np.ndarray
+    p: np.ndarray
+    block: np.ndarray
+    draws: list
+    gather: np.ndarray
+    den: np.ndarray
+    limit: np.ndarray
+    short: tuple
+    short_limit: np.ndarray
+    pick: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    first: np.ndarray
+
+
+@lru_cache(maxsize=4)  # a run uses one plan for all its steps
+def _step_plan(n: int, d: int, lam: int, pair_scope: bool, pc: tuple, pm: tuple) -> _StepPlan:
+    n_agents, n_pairs = len(pc), (lam + 1) // 2
+    t = 6 * n_pairs
+    gates = np.repeat([n_pairs if pair_scope else n_pairs * d, lam * d], n_agents)
+    p = np.array(pc + pm, dtype=float)
+    budget = _gate_budget(gates, p)
+    drawn = np.where(p < 1.0, budget, 0)
+    draws = t + drawn[:n_agents] + drawn[n_agents:]
+    width = int(draws.max()) + 2
+    block = np.full((n_agents, width), np.nan)
+    block[:, -1] = 0.0
+    start = np.concatenate([np.full(n_agents, t), t + drawn[:n_agents]])
+    j = np.arange(budget.max())
+    gather = np.where(j < drawn[:, None], start[:, None] + j,
+                      np.where(j < budget[:, None], width - 1, width - 2))
+    gather += width * np.tile(np.arange(n_agents), 2)[:, None]
+    den = np.log1p(-np.where((p > 0.0) & (p < 1.0), p, 0.5))[:, None]
+    limit = (gates[:, None] - 1 - j).astype(float)
+    short = np.flatnonzero((budget > 0) & (budget < gates))
+    last = budget[short] - 1
+
+    slot = np.arange(n_agents * 2 * n_pairs).reshape(n_agents, 2 * n_pairs)
+    pick = np.concatenate([slot[:, :lam].ravel(), slot[:, lam:].ravel()])
+    at = np.empty_like(pick)
+    at[pick] = n_agents * n + np.arange(len(pick))  # the union row of every slot
+    at = at.reshape(n_agents, n_pairs, 2) * d
+    plan = _StepPlan(gates, p, block, draws.tolist(), gather, den, limit, (short, last),
+                     limit[short, last], pick, at[..., 0].copy(), at[..., 1].copy(),
+                     at[:, 0, 0].copy())
+    for field in (*plan, short, last):
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)  # every step shares the cached plan
+    return plan
+
+
+def _fires(block: np.ndarray, plan: _StepPlan,
+           streams: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every firing gate of a step as (stream row, gap index, position)
+    arrays in (row, gap) order, from the step's drawn ``block``; draws the
+    top-ups, if any."""
+    # the j-th gap of a stream fires at position sum(gaps[:j + 1]) + j
+    # while that is below the stream's gate count
+    sums = np.log1p(-block.take(plan.gather))
+    sums /= plan.den
+    np.floor(sums, out=sums)
+    sums.cumsum(axis=1, out=sums)
+    row, j = (sums <= plan.limit).nonzero()
+    pos = sums[row, j].astype(np.int64) + j
+    short, last = plan.short
+    if len(short) and (sums[short, last] < plan.short_limit).any():
+        row, j, pos = _top_up(sums, plan, row, j, pos, streams)
+    return row, j, pos
+
+
+def _top_up(sums: np.ndarray, plan: _StepPlan, row: np.ndarray, j: np.ndarray, pos: np.ndarray,
+            streams: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Add the fires past the gap budgets to ``(row, j, pos)``: a stream
+    whose gaps ended before its last gate draws one uniform per remaining
+    gate from its agent's stream, crossover before mutation.  The result
+    stays in (row, j) order; ``j`` counts on past the budget."""
+    parts = [(row, j, pos)]
+    for r, c in zip(*(x.tolist() for x in plan.short)):
+        end = int(sums[r, c]) + c + 1  # one past the last firing gate
+        if end < plan.gates[r]:
+            u = streams[r % len(streams)].random(plan.gates[r] - end)
+            new = end + np.flatnonzero(u < plan.p[r])
+            parts.append((np.full(len(new), r), c + 1 + np.arange(len(new)), new))
+    row, j, pos = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((j, row))
+    return row[order], j[order], pos[order]
 
 
 def _survivors(union_fit: np.ndarray, n: int) -> np.ndarray:
@@ -200,11 +337,15 @@ def sbx_crossover(
     pair mean equals the parent pair mean gene by gene; identical parents
     always produce identical children.
     """
-    p1 = np.asarray(parent1, dtype=float).reshape(1, -1)
-    p2 = np.asarray(parent2, dtype=float).reshape(1, -1)
-    u = rng.random((2, p1.shape[1]))
-    c1, c2 = _sbx_apply(p1, p2, u[0:1], u[1:2], rate, eta_c, lower, upper, scope)
-    return c1[0], c2[0]
+    children = np.array([parent1, parent2], dtype=float)
+    d = children.shape[1]
+    u = rng.random((2, d))
+    fire = u[0] < rate
+    if scope == "pair":
+        fire[:] = fire[0]
+    gene = np.flatnonzero(fire)
+    _sbx_apply(children.ravel(), gene, gene + d, gene, u[1, gene], eta_c, lower, upper)
+    return children[0], children[1]
 
 
 def polynomial_mutation(
@@ -221,9 +362,11 @@ def polynomial_mutation(
     variable range (index ``eta_m``; larger index, tighter spread) and is
     clamped back into the box.
     """
-    g = np.asarray(genome, dtype=float).reshape(1, -1)
-    u = rng.random((2, g.shape[1]))
-    return _poly_apply(g, u[0:1], u[1:2], rate, eta_m, lower, upper)[0]
+    g = np.array(genome, dtype=float)
+    u = rng.random((2, len(g)))
+    gene = np.flatnonzero(u[0] < rate)
+    _poly_apply(g, gene, gene, u[1, gene], eta_m, lower, upper)
+    return g
 
 
 def replace_mu_plus_lambda(
@@ -298,37 +441,58 @@ def ea_step_all(
         return
 
     n_pairs = (lam + 1) // 2
-    block_len = 2 * n_pairs + 2 * n_pairs * d + 2 * lam * d
-    cand = np.empty((n_agents, n_pairs, 2, 2), dtype=np.int64)
-    blocks = np.empty((n_agents, block_len))
-    for i, rng in enumerate(streams):
-        cand[i] = rng.integers(0, n, size=(n_pairs, 2, 2))
-        rng.random(out=blocks[i])
-    c = 2 * n_pairs
-    coins = blocks[:, :c].reshape(n_agents, n_pairs, 2)
-    u_c = blocks[:, c: c + 2 * n_pairs * d].reshape(n_agents, 2, n_pairs, d)
-    u_m = blocks[:, c + 2 * n_pairs * d:].reshape(n_agents, 2, lam, d)
+    pair_scope = op.crossover_scope == "pair"
+    plan = _step_plan(n, d, lam, pair_scope,
+                      tuple(np.asarray(crossover_rates, dtype=float).tolist()),
+                      tuple(np.asarray(mutation_rates, dtype=float).tolist()))
+    block = plan.block.copy()
+    for i, (rng, k) in enumerate(zip(streams, plan.draws)):
+        rng.random(out=block[i, :k])
 
     # tournaments on the flattened (N*n) society: agent i's members start at i*n
-    cand += (n * np.arange(n_agents))[:, None, None, None]
-    winners = _tournament_apply(fitness.ravel(), cand, coins)  # (N, n_pairs, 2)
-    flat = genes.reshape(n_agents * n, d)
-    pc = np.repeat(np.asarray(crossover_rates, dtype=float), n_pairs)[:, None]
-    c1, c2 = _sbx_apply(flat[winners[..., 0].ravel()], flat[winners[..., 1].ravel()],
-                        u_c[:, 0].reshape(-1, d), u_c[:, 1].reshape(-1, d),
-                        pc, op.eta_c, objective.lower, objective.upper, op.crossover_scope)
-    # pair k's children at positions 2k and 2k+1; an odd lam drops the last
-    children = np.empty((n_agents, 2 * n_pairs, d))
-    children[:, 0::2] = c1.reshape(n_agents, n_pairs, d)
-    children[:, 1::2] = c2.reshape(n_agents, n_pairs, d)
-    pm = np.repeat(np.asarray(mutation_rates, dtype=float), lam)[:, None]
-    children = _poly_apply(children[:, :lam].reshape(n_agents * lam, d),
-                           u_m[:, 0].reshape(-1, d), u_m[:, 1].reshape(-1, d),
-                           pm, op.eta_m, objective.lower, objective.upper)
+    agents = np.arange(n_agents)[:, None]
+    cand = np.minimum((block[:, :4 * n_pairs] * n).astype(np.int64), n - 1) + n * agents
+    winners = _tournament_apply(fitness.ravel(), cand.reshape(n_agents, n_pairs, 2, 2),
+                                block[:, 4 * n_pairs:6 * n_pairs].reshape(n_agents, n_pairs, 2))
 
-    off_fit = _evaluate_rows(children, np.full(n_agents, lam), objective, streams)
-    union_genes = np.concatenate([genes, children.reshape(n_agents, lam, d)], axis=1)
+    row, j, pos = _fires(block, plan, streams)
+    k = row.searchsorted(n_agents)  # crossover fires come first
+
+    # each agent's values: its spread values, then its mutation magnitudes
+    cnt = np.bincount(row, minlength=2 * n_agents)
+    if pair_scope:
+        cnt[:n_agents] *= d
+    ends = (cnt[:n_agents] + cnt[n_agents:]).cumsum()
+    values = np.empty(ends[-1])
+    lo = 0
+    for rng, hi in zip(streams, ends.tolist()):
+        if hi > lo:
+            rng.random(out=values[lo:hi])
+        lo = hi
+    start = np.concatenate([ends - cnt[:n_agents] - cnt[n_agents:], ends - cnt[n_agents:]])
+
+    # parents, then the children (see _StepPlan), which start as copies of
+    # their pair's parents
+    n_par = n_agents * n
+    union = np.empty((n_par + n_agents * 2 * n_pairs, d))
+    union[:n_par] = genes.reshape(n_par, d)
+    np.take(union[:n_par], winners.ravel()[plan.pick], axis=0, out=union[n_par:], mode="clip")
+    flat = union.ravel()
+    agent = row[:k]
+    if pair_scope:
+        pair, gene, agent = pos[:k, None], np.arange(d), agent[:, None]
+        spread = values[(start[row[:k]] + d * j[:k])[:, None] + gene]
+    else:
+        pair, gene = np.divmod(pos[:k], d)
+        spread = values[start[agent] + j[:k]]
+    _sbx_apply(flat, plan.c1[agent, pair] + gene, plan.c2[agent, pair] + gene, gene, spread,
+               op.eta_c, objective.lower, objective.upper)
+    _poly_apply(flat, plan.first[row[k:] - n_agents] + pos[k:], pos[k:] % d,
+                values[start[row[k:]] + j[k:]], op.eta_m, objective.lower, objective.upper)
+
+    children = union[n_par:n_par + n_agents * lam]
+    off_fit = objective.evaluate_rows(children, [lam] * n_agents, streams)
     union_fit = np.concatenate([fitness, off_fit.reshape(n_agents, lam)], axis=1)
     keep = _survivors(union_fit, n)
-    genes[...] = union_genes[np.arange(n_agents)[:, None], keep]
-    fitness[...] = np.take_along_axis(union_fit, keep, axis=1)
+    fitness[...] = union_fit[agents, keep]
+    genes[...] = union[np.where(keep < n, keep + n * agents, keep + (n_par - n) + lam * agents)]

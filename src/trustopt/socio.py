@@ -47,7 +47,6 @@ from .types import (
     CredibilityState,
     Population,
     ScCrossoverConfig,
-    _evaluate_rows,
     evaluate_population,
     mean_fitness,
 )
@@ -273,6 +272,25 @@ def _branch(mean_before, mean_after, mean_shared, threshold):
     return np.where(mean_after < mean_before, 1, np.where(mean_shared > threshold, -1, 0))
 
 
+def _credit(kind: str, recipient, sender, branch) -> list:
+    """The +-1 credibility rule as (table index, change) pairs: trust moves
+    the recipient's cell for the sender by ``branch``; reputation moves a
+    token from the recipient to the sender.  Works element-wise on index
+    and branch arrays."""
+    if kind == "trust":
+        return [((recipient, sender), branch)]
+    return [(recipient, -branch), (sender, branch)]
+
+
+def _apply_credit(table: np.ndarray, kind: str, recipient, sender, branch,
+                  c_min: int, c_max: int) -> None:
+    """Sum the :func:`_credit` changes into ``table`` (repeated cells add
+    up), then clamp the table into ``[c_min, c_max]``."""
+    for index, change in _credit(kind, recipient, sender, branch):
+        np.add.at(table, index, change)
+    np.clip(table, c_min, c_max, out=table)
+
+
 def update_trust(
     trust: int,
     mean_before: float,
@@ -284,15 +302,13 @@ def update_trust(
 ) -> int:
     """Recipient-side trust update for one interaction.
 
-    Improvement adds one (capped at ``c_max``), a rejected share subtracts
-    one (floored at ``c_min``), anything else leaves the value alone.
+    Improvement adds one, a rejected share subtracts one, anything else
+    leaves the value alone; the result is clamped into ``[c_min, c_max]``.
     """
-    b = _branch(mean_before, mean_after, mean_shared, threshold)
-    if b > 0:
-        return min(c_max, trust + 1)
-    if b < 0:
-        return max(c_min, trust - 1)
-    return trust
+    table = np.array([[trust]])
+    _apply_credit(table, "trust", 0, 0, _branch(mean_before, mean_after, mean_shared, threshold),
+                  c_min, c_max)
+    return int(table[0, 0])
 
 
 def update_reputation(
@@ -308,15 +324,13 @@ def update_reputation(
     """Reputation token transfer for one interaction.
 
     Improvement moves a token from the recipient to the sender; a rejected
-    share moves one the other way; both ends clamp to the bounds.  Returns
-    ``(recipient_rep, sender_rep)``.
+    share moves one the other way; both ends are clamped into
+    ``[c_min, c_max]``.  Returns ``(recipient_rep, sender_rep)``.
     """
-    b = _branch(mean_before, mean_after, mean_shared, threshold)
-    if b > 0:
-        return max(c_min, recipient_rep - 1), min(c_max, sender_rep + 1)
-    if b < 0:
-        return min(c_max, recipient_rep + 1), max(c_min, sender_rep - 1)
-    return recipient_rep, sender_rep
+    table = np.array([recipient_rep, sender_rep])
+    _apply_credit(table, "reputation", 0, 1,
+                  _branch(mean_before, mean_after, mean_shared, threshold), c_min, c_max)
+    return int(table[0]), int(table[1])
 
 
 def _deltas(kind: str, recipient: int, sender: int,
@@ -324,9 +338,10 @@ def _deltas(kind: str, recipient: int, sender: int,
     """Raw credibility changes one interaction requests (see :func:`_branch`)."""
     if branch == 0:
         return ()
+    changes = _credit(kind, recipient, sender, branch)
     if kind == "trust":
-        return (TrustDelta(recipient, sender, branch),)
-    return (ReputationDelta(recipient, -branch), ReputationDelta(sender, branch))
+        return tuple(TrustDelta(*index, change) for index, change in changes)
+    return tuple(ReputationDelta(index, change) for index, change in changes)
 
 
 def interaction_step(
@@ -432,7 +447,7 @@ def exchange_all(
         distinct = _adopt(base, donor, depth, gene_op[owner] == "average")
         # one evaluation per recipient keeps its block in cache
         off_fit = np.concatenate([
-            _evaluate_rows(distinct[row[lo:lo + c]], [c], objective, [streams[i]])
+            objective.evaluate_rows(distinct[row[lo:lo + c]], [c], [streams[i]])
             for i, lo, c in zip(acc.tolist(), starts.tolist(), counts[acc].tolist())])
 
         # mu+lambda per recipient on its parents' and offspring's fitness,
@@ -448,14 +463,8 @@ def exchange_all(
 
     mean_after = fitness.mean(axis=1)
     branch = _branch(mean_before, mean_after, mean_shared, threshold)
-    if cred.kind == "trust":
-        table = cred.trust
-        np.add.at(table, (rows, senders), branch)
-    else:
-        table = cred.reputation
-        np.add.at(table, rows, -branch)
-        np.add.at(table, senders, branch)
-    np.clip(table, cred.min_value, cred.max_value, out=table)
+    _apply_credit(cred.trust if cred.kind == "trust" else cred.reputation, cred.kind,
+                  rows, senders, branch, cred.min_value, cred.max_value)
     if outcomes is None:
         return
     for i, (j, b) in enumerate(zip(senders.tolist(), branch.tolist())):

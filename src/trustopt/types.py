@@ -92,22 +92,6 @@ def init_population(
     return Population.from_genes(genes)
 
 
-def _evaluate_rows(rows: np.ndarray, counts: np.ndarray, objective: ObjectiveSpec,
-                   streams: Sequence[Optional[np.random.Generator]]) -> np.ndarray:
-    """Values of an (M, D) block: ``counts[i]`` consecutive rows per agent
-    ``i``; a noisy objective adds one Normal draw per row from the row's
-    agent's stream, in row order."""
-    vals = np.atleast_1d(objective.base(rows))
-    if objective.noisy:
-        end = np.cumsum(counts)
-        for rng, lo, hi in zip(streams, end - counts, end):
-            if hi > lo:
-                if rng is None:
-                    raise ValueError(f"{objective.name} is noisy and needs a Generator")
-                vals[lo:hi] += rng.normal(0.0, objective.noise_sigma, size=hi - lo)
-    return vals
-
-
 def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveSpec,
                    streams: Sequence[Optional[np.random.Generator]]) -> None:
     """Fill the NaN entries of an (N, n) fitness stack in place, agent by
@@ -115,7 +99,7 @@ def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveS
     member per step."""
     miss = np.isnan(fitness)
     if miss.any():
-        fitness[miss] = _evaluate_rows(genes[miss], miss.sum(axis=1), objective, streams)
+        fitness[miss] = objective.evaluate_rows(genes[miss], miss.sum(axis=1), streams)
 
 
 def evaluate_population(

@@ -7,7 +7,9 @@ reaches at will).
 :func:`replay_ea_step` replays one EA step of one agent with plain Python
 loops, scalar draws and one objective call per genome, following the draw
 discipline documented in ``trustopt.ea``; ``ea_step`` and ``ea_step_all``
-are checked against it.  :func:`stepwise_run` is the reference the stacked
+are checked against it.  :func:`dense_children` breeds offspring under the
+dense scheme the sparse gate sampling replaced, as a distributional
+reference.  :func:`stepwise_run` is the reference the stacked
 engine is checked against: it advances the society agent by agent on
 ``AgentState`` objects with :func:`replay_ea_step` for EA steps and the
 one-interaction reference ``interaction_step`` for exchanges.
@@ -15,6 +17,7 @@ one-interaction reference ``interaction_step`` for exchanges.
 
 from __future__ import annotations
 
+import math
 from copy import deepcopy
 from dataclasses import dataclass, replace
 
@@ -56,6 +59,37 @@ def plateau_objective(dimension: int = 2, bound: float = 100.0,
 
     full = np.full(dimension, float(bound))
     return ObjectiveSpec("plateau", dimension, -full, full, False, steps)
+
+
+class RecordingObjective:
+    """Sphere objective that keeps a copy of every block it evaluates, so a
+    test can see an EA step's offspring before replacement."""
+
+    def __init__(self, dimension: int, bound: float = 100.0):
+        self.blocks = []
+
+        def record(genes):
+            self.blocks.append(np.array(genes))
+            return np.sum(genes * genes, axis=-1)
+
+        full = np.full(dimension, float(bound))
+        self.spec = ObjectiveSpec("recorded_sphere", dimension, -full, full, False, record)
+
+
+class CountingStream:
+    """A Generator stand-in that counts the uniforms drawn through it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.uniforms = 0
+
+    def random(self, size=None, out=None):
+        values = self.rng.random(size, out=out)
+        self.uniforms += np.size(values)
+        return values
+
+    def normal(self, *args, **kwargs):
+        return self.rng.normal(*args, **kwargs)
 
 
 def population_with_values(values, dimension: int = 2) -> Population:
@@ -103,8 +137,41 @@ def _pow(base: float, exponent: float) -> float:
     return float(np.power(np.array([base]), exponent)[0])
 
 
-def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig()):
-    """Plain-loop replay of one EA step of one agent.
+def _log1p(x: float) -> float:
+    # the same array log1p the kernels call, for the same reason as _pow
+    return float(np.log1p(np.array([x]))[0])
+
+
+def gap_budget(m: int, p: float) -> int:
+    """Geometric gaps drawn for ``m`` Bernoulli(p) gates (``trustopt.ea``
+    draw discipline): 0 at p = 0, ``m`` at p = 1 (not drawn)."""
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return m
+    mu = m * p
+    return min(m, math.ceil(mu + 6.0 * math.sqrt(mu) + 4.0))
+
+
+def _firing_gates(gaps, m, p, rng):
+    """Positions in [0, m) where a gate stream fires, from its drawn gap
+    uniforms, plus the top-up draws when the gaps end before the last gate."""
+    if p >= 1.0:
+        return list(range(m))
+    fired, at = [], -1
+    for u in gaps:
+        at += math.floor(_log1p(-u) / _log1p(-p)) + 1
+        if at < m:
+            fired.append(at)
+    if gaps and at < m - 1:
+        fired += [q for q in range(at + 1, m) if rng.random() < p]
+    return fired
+
+
+def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig(),
+                   budget=gap_budget):
+    """Plain-loop replay of one EA step of one agent under draw discipline
+    2 (see ``trustopt.ea``): scalar draws, one objective call per genome.
 
     ``fitness`` may hold NaN for members not yet evaluated.  Returns the
     new ``(genes, fitness)``; the inputs are untouched.
@@ -116,28 +183,40 @@ def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig()
     if lam == 0:
         return np.array(genes), np.array(fitness)
     n_pairs = (lam + 1) // 2
-    cand = rng.integers(0, n, size=(n_pairs, 2, 2))
-    block = rng.random(2 * n_pairs + 2 * n_pairs * d + 2 * lam * d)
-    coins = block[: 2 * n_pairs].reshape(n_pairs, 2)
-    u_c = block[2 * n_pairs: 2 * n_pairs + 2 * n_pairs * d].reshape(2, n_pairs, d)
-    u_m = block[2 * n_pairs + 2 * n_pairs * d:].reshape(2, lam, d)
+    pair_scope = op.crossover_scope == "pair"
+    m_c, m_m = (n_pairs if pair_scope else n_pairs * d), lam * d
+    b_c = budget(m_c, pc) if pc < 1.0 else 0
+    b_m = budget(m_m, pm) if pm < 1.0 else 0
+    cand = [[[min(math.floor(rng.random() * n), n - 1) for _ in range(2)] for _ in range(2)]
+            for _ in range(n_pairs)]
+    coins = [[rng.random() for _ in range(2)] for _ in range(n_pairs)]
+    gaps_c = [rng.random() for _ in range(b_c)]
+    gaps_m = [rng.random() for _ in range(b_m)]
+    fired_c = _firing_gates(gaps_c, m_c, pc, rng)
+    fired_m = _firing_gates(gaps_m, m_m, pm, rng)
+    # (pair, gene) -> spread value, then (child, gene) -> magnitude
+    spread, mag = {}, {}
+    for q in fired_c:
+        for g in (range(d) if pair_scope else [q % d]):
+            spread[(q if pair_scope else q // d, g)] = rng.random()
+    for q in fired_m:
+        mag[divmod(q, d)] = rng.random()
     lo, hi = spec.lower, spec.upper
 
     children = []
     for p in range(n_pairs):
         w = []
         for s in range(2):
-            a, b = cand[p, s]
-            if fitness[a] < fitness[b] or (fitness[a] == fitness[b] and coins[p, s] < 0.5):
+            a, b = cand[p][s]
+            if fitness[a] < fitness[b] or (fitness[a] == fitness[b] and coins[p][s] < 0.5):
                 w.append(a)
             else:
                 w.append(b)
         c1 = genes[w[0]].copy()
         c2 = genes[w[1]].copy()
         for g in range(d):
-            gate = u_c[0, p, 0 if op.crossover_scope == "pair" else g]
-            if gate < pc and c1[g] != c2[g]:
-                s = u_c[1, p, g]
+            if (p, g) in spread and c1[g] != c2[g]:
+                s = spread[(p, g)]
                 if s <= 0.5:
                     beta = _pow(2.0 * s, 1.0 / (op.eta_c + 1.0))
                 else:
@@ -147,15 +226,12 @@ def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig()
                 c2[g] = min(hi[g], max(lo[g], 0.5 * ((1 - beta) * va + (1 + beta) * vb)))
         children.extend([c1, c2])
     children = children[:lam]
-    for k in range(lam):
-        for g in range(d):
-            if u_m[0, k, g] < pm:
-                m = u_m[1, k, g]
-                if m < 0.5:
-                    delta = _pow(2.0 * m, 1.0 / (op.eta_m + 1.0)) - 1.0
-                else:
-                    delta = 1.0 - _pow(2.0 * (1.0 - m), 1.0 / (op.eta_m + 1.0))
-                children[k][g] = min(hi[g], max(lo[g], children[k][g] + delta * (hi[g] - lo[g])))
+    for (k, g), m in mag.items():
+        if m < 0.5:
+            delta = _pow(2.0 * m, 1.0 / (op.eta_m + 1.0)) - 1.0
+        else:
+            delta = 1.0 - _pow(2.0 * (1.0 - m), 1.0 / (op.eta_m + 1.0))
+        children[k][g] = min(hi[g], max(lo[g], children[k][g] + delta * (hi[g] - lo[g])))
     # one scalar noise draw per child, in child order
     off_fit = [_evaluate_one(c, spec, rng) for c in children]
 
@@ -163,6 +239,38 @@ def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig()
     union_fit = fitness + off_fit
     keep = sorted(sorted(range(len(union_fit)), key=lambda i: (union_fit[i], i))[:n])
     return np.array([union_genes[i] for i in keep]), np.array([union_fit[i] for i in keep])
+
+
+def dense_children(genes, lam, pc, pm, spec, rng, op=EaOperatorConfig()):
+    """Offspring of one agent under the dense reference scheme (draw
+    discipline 1): uniform tournaments, then a full gate and value block
+    per crossover pair and per child.  Only the distributions are meant to
+    match ``ea_step_all``, not the draws.  Returns the ``(lam, D)`` block."""
+    genes = np.asarray(genes, dtype=float)
+    n, d = genes.shape
+    fitness = spec.base(genes)
+    lo, hi = spec.lower, spec.upper
+    children = []
+    for _ in range((lam + 1) // 2):
+        w = []
+        for _ in range(2):
+            a, b = rng.integers(0, n, size=2)
+            tie = fitness[a] == fitness[b] and rng.random() < 0.5
+            w.append(a if fitness[a] < fitness[b] or tie else b)
+        c1, c2 = genes[w[0]].copy(), genes[w[1]].copy()
+        gate, s = rng.random((2, d))
+        fire = (gate[0] < pc) if op.crossover_scope == "pair" else (gate < pc)
+        fire = np.broadcast_to(fire, (d,)) & (c1 != c2)
+        e = 1 / (op.eta_c + 1)
+        beta = np.where(s <= 0.5, (2 * s) ** e, (2 * (1 - s)) ** -e)
+        n1 = np.clip(0.5 * ((1 + beta) * c1 + (1 - beta) * c2), lo, hi)
+        n2 = np.clip(0.5 * ((1 - beta) * c1 + (1 + beta) * c2), lo, hi)
+        children += [np.where(fire, n1, c1), np.where(fire, n2, c2)]
+    children = np.array(children[:lam])
+    gate, m = rng.random((2, lam, d))
+    e = 1 / (op.eta_m + 1)
+    delta = np.where(m < 0.5, (2 * m) ** e - 1, 1 - (2 * (1 - m)) ** e)
+    return np.where(gate < pm, np.clip(children + delta * (hi - lo), lo, hi), children)
 
 
 @dataclass

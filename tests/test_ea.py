@@ -8,6 +8,10 @@ Python loops, so any drift in how ``ea_step_all`` (and its one-agent case
 import numpy as np
 import pytest
 from helpers import (
+    CountingStream,
+    RecordingObjective,
+    dense_children,
+    gap_budget,
     linear_objective,
     make_agent,
     plateau_objective,
@@ -17,11 +21,13 @@ from helpers import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from trustopt import (
     EaOperatorConfig,
     Population,
     ea_step,
+    effective_rates,
     get_objective,
     init_population,
     polynomial_mutation,
@@ -29,6 +35,7 @@ from trustopt import (
     sbx_crossover,
     tournament_select,
 )
+from trustopt import ea
 from trustopt.ea import ea_step_all
 
 
@@ -306,7 +313,7 @@ def _societies(draw):
     )
 
 
-def _assert_batched_matches_replay(spec, s):
+def _assert_batched_matches_replay(spec, s, budget=gap_budget):
     seeds = [s["seed"] + i for i in range(s["n_agents"])]
     streams = [np.random.default_rng(x) for x in seeds]
     genes = np.stack([init_population(s["n"], spec, g).genes for g in streams])
@@ -323,7 +330,7 @@ def _assert_batched_matches_replay(spec, s):
             if spec.noisy:
                 ref[i][1] = np.full(s["n"], np.nan)
             ref[i] = list(replay_ea_step(*ref[i], s["lam"], s["pcs"][i], s["pms"][i],
-                                         spec, rng, s["op"]))
+                                         spec, rng, s["op"], budget))
 
     for i in range(s["n_agents"]):
         assert np.array_equal(genes[i], ref[i][0])
@@ -350,6 +357,22 @@ def test_batched_step_breaks_ties_like_the_replay(society):
     _assert_batched_matches_replay(plateau_objective(society["d"]), society)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, database=None)
+@given(society=_societies())
+def test_batched_step_matches_the_replay_past_the_budget(society):
+    # a one-gap budget runs out on most streams: the top-up gates, their
+    # values and the draw order must still follow the replay
+    budget = ea._gate_budget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ea, "_gate_budget",
+                   lambda m, p: np.minimum(budget(m, p), np.where(p < 1, 1, m)))
+        mp.setattr(ea, "_step_plan", ea._step_plan.__wrapped__)
+        _assert_batched_matches_replay(
+            get_objective("sphere", society["d"]), society,
+            lambda m, p: min(gap_budget(m, p), 1 if p < 1 else m))
+
+
 def test_batched_step_zero_offspring_only_evaluates():
     spec = get_objective("sphere", 3)
     streams = [np.random.default_rng(s) for s in (1, 2)]
@@ -360,3 +383,115 @@ def test_batched_step_zero_offspring_only_evaluates():
                 spec, streams)
     assert np.array_equal(genes, before)
     assert np.array_equal(fitness, spec.evaluate(genes.reshape(-1, 3)).reshape(2, 4))
+
+
+# --- sparse gate sampler ----------------------------------------------------
+
+
+def _tally_fires(n_agents, d, lam, scope, p, steps, seed=0):
+    """Per-position fire counts of the crossover and mutation gates over
+    ``steps`` draws of ``n_agents`` streams, all at rate ``p``."""
+    plan = ea._step_plan(2, d, lam, scope == "pair", (p,) * n_agents, (p,) * n_agents)
+    streams = [np.random.default_rng([seed, i]) for i in range(n_agents)]
+    counts = np.zeros((2, lam * d), dtype=np.int64)
+    for _ in range(steps):
+        block = plan.block.copy()
+        for i, (rng, k) in enumerate(zip(streams, plan.draws)):
+            rng.random(out=block[i, :k])
+        row, _, pos = ea._fires(block, plan, streams)
+        np.add.at(counts, (row // n_agents, pos), 1)
+    return counts[0, :plan.gates[0]], counts[1]
+
+
+def _assert_binomial(counts, trials, p):
+    # every gate fires Bernoulli(p) on its own: each count within six
+    # standard deviations (plus one for rounding) of trials * p
+    sd = np.sqrt(trials * p * (1.0 - p))
+    assert np.all(np.abs(counts - trials * p) <= 6.0 * sd + 1.0), (counts, trials * p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scope", ["gene", "pair"])
+@pytest.mark.parametrize("p", [0.0, 0.002, 0.05, 0.5, 1.0])
+def test_gate_fires_each_gene_with_its_rate(p, scope):
+    n_agents, steps = 50, 200
+    cross, mut = _tally_fires(n_agents, 6, 8, scope, p, steps)
+    assert len(cross) == (4 if scope == "pair" else 24)
+    for counts in (cross, mut):
+        _assert_binomial(counts, n_agents * steps, p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [0.05, 0.5])
+def test_forced_top_up_keeps_the_marginals(monkeypatch, p):
+    # a one-gap budget runs out on most streams, so the top-up decides
+    budget = ea._gate_budget
+    monkeypatch.setattr(ea, "_gate_budget", lambda m, q: np.minimum(budget(m, q), 1))
+    monkeypatch.setattr(ea, "_step_plan", ea._step_plan.__wrapped__)
+    calls = []
+    top_up = ea._top_up
+    monkeypatch.setattr(ea, "_top_up", lambda *a: calls.append(1) or top_up(*a))
+    n_agents, steps = 50, 200
+    for scope in ("gene", "pair"):
+        cross, mut = _tally_fires(n_agents, 6, 8, scope, p, steps, seed=1)
+        for counts in (cross, mut):
+            _assert_binomial(counts, n_agents * steps, p)
+    assert len(calls) > steps
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scope", ["gene", "pair"])
+def test_zero_rates_breed_copies_of_the_parents(scope):
+    rec = RecordingObjective(4)
+    streams = [CountingStream(np.random.default_rng(s)) for s in range(3)]
+    genes = np.stack([init_population(5, rec.spec, s.rng).genes for s in streams])
+    fitness = np.full((3, 5), np.nan)
+    ea_step_all(genes.copy(), fitness, 7, [0.0] * 3, [0.0] * 3, rec.spec,
+                streams, EaOperatorConfig(crossover_scope=scope))
+    children = rec.blocks[-1].reshape(3, 7, 4)
+    for i in range(3):
+        for child in children[i]:
+            assert any(np.array_equal(child, parent) for parent in genes[i])
+    # only the tournament is drawn: 6 uniforms per pair
+    assert [s.uniforms for s in streams] == [6 * 4] * 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scope", ["gene", "pair"])
+def test_child_genes_match_the_dense_scheme(scope):
+    # two members tie on the sphere, so tournaments pick either at random;
+    # every child gene is then a parent value, an SBX value or a mutation
+    n_agents, lam, d, pc, pm = 40, 8, 6, 0.3, 0.1
+    op = EaOperatorConfig(crossover_scope=scope)
+    rec = RecordingObjective(d, bound=5.0)
+    pop = np.stack([np.full(d, -1.0), np.full(d, 1.0)])
+    sparse, dense = [], []
+    for seed in range(20):
+        streams = [np.random.default_rng([seed, i]) for i in range(n_agents)]
+        ea_step_all(np.repeat(pop[None], n_agents, axis=0), np.full((n_agents, 2), np.nan),
+                    lam, [pc] * n_agents, [pm] * n_agents, rec.spec, streams, op)
+        sparse.append(rec.blocks[-1].ravel())
+        ref = np.random.default_rng([seed, 10_000])
+        dense += [dense_children(pop, lam, pc, pm, rec.spec, ref, op).ravel()
+                  for _ in range(n_agents)]
+    sparse, dense = np.concatenate(sparse), np.concatenate(dense)
+    assert ks_2samp(sparse, dense).pvalue > 1e-3
+    moved = lambda x: np.mean(np.abs(x) != 1.0)  # noqa: E731
+    assert abs(moved(sparse) - moved(dense)) < 0.02
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_high_dimensional_step_draws_few_uniforms():
+    # N=20 agents at the preset rates, D=200: the dense scheme drew 9216
+    # uniforms and 32 integers per agent and step
+    n_agents, d = 20, 200
+    spec = get_objective("sphere", d)
+    rates = np.array([effective_rates(0.005, 0.0005, i, 1.3) for i in range(n_agents)])
+    streams = [CountingStream(np.random.default_rng(s)) for s in range(n_agents)]
+    genes = np.stack([init_population(5, spec, s.rng).genes for s in streams])
+    fitness = np.full((n_agents, 5), np.nan)
+    for _ in range(5):
+        for s in streams:
+            s.uniforms = 0
+        ea_step_all(genes, fitness, 15, rates[:, 0], rates[:, 1], spec, streams)
+        assert max(s.uniforms for s in streams) <= 1000
