@@ -6,7 +6,7 @@ population block ``(n, D)`` yields ``(n,)``.
 
 The registry (:func:`get_objective`) wraps each function in an
 :class:`ObjectiveSpec` carrying its search box, known optimum and noise flag.
-Registered names::
+Its table holds one row per name (``OBJECTIVE_NAMES``)::
 
     sphere, griewank, rastrigin, expanded_schaffer, schwefel_noise,
     lennard_jones
@@ -14,8 +14,11 @@ Registered names::
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -217,79 +220,71 @@ class ObjectiveSpec:
         return vals
 
 
-def _box(value: float, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    full = np.full(dimension, float(value))
-    return -full, full
+def finite_real(v) -> bool:
+    """True for a finite real number that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+class _Row(NamedTuple):
+    """One registered objective and everything a valid binding must meet."""
+
+    fn: Callable[..., np.ndarray]
+    half_width: float  # search box [-half_width, half_width]^D
+    min_dimension: int = 1
+    # accepted parameters and their defaults (a callable default takes D);
+    # noise_sigma sets the evaluation noise, the others are keywords of fn
+    params: dict = {}
+    optimum_value: Optional[float] = None
+    optimum_gene: Optional[float] = None  # every gene of a known minimiser
+
+
+_REGISTRY = {
+    "sphere": _Row(sphere, 100.0, optimum_value=0.0, optimum_gene=0.0),
+    "griewank": _Row(griewank, 600.0, optimum_value=0.0, optimum_gene=0.0),
+    "rastrigin": _Row(rastrigin, 5.12, optimum_value=0.0, optimum_gene=0.0),
+    "expanded_schaffer": _Row(expanded_schaffer, 100.0, 2, optimum_value=0.0, optimum_gene=0.0),
+    "schwefel_noise": _Row(schwefel_noisy, 500.0, params={"noise_sigma": lambda d: 0.01 * d},
+                           optimum_gene=420.9687),
+    "lennard_jones": _Row(lennard_jones, 3.0, 6, params={"a": 1.0, "b": 2.0}),
+}
+
+OBJECTIVE_NAMES = tuple(_REGISTRY)
 
 
 def get_objective(name: str, dimension: int, **params) -> ObjectiveSpec:
     """Construct a registered objective at a given dimension.
 
-    Supported ``params``: ``noise_sigma`` for ``schwefel_noise`` (default
-    ``0.01 * dimension``), ``a`` and ``b`` for ``lennard_jones`` (defaults
-    1 and 2).  Unknown names or parameters raise ``ValueError``.
+    The registry table is the one place that decides what a valid binding
+    is: a known name, a dimension at or above the objective's floor, only
+    the objective's own parameters (``noise_sigma`` for ``schwefel_noise``,
+    default ``0.01 * dimension``; ``a`` and ``b`` for ``lennard_jones``,
+    defaults 1 and 2), each a finite, non-bool real number, and
+    ``noise_sigma >= 0``.  Any other binding raises ``ValueError``.
     """
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    known = {"sphere", "griewank", "rastrigin", "expanded_schaffer", "schwefel_noise", "lennard_jones"}
-    if name not in known:
+    row = _REGISTRY.get(name)
+    if row is None:
         raise ValueError(f"unknown objective: {name!r}")
-
-    if name == "schwefel_noise":
-        allowed = {"noise_sigma"}
-    elif name == "lennard_jones":
-        allowed = {"a", "b"}
-    else:
-        allowed = set()
-    extra = set(params) - allowed
+    if dimension < row.min_dimension:
+        raise ValueError(f"objective {name!r} needs dimension >= {row.min_dimension}, "
+                         f"got {dimension}")
+    extra = set(params) - set(row.params)
     if extra:
         raise ValueError(f"objective {name!r} does not accept parameters {sorted(extra)}")
+    for key, value in params.items():
+        if not finite_real(value):
+            raise ValueError(f"objective {name!r} parameter {key!r} must be a finite number, "
+                             f"got {value!r}")
+    bound = {k: float(params[k]) if k in params else float(d(dimension) if callable(d) else d)
+             for k, d in row.params.items()}
+    sigma = bound.pop("noise_sigma", 0.0)
+    if sigma < 0:
+        raise ValueError(f"objective {name!r} parameter 'noise_sigma' must be >= 0, got {sigma!r}")
 
-    if name == "sphere":
-        lo, hi = _box(100.0, dimension)
-        return ObjectiveSpec(name, dimension, lo, hi, False, sphere,
-                             optimum_value=0.0, optimum_location=np.zeros(dimension))
-    if name == "griewank":
-        lo, hi = _box(600.0, dimension)
-        return ObjectiveSpec(name, dimension, lo, hi, False, griewank,
-                             optimum_value=0.0, optimum_location=np.zeros(dimension))
-    if name == "rastrigin":
-        lo, hi = _box(5.12, dimension)
-        return ObjectiveSpec(name, dimension, lo, hi, False, rastrigin,
-                             optimum_value=0.0, optimum_location=np.zeros(dimension))
-    if name == "expanded_schaffer":
-        if dimension < 2:
-            raise ValueError("expanded_schaffer requires dimension >= 2")
-        lo, hi = _box(100.0, dimension)
-        return ObjectiveSpec(name, dimension, lo, hi, False, expanded_schaffer,
-                             optimum_value=0.0, optimum_location=np.zeros(dimension))
-    if name == "schwefel_noise":
-        sigma = float(params.get("noise_sigma", 0.01 * dimension))
-        if sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        lo, hi = _box(500.0, dimension)
-        return ObjectiveSpec(name, dimension, lo, hi, sigma > 0.0, schwefel_noisy,
-                             optimum_value=None,
-                             optimum_location=np.full(dimension, 420.9687),
-                             noise_sigma=sigma)
-    # lennard_jones
-    if dimension < 6:
-        raise ValueError("lennard_jones requires at least 2 particles (dimension >= 6)")
-    a = float(params.get("a", 1.0))
-    b = float(params.get("b", 2.0))
-
-    def fn(genes, _a=a, _b=b):
-        return lennard_jones(genes, a=_a, b=_b)
-
-    lo, hi = _box(3.0, dimension)
-    return ObjectiveSpec(name, dimension, lo, hi, False, fn)
-
-
-OBJECTIVE_NAMES = (
-    "sphere",
-    "griewank",
-    "rastrigin",
-    "expanded_schaffer",
-    "schwefel_noise",
-    "lennard_jones",
-)
+    full = np.full(dimension, row.half_width)
+    return ObjectiveSpec(
+        name, dimension, -full, full, sigma > 0.0,
+        functools.partial(row.fn, **bound) if bound else row.fn,
+        optimum_value=row.optimum_value,
+        optimum_location=None if row.optimum_gene is None else np.full(dimension, row.optimum_gene),
+        noise_sigma=sigma,
+    )

@@ -9,13 +9,12 @@ every violation instead of stopping at the first one.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .benchmarks import OBJECTIVE_NAMES
+from .benchmarks import finite_real, get_objective
 from .types import CREDIBILITY_KINDS, GENE_OPS, GENOME_INTENSITIES
 
 __all__ = [
@@ -104,8 +103,7 @@ def _is_int(v) -> bool:
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
     "Optional[int]": (lambda v: v is None or _is_int(v), "an integer"),
-    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-              and math.isfinite(v), "a finite number"),
+    "float": (finite_real, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "dict": (lambda v: isinstance(v, dict), "a mapping"),
 }
@@ -122,10 +120,18 @@ def type_errors(cls, values: dict, tag: str = "") -> dict[str, str]:
     return bad
 
 
+def seed_errors(seed) -> list[str]:
+    """The root-seed rule: a seed is an unsigned 64-bit integer."""
+    ok = _is_int(seed) and 0 <= seed < 2**64
+    return [] if ok else [f"seed must be an unsigned 64-bit integer, got {seed!r}"]
+
+
 def validate_config(cfg: TboConfig) -> None:
     """Check every schema constraint, raising :class:`ConfigError` with the
     full list of violations when any fail.  Wrongly typed values are
-    reported on their own, before any range is checked."""
+    reported on their own, before any range is checked.  The objective
+    binding (name, dimension, parameters) is checked by
+    :func:`~trustopt.benchmarks.get_objective`."""
     bad = list(type_errors(TboConfig, vars(cfg)).values())
     if isinstance(cfg.credibility, CredibilityConfig):
         bad += type_errors(CredibilityConfig, vars(cfg.credibility), "credibility ").values()
@@ -138,18 +144,17 @@ def validate_config(cfg: TboConfig) -> None:
         bad.append(f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
     if cfg.agent_count < 2:
         bad.append("agent_count must be >= 2")
-    if cfg.dimension < 1:
-        bad.append("dimension must be >= 1")
-    if cfg.objective not in OBJECTIVE_NAMES:
-        bad.append(f"unknown objective: {cfg.objective!r}")
+    try:
+        get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
+    except ValueError as err:
+        bad.append(str(err))
     if cfg.epoch_length < 1:
         bad.append("epoch_length must be >= 1")
     if cfg.diversity_factor < 0:
         bad.append("diversity_factor must be >= 0")
     if cfg.max_steps < 1:
         bad.append("max_steps must be >= 1")
-    if not (0 <= cfg.seed < 2**64):
-        bad.append("seed must be an unsigned 64-bit integer")
+    bad += seed_errors(cfg.seed)
     if cfg.repetitions < 1:
         bad.append("repetitions must be >= 1")
     if cfg.first_step not in (0, 1):

@@ -32,7 +32,7 @@ fitness, so it never increases even under noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,11 +78,7 @@ def _build_state(
     agent_rngs: Optional[Sequence[np.random.Generator]],
     interaction_log: Optional[list],
 ) -> RunState:
-    validate_config(cfg)
-    if algorithm not in ("tbo", "island_model"):
-        raise ValueError("algorithm must be 'tbo' or 'island_model'")
-    if algorithm == "tbo" and cfg.credibility is None:
-        raise ValueError("tbo run needs a credibility section")
+    validate_config(replace(cfg, algorithm=algorithm))
     objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
     op = EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope)
 

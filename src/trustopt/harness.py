@@ -36,11 +36,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .benchmarks import get_objective
 from .config import (
     AgentTemplate,
     ConfigError,
     TboConfig,
+    seed_errors,
     type_errors,
     validate_config,
     with_cell,
@@ -123,8 +123,8 @@ def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
     seed = data.get("seed", 0)
     reps = data.get("repetitions", 1)
     record_every = data.get("record_every", 1)
-    if "seed" not in wrong and not (0 <= seed < 2**64):
-        bad.append("seed must be an unsigned 64-bit integer")
+    if "seed" not in wrong:
+        bad += seed_errors(seed)
     if "repetitions" not in wrong and reps < 1:
         bad.append("repetitions must be >= 1")
     if "record_every" not in wrong and record_every < 1:
@@ -202,8 +202,6 @@ def _cell_config(manifest: ExperimentManifest, problem: ProblemCell, algorithm: 
         if agent_kw:
             cfg = replace(cfg, per_agent=tuple(replace(t, **agent_kw) for t in cfg.per_agent))
     validate_config(cfg)
-    # constructing the objective catches dimension/parameter problems early
-    get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
     return cfg
 
 
@@ -232,12 +230,15 @@ def run_manifest(
 ) -> list[Path]:
     """Execute every cell of a manifest and write traces plus summaries.
 
-    ``seed`` overrides the manifest root seed, ``record_every`` its trace
-    downsampling.  ``jobs > 1`` runs cells in a process pool; outputs are
-    identical either way.  Returns the written summary paths.
+    ``seed`` overrides the manifest root seed (under the same rule, checked
+    before anything is written), ``record_every`` its trace downsampling.
+    ``jobs > 1`` runs cells in a process pool; outputs are identical either
+    way.  Returns the written summary paths.
     """
     if seed is not None:
         manifest = replace(manifest, seed=seed)
+    if bad := seed_errors(manifest.seed):
+        raise ConfigError(bad)
     every = manifest.record_every if record_every is None else record_every
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

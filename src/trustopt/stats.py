@@ -101,13 +101,17 @@ def summarize(groups: Groups) -> list[tuple[str, float, float, int]]:
     return out
 
 
-def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mid-ranks of a pooled sample and the tie term sum(t^3 - t)."""
+def _rank(groups: Groups) -> tuple:
+    """Rank the pooled sample once: the labels, each group's slice of the
+    pooled mid-ranks, the pooled size and the tie term sum(t^3 - t)."""
+    gs = _as_groups(groups)
+    pooled = np.concatenate([g.values for g in gs])
     _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
     starts = np.concatenate(([0.0], np.cumsum(counts)[:-1].astype(float))) + 1.0
     avg = starts + (counts - 1) / 2.0
     tie_term = float(np.sum(counts.astype(float) ** 3 - counts))
-    return avg[inverse], tie_term
+    ranks = np.split(avg[inverse], np.cumsum([len(g.values) for g in gs])[:-1])
+    return tuple(g.label for g in gs), ranks, len(pooled), tie_term
 
 
 def kruskal_wallis(groups: Groups) -> TestReport:
@@ -118,22 +122,19 @@ def kruskal_wallis(groups: Groups) -> TestReport:
     value across all groups is identical the statistic is undefined; the
     report carries H = 0, p = 1 and the degenerate flag.
     """
-    gs = _as_groups(groups)
-    pooled = np.concatenate([g.values for g in gs])
-    n = len(pooled)
-    ranks, tie_term = _midranks(pooled)
+    return _kruskal_wallis(_rank(groups))
+
+
+def _kruskal_wallis(ranked: tuple) -> TestReport:
+    labels, ranks, n, tie_term = ranked
     correction = 1.0 - tie_term / (n**3 - n) if n > 1 else 0.0
-    labels = tuple(g.label for g in gs)
-    df = len(gs) - 1
+    df = len(labels) - 1
     if correction <= 0.0:
         return TestReport(0.0, 1.0, df, labels, degenerate=True)
 
     h = 0.0
-    pos = 0
-    for g in gs:
-        r = ranks[pos: pos + len(g.values)]
-        pos += len(g.values)
-        h += r.sum() ** 2 / len(g.values)
+    for r in ranks:
+        h += r.sum() ** 2 / len(r)
     h = (12.0 / (n * (n + 1))) * h - 3.0 * (n + 1)
     h /= correction
     from scipy.stats import chi2
@@ -164,31 +165,24 @@ def dunn_holm(groups: Groups, alpha: float = 0.01) -> TestReport:
     with :func:`kruskal_wallis` via :func:`compare_groups` when both are
     wanted.
     """
+    return _dunn_holm(_rank(groups), alpha)
+
+
+def _dunn_holm(ranked: tuple, alpha: float) -> TestReport:
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    gs = _as_groups(groups)
-    pooled = np.concatenate([g.values for g in gs])
-    n = len(pooled)
-    ranks, tie_term = _midranks(pooled)
-    labels = tuple(g.label for g in gs)
-
-    mean_ranks = []
-    sizes = []
-    pos = 0
-    for g in gs:
-        r = ranks[pos: pos + len(g.values)]
-        pos += len(g.values)
-        mean_ranks.append(float(r.mean()))
-        sizes.append(len(g.values))
+    labels, ranks, n, tie_term = ranked
+    mean_ranks = [float(r.mean()) for r in ranks]
+    sizes = [len(r) for r in ranks]
 
     var_factor = n * (n + 1) / 12.0 - tie_term / (12.0 * (n - 1)) if n > 1 else 0.0
-    pairs = [(a, b) for a in range(len(gs)) for b in range(a + 1, len(gs))]
+    pairs = [(a, b) for a in range(len(labels)) for b in range(a + 1, len(labels))]
     if var_factor <= 0.0:
         comps = tuple(
             PairwiseComparison(labels[a], labels[b], 0.0, 1.0, 1.0, False)
             for a, b in pairs
         )
-        return TestReport(math.nan, math.nan, len(gs) - 1, labels, degenerate=True,
+        return TestReport(math.nan, math.nan, len(labels) - 1, labels, degenerate=True,
                           pairwise=comps)
 
     from scipy.stats import norm
@@ -205,13 +199,15 @@ def dunn_holm(groups: Groups, alpha: float = 0.01) -> TestReport:
                            bool(adjusted[i] <= alpha))
         for i, (a, b) in enumerate(pairs)
     )
-    return TestReport(math.nan, math.nan, len(gs) - 1, labels, pairwise=comps)
+    return TestReport(math.nan, math.nan, len(labels) - 1, labels, pairwise=comps)
 
 
 def compare_groups(groups: Groups, alpha: float = 0.01) -> TestReport:
-    """Omnibus Kruskal-Wallis plus Dunn/Holm pairwise report in one."""
-    omnibus = kruskal_wallis(groups)
-    posthoc = dunn_holm(groups, alpha)
+    """Omnibus Kruskal-Wallis plus Dunn/Holm pairwise report in one, from
+    one ranking of the pooled sample."""
+    ranked = _rank(groups)
+    omnibus = _kruskal_wallis(ranked)
+    posthoc = _dunn_holm(ranked, alpha)
     return TestReport(
         omnibus.statistic, omnibus.p_value, omnibus.df, omnibus.groups,
         degenerate=omnibus.degenerate or posthoc.degenerate,

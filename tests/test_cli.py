@@ -113,6 +113,45 @@ def test_validate_rejects_wrongly_typed_config(tmp_path, capsys, data, field):
     assert err.startswith("error:") and field in err
 
 
+def _manifest(objective, dimension, **params):
+    return {**TINY, "problems": [{"objective": objective, "dimension": dimension,
+                                  "max_steps": 5, "objective_params": params}]}
+
+
+# json writes nan and inf as NaN and Infinity, and reads them back
+@pytest.mark.parametrize("kind,data,field", [
+    ("config", _config(objective="lennard_jones", dimension=5), "dimension"),
+    ("config", _config(objective="expanded_schaffer", dimension=1), "dimension"),
+    ("config", _config(objective_params={"bogus": 1}), "bogus"),
+    ("config", _config(objective="schwefel_noise", objective_params={"noise_sigma": -1}),
+     "noise_sigma"),
+    ("config", _config(objective="schwefel_noise", objective_params={"noise_sigma": "x"}),
+     "noise_sigma"),
+    ("manifest", _manifest("schwefel_noise", 4, noise_sigma=float("nan")), "noise_sigma"),
+    ("manifest", _manifest("schwefel_noise", 4, noise_sigma=float("inf")), "noise_sigma"),
+    ("manifest", _manifest("schwefel_noise", 4, noise_sigma=True), "noise_sigma"),
+    ("manifest", _manifest("schwefel_noise", 4, noise_sigma="0.5"), "noise_sigma"),
+    ("manifest", _manifest("lennard_jones", 6, a="2"), "'a'"),
+], ids=["lj-d5", "schaffer-d1", "bogus-param", "negative-sigma", "string-sigma",
+        "nan-sigma", "inf-sigma", "bool-sigma", "string-sigma-manifest", "string-lj-a"])
+def test_validate_rejects_invalid_objective_binding(tmp_path, capsys, kind, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", f"--{kind}", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_run_rejects_out_of_range_seed_before_writing(manifest_path, tmp_path, capsys, seed):
+    out = tmp_path / "res"
+    assert main(["run", "--manifest", str(manifest_path), "--out", str(out),
+                 "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and seed in err
+    assert not out.exists()
+
+
 def test_presets_overview_lists_all(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out

@@ -357,7 +357,6 @@ def test_batched_step_breaks_ties_like_the_replay(society):
     _assert_batched_matches_replay(plateau_objective(society["d"]), society)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, database=None)
 @given(society=_societies())
 def test_batched_step_matches_the_replay_past_the_budget(society):
@@ -410,7 +409,6 @@ def _assert_binomial(counts, trials, p):
     assert np.all(np.abs(counts - trials * p) <= 6.0 * sd + 1.0), (counts, trials * p)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scope", ["gene", "pair"])
 @pytest.mark.parametrize("p", [0.0, 0.002, 0.05, 0.5, 1.0])
 def test_gate_fires_each_gene_with_its_rate(p, scope):
@@ -421,7 +419,6 @@ def test_gate_fires_each_gene_with_its_rate(p, scope):
         _assert_binomial(counts, n_agents * steps, p)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("p", [0.05, 0.5])
 def test_forced_top_up_keeps_the_marginals(monkeypatch, p):
     # a one-gap budget runs out on most streams, so the top-up decides
@@ -439,7 +436,6 @@ def test_forced_top_up_keeps_the_marginals(monkeypatch, p):
     assert len(calls) > steps
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scope", ["gene", "pair"])
 def test_zero_rates_breed_copies_of_the_parents(scope):
     rec = RecordingObjective(4)
@@ -456,7 +452,6 @@ def test_zero_rates_breed_copies_of_the_parents(scope):
     assert [s.uniforms for s in streams] == [6 * 4] * 3
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scope", ["gene", "pair"])
 def test_child_genes_match_the_dense_scheme(scope):
     # two members tie on the sphere, so tournaments pick either at random;
@@ -480,7 +475,6 @@ def test_child_genes_match_the_dense_scheme(scope):
     assert abs(moved(sparse) - moved(dense)) < 0.02
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_high_dimensional_step_draws_few_uniforms():
     # N=20 agents at the preset rates, D=200: the dense scheme drew 9216
     # uniforms and 32 integers per agent and step

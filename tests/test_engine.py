@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from trustopt import (
     OBJECTIVE_NAMES,
     AgentTemplate,
+    ConfigError,
     CredibilityConfig,
     EaOperatorConfig,
     TboConfig,
@@ -21,6 +22,7 @@ from trustopt import (
     island_model_run,
     run_repetitions,
     tbo_run,
+    validate_config,
 )
 from trustopt.engine import _build_state, _run, advance_step
 
@@ -321,6 +323,38 @@ def test_fast_path_matches_stepwise_object_path(objective, algorithm, data):
             rout.mean_before, rout.mean_after, rout.mean_shared, rout.threshold)
         assert np.array_equal(out.population.genes, rout.population.genes)
         assert np.array_equal(out.population.fitness, rout.population.fitness)
+
+
+_PARAM_VALUES = st.one_of(
+    st.floats(-3.0, 3.0), st.integers(-3, 3), st.booleans(), st.text(max_size=3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(objective=st.sampled_from(OBJECTIVE_NAMES + ("warp_field",)),
+       dimension=st.integers(0, 8),
+       params=st.dictionaries(st.sampled_from(["noise_sigma", "a", "b", "bogus"]),
+                              _PARAM_VALUES, max_size=3))
+def test_validate_accepts_exactly_the_bindings_the_engine_builds(objective, dimension, params):
+    cfg = _cfg(objective=objective, dimension=dimension, objective_params=params)
+    try:
+        validate_config(cfg)
+        valid = True
+    except ConfigError:
+        valid = False
+    try:
+        state = _build_state(cfg, "tbo", 0, None, None)
+        built = True
+    except ValueError:
+        built = False
+    assert valid == built
+    if built:
+        # a binding that validates also evaluates to finite values
+        n = cfg.per_agent[0].population_size
+        values = state.objective.evaluate_rows(state.genes.reshape(-1, dimension),
+                                               [n] * cfg.agent_count, state.streams)
+        assert np.all(np.isfinite(values))
 
 
 _DIMENSION_FLOORS = {"expanded_schaffer": 2, "lennard_jones": 6}
