@@ -36,6 +36,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .benchmarks import get_objective
 from .config import (
     AgentTemplate,
     ConfigError,
@@ -157,8 +158,19 @@ def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
                      for m in ("objective", "dimension", "max_steps") if m not in p]
         cell_bad += type_errors(ProblemCell, p, f"problems[{k}]: ").values()
         bad += cell_bad
-        if not cell_bad:
-            problems.append(ProblemCell(**p))
+        if cell_bad:
+            continue
+        # a problem's own rules are checked once, not once per algorithm, and
+        # before any cell seed is derived from its dimension
+        problem = ProblemCell(**p)
+        label = f"problems[{k}] {problem.objective} d={problem.dimension}: "
+        try:
+            get_objective(problem.objective, problem.dimension, **problem.objective_params)
+        except ValueError as err:
+            bad.append(label + str(err))
+        if problem.max_steps < 1:
+            bad.append(label + "max_steps must be >= 1")
+        problems.append(problem)
 
     if bad:
         raise ConfigError(bad)
@@ -171,7 +183,7 @@ def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
 
 def validate_manifest_cells(manifest: ExperimentManifest) -> None:
     """Build every cell config once; surfaces per-cell violations (for
-    example an objective that rejects the chosen dimension)."""
+    example an override that one preset's configuration rejects)."""
     bad: list[str] = []
     for problem in manifest.problems:
         for algorithm in manifest.algorithms:

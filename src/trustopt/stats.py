@@ -3,8 +3,11 @@
 Implements the rank machinery by hand (pooled mid-ranks with tie
 correction, Kruskal-Wallis H, Dunn pairwise z statistics, Holm step-down
 adjustment); only the distribution tails (chi-squared, standard normal)
-come from scipy, imported inside the two tests so that only ``stats``
-commands load it.
+come from ``scipy.special`` (``chdtrc`` and ``ndtr``, the functions that
+``scipy.stats.chi2.sf`` and ``norm.sf`` evaluate, so p-values match those
+bit for bit).  They are imported on first use, so that only ``stats``
+commands load scipy, and ``scipy.stats`` is never imported: importing it
+would more than double a ``stats`` command's start-up.
 
 References
 ----------
@@ -114,6 +117,22 @@ def _rank(groups: Groups) -> tuple:
     return tuple(g.label for g in gs), ranks, len(pooled), tie_term
 
 
+def _chi2_sf(h: float, df: int) -> float:
+    """Chi-squared upper tail, equal bit for bit to ``scipy.stats.chi2.sf``.
+
+    That evaluates ``chdtrc(df, h)`` and returns 1 for h < 0, where
+    ``chdtrc`` gives NaN; rounding can leave H at -1e-15.
+    """
+    from scipy.special import chdtrc
+    return float(chdtrc(df, max(h, 0.0)))
+
+
+def _norm_sf(z: float) -> float:
+    """Standard normal upper tail, equal bit for bit to ``scipy.stats.norm.sf``."""
+    from scipy.special import ndtr
+    return float(ndtr(-z))
+
+
 def kruskal_wallis(groups: Groups) -> TestReport:
     """Kruskal-Wallis H test on two or more groups.
 
@@ -137,9 +156,7 @@ def _kruskal_wallis(ranked: tuple) -> TestReport:
         h += r.sum() ** 2 / len(r)
     h = (12.0 / (n * (n + 1))) * h - 3.0 * (n + 1)
     h /= correction
-    from scipy.stats import chi2
-    p = float(chi2.sf(h, df))
-    return TestReport(float(h), p, df, labels)
+    return TestReport(float(h), _chi2_sf(h, df), df, labels)
 
 
 def holm_adjust(raw_p: Sequence[float]) -> np.ndarray:
@@ -185,14 +202,13 @@ def _dunn_holm(ranked: tuple, alpha: float) -> TestReport:
         return TestReport(math.nan, math.nan, len(labels) - 1, labels, degenerate=True,
                           pairwise=comps)
 
-    from scipy.stats import norm
     zs = []
     raws = []
     for a, b in pairs:
         se = math.sqrt(var_factor * (1.0 / sizes[a] + 1.0 / sizes[b]))
         z = (mean_ranks[a] - mean_ranks[b]) / se
         zs.append(z)
-        raws.append(2.0 * float(norm.sf(abs(z))))
+        raws.append(2.0 * _norm_sf(abs(z)))
     adjusted = holm_adjust(raws)
     comps = tuple(
         PairwiseComparison(labels[a], labels[b], zs[i], raws[i], float(adjusted[i]),

@@ -142,6 +142,25 @@ def test_validate_rejects_invalid_objective_binding(tmp_path, capsys, kind, data
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("problem,message", [
+    ({"objective": "sphere", "dimension": -1, "max_steps": 5}, "needs dimension >= 1"),
+    ({"objective": "schwefel_noise", "dimension": 4, "max_steps": 5,
+      "objective_params": {"noise_sigma": float("nan")}}, "noise_sigma"),
+    ({"objective": "sphere", "dimension": 4, "max_steps": 0}, "max_steps must be >= 1"),
+], ids=["negative-dimension", "nan-sigma", "zero-steps"])
+def test_validate_reports_problem_errors_once(tmp_path, capsys, problem, message):
+    # a problem's rules are checked before any cell exists: one line, not
+    # one per algorithm, and a negative dimension never reaches the seeding
+    data = {**TINY, "algorithms": ["small_society", "island_model", "exploration"],
+            "problems": [problem]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--manifest", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: problems[0]") and message in lines[0]
+
+
 @pytest.mark.parametrize("seed", ["-5", str(2**64)])
 def test_run_rejects_out_of_range_seed_before_writing(manifest_path, tmp_path, capsys, seed):
     out = tmp_path / "res"
@@ -254,4 +273,26 @@ def test_import_and_validate_leave_scipy_unloaded(manifest_path):
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
     proc = subprocess.run([sys.executable, "-c", code, str(desk), str(manifest_path)],
                           capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_plot_and_stats_leave_scipy_stats_unloaded(manifest_path, tmp_path):
+    # plot needs no scipy at all; stats needs only the two tails from
+    # scipy.special, and importing scipy.stats would double its start-up
+    package = Path(trustopt.__file__).parent
+    code = (
+        "import sys\n"
+        "import trustopt.cli\n"
+        "manifest, out = sys.argv[1:]\n"
+        "assert trustopt.cli.main(['run', '--manifest', manifest, '--out', out]) == 0\n"
+        "assert trustopt.cli.main(['plot', out]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, f'loaded by run or plot: {loaded}'\n"
+        "assert trustopt.cli.main(['stats', out]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
+        "assert not loaded, f'loaded by stats: {loaded}'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    proc = subprocess.run([sys.executable, "-c", code, str(manifest_path),
+                           str(tmp_path / "res")], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -258,3 +258,46 @@ def test_compare_groups_degenerate_flag_propagates():
     combined = compare_groups({"a": [1.0, 1.0], "b": [1.0, 1.0]})
     assert combined.degenerate
     assert combined.p_value == 1.0
+
+
+# --- distribution tails -----------------------------------------------------
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_norm_tail_matches_scipy_bit_for_bit(rng):
+    from trustopt.stats import _norm_sf
+
+    zs = np.concatenate(([0.0, 5e-324, 1e-300, 38.0, 40.0, 1e300],
+                         rng.uniform(0.0, 10.0, size=2000)))
+    ours = [_norm_sf(z) for z in zs]
+    assert np.array_equal(_bits(ours), _bits(scipy.stats.norm.sf(zs)))
+
+
+def test_chi2_tail_matches_scipy_bit_for_bit(rng):
+    from trustopt.stats import _chi2_sf
+
+    hs = np.concatenate(([-1e-15, -0.0, 0.0], rng.exponential(5.0, size=300)))
+    for df in range(1, 20):
+        ours = [_chi2_sf(h, df) for h in hs]
+        assert np.array_equal(_bits(ours), _bits(scipy.stats.chi2.sf(hs, df))), df
+
+
+def test_compare_groups_p_values_match_scipy_bit_for_bit(rng):
+    for trial in range(60):
+        k = int(rng.integers(2, 7))
+        sizes = rng.integers(2, 10, size=k)
+        if trial % 2:  # ties
+            data = {f"g{i}": rng.integers(0, 5, size=s).astype(float)
+                    for i, s in enumerate(sizes)}
+        else:
+            data = {f"g{i}": rng.normal(loc=0.3 * i, size=s) for i, s in enumerate(sizes)}
+        report = compare_groups(data)
+        if report.degenerate:
+            continue
+        assert _bits(report.p_value) == _bits(scipy.stats.chi2.sf(report.statistic, k - 1))
+        raws = [p.raw_p for p in report.pairwise]
+        ref = [2.0 * float(scipy.stats.norm.sf(abs(p.z))) for p in report.pairwise]
+        assert np.array_equal(_bits(raws), _bits(ref))
