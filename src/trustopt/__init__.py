@@ -32,14 +32,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .ea import (
-    EaOperatorConfig,
-    ea_step,
-    polynomial_mutation,
-    replace_mu_plus_lambda,
-    sbx_crossover,
-    tournament_select,
-)
+from .ea import EaOperatorConfig, ea_step
 from .engine import island_model_run, run_repetitions, tbo_run
 from .harness import (
     BASELINE_ALGORITHM,
@@ -52,21 +45,7 @@ from .harness import (
 )
 from .presets import DISPLAY_NAMES, PRESET_NAMES, load_preset, preset_json
 from .rng import agent_stream, derive_run_seed
-from .socio import (
-    InteractionOutcome,
-    ReputationDelta,
-    SharedPopulation,
-    TrustDelta,
-    acceptance_threshold,
-    divergence_ranking,
-    interaction_step,
-    phi,
-    sc_crossover,
-    sc_variation,
-    select_shared,
-    update_reputation,
-    update_trust,
-)
+from .socio import InteractionOutcome, ReputationDelta, TrustDelta, interaction_step
 from .stats import (
     PairwiseComparison,
     SampleGroup,
@@ -85,9 +64,7 @@ from .types import (
     Population,
     ScCrossoverConfig,
     effective_rates,
-    evaluate_population,
     init_population,
-    mean_fitness,
 )
 
 __version__ = "0.1.0"

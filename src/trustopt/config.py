@@ -52,9 +52,6 @@ class AgentTemplate:
     base_mutation_rate: float = 0.0005
     genome_intensity: str = "moderate"
     gene_op: str = "swap"
-    # reserved heterogeneity hook; the engine is synchronous, so a value
-    # different from the run-level epoch_length is rejected
-    epoch_length: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ def _is_int(v) -> bool:
 # field annotation, as written in the dataclasses -> (check, what is required)
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
-    "Optional[int]": (lambda v: v is None or _is_int(v), "an integer"),
     "float": (finite_real, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "dict": (lambda v: isinstance(v, dict), "a mapping"),
@@ -202,11 +198,6 @@ def validate_config(cfg: TboConfig) -> None:
             bad.append(f"{tag}: genome_intensity must be one of {GENOME_INTENSITIES}")
         if t.gene_op not in GENE_OPS:
             bad.append(f"{tag}: gene_op must be one of {GENE_OPS}")
-        if t.epoch_length is not None and t.epoch_length != cfg.epoch_length:
-            bad.append(
-                f"{tag}: per-agent epoch_length {t.epoch_length} differs from the run value; "
-                "the synchronous engine does not support heterogeneous epochs"
-            )
 
     if len({(t.population_size, t.offspring_size) for t in cfg.per_agent}) > 1:
         bad.append("per_agent templates must share population_size and offspring_size; "
@@ -223,9 +214,6 @@ def config_to_dict(cfg: TboConfig) -> dict:
         d.pop("credibility")
     # a single shared template serialises as an object, a full list as a list
     agents = d.pop("per_agent")
-    for a in agents:
-        if a.get("epoch_length") is None:
-            a.pop("epoch_length")
     d["per_agent"] = agents[0] if len(agents) == 1 else agents
     if not d["objective_params"]:
         d.pop("objective_params")

@@ -60,29 +60,22 @@ odd ``offspring_size`` the last child is dropped (its crossover values
 are still drawn).
 
 :func:`ea_step` is the one-agent case: it runs :func:`ea_step_all` on a
-``(1, n, D)`` stack.  The standalone operators (:func:`tournament_select`,
-:func:`sbx_crossover`, :func:`polynomial_mutation`) keep dense blocks:
-two candidate indices plus two coins for a tournament, a ``(2, D)`` gate
-and value block for one crossover or mutation.
+``(1, n, D)`` stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .benchmarks import ObjectiveSpec
-from .types import AgentState, Population, evaluate_population, evaluate_stack
+from .types import AgentState, Population, evaluate_stack
 
 __all__ = [
     "EaOperatorConfig",
-    "tournament_select",
-    "sbx_crossover",
-    "polynomial_mutation",
-    "replace_mu_plus_lambda",
     "ea_step",
     "ea_step_all",
 ]
@@ -307,93 +300,7 @@ def _survivors(union_fit: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public operators
-
-def tournament_select(fitness: np.ndarray, rng: np.random.Generator) -> int:
-    """Binary tournament: two uniform draws with replacement, lower fitness
-    wins, ties split uniformly at random.  Returns the winning index."""
-    fitness = np.asarray(fitness, dtype=float)
-    if len(fitness) < 1:
-        raise ValueError("tournament needs a non-empty population")
-    cand = rng.integers(0, len(fitness), size=(1, 2, 2))
-    coins = rng.random((1, 2))
-    return int(_tournament_apply(fitness, cand, coins)[0, 0])
-
-
-def sbx_crossover(
-    parent1: np.ndarray,
-    parent2: np.ndarray,
-    rate: float,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    rng: np.random.Generator,
-    eta_c: float = 20.0,
-    scope: str = "gene",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross two genomes; each gene recombines with probability ``rate``.
-
-    Where the gate does not fire genes pass through unchanged, so
-    ``rate=0`` returns the parents verbatim.  Before clamping, the child
-    pair mean equals the parent pair mean gene by gene; identical parents
-    always produce identical children.
-    """
-    children = np.array([parent1, parent2], dtype=float)
-    d = children.shape[1]
-    u = rng.random((2, d))
-    fire = u[0] < rate
-    if scope == "pair":
-        fire[:] = fire[0]
-    gene = np.flatnonzero(fire)
-    _sbx_apply(children.ravel(), gene, gene + d, gene, u[1, gene], eta_c, lower, upper)
-    return children[0], children[1]
-
-
-def polynomial_mutation(
-    genome: np.ndarray,
-    rate: float,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    rng: np.random.Generator,
-    eta_m: float = 40.0,
-) -> np.ndarray:
-    """Mutate each gene with probability ``rate``.
-
-    A firing gene moves by a polynomially distributed step scaled by the
-    variable range (index ``eta_m``; larger index, tighter spread) and is
-    clamped back into the box.
-    """
-    g = np.array(genome, dtype=float)
-    u = rng.random((2, len(g)))
-    gene = np.flatnonzero(u[0] < rate)
-    _poly_apply(g, gene, gene, u[1, gene], eta_m, lower, upper)
-    return g
-
-
-def replace_mu_plus_lambda(
-    parents: Population,
-    offspring: Population,
-    n: int,
-    objective: ObjectiveSpec,
-    rng: Optional[np.random.Generator] = None,
-) -> Population:
-    """Keep the ``n`` lowest-fitness genomes of parents plus offspring.
-
-    Ties prefer parents, then earlier insertion; survivors are returned in
-    insertion order (parents before offspring), so with no offspring the
-    parent population comes back unchanged.  Fitness caches of survivors
-    are kept.
-    """
-    if n < 1:
-        raise ValueError("replacement size must be >= 1")
-    pf = evaluate_population(parents, objective, rng)
-    of = evaluate_population(offspring, objective, rng)
-    union_fit = np.concatenate([pf, of])
-    if n > len(union_fit):
-        raise ValueError("replacement size exceeds available genomes")
-    keep = _survivors(union_fit, n)
-    union_genes = np.concatenate([parents.genes, offspring.genes])
-    return Population(union_genes[keep], union_fit[keep])
-
+# steps
 
 def ea_step(
     agent: AgentState,

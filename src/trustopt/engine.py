@@ -21,8 +21,7 @@ populations and credibility as they stood at step start, so one agent's
 update never leaks into another agent's same-step decision and relabeling
 agents (with their streams) relabels the run.  Credibility deltas are
 summed and clamped into ``[min_value, max_value]`` once per step, so their
-order does not matter.  The tbo exchange, :func:`~trustopt.socio.exchange_all`,
-equals running :func:`~trustopt.socio.interaction_step` agent by agent.
+order does not matter.  The tbo exchange is :func:`~trustopt.socio.exchange_all`.
 
 For noisy objectives every fitness value is cleared at the start of each
 step: values are evaluated at most once within a step and never reused
@@ -45,7 +44,8 @@ from .socio import exchange_all, interaction_step  # noqa: F401
 from .types import (ConvergenceTrace, CredibilityState, GlobalBest, effective_rates,
                     evaluate_stack, init_population)
 
-# ea_step and interaction_step are unused here: perfbench/tracer.py patches them by name.
+# ea_step and interaction_step are unused here: the benchmark tracer
+# (perfbench/tracer.py) looks both up on this module by name.
 
 __all__ = ["tbo_run", "island_model_run", "run_repetitions"]
 

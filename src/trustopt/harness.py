@@ -116,9 +116,8 @@ def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
     overrides = dict(data.get("overrides", {})) if "overrides" not in wrong else {}
     for k in sorted(set(overrides) - set(_AGENT_OVERRIDES) - set(_RUN_OVERRIDES)):
         bad.append(f"overrides: unknown parameter {k!r}")
-    # epoch_length is a run override; the TboConfig check replaces the template's
-    bad += {**type_errors(AgentTemplate, overrides, "overrides: "),
-            **type_errors(TboConfig, overrides, "overrides: ")}.values()
+    bad += type_errors(AgentTemplate, overrides, "overrides: ").values()
+    bad += type_errors(TboConfig, overrides, "overrides: ").values()
 
     name = data.get("name", Path(path).stem)
     seed = data.get("seed", 0)

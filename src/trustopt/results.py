@@ -81,14 +81,17 @@ def read_trace_csv(path: Union[str, Path]) -> dict:
     """Read a trace CSV back into parallel numpy arrays."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header in {path}: {header}")
+            raise ValueError(f"unexpected trace header in {path}: {header or 'empty file'}")
         rows = list(reader)
-    steps = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    agent_ids = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    best = np.array([float(r[2]) for r in rows])
-    mean = np.array([float(r[3]) for r in rows])
+    try:
+        steps = np.array([int(r[0]) for r in rows], dtype=np.int64)
+        agent_ids = np.array([int(r[1]) for r in rows], dtype=np.int64)
+        best = np.array([float(r[2]) for r in rows])
+        mean = np.array([float(r[3]) for r in rows])
+    except IndexError:
+        raise ValueError(f"short row in trace file {path}") from None
     return {"step": steps, "agent_id": agent_ids, "best": best, "mean": mean}
 
 
@@ -123,13 +126,16 @@ class SummaryRow:
 def read_summary_csv(path: Union[str, Path]) -> list[SummaryRow]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != SUMMARY_HEADER:
-            raise ValueError(f"unexpected summary header in {path}: {header}")
-        return [
-            SummaryRow(r[0], int(r[1]), r[2], int(r[3]), float(r[4]), int(r[5]), int(r[6]))
-            for r in reader
-        ]
+            raise ValueError(f"unexpected summary header in {path}: {header or 'empty file'}")
+        try:
+            return [
+                SummaryRow(r[0], int(r[1]), r[2], int(r[3]), float(r[4]), int(r[5]), int(r[6]))
+                for r in reader
+            ]
+        except IndexError:
+            raise ValueError(f"short row in summary file {path}") from None
 
 
 def best_so_far_series(steps: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ other agent instead of running an EA step.  Credibility (pairwise trust or
 public reputation) gates both ends of the exchange:
 
 * the credibility the sender assigns to the recipient sizes the share: the
-  ``m = min(credibility, sender population size)`` worst members are sent;
+  ``m = min(credibility, sender population size)`` worst members are sent
+  (highest fitness first, ties by lower index);
 * the credibility the recipient assigns to the sender sets the adoption
   depth ``K = min(credibility, D)``: how many of the most divergent genes
   of a resident genome are overwritten by (or averaged with) received
@@ -14,79 +15,46 @@ public reputation) gates both ends of the exchange:
 A share whose mean fitness exceeds the acceptance threshold (twice the
 recipient's mean when that mean is positive, zero otherwise) is rejected
 outright and the recipient keeps its population.  Otherwise offspring are
-resident genomes reshaped by received ones and merged through the same
-mu+lambda elitist replacement the EA uses.  Improvement raises the
-sender's standing, rejection lowers it, anything else leaves it unchanged.
+resident genomes reshaped by received ones: a resident partner adopts the
+shared member's values at its most divergent genes (descending
+``|received - resident|``, ties by lower index), where "swap" copies the
+received value and "average" takes the midpoint.  Per shared member, the
+weak intensity breeds one offspring adopting K genes, moderate breeds K
+offspring adopting K genes each and strong K offspring adopting one gene
+each.  Offspring are merged through the same mu+lambda elitist
+replacement the EA uses.  Improvement raises the sender's standing,
+rejection lowers it, anything else leaves it unchanged.
 
-Draw discipline (recipient's stream): partner indices are drawn in shared-
-member order, one draw per offspring under the "redraw" policy or one per
-shared member under "fixed"; a rejected share consumes no partner draws.
+Draw discipline (recipient's stream): partner indices are drawn uniformly
+from the recipient's members in shared-member order, one draw per
+offspring under the "redraw" policy or one per shared member under
+"fixed" (weak always draws one per shared member); a rejected share
+consumes no partner draws.  Objective noise for the offspring follows, in
+offspring order.
 
 :func:`exchange_all` runs every interaction of an epoch step on the
 stacked society at once; the engine calls it.  :func:`interaction_step`
-composes the public one-interaction operators on objects; it takes the
-same draws from the same streams, and looping it matches
-:func:`exchange_all` bit for bit, which the tests check.  Each rule is
-written once and shared by both: the credibility roles
-(:class:`~trustopt.types.CredibilityState`), the acceptance threshold,
-gene adoption, the mu+lambda survivors (from :mod:`trustopt.ea`) and the
-outcome branch.
+is its one-recipient case on objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .benchmarks import ObjectiveSpec
-from .ea import _survivors, replace_mu_plus_lambda
-from .types import (
-    AgentState,
-    CredibilityState,
-    Population,
-    ScCrossoverConfig,
-    evaluate_population,
-    mean_fitness,
-)
+from .ea import _survivors
+from .types import AgentState, CredibilityState, Population, evaluate_stack
 
 __all__ = [
-    "SharedPopulation",
     "TrustDelta",
     "ReputationDelta",
     "InteractionOutcome",
-    "select_shared",
-    "acceptance_threshold",
-    "divergence_ranking",
-    "phi",
-    "sc_crossover",
-    "sc_variation",
-    "update_trust",
-    "update_reputation",
     "interaction_step",
     "exchange_all",
 ]
-
-
-@dataclass(frozen=True)
-class SharedPopulation:
-    """Copies of the members a sender contributes to one interaction.
-
-    ``indices`` are the members' positions in the sender population at
-    selection time; mutating the copies never touches the sender.
-    """
-
-    genes: np.ndarray
-    fitness: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.genes.shape[0]
-
-    def mean_fitness(self) -> float:
-        return float(np.mean(self.fitness))
 
 
 @dataclass(frozen=True)
@@ -129,138 +97,9 @@ class InteractionOutcome:
     threshold: float
 
 
-def select_shared(
-    sender_pop: Population,
-    objective: ObjectiveSpec,
-    credibility_in: int,
-    rng: Optional[np.random.Generator] = None,
-) -> SharedPopulation:
-    """Pick the ``min(credibility_in, n)`` worst members of the sender.
-
-    "Worst" means highest fitness under minimisation: exactly the members
-    whose count of strictly better peers is at least ``n - credibility``.
-    Ties are broken by insertion order.  The result holds copies.
-    """
-    if credibility_in < 1:
-        raise ValueError("credibility_in must be >= 1")
-    if sender_pop.size < 1:
-        raise ValueError("sender population is empty")
-    fit = evaluate_population(sender_pop, objective, rng)
-    m = min(int(credibility_in), sender_pop.size)
-    order = np.argsort(-fit, kind="stable")[:m]
-    return SharedPopulation(sender_pop.genes[order].copy(), fit[order].copy(), order.copy())
-
-
-def acceptance_threshold(
-    recipient_pop: Population,
-    objective: ObjectiveSpec,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Twice the recipient's mean fitness when positive, else zero."""
-    return float(_threshold(mean_fitness(recipient_pop, objective, rng)))
-
-
 def _threshold(mean):
     """Acceptance threshold of a recipient mean (scalar or array)."""
     return np.where(mean > 0.0, 2.0 * mean, 0.0)
-
-
-def divergence_ranking(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gene indices ordered by descending |x - y|, ties by ascending index."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
-        raise ValueError("genomes must be 1-D and of equal length")
-    return np.argsort(-np.abs(x - y), kind="stable")
-
-
-def phi(y: np.ndarray, x: np.ndarray, k: int, gene_op: str) -> np.ndarray:
-    """Rewrite the ``k`` most divergent genes of ``y`` using ``x``.
-
-    "swap" copies the partner gene, "average" takes the midpoint; all other
-    genes pass through.  ``k`` is clamped to the dimension.  Returns a new
-    genome; the inputs are untouched.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if gene_op not in ("swap", "average"):
-        raise ValueError("gene_op must be 'swap' or 'average'")
-    y = np.array(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
-        raise ValueError("genomes must be 1-D and of equal length")
-    return _adopt(y[None], x[None], np.array([k]), np.array([gene_op == "average"]))[0]
-
-
-def sc_crossover(
-    recipient_pop: Population,
-    shared: SharedPopulation,
-    credibility_out: int,
-    cfg: ScCrossoverConfig,
-    rng: np.random.Generator,
-    partner_policy: str = "redraw",
-) -> Population:
-    """Build interaction offspring: resident genomes adopting received genes.
-
-    Each offspring starts from a resident partner genome and takes gene
-    values from one shared member at the positions where the two diverge
-    most.  With ``K = min(credibility_out, D)`` and ``m`` shared members:
-
-    * weak:     one offspring per shared member, K genes adopted;
-    * moderate: K offspring per shared member, K genes adopted each;
-    * strong:   K offspring per shared member, one gene adopted each.
-
-    Partners come from the recipient population uniformly at random, a
-    fresh draw per offspring ("redraw") or one per shared member reused for
-    all its offspring ("fixed").  Offspring fitness starts unevaluated.
-    """
-    if credibility_out < 1:
-        raise ValueError("credibility_out must be >= 1")
-    if partner_policy not in ("redraw", "fixed"):
-        raise ValueError("partner_policy must be 'redraw' or 'fixed'")
-    n, d = recipient_pop.genes.shape
-    m = shared.size
-    if m < 1:
-        raise ValueError("shared population is empty")
-    k = min(int(credibility_out), d)
-
-    # Offspring are resident genomes reshaped by received ones: the drawn
-    # recipient member is the base (phi's first argument), the shared member
-    # supplies the gene values.  At full depth under swap an offspring is a
-    # copy of the received genome, so credibility directly scales how much
-    # foreign material the recipient adopts.
-    weak = cfg.genome_intensity == "weak"
-    partners = _draw_partners(rng, n, m, k, weak, partner_policy)
-    z = np.repeat(shared.genes, 1 if weak else k, axis=0)
-    depth = np.full(len(z), 1 if cfg.genome_intensity == "strong" else k)
-    children = _adopt(recipient_pop.genes[partners], z, depth,
-                      np.full(len(z), cfg.gene_op == "average"))
-    return Population.from_genes(children)
-
-
-def sc_variation(
-    recipient_pop: Population,
-    shared: SharedPopulation,
-    credibility_out: int,
-    cfg: ScCrossoverConfig,
-    objective: ObjectiveSpec,
-    rng: np.random.Generator,
-    partner_policy: str = "redraw",
-) -> tuple[Population, bool]:
-    """Threshold-gated variation plus elitist merge.
-
-    Returns ``(population, accepted)``.  A share whose mean fitness exceeds
-    :func:`acceptance_threshold` is rejected: the recipient population is
-    returned unchanged and no partner draws are consumed.  Otherwise the
-    offspring of :func:`sc_crossover` are merged by mu+lambda replacement
-    at the recipient's size.
-    """
-    eps = acceptance_threshold(recipient_pop, objective, rng)
-    if shared.mean_fitness() > eps:
-        return recipient_pop, False
-    offspring = sc_crossover(recipient_pop, shared, credibility_out, cfg, rng, partner_policy)
-    merged = replace_mu_plus_lambda(recipient_pop, offspring, recipient_pop.size, objective, rng)
-    return merged, True
 
 
 def _branch(mean_before, mean_after, mean_shared, threshold):
@@ -291,48 +130,6 @@ def _apply_credit(table: np.ndarray, kind: str, recipient, sender, branch,
     np.clip(table, c_min, c_max, out=table)
 
 
-def update_trust(
-    trust: int,
-    mean_before: float,
-    mean_after: float,
-    mean_shared: float,
-    threshold: float,
-    c_min: int = 1,
-    c_max: int = 50,
-) -> int:
-    """Recipient-side trust update for one interaction.
-
-    Improvement adds one, a rejected share subtracts one, anything else
-    leaves the value alone; the result is clamped into ``[c_min, c_max]``.
-    """
-    table = np.array([[trust]])
-    _apply_credit(table, "trust", 0, 0, _branch(mean_before, mean_after, mean_shared, threshold),
-                  c_min, c_max)
-    return int(table[0, 0])
-
-
-def update_reputation(
-    recipient_rep: int,
-    sender_rep: int,
-    mean_before: float,
-    mean_after: float,
-    mean_shared: float,
-    threshold: float,
-    c_min: int = 1,
-    c_max: int = 50,
-) -> tuple[int, int]:
-    """Reputation token transfer for one interaction.
-
-    Improvement moves a token from the recipient to the sender; a rejected
-    share moves one the other way; both ends are clamped into
-    ``[c_min, c_max]``.  Returns ``(recipient_rep, sender_rep)``.
-    """
-    table = np.array([recipient_rep, sender_rep])
-    _apply_credit(table, "reputation", 0, 1,
-                  _branch(mean_before, mean_after, mean_shared, threshold), c_min, c_max)
-    return int(table[0]), int(table[1])
-
-
 def _deltas(kind: str, recipient: int, sender: int,
             branch: int) -> tuple[Union[TrustDelta, ReputationDelta], ...]:
     """Raw credibility changes one interaction requests (see :func:`_branch`)."""
@@ -353,33 +150,34 @@ def interaction_step(
     rng: np.random.Generator,
     partner_policy: str = "redraw",
 ) -> InteractionOutcome:
-    """Run one full interaction for ``recipient`` (updates it in place).
+    """One interaction for ``recipient`` (updated in place): the
+    one-recipient case of :func:`exchange_all`.
 
-    ``sender_pop`` is a snapshot of the sender's population and is only
-    read; ``cred`` supplies the credibility values and is not modified.
-    The returned outcome carries the raw credibility deltas for the caller
-    to apply (clamped) once all interactions of the step are done.
+    ``sender_pop`` is a snapshot of the sender's population, of the
+    recipient's shape, and is only read; missing fitness values of both
+    are filled from ``rng``, the recipient's first.  ``cred`` supplies the
+    credibility and is not modified; the outcome carries the raw deltas
+    for the caller to apply once all interactions of the step are done.
     """
-    i = recipient.index
-    j = int(sender_index)
+    i, j = recipient.index, int(sender_index)
     if i == j:
         raise ValueError("an agent cannot interact with itself")
-
-    mean_before = mean_fitness(recipient.population, objective, rng)
-    eps = acceptance_threshold(recipient.population, objective, rng)  # the mean is cached
-    shared = select_shared(sender_pop, objective, cred.credibility_in(j, i), rng)
-    new_pop, accepted = sc_variation(
-        recipient.population, shared, cred.credibility_out(j, i), recipient.crossover_config,
-        objective, rng, partner_policy,
-    )
-    recipient.population = new_pop
-    mean_after = mean_fitness(new_pop, objective, rng)
-    b = int(_branch(mean_before, mean_after, shared.mean_fitness(), eps))
-    return InteractionOutcome(
-        recipient=i, sender=j, accepted=accepted, improved=b > 0, population=new_pop,
-        credibility_deltas=_deltas(cred.kind, i, j, b), mean_before=mean_before,
-        mean_after=mean_after, mean_shared=shared.mean_fitness(), threshold=eps,
-    )
+    genes = np.stack([recipient.population.genes, sender_pop.genes])
+    fitness = np.stack([recipient.population.fitness, sender_pop.fitness])
+    evaluate_stack(genes, fitness, objective, [rng, rng])
+    pair = [i, j]
+    table = cred.trust[np.ix_(pair, pair)] if cred.kind == "trust" else cred.reputation[pair]
+    config = recipient.crossover_config
+    outcomes: list = []
+    # the sender's mirrored exchange runs on a scratch stream and is dropped
+    exchange_all(genes, fitness, np.array([1, 0]),
+                 CredibilityState(cred.kind, cred.min_value, cred.max_value, **{cred.kind: table}),
+                 np.array([config.genome_intensity] * 2), np.array([config.gene_op] * 2),
+                 objective, [rng, np.random.default_rng(0)], partner_policy, outcomes)
+    out = outcomes[0]
+    recipient.population = out.population
+    b = int(_branch(out.mean_before, out.mean_after, out.mean_shared, out.threshold))
+    return replace(out, recipient=i, sender=j, credibility_deltas=_deltas(cred.kind, i, j, b))
 
 
 def exchange_all(
@@ -401,9 +199,9 @@ def exchange_all(
     config ``intensity[i]``/``gene_op[i]``.  Shares, thresholds and depths
     come from the step-start state; the raw credibility deltas are summed
     into ``cred`` and clamped once.  Each agent draws its partners, then
-    its offspring noise, from its own stream, so the result equals calling
-    :func:`interaction_step` per agent on a snapshot.  When ``outcomes`` is
-    a list, every agent's :class:`InteractionOutcome` is appended to it.
+    its offspring noise, from its own stream (see the module's draw
+    discipline).  When ``outcomes`` is a list, every agent's
+    :class:`InteractionOutcome` is appended to it.
     """
     n_agents, n, d = genes.shape
     rows = np.arange(n_agents)
@@ -490,15 +288,16 @@ def _draw_partners(rng: np.random.Generator, n: int, m: int, k: int, weak: bool,
 
 def _adopt(base: np.ndarray, donor: np.ndarray, depth: np.ndarray,
            average: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`phi` on (C, D) blocks with per-row depth and operator;
-    rewrites ``base`` in place and returns it.
+    """Gene adoption on (C, D) blocks, row by row: each row of ``base``
+    takes the donor's value ("swap") or the midpoint (``average``) at its
+    ``depth`` most divergent genes; rewrites ``base`` in place and returns
+    it.
 
     A row's ``depth`` most divergent genes are those at or above its
     ``depth``-th largest divergence, which a sort finds without a per-row
     argsort.  Where that threshold is 0 the tied genes equal the donor's,
     so adopting them changes nothing; only ties above 0 with more
-    candidates than places keep the stable order of
-    :func:`divergence_ranking` (lowest index first).
+    candidates than places keep the lowest indices.
     """
     c, d = base.shape
     value = donor if not average.any() else np.where(average[:, None], 0.5 * (donor + base), donor)

@@ -9,7 +9,7 @@ is never carried across steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,9 +24,7 @@ __all__ = [
     "GlobalBest",
     "ConvergenceTrace",
     "init_population",
-    "evaluate_population",
     "evaluate_stack",
-    "mean_fitness",
     "effective_rates",
     "GENOME_INTENSITIES",
     "GENE_OPS",
@@ -100,26 +98,6 @@ def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveS
     miss = np.isnan(fitness)
     if miss.any():
         fitness[miss] = objective.evaluate_rows(genes[miss], miss.sum(axis=1), streams)
-
-
-def evaluate_population(
-    pop: Population,
-    objective: ObjectiveSpec,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Fill missing cache entries and return the fitness vector: the
-    one-agent case of :func:`evaluate_stack`."""
-    evaluate_stack(pop.genes[None], pop.fitness[None], objective, [rng])
-    return pop.fitness
-
-
-def mean_fitness(
-    pop: Population,
-    objective: ObjectiveSpec,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Arithmetic mean fitness, evaluating missing cache entries first."""
-    return float(np.mean(evaluate_population(pop, objective, rng)))
 
 
 @dataclass(frozen=True)

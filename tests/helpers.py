@@ -9,17 +9,19 @@ loops, scalar draws and one objective call per genome, following the draw
 discipline documented in ``trustopt.ea``; ``ea_step`` and ``ea_step_all``
 are checked against it.  :func:`dense_children` breeds offspring under the
 dense scheme the sparse gate sampling replaced, as a distributional
-reference.  :func:`stepwise_run` is the reference the stacked
+reference.  :func:`replay_exchange` replays one epoch exchange of a whole
+society the same way, following ``trustopt.socio``, with its own share
+selection, threshold, divergence ranking, adoption, survivors, outcome
+branch and credit table; ``exchange_all`` and ``interaction_step`` are
+checked against it.  :func:`stepwise_run` is the reference the stacked
 engine is checked against: it advances the society agent by agent on
-``AgentState`` objects with :func:`replay_ea_step` for EA steps and the
-one-interaction reference ``interaction_step`` for exchanges.
+``AgentState`` objects with the two replays.
 """
 
 from __future__ import annotations
 
 import math
-from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +29,18 @@ from trustopt import (
     AgentState,
     CredibilityState,
     EaOperatorConfig,
+    InteractionOutcome,
     ObjectiveSpec,
     Population,
+    ReputationDelta,
     ScCrossoverConfig,
     TrustDelta,
     agent_stream,
     effective_rates,
-    evaluate_population,
     get_objective,
     init_population,
-    interaction_step,
 )
+from trustopt.socio import _apply_credit, _branch, exchange_all
 
 
 def linear_objective(dimension: int = 2, bound: float = 1e6) -> ObjectiveSpec:
@@ -62,18 +65,20 @@ def plateau_objective(dimension: int = 2, bound: float = 100.0,
 
 
 class RecordingObjective:
-    """Sphere objective that keeps a copy of every block it evaluates, so a
-    test can see an EA step's offspring before replacement."""
+    """Sphere (or, with ``linear``, first-gene) objective that keeps a copy
+    of every block it evaluates, so a test can see a step's offspring
+    before replacement."""
 
-    def __init__(self, dimension: int, bound: float = 100.0):
+    def __init__(self, dimension: int, bound: float = 100.0, linear: bool = False):
         self.blocks = []
 
         def record(genes):
             self.blocks.append(np.array(genes))
-            return np.sum(genes * genes, axis=-1)
+            return np.array(genes)[..., 0] if linear else np.sum(genes * genes, axis=-1)
 
         full = np.full(dimension, float(bound))
-        self.spec = ObjectiveSpec("recorded_sphere", dimension, -full, full, False, record)
+        self.spec = ObjectiveSpec("recorded_linear" if linear else "recorded_sphere",
+                                  dimension, -full, full, False, record)
 
 
 class CountingStream:
@@ -92,12 +97,19 @@ class CountingStream:
         return self.rng.normal(*args, **kwargs)
 
 
-def population_with_values(values, dimension: int = 2) -> Population:
-    """Population whose linear-objective fitnesses equal ``values``."""
-    values = np.asarray(values, dtype=float)
+def genomes_with_values(values, dimension: int = 2) -> np.ndarray:
+    """(n, D) genomes whose linear-objective fitnesses equal ``values``;
+    gene 1 (when D > 1) holds the member index as a marker."""
     genes = np.zeros((len(values), dimension))
     genes[:, 0] = values
-    return Population.from_genes(genes)
+    if dimension > 1:
+        genes[:, 1] = np.arange(len(values))
+    return genes
+
+
+def population_with_values(values, dimension: int = 2) -> Population:
+    """Unevaluated population of :func:`genomes_with_values`."""
+    return Population.from_genes(genomes_with_values(values, dimension))
 
 
 def make_agent(
@@ -129,6 +141,13 @@ def _evaluate_one(genome, spec, rng) -> float:
     if spec.noisy:
         value += rng.normal(0.0, spec.noise_sigma)
     return value
+
+
+def evaluate_missing(genes, fitness, spec, rng) -> np.ndarray:
+    """``fitness`` with its NaN entries evaluated one genome at a time, in
+    member order (one scalar noise draw each on a noisy objective)."""
+    return np.array([_evaluate_one(g, spec, rng) if np.isnan(f) else float(f)
+                     for g, f in zip(genes, fitness)])
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -273,6 +292,141 @@ def dense_children(genes, lam, pc, pm, spec, rng, op=EaOperatorConfig()):
     return np.where(gate < pm, np.clip(children + delta * (hi - lo), lo, hi), children)
 
 
+def adopt_genes(base, donor, k, gene_op):
+    """``base`` adopting the ``k`` genes where it diverges most from
+    ``donor`` (descending ``|donor - base|``, ties by lower index): "swap"
+    copies the donor's value, "average" takes the midpoint.  Returns a new
+    list."""
+    ranked = sorted(range(len(base)), key=lambda g: (-abs(donor[g] - base[g]), g))
+    out = [float(v) for v in base]
+    for g in ranked[:k]:
+        out[g] = float(donor[g]) if gene_op == "swap" else 0.5 * (donor[g] + base[g])
+    return out
+
+
+def _mean(values) -> float:
+    # numpy's summation order, which the kernels' row means use
+    return float(np.mean(np.array(values, dtype=float)))
+
+
+def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, streams,
+                    partner_policy="redraw"):
+    """Plain-loop replay of one epoch exchange of a whole society (see
+    ``trustopt.socio``): agent ``i`` receives from ``senders[i]`` under the
+    crossover config ``intensity[i]``/``gene_op[i]``, reading the
+    step-start populations and credibility.  Partners are scalar
+    ``rng.integers(0, n)`` draws and offspring noise one scalar draw per
+    offspring, from the recipient's stream.  The +-1 credits of the step
+    are summed per cell and clamped once.
+
+    ``fitness`` must be evaluated.  Returns the new ``(genes, fitness)``
+    stacks, the new :class:`CredibilityState` and one
+    :class:`InteractionOutcome` per agent; the inputs are untouched.
+    """
+    trust = cred.kind == "trust"
+    n, d = len(genes[0]), len(genes[0][0])
+    new_genes, new_fit, outcomes, credit = [], [], [], {}
+    for i, j in enumerate(int(s) for s in senders):
+        rng = streams[i]
+        own, own_fit = [np.array(g, dtype=float) for g in genes[i]], [float(f) for f in fitness[i]]
+        m = min(int(cred.trust[j, i] if trust else cred.reputation[i]), n)
+        k = min(int(cred.trust[i, j] if trust else cred.reputation[j]), d)
+        mean_before = _mean(own_fit)
+        threshold = 2.0 * mean_before if mean_before > 0.0 else 0.0
+        shared = sorted(range(n), key=lambda q: (-fitness[j][q], q))[:m]
+        mean_shared = _mean([fitness[j][q] for q in shared])
+        accepted = not mean_shared > threshold
+        if accepted:
+            weak = intensity[i] == "weak"
+            per_member = 1 if weak else k
+            depth = 1 if intensity[i] == "strong" else k
+            children = []
+            for q in shared:
+                if weak or partner_policy == "fixed":
+                    partner = int(rng.integers(0, n))
+                for _ in range(per_member):
+                    if not weak and partner_policy == "redraw":
+                        partner = int(rng.integers(0, n))
+                    children.append(np.array(adopt_genes(own[partner], genes[j][q], depth,
+                                                         gene_op[i])))
+            child_fit = [_evaluate_one(c, spec, rng) for c in children]
+            union, union_fit = own + children, own_fit + child_fit
+            keep = sorted(sorted(range(len(union)), key=lambda u: (union_fit[u], u))[:n])
+            own, own_fit = [union[u] for u in keep], [union_fit[u] for u in keep]
+        mean_after = _mean(own_fit)
+        if mean_after < mean_before:
+            branch = 1
+        elif not accepted:
+            branch = -1
+        else:
+            branch = 0
+        # trust: the recipient's cell for the sender; reputation: a token
+        # from the recipient to the sender
+        changes = ([((i, j), branch)] if trust else [(i, -branch), (j, branch)]) if branch else []
+        deltas = tuple(TrustDelta(*cell, change) if trust else ReputationDelta(cell, change)
+                       for cell, change in changes)
+        for cell, change in changes:
+            credit[cell] = credit.get(cell, 0) + change
+        new_genes.append(np.array(own))
+        new_fit.append(np.array(own_fit))
+        outcomes.append(InteractionOutcome(
+            recipient=i, sender=j, accepted=accepted, improved=branch > 0,
+            population=Population(new_genes[-1].copy(), new_fit[-1].copy()),
+            credibility_deltas=deltas, mean_before=mean_before, mean_after=mean_after,
+            mean_shared=mean_shared, threshold=threshold))
+    table = (cred.trust if trust else cred.reputation).copy()
+    for cell, total in credit.items():
+        table[cell] = min(cred.max_value, max(cred.min_value, int(table[cell]) + total))
+    return (np.array(new_genes), np.array(new_fit),
+            CredibilityState(cred.kind, cred.min_value, cred.max_value, **{cred.kind: table}),
+            outcomes)
+
+
+def credit_after(kind, values, mean_before, mean_after, mean_shared, threshold,
+                 c_min=1, c_max=50):
+    """Credibility after one interaction with the given means, through the
+    kernels ``exchange_all`` uses (``socio._branch`` and
+    ``socio._apply_credit``).  ``values`` is the recipient's trust in the
+    sender (trust) or the (recipient, sender) reputations; the result has
+    the same form."""
+    table = np.array([[values]] if kind == "trust" else list(values))
+    _apply_credit(table, kind, 0, 0 if kind == "trust" else 1,
+                  _branch(mean_before, mean_after, mean_shared, threshold), c_min, c_max)
+    return int(table[0, 0]) if kind == "trust" else tuple(int(v) for v in table)
+
+
+@dataclass
+class PairExchange:
+    """What :func:`exchange_pair` saw: agent 0's outcome, the offspring
+    blocks evaluated in recipient order (agent 0's first whenever its share
+    is accepted) and the society's genes after the step."""
+
+    outcome: InteractionOutcome
+    blocks: list
+    genes: np.ndarray
+
+
+def exchange_pair(recipient, sender, share=50, depth=50, intensity="weak", gene_op="swap",
+                  rng=None, partner_policy="redraw") -> PairExchange:
+    """One ``exchange_all`` step of a two-agent trust society on the
+    recording linear objective (fitness is gene 0): agent 0 receives from
+    agent 1, and agent 1 from agent 0.  ``recipient`` and ``sender`` are
+    (n, D) genomes; ``share`` is the sender's trust in agent 0, which sizes
+    agent 0's share, and ``depth`` agent 0's trust in the sender, which
+    sets its adoption depth.  Agent 0 draws from ``rng`` (default seed 0),
+    agent 1 from a stream of seed 1."""
+    genes = np.stack([np.array(recipient, dtype=float), np.array(sender, dtype=float)])
+    rec = RecordingObjective(genes.shape[2], bound=1e6, linear=True)
+    cred = CredibilityState.initial("trust", 2, 1, 1, 50)
+    cred.trust[1, 0], cred.trust[0, 1] = share, depth
+    outcomes = []
+    exchange_all(genes, genes[..., 0].copy(), np.array([1, 0]), cred, np.array([intensity] * 2),
+                 np.array([gene_op] * 2), rec.spec,
+                 [np.random.default_rng(0) if rng is None else rng, np.random.default_rng(1)],
+                 partner_policy, outcomes)
+    return PairExchange(outcomes[0], rec.blocks, genes)
+
+
 @dataclass
 class StepwiseRun:
     """What the agent-by-agent reference loop saw: per-step agent bests and
@@ -296,11 +450,10 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> S
     """Run ``cfg`` one agent at a time on objects.
 
     EA steps replay each agent with :func:`replay_ea_step`.  Epoch steps
-    evaluate and snapshot every population and the credibility first; each
-    agent then draws its partner and runs ``interaction_step`` (tbo) or
-    receives the partner's best in place of its worst member (island_model)
-    against the snapshot.  The step's raw credibility deltas
-    are summed per cell and clamped once at the end of the step.
+    evaluate every population and draw every agent's partner first; then
+    :func:`replay_exchange` runs the tbo exchange, or each agent receives
+    its partner's step-start best in place of its worst member
+    (island_model).
     """
     objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
     op = EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope)
@@ -334,30 +487,26 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> S
                     a.effective_mutation_rate, objective, streams[a.index], op))
         else:
             for a in agents:
-                evaluate_population(a.population, objective, streams[a.index])
-            snapshot = [a.population.copy() for a in agents]
-            frozen = deepcopy(cred)
-            sums = {}
-            for a in agents:
-                rng = streams[a.index]
-                src = _draw_other(rng, a.index, n_agents)
-                if algorithm == "island_model":
+                a.population.fitness = evaluate_missing(a.population.genes, a.population.fitness,
+                                                        objective, streams[a.index])
+            senders = [_draw_other(streams[a.index], a.index, n_agents) for a in agents]
+            if algorithm == "tbo":
+                genes, fitness, cred, outcomes = replay_exchange(
+                    [a.population.genes for a in agents], [a.population.fitness for a in agents],
+                    senders, cred, [a.crossover_config.genome_intensity for a in agents],
+                    [a.crossover_config.gene_op for a in agents], objective, streams,
+                    cfg.partner_policy)
+                for a, g, f in zip(agents, genes, fitness):
+                    a.population = Population(g, f)
+                log += [(t, out) for out in outcomes]
+            else:
+                snapshot = [a.population.copy() for a in agents]
+                for a, src in zip(agents, senders):
                     donor = snapshot[src]
                     best = int(np.argmin(donor.fitness))
                     worst = int(np.argmax(a.population.fitness))
                     a.population.genes[worst] = donor.genes[best]
                     a.population.fitness[worst] = donor.fitness[best]
-                    continue
-                out = interaction_step(a, snapshot[src], src, frozen, objective, rng,
-                                       cfg.partner_policy)
-                # the live population changes later; log it as it is now
-                log.append((t, replace(out, population=out.population.copy())))
-                for d in out.credibility_deltas:
-                    key = (d.truster, d.trustee) if isinstance(d, TrustDelta) else d.agent
-                    sums[key] = sums.get(key, 0) + d.delta
-            for key, total in sums.items():
-                table = cred.trust if cred.kind == "trust" else cred.reputation
-                table[key] = min(cred.max_value, max(cred.min_value, int(table[key]) + total))
         for a in agents:
             f = a.population.fitness
             if f.min() < best_fit:

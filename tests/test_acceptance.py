@@ -1,7 +1,8 @@
 """End-to-end acceptance checks for the shipped behavior.
 
 Each test pins one externally visible guarantee: oracle equivalence for
-the sharing and gene-rewrite kernels, the credibility update tables, run
+the share selection of ``exchange_all`` and its gene-adoption kernel, the
+credibility update tables, run
 monotonicity and the headline comparative claim, benchmark ground truths,
 an independent statistics reference, byte determinism and the full desk
 experiment.  Oracles here are written in plain Python on purpose so they
@@ -15,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from helpers import linear_objective, population_with_values
+from helpers import credit_after, exchange_pair, genomes_with_values
 
 from trustopt import (
     OBJECTIVE_NAMES,
@@ -26,21 +27,14 @@ from trustopt import (
     kruskal_wallis,
     load_manifest,
     load_preset,
-    phi,
     run_manifest,
     run_repetitions,
-    sc_variation,
-    select_shared,
-    update_reputation,
-    update_trust,
     write_plots,
     write_stats_reports,
 )
-from trustopt import ScCrossoverConfig, SharedPopulation
 from trustopt.config import with_cell
 from trustopt.results import read_summary_csv
-
-LINEAR = linear_objective(2)
+from trustopt.socio import _adopt
 
 
 def test_shared_selection_matches_sort_truncate_oracle():
@@ -49,14 +43,16 @@ def test_shared_selection_matches_sort_truncate_oracle():
         n = int(rng.integers(1, 9))
         values = np.round(rng.normal(scale=3, size=n), 1)  # rounding forces ties
         credibility = int(rng.integers(1, 51))
-        pop = population_with_values(values)
-        shared = select_shared(pop, LINEAR, credibility)
+        # a weak full-depth swap breeds one copy of each shared member, in
+        # share order, on a recipient (fitness 1000) that accepts any share
+        ex = exchange_pair(genomes_with_values([1000.0] * n), genomes_with_values(values),
+                           share=credibility)
+        shared = ex.blocks[0]
         m = min(credibility, n)
         order = sorted(range(n), key=lambda i: (-values[i], i))[:m]
-        assert shared.size == m
-        assert list(shared.indices) == order
-        assert [g[0] for g in shared.genes] == [values[i] for i in order]
-        assert list(shared.fitness) == [values[i] for i in order]
+        assert len(shared) == m
+        assert [int(g[1]) for g in shared] == order
+        assert [g[0] for g in shared] == [values[i] for i in order]
 
 
 def _phi_oracle(y, x, k, gene_op):
@@ -75,7 +71,8 @@ def test_phi_matches_exhaustive_oracle():
         x = np.round(rng.normal(size=d), 1)
         for k in range(1, d + 1):
             for gene_op in ("swap", "average"):
-                got = phi(y, x, k, gene_op)
+                got = _adopt(y[None].copy(), x[None], np.array([k]),
+                             np.array([gene_op == "average"]))[0]
                 assert got.tolist() == _phi_oracle(y.tolist(), x.tolist(), k, gene_op)
 
 
@@ -84,19 +81,19 @@ def test_credibility_update_tables_and_bounds():
     rejection = dict(mean_before=10.0, mean_after=10.0, mean_shared=25.0, threshold=20.0)
     neither = dict(mean_before=10.0, mean_after=10.0, mean_shared=15.0, threshold=20.0)
 
-    assert update_trust(5, **improvement) == 6
-    assert update_trust(1, **rejection) == 1
-    assert update_trust(5, **neither) == 5
-    assert update_reputation(30, 30, **improvement) == (29, 31)
-    assert update_reputation(50, 1, **rejection) == (50, 1)
-    assert update_reputation(12, 34, **neither) == (12, 34)
+    assert credit_after("trust", 5, **improvement) == 6
+    assert credit_after("trust", 1, **rejection) == 1
+    assert credit_after("trust", 5, **neither) == 5
+    assert credit_after("reputation", (30, 30), **improvement) == (29, 31)
+    assert credit_after("reputation", (50, 1), **rejection) == (50, 1)
+    assert credit_after("reputation", (12, 34), **neither) == (12, 34)
 
     rng = np.random.default_rng(1003)
     trust, rep_a, rep_b = 25, 25, 25
     for _ in range(10_000):
         mb, ma, ms, th = (float(v) for v in rng.normal(scale=20, size=4))
-        trust = update_trust(trust, mb, ma, ms, th)
-        rep_a, rep_b = update_reputation(rep_a, rep_b, mb, ma, ms, th)
+        trust = credit_after("trust", trust, mb, ma, ms, th)
+        rep_a, rep_b = credit_after("reputation", (rep_a, rep_b), mb, ma, ms, th)
         assert 1 <= trust <= 50
         assert 1 <= rep_a <= 50 and 1 <= rep_b <= 50
 
@@ -149,24 +146,18 @@ def test_trust_gated_beats_island_model_on_sphere_median():
     assert elapsed < 60.0, f"median comparison took {elapsed:.1f}s"
 
 
-def _shared_with_mean(mean, size=2):
-    genes = np.column_stack([np.full(size, float(mean)), np.zeros(size)])
-    return SharedPopulation(genes, np.full(size, float(mean)), np.arange(size))
-
-
 def test_share_rejection_sign_cases():
-    cfg = ScCrossoverConfig("weak", "swap")
-
     def run_case(recipient_mean, shared_mean):
-        recipient = population_with_values([recipient_mean, recipient_mean])
-        out, accepted = sc_variation(recipient, _shared_with_mean(shared_mean), 1,
-                                     cfg, LINEAR, np.random.default_rng(0))
-        return recipient, out, accepted
+        # both members of each agent are shared, so the share mean is exact
+        recipient = genomes_with_values([recipient_mean, recipient_mean])
+        ex = exchange_pair(recipient, genomes_with_values([shared_mean, shared_mean]),
+                           share=2, depth=1)
+        return recipient, ex, ex.outcome.accepted
 
     # positive recipient mean: cutoff at twice the mean
-    recipient, out, accepted = run_case(10.0, 30.0)
+    recipient, ex, accepted = run_case(10.0, 30.0)
     assert not accepted
-    assert np.array_equal(out.genes, recipient.genes)
+    assert np.array_equal(ex.genes[0], recipient)
     _, _, accepted = run_case(10.0, 5.0)
     assert accepted
     _, _, accepted = run_case(10.0, 20.0)
@@ -177,16 +168,16 @@ def test_share_rejection_sign_cases():
     # zero recipient mean: cutoff collapses to zero
     _, _, accepted = run_case(0.0, 0.0)
     assert accepted
-    recipient, out, accepted = run_case(0.0, 1e-12)
+    recipient, ex, accepted = run_case(0.0, 1e-12)
     assert not accepted
-    assert np.array_equal(out.genes, recipient.genes)
+    assert np.array_equal(ex.genes[0], recipient)
 
     # negative recipient mean: cutoff is zero, not twice the mean
     _, _, accepted = run_case(-100.0, -1.0)
     assert accepted
-    recipient, out, accepted = run_case(-100.0, 1.0)
+    recipient, ex, accepted = run_case(-100.0, 1.0)
     assert not accepted
-    assert np.array_equal(out.genes, recipient.genes)
+    assert np.array_equal(ex.genes[0], recipient)
 
 
 def test_benchmark_ground_truths():

@@ -249,6 +249,18 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     (tmp_path / "summary_sphere_d2.csv").write_text("not,a,header\n1,2,3\n")
     assert main(["stats", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+    # an empty summary, an empty trace and a short trace row: an error
+    # naming the file, not a traceback
+    trace = "trace_sphere_d2_island_model_rep0.csv"
+    cases = [("stats", "summary_sphere_d2.csv", ""), ("plot", trace, ""),
+             ("plot", trace, "step,agent_id,best,mean\n1,0,3.0\n")]
+    for k, (command, name, text) in enumerate(cases):
+        case = tmp_path / f"case{k}"
+        case.mkdir()
+        (case / name).write_text(text)
+        assert main([command, str(case)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err, err
 
 
 def test_run_rejects_bad_jobs(manifest_path, tmp_path, capsys):

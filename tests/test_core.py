@@ -1,8 +1,12 @@
 """Core state containers, rate amplification, config validation, streams."""
 
+import json
+
 import numpy as np
 import pytest
-from helpers import linear_objective, population_with_values
+from helpers import exchange_pair, genomes_with_values, linear_objective, make_agent
+
+from trustopt.cli import main
 
 from trustopt import (
     AgentTemplate,
@@ -18,14 +22,14 @@ from trustopt import (
     derive_run_seed,
     dump_config,
     effective_rates,
-    evaluate_population,
     get_objective,
     init_population,
+    interaction_step,
     load_config,
     load_preset,
-    mean_fitness,
     validate_config,
 )
+from trustopt.types import evaluate_stack
 
 
 # --- effective rates --------------------------------------------------------
@@ -94,27 +98,35 @@ def test_init_population_rejects_zero_size():
 
 
 def test_mean_fitness_values():
-    spec = linear_objective()
-    assert mean_fitness(population_with_values([4.0]), spec) == 4.0
-    assert mean_fitness(population_with_values([2.0, 6.0]), spec) == 4.0
+    # an exchange reports its recipient's mean fitness before the step
+    sender = genomes_with_values([0.0])
+    assert exchange_pair(genomes_with_values([4.0]), sender).outcome.mean_before == 4.0
+    sender = genomes_with_values([0.0, 0.0])
+    assert exchange_pair(genomes_with_values([2.0, 6.0]), sender).outcome.mean_before == 4.0
 
 
 def test_mean_fitness_matches_oracle(rng):
     spec = get_objective("sphere", 5)
-    pop = init_population(5, spec, rng)
-    expected = sum(float(spec.evaluate(g)) for g in pop.genes) / 5.0
-    assert mean_fitness(pop, spec) == pytest.approx(expected, rel=1e-12)
+    agent = make_agent(init_population(5, spec, rng), index=0)
+    expected = sum(float(spec.evaluate(g)) for g in agent.population.genes) / 5.0
+    out = interaction_step(agent, init_population(5, spec, rng), 1,
+                           CredibilityState.initial("trust", 2, 3, 1, 50), spec, rng)
+    assert out.mean_before == pytest.approx(expected, rel=1e-12)
 
 
 def test_evaluate_population_fills_only_missing():
     spec = linear_objective()
-    pop = population_with_values([3.0, 8.0])
-    evaluate_population(pop, spec)
+    genes = genomes_with_values([3.0, 8.0])[None]
+    fitness = np.full((1, 2), np.nan)
+    evaluate_stack(genes, fitness, spec, [None])
+    assert np.array_equal(fitness, [[3.0, 8.0]])
     # poison the cache; a second call must not touch filled entries
-    pop.fitness[0] = -1.0
-    assert np.array_equal(evaluate_population(pop, spec), [-1.0, 8.0])
-    pop.fitness[1] = np.nan
-    assert np.array_equal(evaluate_population(pop, spec), [-1.0, 8.0])
+    fitness[0, 0] = -1.0
+    evaluate_stack(genes, fitness, spec, [None])
+    assert np.array_equal(fitness, [[-1.0, 8.0]])
+    fitness[0, 1] = np.nan
+    evaluate_stack(genes, fitness, spec, [None])
+    assert np.array_equal(fitness, [[-1.0, 8.0]])
 
 
 # --- credibility state ------------------------------------------------------
@@ -217,12 +229,18 @@ def test_validate_per_agent_count_and_fields():
         validate_config(_valid_cfg(per_agent=bad))
 
 
-def test_validate_rejects_heterogeneous_epochs():
-    tpl = (AgentTemplate(epoch_length=10),)
-    with pytest.raises(ConfigError, match="epoch_length"):
-        validate_config(_valid_cfg(per_agent=tpl, epoch_length=25))
-    # matching value passes
-    validate_config(_valid_cfg(per_agent=(AgentTemplate(epoch_length=25),)))
+def test_validate_rejects_heterogeneous_epochs(tmp_path, capsys):
+    # the epoch clock is run-wide: a per-agent epoch_length is not a field,
+    # whatever its value
+    for value in (10, 25):
+        d = config_to_dict(_valid_cfg())
+        d["per_agent"]["epoch_length"] = value
+        with pytest.raises(ConfigError, match="unknown per_agent field: epoch_length"):
+            config_from_dict(d)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "unknown per_agent field: epoch_length" in capsys.readouterr().err
 
 
 def test_validate_rejects_heterogeneous_shapes():

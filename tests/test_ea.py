@@ -1,9 +1,16 @@
 """Evolutionary operators: selection, variation, replacement, full steps.
 
+The operators are checked through ``ea_step_all`` (a one-agent step on the
+linear objective whose offspring block is recorded) or through their
+kernels (``_tournament_apply``, ``_sbx_apply``, ``_poly_apply``,
+``_survivors``).
+
 ``helpers.replay_ea_step`` replays the documented draw order with plain
 Python loops, so any drift in how ``ea_step_all`` (and its one-agent case
 ``ea_step``) consumes its streams or combines its draws fails loudly here.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +19,8 @@ from helpers import (
     RecordingObjective,
     dense_children,
     gap_budget,
-    linear_objective,
     make_agent,
     plateau_objective,
-    population_with_values,
     replay_ea_step,
     twin_rngs,
 )
@@ -24,63 +29,93 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from trustopt import (
+    ConfigError,
     EaOperatorConfig,
-    Population,
     ea_step,
     effective_rates,
     get_objective,
     init_population,
-    polynomial_mutation,
-    replace_mu_plus_lambda,
-    sbx_crossover,
-    tournament_select,
+    load_preset,
+    validate_config,
 )
 from trustopt import ea
 from trustopt.ea import ea_step_all
+
+
+def _children(genes, lam, pc, pm, op=EaOperatorConfig(), seed=0):
+    """The ``lam`` offspring one ``ea_step_all`` step breeds from the (n, D)
+    population ``genes`` in the box [-100, 100]^D (linear objective:
+    fitness is gene 0)."""
+    genes = np.array(genes, dtype=float)
+    rec = RecordingObjective(genes.shape[1], linear=True)
+    ea_step_all(genes[None].copy(), genes[None, :, 0].copy(), lam, [pc], [pm], rec.spec,
+                [np.random.default_rng(seed)], op)
+    return rec.blocks[-1]
+
+
+def _is_copy(child, parents):
+    return any(np.array_equal(child, p) for p in parents)
 
 
 # --- tournament -------------------------------------------------------------
 
 
 def test_tournament_single_member_forced():
-    assert tournament_select(np.array([3.0]), np.random.default_rng(0)) == 0
+    cand = np.zeros((5, 2), dtype=np.int64)
+    assert np.all(ea._tournament_apply(np.array([3.0]), cand, np.linspace(0, 1, 5)) == 0)
+    # a one-member population breeds copies of its member
+    parent = np.array([[3.0, 1.0]])
+    assert all(np.array_equal(c, parent[0]) for c in _children(parent, 6, 0.0, 0.0))
 
 
-def test_tournament_favors_lower_fitness(rng):
-    fitness = np.array([1.0, 9.0])
-    wins = sum(tournament_select(fitness, rng) == 0 for _ in range(10_000))
+def test_tournament_favors_lower_fitness():
+    # zero rates: every child is a copy of its tournament winner
+    children = _children([[1.0, 0.0], [9.0, 1.0]], 10_000, 0.0, 0.0)
+    wins = np.sum(children[:, 0] == 1.0)
     # candidate pairs (0,0), (0,1), (1,0), (1,1): the better member wins
     # 3 of 4, so the exact probability is 0.75
     assert abs(wins / 10_000 - 0.75) < 0.02
 
 
-def test_tournament_tie_coin_splits_evenly(rng):
-    fitness = np.array([5.0, 5.0])
-    wins = sum(tournament_select(fitness, rng) == 0 for _ in range(10_000))
+def test_tournament_tie_coin_splits_evenly():
+    children = _children([[5.0, 0.0], [5.0, 1.0]], 10_000, 0.0, 0.0)
+    wins = np.sum(children[:, 1] == 0.0)
     assert abs(wins / 10_000 - 0.5) < 0.02
 
 
 def test_tournament_rejects_empty():
+    # a population (and so a tournament) is never empty
     with pytest.raises(ValueError):
-        tournament_select(np.array([]), np.random.default_rng(0))
+        init_population(0, get_objective("sphere", 2), np.random.default_rng(0))
+    cfg = load_preset("island_model")
+    bad = replace(cfg, per_agent=(replace(cfg.per_agent[0], population_size=0),))
+    with pytest.raises(ConfigError, match="population_size must be >= 1"):
+        validate_config(bad)
 
 
 # --- crossover --------------------------------------------------------------
 
 
+def _sbx(p1, p2, lo, hi, rng, eta_c=20.0):
+    """Both children of ``ea._sbx_apply`` with every gene firing."""
+    d = len(p1)
+    flat = np.concatenate([p1, p2]).astype(float)
+    gene = np.arange(d)
+    ea._sbx_apply(flat, gene, gene + d, gene, rng.random(d), eta_c, lo, hi)
+    return flat[:d], flat[d:]
+
+
 def test_sbx_zero_rate_returns_parents(rng):
-    lo, hi = np.full(4, -10.0), np.full(4, 10.0)
-    p1 = rng.uniform(-10, 10, 4)
-    p2 = rng.uniform(-10, 10, 4)
-    c1, c2 = sbx_crossover(p1, p2, 0.0, lo, hi, rng)
-    assert np.array_equal(c1, p1)
-    assert np.array_equal(c2, p2)
+    parents = rng.uniform(-10, 10, (4, 4))
+    for child in _children(parents, 8, 0.0, 0.0):
+        assert _is_copy(child, parents)
 
 
 def test_sbx_identical_parents_yield_identical_children(rng):
-    lo, hi = np.full(3, -5.0), np.full(3, 5.0)
     p = rng.uniform(-5, 5, 3)
-    c1, c2 = sbx_crossover(p, p.copy(), 1.0, lo, hi, rng)
+    children = _children(np.repeat(p[None], 3, axis=0), 6, 1.0, 0.0)
+    assert all(np.array_equal(c, p) for c in children)
+    c1, c2 = _sbx(p, p.copy(), np.full(3, -5.0), np.full(3, 5.0), rng)
     assert np.array_equal(c1, p)
     assert np.array_equal(c2, p)
 
@@ -91,7 +126,7 @@ def test_sbx_preserves_pair_mean(rng):
     for _ in range(200):
         p1 = rng.uniform(-10, 10, 6)
         p2 = rng.uniform(-10, 10, 6)
-        c1, c2 = sbx_crossover(p1, p2, 1.0, lo, hi, rng)
+        c1, c2 = _sbx(p1, p2, lo, hi, rng)
         assert np.allclose(c1 + c2, p1 + p2, rtol=0, atol=1e-9)
 
 
@@ -100,45 +135,57 @@ def test_sbx_children_stay_in_bounds(rng):
     for _ in range(2000):
         p1 = rng.uniform(-1, 1, 5)
         p2 = rng.uniform(-1, 1, 5)
-        c1, c2 = sbx_crossover(p1, p2, 1.0, lo, hi, rng, eta_c=2.0)
+        c1, c2 = _sbx(p1, p2, lo, hi, rng, eta_c=2.0)
         for c in (c1, c2):
             assert np.all(c >= -1.0)
             assert np.all(c <= 1.0)
 
 
 def test_sbx_pair_scope_consults_first_gate_only():
-    lo, hi = np.full(4, -100.0), np.full(4, 100.0)
-    p1 = np.array([1.0, 2.0, 3.0, 4.0])
-    p2 = np.array([-4.0, -3.0, -2.0, -1.0])
-    r1, r2 = twin_rngs(3)
-    u = r2.random((2, 4))
-    c1, c2 = sbx_crossover(p1, p2, 0.5, lo, hi, r1, scope="pair")
-    if u[0, 0] < 0.5:
-        # whole genome recombines
-        assert not np.any(c1 == p1)
-    else:
-        assert np.array_equal(c1, p1)
-        assert np.array_equal(c2, p2)
+    # every gene of the two parents differs, so a child is either a copy
+    # (its pair's gate did not fire, or both winners are one member) or
+    # recombined in every gene
+    parents = np.array([[1.0, 2.0, 3.0, 4.0], [-4.0, -3.0, -2.0, -1.0]])
+    children = _children(parents, 400, 0.5, 0.0, EaOperatorConfig(crossover_scope="pair"))
+    copies = [_is_copy(c, parents) for c in children]
+    for child, copy in zip(children, copies):
+        if not copy:
+            assert not np.any(child == parents[0]) and not np.any(child == parents[1])
+    assert 0 < sum(copies) < len(children)
+    # under the gene scope, children mix copied and recombined genes
+    mixed = _children(parents, 400, 0.5, 0.0)
+    assert any(np.any(c == parents[0]) and not _is_copy(c, parents) for c in mixed)
 
 
 def test_sbx_full_rate_same_for_both_scopes():
-    lo, hi = np.full(3, -50.0), np.full(3, 50.0)
-    p1 = np.array([1.0, -2.0, 3.0])
-    p2 = np.array([4.0, 5.0, -6.0])
-    r1, r2 = twin_rngs(17)
-    a = sbx_crossover(p1, p2, 1.0, lo, hi, r1, scope="gene")
-    b = sbx_crossover(p1, p2, 1.0, lo, hi, r2, scope="pair")
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
+    # at rate 1 every gate fires without a draw, and both scopes draw one
+    # spread value per gene of every pair in the same order
+    parents = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0], [0.5, 0.5, 0.5]])
+    a = _children(parents, 6, 1.0, 0.0, EaOperatorConfig(crossover_scope="gene"), seed=17)
+    b = _children(parents, 6, 1.0, 0.0, EaOperatorConfig(crossover_scope="pair"), seed=17)
+    assert np.array_equal(a, b)
 
 
 # --- mutation ---------------------------------------------------------------
 
 
+def _mutated(genes, lo, hi, rng, eta_m=40.0):
+    """``ea._poly_apply`` with every gene of the (m, D) block firing."""
+    out = np.array(genes, dtype=float)
+    d = out.shape[-1]
+    at = np.arange(out.size)
+    ea._poly_apply(out.reshape(-1), at, at % d, rng.random(out.size), eta_m, lo, hi)
+    return out
+
+
 def test_mutation_zero_rate_is_identity(rng):
-    lo, hi = np.full(5, -3.0), np.full(5, 3.0)
-    g = rng.uniform(-3, 3, 5)
-    assert np.array_equal(polynomial_mutation(g, 0.0, lo, hi, rng), g)
+    parents = rng.uniform(-3, 3, (3, 5))
+    for child in _children(parents, 6, 0.0, 0.0, seed=4):
+        assert _is_copy(child, parents)
+    g = parents[0].copy()
+    none = np.array([], dtype=np.int64)
+    ea._poly_apply(g, none, none, np.array([]), 40.0, np.full(5, -3.0), np.full(5, 3.0))
+    assert np.array_equal(g, parents[0])
 
 
 def test_mutation_spread_shrinks_with_index():
@@ -146,81 +193,67 @@ def test_mutation_spread_shrinks_with_index():
     spreads = []
     for eta_m in (20.0, 40.0, 80.0):
         rng = np.random.default_rng(5)
-        deltas = [
-            polynomial_mutation(np.zeros(1), 1.0, lo, hi, rng, eta_m=eta_m)[0]
-            for _ in range(10_000)
-        ]
+        deltas = _mutated(np.zeros((10_000, 1)), lo, hi, rng, eta_m=eta_m)
         spreads.append(np.std(deltas))
     assert spreads[0] > spreads[1] > spreads[2]
 
 
 def test_mutation_output_in_bounds(rng):
     lo, hi = np.full(4, 0.0), np.full(4, 2.0)
-    for _ in range(10_000):
-        g = rng.uniform(0, 2, 4)
-        out = polynomial_mutation(g, 1.0, lo, hi, rng, eta_m=5.0)
-        assert np.all(out >= 0.0)
-        assert np.all(out <= 2.0)
+    out = _mutated(rng.uniform(0, 2, (10_000, 4)), lo, hi, rng, eta_m=5.0)
+    assert np.all(out >= 0.0)
+    assert np.all(out <= 2.0)
 
 
 # --- replacement ------------------------------------------------------------
 
 
+def _replace(parents, offspring, n):
+    """Survivor fitness of mu+lambda replacement (``ea._survivors``)."""
+    union = np.array(list(parents) + list(offspring), dtype=float)
+    return union[ea._survivors(union, n)]
+
+
 def test_replacement_empty_offspring_keeps_best_parents():
-    spec = linear_objective()
-    parents = population_with_values([5.0, 1.0, 3.0])
-    empty = Population(np.empty((0, 2)), np.empty(0))
-    out = replace_mu_plus_lambda(parents, empty, 2, spec)
-    assert np.array_equal(out.fitness, [1.0, 3.0])
+    assert np.array_equal(_replace([5.0, 1.0, 3.0], [], 2), [1.0, 3.0])
 
 
 def test_replacement_prefers_strict_best():
-    spec = linear_objective()
-    parents = population_with_values([5.0])
-    offspring = population_with_values([1.0, 9.0])
-    out = replace_mu_plus_lambda(parents, offspring, 1, spec)
-    assert out.fitness[0] == 1.0
+    assert np.array_equal(_replace([5.0], [1.0, 9.0], 1), [1.0])
 
 
 def test_replacement_tie_prefers_parents():
-    spec = linear_objective()
-    parents = population_with_values([1.0, 5.0])
-    parents.genes[:, 1] = 100.0  # marker column
-    offspring = population_with_values([5.0, 9.0])
-    out = replace_mu_plus_lambda(parents, offspring, 2, spec)
     # the cutoff falls inside the 5.0 tie; the parent copy survives
-    assert np.array_equal(out.fitness, [1.0, 5.0])
-    assert np.all(out.genes[:, 1] == 100.0)
+    assert ea._survivors(np.array([1.0, 5.0, 5.0, 9.0]), 2).tolist() == [0, 1]
 
 
 def test_replacement_matches_sort_oracle(rng):
-    spec = linear_objective()
     for _ in range(300):
         pv = rng.integers(0, 8, size=12).astype(float)  # integer values force ties
         ov = rng.integers(0, 8, size=8).astype(float)
-        parents = population_with_values(pv)
-        offspring = population_with_values(ov)
-        out = replace_mu_plus_lambda(parents, offspring, 5, spec)
         union = list(pv) + list(ov)
         keep = sorted(sorted(range(20), key=lambda i: (union[i], i))[:5])
-        assert np.array_equal(out.fitness, [union[i] for i in keep])
+        assert np.array_equal(_replace(pv, ov, 5), [union[i] for i in keep])
 
 
 def test_replacement_rejects_overdraw():
-    spec = linear_objective()
-    parents = population_with_values([1.0])
-    offspring = population_with_values([2.0])
-    with pytest.raises(ValueError):
-        replace_mu_plus_lambda(parents, offspring, 3, spec)
+    # replacement never asks for more survivors than there are genomes: a
+    # step keeps exactly the n members, also without offspring, and a
+    # negative offspring count is rejected
+    spec = get_objective("sphere", 2)
+    genes = np.stack([init_population(3, spec, np.random.default_rng(1)).genes])
+    fitness = np.full((1, 3), np.nan)
+    ea_step_all(genes, fitness, 0, [0.5], [0.5], spec, [np.random.default_rng(2)])
+    assert genes.shape == (1, 3, 2) and not np.isnan(fitness).any()
+    cfg = load_preset("island_model")
+    bad = replace(cfg, per_agent=(replace(cfg.per_agent[0], offspring_size=-1),))
+    with pytest.raises(ConfigError, match="offspring_size must be >= 0"):
+        validate_config(bad)
 
 
 def test_replacement_survivors_keep_insertion_order():
-    spec = linear_objective()
-    parents = population_with_values([9.0, 1.0, 5.0])
-    offspring = population_with_values([3.0])
-    out = replace_mu_plus_lambda(parents, offspring, 3, spec)
     # survivors in insertion order, not sorted by fitness
-    assert np.array_equal(out.fitness, [1.0, 5.0, 3.0])
+    assert np.array_equal(_replace([9.0, 1.0, 5.0], [3.0], 3), [1.0, 5.0, 3.0])
 
 
 # --- full step --------------------------------------------------------------

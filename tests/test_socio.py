@@ -1,84 +1,126 @@
-"""Credibility-gated sharing: selection, threshold, crossover, updates."""
+"""Credibility-gated exchange: share selection, threshold, gene adoption,
+offspring, credibility updates, and the batched ``exchange_all`` and its
+one-recipient case ``interaction_step`` against ``helpers.replay_exchange``.
+
+Hand cases run one ``exchange_all`` step of a two-agent society on the
+linear objective (``helpers.exchange_pair``), where fitness is gene 0 and
+gene 1 marks the member index, and read the offspring off the blocks the
+objective evaluated.  Test names keep the paper-style rule names:
+``phi`` is gene adoption, ``sc_crossover`` the breeding of offspring and
+``sc_variation`` the threshold-gated merge.
+"""
 
 import numpy as np
 import pytest
-from helpers import linear_objective, make_agent, population_with_values, twin_rngs
+from helpers import (
+    adopt_genes,
+    credit_after,
+    evaluate_missing,
+    exchange_pair,
+    genomes_with_values,
+    linear_objective,
+    make_agent,
+    plateau_objective,
+    population_with_values,
+    replay_exchange,
+    twin_rngs,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustopt import (
+    AgentTemplate,
+    ConfigError,
+    CredibilityConfig,
     CredibilityState,
     Population,
     ReputationDelta,
     ScCrossoverConfig,
-    SharedPopulation,
+    TboConfig,
     TrustDelta,
-    acceptance_threshold,
-    divergence_ranking,
     get_objective,
     init_population,
     interaction_step,
-    phi,
-    sc_crossover,
-    sc_variation,
-    select_shared,
-    update_reputation,
-    update_trust,
+    validate_config,
 )
+from trustopt.socio import _adopt, _branch, _threshold, exchange_all
 
 SPEC2 = linear_objective(2)
 
 
-def shared_from(pop: Population, objective, credibility: int) -> SharedPopulation:
-    return select_shared(pop, objective, credibility)
+def _adopted(base, donor, k, gene_op="swap"):
+    """``socio._adopt`` on one row; the inputs are left alone."""
+    return _adopt(np.array([base], dtype=float), np.array([donor], dtype=float),
+                  np.array([k]), np.array([gene_op == "average"]))[0]
+
+
+def _rich(n, dimension=2):
+    """A recipient of ``n`` members at fitness 1000, whose threshold of 2000
+    accepts every share in these tests."""
+    return genomes_with_values([1000.0] * n, dimension)
+
+
+def _cfg(**kw):
+    base = dict(agent_count=3, dimension=2, objective="sphere", epoch_length=5,
+                diversity_factor=0.0, max_steps=5, seed=1)
+    base.update(kw)
+    return TboConfig(**base)
 
 
 # --- share selection --------------------------------------------------------
 
 
 def test_select_shared_whole_population_when_credibility_large():
-    pop = population_with_values([3.0, 1.0, 7.0, 5.0])
-    shared = select_shared(pop, SPEC2, 99)
-    assert shared.size == 4
-    assert set(shared.fitness) == {3.0, 1.0, 7.0, 5.0}
+    sender = genomes_with_values([3.0, 1.0, 7.0, 5.0])
+    ex = exchange_pair(_rich(4), sender, share=50)
+    assert ex.outcome.mean_shared == 4.0
+    assert sorted(ex.blocks[0][:, 0]) == [1.0, 3.0, 5.0, 7.0]
 
 
 def test_select_shared_picks_worst_members():
-    pop = population_with_values([3.0, 1.0, 7.0, 5.0])
-    one = select_shared(pop, SPEC2, 1)
-    assert list(one.fitness) == [7.0]
-    two = select_shared(pop, SPEC2, 2)
-    assert list(two.fitness) == [7.0, 5.0]
+    sender = genomes_with_values([3.0, 1.0, 7.0, 5.0])
+    one = exchange_pair(_rich(4), sender, share=1)
+    assert list(one.blocks[0][:, 0]) == [7.0]
+    assert one.outcome.mean_shared == 7.0
+    two = exchange_pair(_rich(4), sender, share=2)
+    assert list(two.blocks[0][:, 0]) == [7.0, 5.0]
+    assert two.outcome.mean_shared == 6.0
 
 
 def test_select_shared_breaks_ties_by_insertion_order():
-    pop = population_with_values([4.0, 4.0, 4.0])
-    pop.genes[:, 1] = [0, 1, 2]  # marker
-    shared = select_shared(pop, SPEC2, 2)
-    assert list(shared.indices) == [0, 1]
-    assert list(shared.genes[:, 1]) == [0, 1]
+    sender = genomes_with_values([4.0, 4.0, 4.0])  # gene 1 marks the member
+    ex = exchange_pair(_rich(3), sender, share=2)
+    assert list(ex.blocks[0][:, 1]) == [0, 1]
 
 
 def test_select_shared_returns_copies():
-    pop = population_with_values([2.0, 8.0])
-    shared = select_shared(pop, SPEC2, 1)
-    shared.genes[0, 0] = -99.0
-    assert pop.genes[1, 0] == 8.0
+    # the recipient adopts from copies: the sender's population is only read
+    sender = genomes_with_values([2.0, 8.0])
+    ex = exchange_pair(_rich(2), sender, share=1)
+    assert ex.outcome.accepted
+    assert list(ex.blocks[0][:, 0]) == [8.0]
+    # agent 1's own share (agent 0's members, mean 1000) fails its
+    # threshold of 10, so nothing but its recipient read its members
+    assert np.array_equal(ex.genes[1], sender)
 
 
 def test_select_shared_matches_rank_oracle(rng):
     for _ in range(300):
         n = int(rng.integers(1, 9))
         values = rng.integers(0, 5, size=n).astype(float)  # ties likely
-        cred = int(rng.integers(1, 60))
-        shared = select_shared(population_with_values(values), SPEC2, cred)
+        cred = int(rng.integers(1, 51))
+        ex = exchange_pair(_rich(n), genomes_with_values(values), share=cred)
         m = min(cred, n)
         oracle = sorted(range(n), key=lambda i: (-values[i], i))[:m]
-        assert list(shared.indices) == oracle
+        assert list(ex.blocks[0][:, 1]) == oracle
 
 
 def test_select_shared_rejects_bad_inputs():
-    pop = population_with_values([1.0])
+    # a share of zero members cannot arise: credibility is at least 1
     with pytest.raises(ValueError):
-        select_shared(pop, SPEC2, 0)
+        CredibilityState("trust", 0, 50, trust=np.ones((2, 2), dtype=np.int64))
+    with pytest.raises(ConfigError, match="min_value must be >= 1"):
+        validate_config(_cfg(credibility=CredibilityConfig("trust", 1, 0, 50)))
 
 
 # --- threshold --------------------------------------------------------------
@@ -86,65 +128,86 @@ def test_select_shared_rejects_bad_inputs():
 
 @pytest.mark.parametrize("mean,expected", [(10.0, 20.0), (0.0, 0.0), (-50.0, 0.0)])
 def test_acceptance_threshold_cases(mean, expected):
-    pop = population_with_values([mean])
-    assert acceptance_threshold(pop, SPEC2) == expected
+    assert _threshold(np.float64(mean)) == expected
+    ex = exchange_pair(genomes_with_values([mean]), genomes_with_values([-100.0]))
+    assert ex.outcome.threshold == expected
 
 
-# --- divergence and phi -----------------------------------------------------
+# --- divergence and adoption ------------------------------------------------
 
 
 def test_divergence_ranking_hand_case():
-    order = divergence_ranking(np.zeros(3), np.array([1.0, 3.0, 2.0]))
-    assert list(order) == [1, 2, 0]
+    # divergences 1, 3, 2: gene 1 first, then gene 2, then gene 0
+    x = [1.0, 3.0, 2.0]
+    assert _adopted(np.zeros(3), x, 1).tolist() == [0.0, 3.0, 0.0]
+    assert _adopted(np.zeros(3), x, 2).tolist() == [0.0, 3.0, 2.0]
+    assert _adopted(np.zeros(3), x, 3).tolist() == x
 
 
 def test_divergence_ranking_equal_genomes_tie_rule():
-    order = divergence_ranking(np.ones(4), np.ones(4))
-    assert list(order) == [0, 1, 2, 3]
+    # equal divergences rank by ascending index
+    x = [2.0, -2.0, 2.0, -2.0]
+    assert _adopted(np.zeros(4), x, 2).tolist() == [2.0, -2.0, 0.0, 0.0]
+    assert _adopted(np.zeros(4), x, 3).tolist() == [2.0, -2.0, 2.0, 0.0]
+    # equal genomes: adoption changes nothing
+    assert _adopted(np.ones(4), np.ones(4), 2).tolist() == [1.0] * 4
 
 
 def test_divergence_ranking_matches_sort_oracle(rng):
     for _ in range(200):
         y = rng.normal(size=6)
         x = rng.normal(size=6)
-        diffs = np.abs(x - y)
-        oracle = sorted(range(6), key=lambda i: (-diffs[i], i))
-        assert list(divergence_ranking(y, x)) == oracle
+        for k in range(1, 7):
+            assert _adopted(y, x, k).tolist() == adopt_genes(y, x, k, "swap")
 
 
 def test_divergence_ranking_shape_checks():
+    recipient = make_agent(population_with_values([1.0, 2.0], 3), index=0)
     with pytest.raises(ValueError):
-        divergence_ranking(np.zeros(3), np.zeros(4))
+        interaction_step(recipient, population_with_values([1.0, 2.0], 4), 1,
+                         _trust_state(), SPEC2, np.random.default_rng(0))
 
 
 def test_phi_swap_and_average():
     y = np.zeros(2)
     x = np.array([4.0, 1.0])
-    assert np.array_equal(phi(y, x, 1, "swap"), [4.0, 0.0])
-    assert np.array_equal(phi(y, x, 1, "average"), [2.0, 0.0])
+    assert np.array_equal(_adopted(y, x, 1, "swap"), [4.0, 0.0])
+    assert np.array_equal(_adopted(y, x, 1, "average"), [2.0, 0.0])
 
 
 def test_phi_full_depth_swap_copies_partner():
     y = np.array([5.0, -2.0, 0.5])
     x = np.array([1.0, 1.0, 1.0])
-    assert np.array_equal(phi(y, x, 3, "swap"), x)
+    assert np.array_equal(_adopted(y, x, 3, "swap"), x)
     # depth beyond the dimension clamps
-    assert np.array_equal(phi(y, x, 99, "swap"), x)
+    assert np.array_equal(_adopted(y, x, 99, "swap"), x)
 
 
 def test_phi_leaves_inputs_untouched():
-    y = np.array([1.0, 2.0])
-    x = np.array([9.0, 2.5])
-    phi(y, x, 1, "average")
-    assert np.array_equal(y, [1.0, 2.0])
-    assert np.array_equal(x, [9.0, 2.5])
+    # the donor is only read; exchange_all adopts into copies of residents
+    y = np.array([[1.0, 2.0]])
+    x = np.array([[9.0, 2.5]])
+    _adopt(y.copy(), x, np.array([1]), np.array([True]))
+    assert np.array_equal(x, [[9.0, 2.5]])
+    # offspring that all lose leave the residents they started from as
+    # they were
+    recipient = genomes_with_values([1.0, 1.0])
+    ex = exchange_pair(recipient, genomes_with_values([1.5, 1.5]), share=2, depth=1,
+                       gene_op="average")
+    assert ex.outcome.accepted
+    assert len(ex.blocks[0]) == 2
+    assert np.array_equal(ex.genes[0], recipient)
 
 
 def test_phi_rejects_bad_arguments():
+    # depth 0 cannot arise (credibility is at least 1); the gene operator
+    # is checked where a config is built
     with pytest.raises(ValueError):
-        phi(np.zeros(2), np.zeros(2), 0, "swap")
+        CredibilityState.initial("trust", 2, 0, 0, 50)
     with pytest.raises(ValueError):
-        phi(np.zeros(2), np.zeros(2), 1, "blend")
+        ScCrossoverConfig("weak", "blend")
+    with pytest.raises(ConfigError, match="gene_op"):
+        validate_config(_cfg(per_agent=(AgentTemplate(gene_op="blend"),)))
 
 
 def test_phi_untouched_indices_pass_through(rng):
@@ -152,8 +215,8 @@ def test_phi_untouched_indices_pass_through(rng):
         y = rng.normal(size=5)
         x = rng.normal(size=5)
         k = int(rng.integers(1, 6))
-        out = phi(y, x, k, "swap")
-        chosen = set(divergence_ranking(y, x)[:k])
+        out = _adopted(y, x, k, "swap")
+        chosen = set(sorted(range(5), key=lambda g: (-abs(x[g] - y[g]), g))[:k])
         for i in range(5):
             if i in chosen:
                 assert out[i] == x[i]
@@ -161,169 +224,155 @@ def test_phi_untouched_indices_pass_through(rng):
                 assert out[i] == y[i]
 
 
-# --- interaction crossover --------------------------------------------------
-
-
-def _shared_of(genes) -> SharedPopulation:
-    genes = np.asarray(genes, dtype=float)
-    return SharedPopulation(genes, np.zeros(len(genes)), np.arange(len(genes)))
+# --- interaction offspring --------------------------------------------------
 
 
 def test_sc_crossover_offspring_counts(rng):
-    recipient = Population.from_genes(rng.normal(size=(5, 4)))
-    shared = _shared_of(rng.normal(size=(3, 4)))
+    recipient = rng.normal(size=(5, 4))
+    recipient[:, 0] = 1000.0
+    sender = rng.normal(size=(5, 4))
     for intensity, expected in (("weak", 3), ("moderate", 6), ("strong", 6)):
-        cfg = ScCrossoverConfig(intensity, "swap")
-        out = sc_crossover(recipient, shared, 2, cfg, np.random.default_rng(0))
-        assert out.size == expected
-        assert np.all(np.isnan(out.fitness))
+        ex = exchange_pair(recipient, sender, share=3, depth=2, intensity=intensity)
+        # every offspring is evaluated once
+        assert len(ex.blocks[0]) == expected
 
 
 def test_sc_crossover_depth_clamps_to_dimension(rng):
-    recipient = Population.from_genes(rng.normal(size=(4, 3)))
-    shared = _shared_of(rng.normal(size=(2, 3)))
-    cfg = ScCrossoverConfig("moderate", "swap")
-    out = sc_crossover(recipient, shared, 50, cfg, np.random.default_rng(1))
-    assert out.size == 2 * 3  # K clamps to D
+    recipient = rng.normal(size=(4, 3))
+    recipient[:, 0] = 1000.0
+    ex = exchange_pair(recipient, rng.normal(size=(4, 3)), share=2, depth=50,
+                       intensity="moderate")
+    assert len(ex.blocks[0]) == 2 * 3  # K clamps to D
 
 
 def test_sc_crossover_full_depth_swap_adopts_shared_genomes(rng):
     # at full depth the resident base is rewritten everywhere it differs,
     # so each offspring is a copy of its shared genome
-    recipient = Population.from_genes(rng.normal(size=(5, 3)))
-    shared = _shared_of([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    recipient = rng.normal(size=(5, 3))
+    recipient[:, 0] = 1000.0
+    sender = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [-9.0, 0.0, 0.0],
+                       [-9.0, 1.0, 0.0], [-9.0, 2.0, 0.0]])
     for intensity in ("weak", "moderate"):
-        cfg = ScCrossoverConfig(intensity, "swap")
-        out = sc_crossover(recipient, shared, 3, cfg, np.random.default_rng(2))
+        ex = exchange_pair(recipient, sender, share=2, depth=3, intensity=intensity)
         per = 1 if intensity == "weak" else 3
-        for j in range(2):
+        for j, shared in enumerate((sender[1], sender[0])):  # worst first
             for q in range(per):
-                assert np.array_equal(out.genes[j * per + q], shared.genes[j])
+                assert np.array_equal(ex.blocks[0][j * per + q], shared)
 
 
 def test_sc_crossover_strong_touches_single_gene():
-    base = np.array([[2.0, 2.0, 2.0, 2.0]])
-    recipient = Population.from_genes(np.repeat(base, 4, axis=0))
-    shared = _shared_of([[7.0, -3.0, 2.0, 11.0]])
-    cfg = ScCrossoverConfig("strong", "swap")
-    out = sc_crossover(recipient, shared, 4, cfg, np.random.default_rng(3))
-    assert out.size == 4
-    for child in out.genes:
-        assert np.sum(child != base[0]) <= 1
+    base = np.array([20.0, 2.0, 2.0, 2.0])
+    sender = np.array([[7.0, -3.0, 2.0, 11.0]] + [[0.0] * 4] * 3)
+    ex = exchange_pair(np.repeat(base[None], 4, axis=0), sender, share=1, depth=4,
+                       intensity="strong")
+    assert len(ex.blocks[0]) == 4
+    for child in ex.blocks[0]:
+        assert np.sum(child != base) <= 1
 
 
 def test_sc_crossover_average_midpoints(rng):
-    recipient = Population.from_genes(np.zeros((3, 2)))
-    shared = _shared_of([[4.0, -6.0]])
-    cfg = ScCrossoverConfig("weak", "average")
-    out = sc_crossover(recipient, shared, 2, cfg, np.random.default_rng(4))
-    assert np.array_equal(out.genes[0], [2.0, -3.0])
+    recipient = np.array([[10.0, 0.0]] * 3)
+    sender = np.array([[4.0, -6.0], [-1.0, 0.0], [-1.0, 0.0]])
+    ex = exchange_pair(recipient, sender, share=1, depth=2, gene_op="average")
+    assert np.array_equal(ex.blocks[0][0], [7.0, -3.0])
 
 
 def test_sc_crossover_partner_draw_replay():
     # partner indices must come from the recipient stream in shared-member
     # order: one block for weak, (m, K) row-major for redraw, m repeated
     # K times for fixed
-    recipient = Population.from_genes(np.arange(12.0).reshape(6, 2))
-    shared = _shared_of([[100.0, 200.0], [300.0, 400.0]])
+    recipient = np.arange(12.0).reshape(6, 2) + [1000.0, 0.0]
+    sender = np.array([[300.0, 400.0], [100.0, 200.0]] + [[0.0, 0.0]] * 4)
+    shared = sender[:2]  # worst first
     k = 2
 
     r1, r2 = twin_rngs(55)
-    out = sc_crossover(recipient, shared, k, ScCrossoverConfig("moderate", "swap"),
-                       r1, partner_policy="redraw")
+    ex = exchange_pair(recipient, sender, share=2, depth=k, intensity="moderate", rng=r1,
+                       partner_policy="redraw")
     partners = r2.integers(0, 6, size=(2, k)).ravel()
-    z = np.repeat(shared.genes, k, axis=0)
+    z = np.repeat(shared, k, axis=0)
     for o in range(4):
-        expected = phi(recipient.genes[partners[o]], z[o], k, "swap")
-        assert np.array_equal(out.genes[o], expected)
+        assert ex.blocks[0][o].tolist() == adopt_genes(recipient[partners[o]], z[o], k, "swap")
+    assert r1.bit_generator.state == r2.bit_generator.state
 
     r1, r2 = twin_rngs(66)
-    out = sc_crossover(recipient, shared, k, ScCrossoverConfig("strong", "swap"),
-                       r1, partner_policy="fixed")
+    ex = exchange_pair(recipient, sender, share=2, depth=k, intensity="strong", rng=r1,
+                       partner_policy="fixed")
     partners = np.repeat(r2.integers(0, 6, size=2), k)
     for o in range(4):
-        expected = phi(recipient.genes[partners[o]], z[o], 1, "swap")
-        assert np.array_equal(out.genes[o], expected)
+        assert ex.blocks[0][o].tolist() == adopt_genes(recipient[partners[o]], z[o], 1, "swap")
+    assert r1.bit_generator.state == r2.bit_generator.state
 
     r1, r2 = twin_rngs(77)
-    out = sc_crossover(recipient, shared, k, ScCrossoverConfig("weak", "swap"),
-                       r1, partner_policy="redraw")
+    ex = exchange_pair(recipient, sender, share=2, depth=k, intensity="weak", rng=r1,
+                       partner_policy="redraw")
     partners = r2.integers(0, 6, size=2)
     for o in range(2):
-        expected = phi(recipient.genes[partners[o]], shared.genes[o], k, "swap")
-        assert np.array_equal(out.genes[o], expected)
+        assert ex.blocks[0][o].tolist() == adopt_genes(recipient[partners[o]], shared[o], k,
+                                                       "swap")
+    assert r1.bit_generator.state == r2.bit_generator.state
 
 
 def test_sc_crossover_validates_inputs(rng):
-    recipient = Population.from_genes(rng.normal(size=(3, 2)))
-    shared = _shared_of([[0.0, 0.0]])
-    cfg = ScCrossoverConfig("weak", "swap")
-    with pytest.raises(ValueError):
-        sc_crossover(recipient, shared, 0, cfg, rng)
-    with pytest.raises(ValueError):
-        sc_crossover(recipient, shared, 1, cfg, rng, partner_policy="psychic")
+    with pytest.raises(ConfigError, match="min_value must be >= 1"):
+        validate_config(_cfg(credibility=CredibilityConfig("trust", 1, 0, 50)))
+    with pytest.raises(ConfigError, match="partner_policy"):
+        validate_config(_cfg(partner_policy="psychic"))
 
 
 # --- gated variation --------------------------------------------------------
 
 
-def _variation_case(recipient_means, shared_means):
-    recipient = population_with_values(recipient_means)
-    shared = _shared_of(np.column_stack([shared_means, np.zeros(len(shared_means))]))
-    shared = SharedPopulation(shared.genes, np.asarray(shared_means, dtype=float),
-                              shared.indices)
-    cfg = ScCrossoverConfig("weak", "swap")
-    return sc_variation(recipient, shared, 1, cfg, SPEC2, np.random.default_rng(9))
+def _variation_case(recipient_means, shared_mean, rng=None):
+    """Agent 0 of ``recipient_means`` receives the single worst member of a
+    sender whose worst fitness is ``shared_mean``."""
+    n = len(recipient_means)
+    sender = genomes_with_values([shared_mean] + [-1e3] * (n - 1))
+    return exchange_pair(genomes_with_values(recipient_means), sender, share=1,
+                         rng=np.random.default_rng(9) if rng is None else rng)
 
 
 def test_sc_variation_rejects_unfit_share():
-    recipient = population_with_values([10.0, 10.0])
-    out, accepted = _variation_case([10.0, 10.0], [30.0])
-    assert not accepted
-    assert np.array_equal(out.genes, recipient.genes)
+    recipient = genomes_with_values([10.0, 10.0])
+    ex = _variation_case([10.0, 10.0], 30.0)
+    assert not ex.outcome.accepted
+    assert np.array_equal(ex.genes[0], recipient)
 
 
 def test_sc_variation_accepts_fit_share():
-    _, accepted = _variation_case([10.0, 10.0], [5.0])
-    assert accepted
+    assert _variation_case([10.0, 10.0], 5.0).outcome.accepted
 
 
 def test_sc_variation_negative_means_accept():
     # threshold collapses to zero for non-positive recipient means
-    _, accepted = _variation_case([-100.0, -100.0], [-1.0])
-    assert accepted
+    assert _variation_case([-100.0, -100.0], -1.0).outcome.accepted
 
 
 def test_sc_variation_zero_mean_boundary():
-    _, accepted = _variation_case([0.0, 0.0], [1e-9])
-    assert not accepted
-    _, accepted = _variation_case([0.0, 0.0], [0.0])
-    assert accepted
+    assert not _variation_case([0.0, 0.0], 1e-9).outcome.accepted
+    assert _variation_case([0.0, 0.0], 0.0).outcome.accepted
 
 
 def test_sc_variation_rejection_consumes_no_draws():
-    recipient = population_with_values([10.0, 10.0])
-    shared = SharedPopulation(np.array([[30.0, 0.0]]), np.array([30.0]),
-                              np.array([0]))
-    cfg = ScCrossoverConfig("moderate", "swap")
     rng = np.random.default_rng(123)
     before = rng.bit_generator.state
-    out, accepted = sc_variation(recipient, shared, 2, cfg, SPEC2, rng)
-    assert not accepted
+    ex = exchange_pair(genomes_with_values([10.0, 10.0]), genomes_with_values([30.0, 0.0]),
+                       share=1, depth=2, intensity="moderate", rng=rng)
+    assert not ex.outcome.accepted
     assert rng.bit_generator.state == before
 
 
 def test_sc_variation_merges_with_elitism(rng):
     spec = get_objective("sphere", 3)
-    recipient = init_population(4, spec, rng)
+    agent = make_agent(init_population(4, spec, rng), index=0, intensity="moderate")
     donor = init_population(4, spec, rng)
-    shared = select_shared(donor, spec, 2)
-    cfg = ScCrossoverConfig("moderate", "swap")
-    before_best = float(np.min(spec.evaluate(recipient.genes)))
-    out, accepted = sc_variation(recipient, shared, 3, cfg, spec, rng)
-    if accepted:
-        assert out.size == 4
-        assert out.fitness.min() <= before_best
+    cred = CredibilityState.initial("trust", 2, 3, 1, 50)
+    cred.trust[1, 0] = 2
+    before_best = float(np.min(spec.evaluate(agent.population.genes)))
+    out = interaction_step(agent, donor, 1, cred, spec, rng)
+    if out.accepted:
+        assert out.population.size == 4
+        assert out.population.fitness.min() <= before_best
 
 
 # --- credibility updates ----------------------------------------------------
@@ -331,36 +380,37 @@ def test_sc_variation_merges_with_elitism(rng):
 
 def test_update_trust_branches():
     # improvement
-    assert update_trust(5, 10.0, 9.0, 1.0, 20.0) == 6
+    assert credit_after("trust", 5, 10.0, 9.0, 1.0, 20.0) == 6
     # rejected share at the floor
-    assert update_trust(1, 10.0, 10.0, 25.0, 20.0) == 1
+    assert credit_after("trust", 1, 10.0, 10.0, 25.0, 20.0) == 1
     # neither branch
-    assert update_trust(5, 10.0, 10.0, 15.0, 20.0) == 5
+    assert credit_after("trust", 5, 10.0, 10.0, 15.0, 20.0) == 5
     # ceiling
-    assert update_trust(50, 10.0, 9.0, 1.0, 20.0) == 50
+    assert credit_after("trust", 50, 10.0, 9.0, 1.0, 20.0) == 50
 
 
 def test_update_reputation_branches():
-    assert update_reputation(30, 30, 10.0, 9.0, 1.0, 20.0) == (29, 31)
-    assert update_reputation(50, 1, 10.0, 10.0, 25.0, 20.0) == (50, 1)
-    assert update_reputation(12, 34, 10.0, 10.0, 15.0, 20.0) == (12, 34)
+    assert credit_after("reputation", (30, 30), 10.0, 9.0, 1.0, 20.0) == (29, 31)
+    assert credit_after("reputation", (50, 1), 10.0, 10.0, 25.0, 20.0) == (50, 1)
+    assert credit_after("reputation", (12, 34), 10.0, 10.0, 15.0, 20.0) == (12, 34)
     # improvement clamps at both ends
-    assert update_reputation(1, 50, 10.0, 9.0, 1.0, 20.0) == (1, 50)
+    assert credit_after("reputation", (1, 50), 10.0, 9.0, 1.0, 20.0) == (1, 50)
 
 
 def test_update_improvement_checked_before_rejection():
     # a share can both exceed the threshold and still have produced an
     # improvement when merged genes recombine well; improvement wins
-    assert update_trust(5, 10.0, 9.0, 25.0, 20.0) == 6
-    assert update_reputation(30, 30, 10.0, 9.0, 25.0, 20.0) == (29, 31)
+    assert _branch(10.0, 9.0, 25.0, 20.0) == 1
+    assert credit_after("trust", 5, 10.0, 9.0, 25.0, 20.0) == 6
+    assert credit_after("reputation", (30, 30), 10.0, 9.0, 25.0, 20.0) == (29, 31)
 
 
 def test_credibility_updates_fuzzed_stay_in_bounds(rng):
     t, ri, rj = 25, 25, 25
     for _ in range(10_000):
         mb, ma, ms, th = rng.normal(scale=10, size=4)
-        t = update_trust(t, mb, ma, ms, th)
-        ri, rj = update_reputation(ri, rj, mb, ma, ms, th)
+        t = credit_after("trust", t, mb, ma, ms, th)
+        ri, rj = credit_after("reputation", (ri, rj), mb, ma, ms, th)
         assert 1 <= t <= 50
         assert 1 <= ri <= 50
         assert 1 <= rj <= 50
@@ -456,11 +506,122 @@ def test_interaction_matches_hand_stepped_composition():
     agent = make_agent(recipient_pop.copy(), index=0, intensity="moderate")
     out = interaction_step(agent, sender_pop.copy(), 1, cred, spec, r1)
 
-    # replay: share the 2 worst, gate by threshold, depth-2 crossover, merge
-    mirror = recipient_pop.copy()
-    shared = select_shared(sender_pop.copy(), spec, 2)
-    merged, accepted = sc_variation(mirror, shared, 2,
-                                    ScCrossoverConfig("moderate", "swap"), spec, r2)
-    assert accepted == out.accepted
-    assert np.array_equal(agent.population.genes, merged.genes)
-    assert np.array_equal(agent.population.fitness, merged.fitness)
+    # replay: share the 2 worst, gate by threshold, depth-2 adoption, merge
+    genes = np.stack([recipient_pop.genes, sender_pop.genes])
+    fitness = spec.base(genes)
+    ref_genes, ref_fit, _, ref = replay_exchange(
+        genes, fitness, [1, 0], cred, ["moderate"] * 2, ["swap"] * 2, spec,
+        [r2, np.random.default_rng(0)])
+    assert ref[0].accepted == out.accepted
+    assert np.array_equal(agent.population.genes, ref_genes[0])
+    assert np.array_equal(agent.population.fitness, ref_fit[0])
+    assert r1.bit_generator.state == r2.bit_generator.state
+
+
+# --- batched exchange and its one-recipient case against the replay ---------
+
+
+_OBJECTIVES = {
+    "sphere": lambda d: get_objective("sphere", d),
+    "rastrigin": lambda d: get_objective("rastrigin", d),
+    "schwefel_noise": lambda d: get_objective("schwefel_noise", d, noise_sigma=0.5),
+    "plateau": lambda d: plateau_objective(d),  # fitness ties
+}
+
+
+@st.composite
+def _societies(draw, min_agents=2):
+    n_agents = draw(st.integers(min_agents, 5))
+    lo = draw(st.integers(1, 3))
+    hi = draw(st.integers(lo, 7))
+    return dict(
+        objective=draw(st.sampled_from(sorted(_OBJECTIVES))),
+        n_agents=n_agents, n=draw(st.integers(1, 5)), d=draw(st.integers(1, 5)),
+        kind=draw(st.sampled_from(["trust", "reputation"])), lo=lo, hi=hi,
+        intensity=draw(st.lists(st.sampled_from(["weak", "moderate", "strong"]),
+                                min_size=n_agents, max_size=n_agents)),
+        gene_op=draw(st.lists(st.sampled_from(["swap", "average"]),
+                              min_size=n_agents, max_size=n_agents)),
+        policy=draw(st.sampled_from(["redraw", "fixed"])),
+        grid=draw(st.booleans()),  # genes on a coarse grid: divergence ties
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def _society(s):
+    """Genes, evaluated fitness, credibility and senders of a drawn society."""
+    rng = np.random.default_rng(s["seed"])
+    spec = _OBJECTIVES[s["objective"]](s["d"])
+    genes = rng.uniform(spec.lower, spec.upper, size=(s["n_agents"], s["n"], s["d"]))
+    if s["grid"]:
+        genes = np.round(genes / (spec.upper - spec.lower) * 4) * (spec.upper - spec.lower) / 4
+    fitness = spec.evaluate_rows(genes.reshape(-1, s["d"]), [genes.size // s["d"]], [rng])
+    cred = CredibilityState.initial(s["kind"], s["n_agents"], s["lo"], s["lo"], s["hi"])
+    table = cred.trust if s["kind"] == "trust" else cred.reputation
+    table[...] = rng.integers(s["lo"], s["hi"] + 1, size=table.shape)
+    senders = rng.integers(0, s["n_agents"] - 1, size=s["n_agents"])
+    senders += senders >= np.arange(s["n_agents"])
+    return spec, genes, fitness.reshape(s["n_agents"], s["n"]), cred, senders
+
+
+def _assert_outcomes_equal(out, ref):
+    assert (out.recipient, out.sender, out.accepted, out.improved) == (
+        ref.recipient, ref.sender, ref.accepted, ref.improved)
+    assert out.credibility_deltas == ref.credibility_deltas
+    assert (out.mean_before, out.mean_after, out.mean_shared, out.threshold) == (
+        ref.mean_before, ref.mean_after, ref.mean_shared, ref.threshold)
+    assert np.array_equal(out.population.genes, ref.population.genes)
+    assert np.array_equal(out.population.fitness, ref.population.fitness)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(s=_societies())
+def test_exchange_all_matches_the_replay(s):
+    spec, genes, fitness, cred, senders = _society(s)
+    seeds = [s["seed"] + i for i in range(s["n_agents"])]
+    ref_streams = [np.random.default_rng(x) for x in seeds]
+    ref_genes, ref_fit, ref_cred, ref_out = replay_exchange(
+        genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec, ref_streams,
+        s["policy"])
+
+    streams = [np.random.default_rng(x) for x in seeds]
+    outcomes = []
+    exchange_all(genes, fitness, senders, cred, np.array(s["intensity"]),
+                 np.array(s["gene_op"]), spec, streams, s["policy"], outcomes)
+    assert np.array_equal(genes, ref_genes)
+    assert np.array_equal(fitness, ref_fit)
+    table = cred.trust if cred.kind == "trust" else cred.reputation
+    assert np.array_equal(table, ref_cred.trust if cred.kind == "trust" else ref_cred.reputation)
+    for out, ref in zip(outcomes, ref_out, strict=True):
+        _assert_outcomes_equal(out, ref)
+    for a, b in zip(streams, ref_streams):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(s=_societies(), data=st.data())
+def test_interaction_step_matches_the_replay(s, data):
+    spec, genes, fitness, cred, senders = _society(s)
+    i = data.draw(st.integers(0, s["n_agents"] - 1))
+    j = int(senders[i])
+    if data.draw(st.booleans()):  # unevaluated members are filled first
+        fitness[[i, j]] = np.nan
+    r1, r2 = twin_rngs(s["seed"])
+    table = (cred.trust if cred.kind == "trust" else cred.reputation).copy()
+
+    agent = make_agent(Population(genes[i].copy(), fitness[i].copy()), index=i,
+                       intensity=s["intensity"][i], gene_op=s["gene_op"][i])
+    out = interaction_step(agent, Population(genes[j].copy(), fitness[j].copy()), j, cred,
+                           spec, r1, s["policy"])
+    assert np.array_equal(cred.trust if cred.kind == "trust" else cred.reputation, table)
+
+    fitness[i] = evaluate_missing(genes[i], fitness[i], spec, r2)
+    fitness[j] = evaluate_missing(genes[j], fitness[j], spec, r2)
+    # the other agents' exchanges run on throwaway streams and are ignored
+    streams = [np.random.default_rng(0) for _ in range(s["n_agents"])]
+    streams[i] = r2
+    _, _, _, ref = replay_exchange(genes, fitness, senders, cred, s["intensity"],
+                                   s["gene_op"], spec, streams, s["policy"])
+    _assert_outcomes_equal(out, ref[i])
+    assert np.array_equal(agent.population.genes, ref[i].population.genes)
+    assert r1.bit_generator.state == r2.bit_generator.state
