@@ -12,16 +12,26 @@ population and offspring sizes (``validate_config`` rejects templates that
 differ in either).  Each step is one batched pass over all agents:
 :func:`~trustopt.ea.ea_step_all` off-epoch, :func:`advance_step` on epoch.
 
+:func:`run_repetitions` stacks the ``R`` repetitions of a cell into one
+``(R*N, n, D)`` society, repetition by repetition, and splits the result
+into ``R`` traces; :func:`tbo_run` and :func:`island_model_run` are its
+``R = 1`` case.  Agent ``i`` of repetition ``r`` keeps its own stream
+``agent_stream(seed, r, i)``, exchange partners are drawn inside the
+repetition's block, credibility is read only within a block and each
+repetition keeps its own global best, so stacking couples nothing: every
+repetition runs exactly as it would alone.
+
 On an epoch step each agent draws from its own stream, in this order:
 noise for re-evaluating its population (noisy objectives only), its
-exchange partner (uniform over the other agents), then, for tbo and only
-if its share is accepted, its offspring's resident partners and their
-objective noise.  Shares, thresholds and adoption depths are read from the
-populations and credibility as they stood at step start, so one agent's
-update never leaks into another agent's same-step decision and relabeling
-agents (with their streams) relabels the run.  Credibility deltas are
-summed and clamped into ``[min_value, max_value]`` once per step, so their
-order does not matter.  The tbo exchange is :func:`~trustopt.socio.exchange_all`.
+exchange partner (uniform over the other agents of its repetition),
+then, for tbo and only if its share is accepted, its offspring's
+resident partners and their objective noise.  Shares, thresholds and
+adoption depths are read from the populations and credibility as they
+stood at step start, so one agent's update never leaks into another
+agent's same-step decision and relabeling agents (with their streams)
+relabels the run.  Credibility deltas are summed and clamped into
+``[min_value, max_value]`` once per step, so their order does not
+matter.  The tbo exchange is :func:`~trustopt.socio.exchange_all`.
 
 For noisy objectives every fitness value is cleared at the start of each
 step: values are evaluated at most once within a step and never reused
@@ -52,29 +62,31 @@ __all__ = ["tbo_run", "island_model_run", "run_repetitions"]
 
 @dataclass
 class RunState:
-    """The stacked society of one run between global steps."""
+    """The stacked society of one run between global steps: ``R``
+    repetitions of a cell (``repetitions`` holds their indices) of ``N``
+    agents each, one repetition after another along the first axis."""
 
     cfg: TboConfig
     algorithm: str
     objective: ObjectiveSpec
     op: EaOperatorConfig
     streams: list[np.random.Generator]
-    genes: np.ndarray  # (N, n, D)
-    fitness: np.ndarray  # (N, n), NaN = not evaluated
-    crossover_rates: np.ndarray  # (N,)
-    mutation_rates: np.ndarray  # (N,)
-    intensity: np.ndarray  # (N,) genome intensity names
-    gene_op: np.ndarray  # (N,) gene operator names
-    credibility: Optional[CredibilityState]
+    genes: np.ndarray  # (R*N, n, D)
+    fitness: np.ndarray  # (R*N, n), NaN = not evaluated
+    crossover_rates: np.ndarray  # (R*N,)
+    mutation_rates: np.ndarray  # (R*N,)
+    intensity: np.ndarray  # (R*N,) genome intensity names
+    gene_op: np.ndarray  # (R*N,) gene operator names
+    credibility: Optional[CredibilityState]  # only diagonal blocks of a trust table are read
     t: int
-    repetition: int
+    repetitions: list[int]
     interaction_log: Optional[list] = None
 
 
 def _build_state(
     cfg: TboConfig,
     algorithm: str,
-    repetition: int,
+    repetitions: Sequence[int],
     agent_rngs: Optional[Sequence[np.random.Generator]],
     interaction_log: Optional[list],
 ) -> RunState:
@@ -82,30 +94,32 @@ def _build_state(
     objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
     op = EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope)
 
+    n_reps, n_agents = len(repetitions), cfg.agent_count
     if agent_rngs is None:
-        streams = [agent_stream(cfg.seed, repetition, i) for i in range(cfg.agent_count)]
+        streams = [agent_stream(cfg.seed, r, i) for r in repetitions for i in range(n_agents)]
     else:
-        if len(agent_rngs) != cfg.agent_count:
+        if len(agent_rngs) != n_reps * n_agents:
             raise ValueError("need one injected stream per agent")
         streams = list(agent_rngs)
 
-    templates = [cfg.agent_template(i) for i in range(cfg.agent_count)]
+    templates = [cfg.agent_template(i) for i in range(n_agents)] * n_reps
     rates = np.array([effective_rates(t.base_crossover_rate, t.base_mutation_rate,
-                                      i, cfg.diversity_factor) for i, t in enumerate(templates)])
+                                      i % n_agents, cfg.diversity_factor)
+                      for i, t in enumerate(templates)])
     genes = np.stack([init_population(t.population_size, objective, rng).genes
                       for t, rng in zip(templates, streams)])
 
     credibility = None
     if algorithm == "tbo":
         c = cfg.credibility
-        credibility = CredibilityState.initial(c.kind, cfg.agent_count, c.start_value,
+        credibility = CredibilityState.initial(c.kind, len(streams), c.start_value,
                                                c.min_value, c.max_value)
     return RunState(
         cfg, algorithm, objective, op, streams, genes, np.full(genes.shape[:2], np.nan),
         rates[:, 0].copy(), rates[:, 1].copy(),
         np.array([t.genome_intensity for t in templates]),
         np.array([t.gene_op for t in templates]),
-        credibility, cfg.first_step, repetition, interaction_log,
+        credibility, cfg.first_step, list(repetitions), interaction_log,
     )
 
 
@@ -117,13 +131,16 @@ def advance_step(state: RunState) -> None:
     if state.objective.noisy:
         fitness.fill(np.nan)
     evaluate_stack(genes, fitness, state.objective, streams)
-    # one integer draw per agent, uniform over the other agents
-    draws = [int(rng.integers(0, len(streams) - 1)) for rng in streams]
-    others = np.array([k + (k >= i) for i, k in enumerate(draws)])
+    # one integer draw per agent, uniform over the other agents of its
+    # repetition
+    n_agents = state.cfg.agent_count
+    draws = np.array([rng.integers(0, n_agents - 1) for rng in streams])
+    rows = np.arange(len(streams))
+    local = rows % n_agents
+    others = rows - local + draws + (draws >= local)
     if state.algorithm == "island_model":
         best = fitness.argmin(axis=1)[others]
         worst = fitness.argmax(axis=1)
-        rows = np.arange(len(streams))
         genes[rows, worst] = genes[others, best]
         fitness[rows, worst] = fitness[others, best]
     else:
@@ -135,16 +152,19 @@ def advance_step(state: RunState) -> None:
     state.t += 1
 
 
-def _run(state: RunState, record_every: int) -> ConvergenceTrace:
-    """Advance a freshly built state through ``max_steps`` global steps."""
+def _run(state: RunState, record_every: int) -> list[ConvergenceTrace]:
+    """Advance a freshly built state through ``max_steps`` global steps;
+    returns one trace per repetition."""
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     cfg = state.cfg
     genes, fit = state.genes, state.fitness
     first, last = cfg.first_step, cfg.first_step + cfg.max_steps - 1
     lam = cfg.per_agent[0].offspring_size
+    n_reps, n_agents = len(state.repetitions), cfg.agent_count
+    reps = np.arange(n_reps)
     recorded, bests, means = [], [], []
-    best_fit, best_genes, best_step = np.inf, None, -1
+    best_fit, best_genes, best_step = np.full(n_reps, np.inf), [None] * n_reps, [-1] * n_reps
 
     for t in range(first, last + 1):
         if state.t % cfg.epoch_length == 0:
@@ -155,23 +175,27 @@ def _run(state: RunState, record_every: int) -> ConvergenceTrace:
             ea_step_all(genes, fit, lam, state.crossover_rates, state.mutation_rates,
                         state.objective, state.streams, state.op)
             state.t += 1
-        i, j = divmod(int(fit.argmin()), fit.shape[1])  # first agent, first member
-        if fit[i, j] < best_fit:
-            best_fit, best_genes, best_step = float(fit[i, j]), genes[i, j].copy(), t
+        flat = fit.reshape(n_reps, -1)
+        j = flat.argmin(axis=1)  # per repetition: first agent, first member
+        value = flat[reps, j]
+        for r in np.flatnonzero(value < best_fit).tolist():
+            best_fit[r], best_step[r] = value[r], t
+            best_genes[r] = genes.reshape(n_reps, -1, genes.shape[-1])[r, j[r]].copy()
         if (t - first) % record_every == 0 or t == last:
             recorded.append(t)
             bests.append(fit.min(axis=1))
             means.append(fit.mean(axis=1))
 
-    n_agents = cfg.agent_count
-    return ConvergenceTrace(
+    shape = (len(recorded), n_reps, n_agents)
+    best, mean = np.reshape(bests, shape), np.reshape(means, shape)
+    return [ConvergenceTrace(
         steps=np.repeat(np.array(recorded, dtype=np.int64), n_agents),
         agent_ids=np.tile(np.arange(n_agents, dtype=np.int64), len(recorded)),
-        best=np.concatenate(bests), mean=np.concatenate(means),
-        global_best=GlobalBest(best_step, best_genes, best_fit),
-        repetition=state.repetition, algorithm=state.algorithm, objective=cfg.objective,
+        best=best[:, r].ravel(), mean=mean[:, r].ravel(),
+        global_best=GlobalBest(best_step[r], best_genes[r], float(best_fit[r])),
+        repetition=rep, algorithm=state.algorithm, objective=cfg.objective,
         dimension=cfg.dimension, seed=cfg.seed, total_steps=cfg.max_steps,
-    )
+    ) for r, rep in enumerate(state.repetitions)]
 
 
 def tbo_run(
@@ -188,7 +212,8 @@ def tbo_run(
     overrides stream derivation (mainly for tests); ``interaction_log``
     collects ``(t, InteractionOutcome)`` pairs when given.
     """
-    return _run(_build_state(cfg, "tbo", repetition, agent_rngs, interaction_log), record_every)
+    return _run(_build_state(cfg, "tbo", [repetition], agent_rngs, interaction_log),
+                record_every)[0]
 
 
 def island_model_run(
@@ -200,7 +225,8 @@ def island_model_run(
 ) -> ConvergenceTrace:
     """Run the plain island-model baseline once: same EA, same epoch clock,
     best-genome migration instead of credibility-gated interaction."""
-    return _run(_build_state(cfg, "island_model", repetition, agent_rngs, None), record_every)
+    return _run(_build_state(cfg, "island_model", [repetition], agent_rngs, None),
+                record_every)[0]
 
 
 def run_repetitions(
@@ -212,10 +238,9 @@ def run_repetitions(
     """Run ``cfg.repetitions`` independent repetitions of one algorithm.
 
     Repetition ``r`` uses the stream family ``(cfg.seed, r, agent)``; the
-    returned traces are tagged with their repetition index.
+    returned traces are tagged with their repetition index.  All
+    repetitions run as one stacked society, each exactly as it would run
+    alone.
     """
     algorithm = algorithm or cfg.algorithm
-    return [
-        _run(_build_state(cfg, algorithm, r, None, None), record_every)
-        for r in range(cfg.repetitions)
-    ]
+    return _run(_build_state(cfg, algorithm, range(cfg.repetitions), None, None), record_every)

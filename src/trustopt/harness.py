@@ -260,7 +260,9 @@ def run_manifest(
         for algorithm in manifest.algorithms
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forking pool starts all its workers at the first submit, so ask
+        # for no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             rows_per_cell = list(pool.map(_run_cell, cells))
     else:
         rows_per_cell = [_run_cell(c) for c in cells]

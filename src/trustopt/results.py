@@ -92,6 +92,8 @@ def read_trace_csv(path: Union[str, Path]) -> dict:
         mean = np.array([float(r[3]) for r in rows])
     except IndexError:
         raise ValueError(f"short row in trace file {path}") from None
+    except ValueError as err:
+        raise ValueError(f"{err} in trace file {path}") from None
     return {"step": steps, "agent_id": agent_ids, "best": best, "mean": mean}
 
 
@@ -136,6 +138,8 @@ def read_summary_csv(path: Union[str, Path]) -> list[SummaryRow]:
             ]
         except IndexError:
             raise ValueError(f"short row in summary file {path}") from None
+        except ValueError as err:
+            raise ValueError(f"{err} in summary file {path}") from None
 
 
 def best_so_far_series(steps: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

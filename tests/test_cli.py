@@ -249,11 +249,15 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     (tmp_path / "summary_sphere_d2.csv").write_text("not,a,header\n1,2,3\n")
     assert main(["stats", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
-    # an empty summary, an empty trace and a short trace row: an error
-    # naming the file, not a traceback
+    # an empty summary, an empty trace, a short trace row and non-numeric
+    # trace and summary fields: an error naming the file, not a traceback
     trace = "trace_sphere_d2_island_model_rep0.csv"
-    cases = [("stats", "summary_sphere_d2.csv", ""), ("plot", trace, ""),
-             ("plot", trace, "step,agent_id,best,mean\n1,0,3.0\n")]
+    summary = "summary_sphere_d2.csv"
+    cases = [("stats", summary, ""), ("plot", trace, ""),
+             ("plot", trace, "step,agent_id,best,mean\n1,0,3.0\n"),
+             ("plot", trace, "step,agent_id,best,mean\n1,0,abc,3.0\n"),
+             ("stats", summary, "problem,dim,algorithm,repetition,final_best,steps,seed\n"
+                                "sphere,2,island_model,0,zz,10,7\n")]
     for k, (command, name, text) in enumerate(cases):
         case = tmp_path / f"case{k}"
         case.mkdir()

@@ -1,14 +1,17 @@
 """Run-loop behavior: epoch steps, relabeling, stacked engine vs the
-stepwise reference, invariants over random configs, traces."""
+stepwise reference, stacked repetitions vs lone runs, invariants over
+random configs, traces."""
 
 from dataclasses import replace
 
+import helpers
 import numpy as np
 import pytest
-from helpers import replay_ea_step, stepwise_run, twin_rngs
+from helpers import plateau_objective, replay_ea_step, stepwise_run, twin_rngs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trustopt.engine as engine
 from trustopt import (
     OBJECTIVE_NAMES,
     AgentTemplate,
@@ -61,7 +64,7 @@ def _series(trace, agent):
 
 def test_dispatch_runs_ea_step_off_epoch():
     log = []
-    state = _build_state(_cfg(max_steps=1), "tbo", 0, None, log)
+    state = _build_state(_cfg(max_steps=1), "tbo", [0], None, log)
     assert state.t == 1 and state.t % 5 != 0  # not an epoch step
     before = state.streams[0].bit_generator.state
     _run(state, 1)
@@ -73,7 +76,7 @@ def test_dispatch_runs_ea_step_off_epoch():
 
 def test_dispatch_runs_interaction_on_epoch():
     log = []
-    state = _build_state(_cfg(), "tbo", 0, None, log)
+    state = _build_state(_cfg(), "tbo", [0], None, log)
     state.t = 5
     advance_step(state)
     out = log[0][1]
@@ -85,14 +88,14 @@ def test_dispatch_runs_interaction_on_epoch():
 
 
 def test_credibility_untouched_between_epochs():
-    state = _build_state(_cfg(epoch_length=50, max_steps=10), "tbo", 0, None, None)
+    state = _build_state(_cfg(epoch_length=50, max_steps=10), "tbo", [0], None, None)
     _run(state, 1)
     assert np.all(state.credibility.trust == 5)
     assert state.t == 11
 
 
 def test_trust_updates_stay_off_the_diagonal():
-    state = _build_state(_cfg(agent_count=2, epoch_length=2, max_steps=20), "tbo", 0, None, None)
+    state = _build_state(_cfg(agent_count=2, epoch_length=2, max_steps=20), "tbo", [0], None, None)
     _run(state, 1)
     trust = state.credibility.trust
     assert trust[0, 0] == 5 and trust[1, 1] == 5
@@ -104,7 +107,7 @@ def test_trust_updates_stay_off_the_diagonal():
 
 def test_migration_replaces_worst_with_donor_best():
     log = []
-    state = _build_state(_island_cfg(), "island_model", 0, None, log)
+    state = _build_state(_island_cfg(), "island_model", [0], None, log)
     state.t = 5
     state.streams[0], probe = twin_rngs(777)
     spec = get_objective("sphere", 2)
@@ -125,7 +128,7 @@ def test_migration_replaces_worst_with_donor_best():
 def test_epoch_snapshot_is_taken_before_any_write():
     # the second recipient must see the first recipient's pre-step
     # population, not its freshly merged one
-    state = _build_state(_island_cfg(agent_count=2), "island_model", 0, None, None)
+    state = _build_state(_island_cfg(agent_count=2), "island_model", [0], None, None)
     state.t = 5
     spec = get_objective("sphere", 2)
     frozen = state.genes.copy()
@@ -294,8 +297,8 @@ def _configs(draw, objective, algorithm):
 def test_fast_path_matches_stepwise_object_path(objective, algorithm, data):
     cfg = data.draw(_configs(objective, algorithm))
     log = []
-    state = _build_state(cfg, algorithm, 0, None, log)
-    trace = _run(state, 1)
+    state = _build_state(cfg, algorithm, [0], None, log)
+    [trace] = _run(state, 1)
     ref = stepwise_run(cfg, algorithm)
 
     runner = tbo_run if algorithm == "tbo" else island_model_run
@@ -344,7 +347,7 @@ def test_validate_accepts_exactly_the_bindings_the_engine_builds(objective, dime
     except ConfigError:
         valid = False
     try:
-        state = _build_state(cfg, "tbo", 0, None, None)
+        state = _build_state(cfg, "tbo", [0], None, None)
         built = True
     except ValueError:
         built = False
@@ -368,7 +371,7 @@ def test_invariants_hold_over_random_configs(algorithm, data):
     cfg = data.draw(_configs(objective, algorithm))
     cfg = replace(cfg, dimension=max(cfg.dimension, _DIMENSION_FLOORS.get(objective, 1)))
     n = cfg.per_agent[0].population_size
-    state = _build_state(replace(cfg, max_steps=1), algorithm, 0, None, None)
+    state = _build_state(replace(cfg, max_steps=1), algorithm, [0], None, None)
     spec, cred = state.objective, state.credibility
     # with one member, a migration overwrites the agent's only genome, so
     # its best may rise; with two or more it overwrites a worst member and
@@ -400,6 +403,66 @@ def test_run_repetitions_tags_and_varies():
     assert len(set(finals)) > 1
     direct = tbo_run(cfg, 2)
     assert np.array_equal(traces[2].best, direct.best)
+
+
+def _assert_same_run(a, b):
+    """Two traces agree bit for bit, global best included."""
+    for name in ("steps", "agent_ids", "best", "mean"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    ga, gb = a.global_best, b.global_best
+    assert (ga.step, ga.fitness, ga.genes.tobytes()) == (gb.step, gb.fitness, gb.genes.tobytes())
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_stacked_repetitions_run_as_if_alone(data):
+    # run_repetitions stacks every repetition into one society; each must
+    # still be the run that tbo_run or island_model_run gives it alone
+    algorithm = data.draw(st.sampled_from(["tbo", "island_model"]))
+    n_agents = data.draw(st.integers(2, 5))
+    templates = data.draw(st.lists(_templates, min_size=n_agents, max_size=n_agents))
+    kw = dict(
+        agent_count=n_agents, repetitions=data.draw(st.integers(1, 4)),
+        objective=data.draw(st.sampled_from(["sphere", "schwefel_noise"])),
+        first_step=data.draw(st.integers(0, 1)), epoch_length=data.draw(st.integers(1, 3)),
+        diversity_factor=data.draw(st.sampled_from([0.0, 1.3])),
+        max_steps=data.draw(st.integers(1, 8)), seed=data.draw(st.integers(0, 2**32)),
+        per_agent=tuple(replace(t, population_size=3, offspring_size=4) for t in templates),
+    )
+    if algorithm == "tbo":
+        kind = data.draw(st.sampled_from(["trust", "reputation"]))
+        cfg = _cfg(credibility=CredibilityConfig(kind, data.draw(st.integers(1, 6)), 1, 6), **kw)
+    else:
+        cfg = _island_cfg(**kw)
+    runner = tbo_run if algorithm == "tbo" else island_model_run
+    traces = run_repetitions(cfg)
+    assert [t.repetition for t in traces] == list(range(cfg.repetitions))
+    for r, trace in enumerate(traces):
+        _assert_same_run(trace, runner(cfg, r))
+
+
+@pytest.mark.parametrize("algorithm", ["tbo", "island_model"])
+def test_stacked_global_best_keeps_the_tie_rule(algorithm, monkeypatch):
+    # plateau fitness ties distinct genomes across agents and members; each
+    # repetition's global best must still be the first agent's first member
+    # at a new running minimum, as in the agent-by-agent reference
+    def plateau(name, dimension, **params):
+        return plateau_objective(dimension)
+
+    monkeypatch.setattr(engine, "get_objective", plateau)
+    monkeypatch.setattr(helpers, "get_objective", plateau)
+    cfg = (_cfg if algorithm == "tbo" else _island_cfg)(
+        agent_count=4, repetitions=3, epoch_length=2, max_steps=10)
+    tied = 0
+    for r, trace in enumerate(run_repetitions(cfg)):
+        ref = stepwise_run(cfg, algorithm, r)
+        assert trace.best.tobytes() == ref.best.ravel().tobytes()
+        assert (trace.global_best.step, trace.global_best.fitness) == (ref.best_step,
+                                                                      ref.best_fitness)
+        assert trace.global_best.genes.tobytes() == ref.best_genes.tobytes()
+        at_best = trace.best[trace.steps == trace.global_best.step]
+        tied += np.count_nonzero(at_best == trace.global_best.fitness) > 1
+    assert tied  # some repetition reached its best in several agents at once
 
 
 def test_run_repetitions_respects_algorithm_override():

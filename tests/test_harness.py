@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import trustopt.harness as harness
 from trustopt import (
     ConfigError,
     derive_run_seed,
@@ -242,3 +243,30 @@ def test_parallel_execution_matches_serial(tiny_manifest, tmp_path):
     run_manifest(tiny_manifest, pooled, jobs=2)
     for p in sorted(serial.iterdir()):
         assert (pooled / p.name).read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 64])
+def test_pool_asks_for_no_more_workers_than_cells(tiny_manifest, tmp_path, monkeypatch, jobs):
+    # a stand-in pool records its size and runs the cells in this process,
+    # so a large --jobs value starts no process at all
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, *, max_workers):  # keyword only, as the tracer's pool takes it
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    run_manifest(tiny_manifest, tmp_path / "pooled", jobs=jobs)
+    run_manifest(tiny_manifest, tmp_path / "serial", jobs=1)
+    assert sizes == [2]  # two cells; the serial run builds no pool
+    for p in sorted((tmp_path / "serial").iterdir()):
+        assert (tmp_path / "pooled" / p.name).read_bytes() == p.read_bytes()
