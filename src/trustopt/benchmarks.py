@@ -38,14 +38,15 @@ __all__ = [
 # instead of overflowing.
 _LJ_R_MIN = 1e-12
 _LJ_PENALTY = 1e12
+# pair distances per Lennard-Jones block; the workspace's three (pairs, rows)
+# buffers take 768 kB, which fits in L2 and which the allocator kept reusing
+# in whole runs (at twice the size it faulted pages in again)
+_LJ_BLOCK = 32768
 
-_triu_cache: dict = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _pair_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
-    if p not in _triu_cache:
-        _triu_cache[p] = np.triu_indices(p, k=1)
-    return _triu_cache[p]
+    return np.triu_indices(p, k=1)
 
 
 def sphere(x: np.ndarray) -> np.ndarray | float:
@@ -121,33 +122,46 @@ def lennard_jones(x: np.ndarray, a: float = 1.0, b: float = 2.0) -> np.ndarray |
     Requires at least two particles (D >= 6).
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    p = d // 3
+    p = x.shape[-1] // 3
     if p < 2:
         raise ValueError("lennard_jones requires at least 2 particles (dimension >= 6)")
-    pts = x[..., : 3 * p].reshape(x.shape[:-1] + (p, 3))
     iu, ju = _pair_indices(p)
-    # one contiguous (P, P) difference grid per coordinate beats gathering
-    # two (pairs, 3) blocks; the summation order matches the direct
-    # sum(diff * diff, axis=-1) formulation bit for bit
-    coords = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
-    r2_grid = None
-    for k in range(3):
-        c = coords[k]
-        d = c[..., :, None] - c[..., None, :]
-        d *= d
-        r2_grid = d if r2_grid is None else r2_grid + d
-    r2 = r2_grid[..., iu, ju]
-    close = r2 < _LJ_R_MIN * _LJ_R_MIN
-    masked = bool(close.any())
-    if masked:
-        r2 = np.where(close, 1.0, r2)  # placeholder; overwritten below
-    inv6 = r2 * r2 * r2
-    np.divide(1.0, inv6, out=inv6)
-    pair = a * inv6 * inv6 - b * inv6
-    if masked:
-        pair = np.where(close, _LJ_PENALTY, pair)
-    return np.sum(pair, axis=-1)
+    flat = x[..., : 3 * p].reshape(-1, p, 3)
+    n, m = len(flat), len(iu)
+    rows = max(1, min(n, _LJ_BLOCK // m))
+    # one workspace per call, reused by every block: fresh temporaries per
+    # block made the allocator hand their pages back and fault them in again
+    work = np.empty((3, m * rows))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        r2, t, u = (w[: m * (hi - lo)].reshape(m, hi - lo) for w in work)
+        # pair-major (pairs, rows) blocks: summing over axis 0 adds each
+        # row's pairs left to right in i<j order
+        coords = np.ascontiguousarray(flat[lo:hi].transpose(2, 1, 0))
+        np.take(coords[0], iu, axis=0, out=r2, mode="clip")
+        r2 -= np.take(coords[0], ju, axis=0, out=t, mode="clip")
+        r2 *= r2
+        for c in coords[1:]:  # r2 = (dx*dx + dy*dy) + dz*dz
+            np.take(c, iu, axis=0, out=u, mode="clip")
+            u -= np.take(c, ju, axis=0, out=t, mode="clip")
+            u *= u
+            r2 += u
+        close = r2 < _LJ_R_MIN * _LJ_R_MIN
+        masked = bool(close.any())
+        if masked:
+            r2[close] = 1.0  # placeholder; overwritten below
+        inv6 = np.multiply(r2, r2, out=t)
+        inv6 *= r2
+        np.divide(1.0, inv6, out=inv6)
+        pair = np.multiply(inv6, a, out=u)
+        pair *= inv6
+        pair -= np.multiply(inv6, b, out=inv6)
+        if masked:
+            pair[close] = _LJ_PENALTY
+        # numpy sums a lone row pairwise; accumulating keeps it left to right
+        out[lo:hi] = pair.sum(axis=0) if hi - lo > 1 else pair.cumsum(axis=0)[-1]
+    return out.reshape(x.shape[:-1])[()]
 
 
 @dataclass(frozen=True)

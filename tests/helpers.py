@@ -15,7 +15,9 @@ selection, threshold, divergence ranking, adoption, survivors, outcome
 branch and credit table; ``exchange_all`` and ``interaction_step`` are
 checked against it.  :func:`stepwise_run` is the reference the stacked
 engine is checked against: it advances the society agent by agent on
-``AgentState`` objects with the two replays.
+``AgentState`` objects with the two replays.  :func:`lennard_jones_reference`
+evaluates one Lennard-Jones genome with plain float loops in the kernel's
+summation order.
 """
 
 from __future__ import annotations
@@ -148,6 +150,29 @@ def evaluate_missing(genes, fitness, spec, rng) -> np.ndarray:
     member order (one scalar noise draw each on a noisy objective)."""
     return np.array([_evaluate_one(g, spec, rng) if np.isnan(f) else float(f)
                      for g, f in zip(genes, fitness)])
+
+
+def lennard_jones_reference(genome, a: float = 1.0, b: float = 2.0) -> float:
+    """Lennard-Jones energy of one genome with Python floats: each pair's
+    ``r2 = (dx*dx + dy*dy) + dz*dz`` over the pairs i<j in row-major order,
+    a pair closer than 1e-12 counting 1e12, the others
+    ``a*inv6*inv6 - b*inv6`` with ``inv6 = 1 / (r2*r2*r2)``, added left to
+    right."""
+    g = np.asarray(genome, dtype=float).tolist()
+    terms = []
+    for i in range(len(g) // 3):
+        for j in range(i + 1, len(g) // 3):
+            dx, dy, dz = (g[3 * i + k] - g[3 * j + k] for k in range(3))
+            r2 = (dx * dx + dy * dy) + dz * dz
+            if r2 < 1e-12 * 1e-12:
+                terms.append(1e12)
+            else:
+                inv6 = 1.0 / (r2 * r2 * r2)
+                terms.append(a * inv6 * inv6 - b * inv6)
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def _pow(base: float, exponent: float) -> float:

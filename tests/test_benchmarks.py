@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import lennard_jones_reference
 from trustopt.benchmarks import (
+    _LJ_BLOCK,
+    _REGISTRY,
     OBJECTIVE_NAMES,
     expanded_schaffer,
     get_objective,
@@ -145,6 +150,41 @@ def test_lennard_jones_matches_direct_sum(rng):
             inv6 = 1.0 / r2**3
             expected += 1.0 * inv6**2 - 2.0 * inv6
     assert np.allclose(lennard_jones(pts), expected, rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("dimension", [6, 7, 8, 12, 48, 99])
+def test_lennard_jones_bytes_match_the_reference(rng, dimension):
+    # every pair added left to right, in every block position and input shape
+    block = _LJ_BLOCK // math.comb(dimension // 3, 2)  # rows per block
+    for rows in (1, block - 1, block, block + 1, 3 * block + 7):
+        pts = rng.uniform(-3, 3, (rows, dimension))
+        pts[rows // 2, 3:6] = pts[rows // 2, 0:3]  # a coincident pair
+        expected = np.array([lennard_jones_reference(p) for p in pts])
+        assert lennard_jones(pts).tobytes() == expected.tobytes()
+    genome = rng.uniform(-3, 3, dimension)
+    assert np.float64(lennard_jones(genome)).tobytes() == \
+        np.float64(lennard_jones_reference(genome)).tobytes()
+    grid = rng.uniform(-3, 3, (3, 5, dimension))
+    expected = np.array([[lennard_jones_reference(p, 0.5, 3.0) for p in row] for row in grid])
+    assert lennard_jones(grid, a=0.5, b=3.0).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(OBJECTIVE_NAMES), data=st.data())
+def test_base_rows_are_independent_of_their_block(name, data):
+    # a row's value is the same alone, in any sub-block and in the whole block
+    dimension = data.draw(st.integers(_REGISTRY[name].min_dimension, 100), label="dimension")
+    rows = data.draw(st.integers(1, 2500), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    spec = get_objective(name, dimension)
+    genes = rng.uniform(spec.lower, spec.upper, (rows, dimension))
+    if data.draw(st.booleans(), label="coarse"):
+        genes = np.round(genes)  # repeated genes and coincident particles
+    whole = spec.base(genes)
+    alone = np.array([spec.base(g) for g in genes])
+    cuts = np.sort(rng.integers(0, rows + 1, size=rng.integers(0, 8)))
+    pieces = np.concatenate([spec.base(part) for part in np.split(genes, cuts)])
+    assert whole.tobytes() == alone.tobytes() == pieces.tobytes()
 
 
 # --- registry ---------------------------------------------------------------
