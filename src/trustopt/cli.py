@@ -66,14 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand(inputs, pattern: str) -> list[Path]:
-    paths: list[Path] = []
+    """Each named file (a directory names its ``pattern`` matches) once, first seen first."""
+    paths: dict[Path, Path] = {}
     for item in inputs:
         p = Path(item)
-        if p.is_dir():
-            paths.extend(sorted(p.glob(pattern)))
-        else:
-            paths.append(p)
-    return paths
+        for q in sorted(p.glob(pattern)) if p.is_dir() else [p]:
+            paths.setdefault(q.resolve(), q)
+    return list(paths.values())
 
 
 def cmd_run(args) -> int:

@@ -59,14 +59,14 @@ through.  Pair ``k`` contributes children ``2k`` and ``2k + 1``; with an
 odd ``offspring_size`` the last child is dropped (its crossover values
 are still drawn).
 
-:func:`ea_step` is the one-agent case: it runs :func:`ea_step_all` on a
-``(1, n, D)`` stack.
+A run builds one :func:`step_plan` and passes it to every
+:func:`ea_step_all` call; nothing caches it, so it is freed with the run.
+:func:`ea_step` is the one-agent case, with a ``(1, n, D)`` stack and a plan per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -78,6 +78,8 @@ __all__ = [
     "EaOperatorConfig",
     "ea_step",
     "ea_step_all",
+    "StepPlan",
+    "step_plan",
 ]
 
 
@@ -183,32 +185,37 @@ def _gate_budget(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where(p <= 0.0, 0, np.where(p >= 1.0, m, budget)).astype(np.int64)
 
 
-class _StepPlan(NamedTuple):
-    """The per-step constants of one society shape and rate vector; the
-    rates are fixed for a run, so a plan is built once.
+class StepPlan(NamedTuple):
+    """The constants of :func:`ea_step_all` for one society shape,
+    offspring size ``lam``, operator config ``op`` and rate vector, built
+    once per run, and two scratch arrays that every step overwrites:
+    ``block`` (each agent's stream fills its row view ``rows[i]``) and
+    ``union``.  The other arrays are never written.
 
     Sparse sampler: rows ``i`` and ``N + i`` of the stream arrays belong to
     agent ``i``'s crossover and mutation gates: ``gates`` trials fire with
-    probability ``p``.  Agent ``i`` draws ``draws[i]`` uniforms into row
-    ``i`` of a copy of ``block`` (NaN, with a 0 in the last column), which
-    ``gather`` turns into one row of gap uniforms per stream: NaN past the
-    budget, 0 at p = 1.  ``den`` holds ``log1p(-p)`` per stream.  The
-    ``j``-th gap fires while the running gap sum is at most ``limit =
-    gates - 1 - j``; the streams whose budget is below ``gates`` end at
-    ``short`` (row, column).
+    probability ``p``.  ``rows[i]`` covers the uniforms agent ``i`` draws
+    per step; the rest of ``block`` stays NaN, with a 0 in the last column.
+    ``gather`` turns ``block`` into one row of gap uniforms per stream:
+    NaN past the budget, 0 at p = 1.  ``den`` holds ``log1p(-p)`` per
+    stream.  The ``j``-th gap fires while the running gap sum is at most
+    ``limit = gates - 1 - j``; the streams whose budget is below ``gates``
+    end at ``short`` (row, column).
 
-    Children layout, in the flat block of all parents, then every agent's
-    ``lam`` children, then (odd ``lam``) each agent's dropped second child
-    of its last pair: ``pick`` orders the flattened (N, npairs, 2)
-    tournament winners that way, ``c1[i, q]`` and ``c2[i, q]`` are the
-    elements where agent ``i``'s pair ``q`` children start, ``first[i]``
-    where its first child starts.
+    Children layout, in ``union``: the rows of all parents, then every
+    agent's ``lam`` children, then (odd ``lam``) each agent's dropped
+    second child of its last pair.  ``pick`` orders the flattened (N,
+    npairs, 2) tournament winners that way, ``c1[i, q]`` and ``c2[i, q]``
+    are the elements of the flat ``union`` where agent ``i``'s pair ``q``
+    children start.
     """
 
+    lam: int
+    op: EaOperatorConfig
     gates: np.ndarray
     p: np.ndarray
     block: np.ndarray
-    draws: list
+    rows: list
     gather: np.ndarray
     den: np.ndarray
     limit: np.ndarray
@@ -217,15 +224,17 @@ class _StepPlan(NamedTuple):
     pick: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-    first: np.ndarray
+    union: np.ndarray
 
 
-@lru_cache(maxsize=4)  # a run uses one plan for all its steps
-def _step_plan(n: int, d: int, lam: int, pair_scope: bool, pc: tuple, pm: tuple) -> _StepPlan:
-    n_agents, n_pairs = len(pc), (lam + 1) // 2
+def step_plan(n: int, d: int, offspring_size: int, op: EaOperatorConfig,
+              crossover_rates: Sequence[float], mutation_rates: Sequence[float]) -> StepPlan:
+    """The plan for ``len(crossover_rates)`` agents of ``n`` members in dimension ``d``."""
+    lam = offspring_size
+    n_agents, n_pairs = len(crossover_rates), (lam + 1) // 2
     t = 6 * n_pairs
-    gates = np.repeat([n_pairs if pair_scope else n_pairs * d, lam * d], n_agents)
-    p = np.array(pc + pm, dtype=float)
+    gates = np.repeat([n_pairs if op.crossover_scope == "pair" else n_pairs * d, lam * d], n_agents)
+    p = np.concatenate([crossover_rates, mutation_rates]).astype(float)
     budget = _gate_budget(gates, p)
     drawn = np.where(p < 1.0, budget, 0)
     draws = t + drawn[:n_agents] + drawn[n_agents:]
@@ -247,23 +256,19 @@ def _step_plan(n: int, d: int, lam: int, pair_scope: bool, pc: tuple, pm: tuple)
     at = np.empty_like(pick)
     at[pick] = n_agents * n + np.arange(len(pick))  # the union row of every slot
     at = at.reshape(n_agents, n_pairs, 2) * d
-    plan = _StepPlan(gates, p, block, draws.tolist(), gather, den, limit, (short, last),
-                     limit[short, last], pick, at[..., 0].copy(), at[..., 1].copy(),
-                     at[:, 0, 0].copy())
-    for field in (*plan, short, last):
-        if isinstance(field, np.ndarray):
-            field.setflags(write=False)  # every step shares the cached plan
-    return plan
+    return StepPlan(lam, op, gates, p, block, [block[i, :k] for i, k in enumerate(draws)],
+                    gather, den, limit, (short, last), limit[short, last], pick,
+                    at[..., 0], at[..., 1], np.empty((n_agents * n + len(pick), d)))
 
 
-def _fires(block: np.ndarray, plan: _StepPlan,
+def _fires(plan: StepPlan,
            streams: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every firing gate of a step as (stream row, gap index, position)
-    arrays in (row, gap) order, from the step's drawn ``block``; draws the
-    top-ups, if any."""
+    arrays in (row, gap) order, from the step's drawn ``plan.block``;
+    draws the top-ups, if any."""
     # the j-th gap of a stream fires at position sum(gaps[:j + 1]) + j
     # while that is below the stream's gate count
-    sums = np.log1p(-block.take(plan.gather))
+    sums = np.log1p(-plan.block.take(plan.gather))
     sums /= plan.den
     np.floor(sums, out=sums)
     sums.cumsum(axis=1, out=sums)
@@ -275,7 +280,7 @@ def _fires(block: np.ndarray, plan: _StepPlan,
     return row, j, pos
 
 
-def _top_up(sums: np.ndarray, plan: _StepPlan, row: np.ndarray, j: np.ndarray, pos: np.ndarray,
+def _top_up(sums: np.ndarray, plan: StepPlan, row: np.ndarray, j: np.ndarray, pos: np.ndarray,
             streams: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Add the fires past the gap budgets to ``(row, j, pos)``: a stream
     whose gaps ended before its last gate draws one uniform per remaining
@@ -317,8 +322,9 @@ def ea_step(
     """
     genes = agent.population.genes[None].copy()
     fitness = agent.population.fitness[None].copy()
-    ea_step_all(genes, fitness, agent.offspring_size, [agent.effective_crossover_rate],
-                [agent.effective_mutation_rate], objective, [rng], op)
+    plan = step_plan(*genes.shape[1:], agent.offspring_size, op,
+                     [agent.effective_crossover_rate], [agent.effective_mutation_rate])
+    ea_step_all(genes, fitness, plan, objective, [rng])
     agent.population = Population(genes[0], fitness[0])
     return agent.population
 
@@ -326,22 +332,19 @@ def ea_step(
 def ea_step_all(
     genes: np.ndarray,
     fitness: np.ndarray,
-    offspring_size: int,
-    crossover_rates: Sequence[float],
-    mutation_rates: Sequence[float],
+    plan: StepPlan,
     objective: ObjectiveSpec,
     streams: Sequence[np.random.Generator],
-    op: EaOperatorConfig = EaOperatorConfig(),
 ) -> None:
     """One EA step for all agents of a homogeneous society, in place.
 
     ``genes`` is the (N, n, D) stack of agent populations, ``fitness`` the
-    matching (N, n) cache (NaN = not evaluated), ``crossover_rates`` and
-    ``mutation_rates`` the agents' effective rates.  Draws follow the
-    module draw discipline.
+    matching (N, n) cache (NaN = not evaluated) and ``plan`` the
+    :func:`step_plan` of this shape, with the agents' effective rates.
+    Draws follow the module draw discipline.
     """
     n_agents, n, d = genes.shape
-    lam = offspring_size
+    lam, op = plan.lam, plan.op
 
     evaluate_stack(genes, fitness, objective, streams)
     if lam == 0:
@@ -349,12 +352,9 @@ def ea_step_all(
 
     n_pairs = (lam + 1) // 2
     pair_scope = op.crossover_scope == "pair"
-    plan = _step_plan(n, d, lam, pair_scope,
-                      tuple(np.asarray(crossover_rates, dtype=float).tolist()),
-                      tuple(np.asarray(mutation_rates, dtype=float).tolist()))
-    block = plan.block.copy()
-    for i, (rng, k) in enumerate(zip(streams, plan.draws)):
-        rng.random(out=block[i, :k])
+    block = plan.block
+    for rng, row in zip(streams, plan.rows):
+        rng.random(out=row)
 
     # tournaments on the flattened (N*n) society: agent i's members start at i*n
     agents = np.arange(n_agents)[:, None]
@@ -362,7 +362,7 @@ def ea_step_all(
     winners = _tournament_apply(fitness.ravel(), cand.reshape(n_agents, n_pairs, 2, 2),
                                 block[:, 4 * n_pairs:6 * n_pairs].reshape(n_agents, n_pairs, 2))
 
-    row, j, pos = _fires(block, plan, streams)
+    row, j, pos = _fires(plan, streams)
     k = row.searchsorted(n_agents)  # crossover fires come first
 
     # each agent's values: its spread values, then its mutation magnitudes
@@ -378,10 +378,10 @@ def ea_step_all(
         lo = hi
     start = np.concatenate([ends - cnt[:n_agents] - cnt[n_agents:], ends - cnt[n_agents:]])
 
-    # parents, then the children (see _StepPlan), which start as copies of
+    # parents, then the children (see StepPlan), which start as copies of
     # their pair's parents
     n_par = n_agents * n
-    union = np.empty((n_par + n_agents * 2 * n_pairs, d))
+    union = plan.union
     union[:n_par] = genes.reshape(n_par, d)
     np.take(union[:n_par], winners.ravel()[plan.pick], axis=0, out=union[n_par:], mode="clip")
     flat = union.ravel()
@@ -394,7 +394,7 @@ def ea_step_all(
         spread = values[start[agent] + j[:k]]
     _sbx_apply(flat, plan.c1[agent, pair] + gene, plan.c2[agent, pair] + gene, gene, spread,
                op.eta_c, objective.lower, objective.upper)
-    _poly_apply(flat, plan.first[row[k:] - n_agents] + pos[k:], pos[k:] % d,
+    _poly_apply(flat, (n_par + lam * (row[k:] - n_agents)) * d + pos[k:], pos[k:] % d,
                 values[start[row[k:]] + j[k:]], op.eta_m, objective.lower, objective.upper)
 
     children = union[n_par:n_par + n_agents * lam]

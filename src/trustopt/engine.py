@@ -6,8 +6,9 @@ epoch boundaries the EA step is replaced by an exchange: a credibility-
 gated interaction (tbo) or a best-genome migration (island_model).
 
 The society is held as stacked arrays for the whole run: ``(N, n, D)``
-genes, an ``(N, n)`` fitness cache and per-agent vectors for the EA rates,
-genome intensity and gene operator.  Agents must therefore share their
+genes, an ``(N, n)`` fitness cache, per-agent vectors for genome intensity
+and gene operator, and one EA step plan (:func:`~trustopt.ea.step_plan`:
+the EA rates and scratch).  Agents must therefore share their
 population and offspring sizes (``validate_config`` rejects templates that
 differ in either).  Each step is one batched pass over all agents:
 :func:`~trustopt.ea.ea_step_all` off-epoch, :func:`advance_step` on epoch.
@@ -48,7 +49,7 @@ import numpy as np
 
 from .benchmarks import ObjectiveSpec, get_objective
 from .config import TboConfig, validate_config
-from .ea import EaOperatorConfig, ea_step, ea_step_all  # noqa: F401
+from .ea import EaOperatorConfig, StepPlan, ea_step, ea_step_all, step_plan  # noqa: F401
 from .rng import agent_stream
 from .socio import exchange_all, interaction_step  # noqa: F401
 from .types import (ConvergenceTrace, CredibilityState, GlobalBest, effective_rates,
@@ -69,12 +70,10 @@ class RunState:
     cfg: TboConfig
     algorithm: str
     objective: ObjectiveSpec
-    op: EaOperatorConfig
+    plan: StepPlan  # EA step constants, the (R*N,) rates and scratch
     streams: list[np.random.Generator]
     genes: np.ndarray  # (R*N, n, D)
     fitness: np.ndarray  # (R*N, n), NaN = not evaluated
-    crossover_rates: np.ndarray  # (R*N,)
-    mutation_rates: np.ndarray  # (R*N,)
     intensity: np.ndarray  # (R*N,) genome intensity names
     gene_op: np.ndarray  # (R*N,) gene operator names
     credibility: Optional[CredibilityState]  # only diagonal blocks of a trust table are read
@@ -92,7 +91,6 @@ def _build_state(
 ) -> RunState:
     validate_config(replace(cfg, algorithm=algorithm))
     objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
-    op = EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope)
 
     n_reps, n_agents = len(repetitions), cfg.agent_count
     if agent_rngs is None:
@@ -108,6 +106,8 @@ def _build_state(
                       for i, t in enumerate(templates)])
     genes = np.stack([init_population(t.population_size, objective, rng).genes
                       for t, rng in zip(templates, streams)])
+    plan = step_plan(*genes.shape[1:], templates[0].offspring_size,
+                     EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope), *rates.T)
 
     credibility = None
     if algorithm == "tbo":
@@ -115,8 +115,7 @@ def _build_state(
         credibility = CredibilityState.initial(c.kind, len(streams), c.start_value,
                                                c.min_value, c.max_value)
     return RunState(
-        cfg, algorithm, objective, op, streams, genes, np.full(genes.shape[:2], np.nan),
-        rates[:, 0].copy(), rates[:, 1].copy(),
+        cfg, algorithm, objective, plan, streams, genes, np.full(genes.shape[:2], np.nan),
         np.array([t.genome_intensity for t in templates]),
         np.array([t.gene_op for t in templates]),
         credibility, cfg.first_step, list(repetitions), interaction_log,
@@ -160,7 +159,6 @@ def _run(state: RunState, record_every: int) -> list[ConvergenceTrace]:
     cfg = state.cfg
     genes, fit = state.genes, state.fitness
     first, last = cfg.first_step, cfg.first_step + cfg.max_steps - 1
-    lam = cfg.per_agent[0].offspring_size
     n_reps, n_agents = len(state.repetitions), cfg.agent_count
     reps = np.arange(n_reps)
     recorded, bests, means = [], [], []
@@ -172,8 +170,7 @@ def _run(state: RunState, record_every: int) -> list[ConvergenceTrace]:
         else:
             if state.objective.noisy:
                 fit.fill(np.nan)
-            ea_step_all(genes, fit, lam, state.crossover_rates, state.mutation_rates,
-                        state.objective, state.streams, state.op)
+            ea_step_all(genes, fit, state.plan, state.objective, state.streams)
             state.t += 1
         flat = fit.reshape(n_reps, -1)
         j = flat.argmin(axis=1)  # per repetition: first agent, first member

@@ -136,11 +136,14 @@ def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
         algorithms = []
     elif not algorithms:
         bad.append("manifest needs at least one algorithm")
-    for a in algorithms:
+    for k, a in enumerate(algorithms):
         if a not in PRESET_NAMES:
             bad.append(f"unknown algorithm preset: {a!r}")
+        elif a in algorithms[:k]:
+            bad.append(f"duplicate algorithm preset: {a!r}")
 
     problems = []
+    seen: dict[tuple, int] = {}  # objective and dimension name a cell's seed and files
     raw_problems = data.get("problems", [])
     if not isinstance(raw_problems, list):
         bad.append(f"problems must be a list of objects, got {raw_problems!r}")
@@ -169,6 +172,8 @@ def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
             bad.append(label + str(err))
         if problem.max_steps < 1:
             bad.append(label + "max_steps must be >= 1")
+        if (first := seen.setdefault((problem.objective, problem.dimension), k)) != k:
+            bad.append(label + f"duplicates problems[{first}]")
         problems.append(problem)
 
     if bad:

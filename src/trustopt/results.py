@@ -67,13 +67,11 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_csv(trace: ConvergenceTrace, path: Union[str, Path]) -> None:
+    columns = (trace.steps.tolist(), trace.agent_ids.tolist(),
+               np.asarray(trace.best, dtype=float).tolist(),
+               np.asarray(trace.mean, dtype=float).tolist())
     lines = [",".join(TRACE_HEADER)]
-    steps = trace.steps
-    agents = trace.agent_ids
-    best = trace.best
-    mean = trace.mean
-    for k in range(len(steps)):
-        lines.append(f"{steps[k]},{agents[k]},{_fmt(best[k])},{_fmt(mean[k])}")
+    lines += [f"{step},{agent},{best!r},{mean!r}" for step, agent, best, mean in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -161,6 +161,25 @@ def test_validate_reports_problem_errors_once(tmp_path, capsys, problem, message
     assert lines[0].startswith("error: problems[0]") and message in lines[0]
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"algorithms": ["island_model", "island_model", "small_society"]},
+     "duplicate algorithm preset: 'island_model'"),
+    ({"problems": _problem() + _problem(max_steps=9)},
+     "problems[1] sphere d=2: duplicates problems[0]"),
+], ids=["algorithm", "problem"])
+def test_run_rejects_duplicate_manifest_entries(tmp_path, capsys, change, message):
+    # a repeated algorithm would run its cell twice and list every summary
+    # row twice; two problems with one objective and dimension share their
+    # cell seeds and output files
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({**TINY, **change}))
+    out = tmp_path / "res"
+    assert main(["run", "--manifest", str(path), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-5", str(2**64)])
 def test_run_rejects_out_of_range_seed_before_writing(manifest_path, tmp_path, capsys, seed):
     out = tmp_path / "res"
@@ -226,6 +245,27 @@ def test_stats_and_plot_pipeline(manifest_path, tmp_path, capsys):
     assert (out / "convergence_sphere_d2.svg").exists()
     svg = (out / "convergence_sphere_d2.svg").read_text()
     assert svg.count("<polyline") == 2
+
+
+def test_repeated_inputs_are_read_once(manifest_path, tmp_path, capsys):
+    out = tmp_path / "res"
+    main(["run", "--manifest", str(manifest_path), "--out", str(out)])
+    summary = out / "summary_sphere_d2.csv"
+    trace = out / "trace_sphere_d2_island_model_rep0.csv"
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    assert main(["stats", str(out), "--out", str(once)]) == 0
+    assert main(["stats", str(out), str(summary), str(tmp_path / "res" / ".." / "res"),
+                 "--out", str(twice)]) == 0
+    for name in ("stats_omnibus.csv", "stats_pairwise.csv", "stats_report.txt"):
+        assert (twice / name).read_bytes() == (once / name).read_bytes()
+    # a trace named twice is one repetition of the mean curve, not two
+    other = out / "trace_sphere_d2_island_model_rep1.csv"
+    assert main(["plot", str(trace), str(other), "--out", str(once)]) == 0
+    assert main(["plot", str(trace), str(other), str(out / "." / trace.name),
+                 "--out", str(twice)]) == 0
+    svg = "convergence_sphere_d2.svg"
+    assert (twice / svg).read_bytes() == (once / svg).read_bytes()
+    capsys.readouterr()
 
 
 def test_stats_rejects_bad_alpha_and_empty_dir(tmp_path, capsys):

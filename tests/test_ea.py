@@ -39,7 +39,7 @@ from trustopt import (
     validate_config,
 )
 from trustopt import ea
-from trustopt.ea import ea_step_all
+from trustopt.ea import ea_step_all, step_plan
 
 
 def _children(genes, lam, pc, pm, op=EaOperatorConfig(), seed=0):
@@ -48,8 +48,9 @@ def _children(genes, lam, pc, pm, op=EaOperatorConfig(), seed=0):
     fitness is gene 0)."""
     genes = np.array(genes, dtype=float)
     rec = RecordingObjective(genes.shape[1], linear=True)
-    ea_step_all(genes[None].copy(), genes[None, :, 0].copy(), lam, [pc], [pm], rec.spec,
-                [np.random.default_rng(seed)], op)
+    plan = step_plan(*genes.shape, lam, op, [pc], [pm])
+    ea_step_all(genes[None].copy(), genes[None, :, 0].copy(), plan, rec.spec,
+                [np.random.default_rng(seed)])
     return rec.blocks[-1]
 
 
@@ -243,7 +244,8 @@ def test_replacement_rejects_overdraw():
     spec = get_objective("sphere", 2)
     genes = np.stack([init_population(3, spec, np.random.default_rng(1)).genes])
     fitness = np.full((1, 3), np.nan)
-    ea_step_all(genes, fitness, 0, [0.5], [0.5], spec, [np.random.default_rng(2)])
+    plan = step_plan(3, 2, 0, EaOperatorConfig(), [0.5], [0.5])
+    ea_step_all(genes, fitness, plan, spec, [np.random.default_rng(2)])
     assert genes.shape == (1, 3, 2) and not np.isnan(fitness).any()
     cfg = load_preset("island_model")
     bad = replace(cfg, per_agent=(replace(cfg.per_agent[0], offspring_size=-1),))
@@ -346,19 +348,23 @@ def _societies(draw):
     )
 
 
-def _assert_batched_matches_replay(spec, s, budget=gap_budget):
-    seeds = [s["seed"] + i for i in range(s["n_agents"])]
-    streams = [np.random.default_rng(x) for x in seeds]
+def _society(s, spec):
+    """The (genes, fitness, plan, streams) of society ``s`` (see _societies)."""
+    streams = [np.random.default_rng(s["seed"] + i) for i in range(s["n_agents"])]
     genes = np.stack([init_population(s["n"], spec, g).genes for g in streams])
-    fitness = np.full(genes.shape[:2], np.nan)
+    plan = step_plan(s["n"], s["d"], s["lam"], s["op"], s["pcs"], s["pms"])
+    return genes, np.full(genes.shape[:2], np.nan), plan, streams
 
-    ref_streams = [np.random.default_rng(x) for x in seeds]
+
+def _assert_batched_matches_replay(spec, s, budget=gap_budget):
+    genes, fitness, plan, streams = _society(s, spec)
+    ref_streams = [np.random.default_rng(s["seed"] + i) for i in range(s["n_agents"])]
     ref = [[init_population(s["n"], spec, g).genes, np.full(s["n"], np.nan)]
            for g in ref_streams]
     for _ in range(s["steps"]):
         if spec.noisy:
             fitness[...] = np.nan
-        ea_step_all(genes, fitness, s["lam"], s["pcs"], s["pms"], spec, streams, s["op"])
+        ea_step_all(genes, fitness, plan, spec, streams)
         for i, rng in enumerate(ref_streams):
             if spec.noisy:
                 ref[i][1] = np.full(s["n"], np.nan)
@@ -399,7 +405,6 @@ def test_batched_step_matches_the_replay_past_the_budget(society):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ea, "_gate_budget",
                    lambda m, p: np.minimum(budget(m, p), np.where(p < 1, 1, m)))
-        mp.setattr(ea, "_step_plan", ea._step_plan.__wrapped__)
         _assert_batched_matches_replay(
             get_objective("sphere", society["d"]), society,
             lambda m, p: min(gap_budget(m, p), 1 if p < 1 else m))
@@ -411,10 +416,60 @@ def test_batched_step_zero_offspring_only_evaluates():
     genes = np.stack([init_population(4, spec, st).genes for st in streams])
     fitness = np.full((2, 4), np.nan)
     before = genes.copy()
-    ea_step_all(genes, fitness, 0, np.array([0.5, 0.5]), np.array([0.1, 0.1]),
-                spec, streams)
+    plan = step_plan(4, 3, 0, EaOperatorConfig(), np.array([0.5, 0.5]), np.array([0.1, 0.1]))
+    ea_step_all(genes, fitness, plan, spec, streams)
     assert np.array_equal(genes, before)
     assert np.array_equal(fitness, spec.evaluate(genes.reshape(-1, 3)).reshape(2, 4))
+
+
+# --- step plan --------------------------------------------------------------
+
+
+@st.composite
+def _society_pairs(draw):
+    a, b = draw(_societies()), draw(_societies())
+    if draw(st.booleans()):
+        # the same shape with other rates: only the plans tell them apart
+        b.update({k: a[k] for k in ("n_agents", "n", "lam", "d", "op")},
+                 pcs=draw(st.permutations(a["pcs"])), pms=[1.0 - x for x in a["pms"]])
+    return a, b
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(pair=_society_pairs())
+def test_interleaved_plans_match_each_society_alone(pair):
+    # each society reuses its own plan's draw block and union from step to
+    # step; stepping another society in between changes nothing
+    specs = [get_objective("sphere", s["d"]) for s in pair]
+    alone = []
+    for s, spec in zip(pair, specs):
+        genes, fitness, plan, streams = _society(s, spec)
+        for _ in range(s["steps"]):
+            ea_step_all(genes, fitness, plan, spec, streams)
+        alone.append((genes, fitness, streams))
+    both = [_society(s, spec) for s, spec in zip(pair, specs)]
+    for t in range(3):
+        for s, spec, (genes, fitness, plan, streams) in zip(pair, specs, both):
+            if t < s["steps"]:
+                ea_step_all(genes, fitness, plan, spec, streams)
+    for (genes, fitness, streams), (genes2, fitness2, _, streams2) in zip(alone, both):
+        assert np.array_equal(genes, genes2)
+        assert np.array_equal(fitness, fitness2)
+        assert [g.bit_generator.state for g in streams] == [
+            g.bit_generator.state for g in streams2]
+
+
+@pytest.mark.parametrize("case", [
+    dict(lam=0, pcs=[0.5, 0.5], pms=[0.1, 0.1], op=EaOperatorConfig()),
+    dict(lam=5, pcs=[0.3, 0.9], pms=[0.2, 0.05], op=EaOperatorConfig(crossover_scope="pair")),
+    dict(lam=4, pcs=[0.0, 0.0], pms=[0.0, 0.0], op=EaOperatorConfig()),
+    dict(lam=3, pcs=[1.0, 1.0], pms=[1.0, 1.0], op=EaOperatorConfig()),
+    dict(lam=6, pcs=[0.0, 1.0], pms=[1.0, 0.0], op=EaOperatorConfig(crossover_scope="pair")),
+], ids=["lam0", "pair", "rates0", "rates1", "rates01-pair"])
+def test_reused_plan_matches_the_replay(case):
+    # one plan over four steps, as a run uses it
+    _assert_batched_matches_replay(get_objective("rastrigin", 3),
+                                   dict(case, n_agents=2, n=4, d=3, seed=11, steps=4))
 
 
 # --- sparse gate sampler ----------------------------------------------------
@@ -423,14 +478,14 @@ def test_batched_step_zero_offspring_only_evaluates():
 def _tally_fires(n_agents, d, lam, scope, p, steps, seed=0):
     """Per-position fire counts of the crossover and mutation gates over
     ``steps`` draws of ``n_agents`` streams, all at rate ``p``."""
-    plan = ea._step_plan(2, d, lam, scope == "pair", (p,) * n_agents, (p,) * n_agents)
+    plan = step_plan(2, d, lam, EaOperatorConfig(crossover_scope=scope), [p] * n_agents,
+                     [p] * n_agents)
     streams = [np.random.default_rng([seed, i]) for i in range(n_agents)]
     counts = np.zeros((2, lam * d), dtype=np.int64)
     for _ in range(steps):
-        block = plan.block.copy()
-        for i, (rng, k) in enumerate(zip(streams, plan.draws)):
-            rng.random(out=block[i, :k])
-        row, _, pos = ea._fires(block, plan, streams)
+        for rng, view in zip(streams, plan.rows):
+            rng.random(out=view)
+        row, _, pos = ea._fires(plan, streams)
         np.add.at(counts, (row // n_agents, pos), 1)
     return counts[0, :plan.gates[0]], counts[1]
 
@@ -457,7 +512,6 @@ def test_forced_top_up_keeps_the_marginals(monkeypatch, p):
     # a one-gap budget runs out on most streams, so the top-up decides
     budget = ea._gate_budget
     monkeypatch.setattr(ea, "_gate_budget", lambda m, q: np.minimum(budget(m, q), 1))
-    monkeypatch.setattr(ea, "_step_plan", ea._step_plan.__wrapped__)
     calls = []
     top_up = ea._top_up
     monkeypatch.setattr(ea, "_top_up", lambda *a: calls.append(1) or top_up(*a))
@@ -475,8 +529,8 @@ def test_zero_rates_breed_copies_of_the_parents(scope):
     streams = [CountingStream(np.random.default_rng(s)) for s in range(3)]
     genes = np.stack([init_population(5, rec.spec, s.rng).genes for s in streams])
     fitness = np.full((3, 5), np.nan)
-    ea_step_all(genes.copy(), fitness, 7, [0.0] * 3, [0.0] * 3, rec.spec,
-                streams, EaOperatorConfig(crossover_scope=scope))
+    plan = step_plan(5, 4, 7, EaOperatorConfig(crossover_scope=scope), [0.0] * 3, [0.0] * 3)
+    ea_step_all(genes.copy(), fitness, plan, rec.spec, streams)
     children = rec.blocks[-1].reshape(3, 7, 4)
     for i in range(3):
         for child in children[i]:
@@ -494,10 +548,11 @@ def test_child_genes_match_the_dense_scheme(scope):
     rec = RecordingObjective(d, bound=5.0)
     pop = np.stack([np.full(d, -1.0), np.full(d, 1.0)])
     sparse, dense = [], []
+    plan = step_plan(2, d, lam, op, [pc] * n_agents, [pm] * n_agents)
     for seed in range(20):
         streams = [np.random.default_rng([seed, i]) for i in range(n_agents)]
         ea_step_all(np.repeat(pop[None], n_agents, axis=0), np.full((n_agents, 2), np.nan),
-                    lam, [pc] * n_agents, [pm] * n_agents, rec.spec, streams, op)
+                    plan, rec.spec, streams)
         sparse.append(rec.blocks[-1].ravel())
         ref = np.random.default_rng([seed, 10_000])
         dense += [dense_children(pop, lam, pc, pm, rec.spec, ref, op).ravel()
@@ -517,8 +572,9 @@ def test_high_dimensional_step_draws_few_uniforms():
     streams = [CountingStream(np.random.default_rng(s)) for s in range(n_agents)]
     genes = np.stack([init_population(5, spec, s.rng).genes for s in streams])
     fitness = np.full((n_agents, 5), np.nan)
+    plan = step_plan(5, d, 15, EaOperatorConfig(), rates[:, 0], rates[:, 1])
     for _ in range(5):
         for s in streams:
             s.uniforms = 0
-        ea_step_all(genes, fitness, 15, rates[:, 0], rates[:, 1], spec, streams)
+        ea_step_all(genes, fitness, plan, spec, streams)
         assert max(s.uniforms for s in streams) <= 1000

@@ -1,5 +1,7 @@
 """Result-file round trips, naming, and curve collapsing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,25 @@ def test_float_formatting_survives_round_trip(tmp_path):
     data = read_trace_csv(path)
     assert data["best"][0] == trace.best[0]
     assert data["mean"][0] == 1e-17
+
+
+def test_trace_bytes_match_per_value_formatting(tmp_path):
+    # the writer formats whole columns at once; each line must still read
+    # as the step and agent id printed as integers and best and mean as
+    # repr(float(x)), value by value
+    best = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf, 1e300,
+                     0.1 + 0.2, 2.0**53 + 2, np.nan])
+    mean = best[::-1].copy()
+    steps = np.array([0, 1, 2**31, 2**53 + 1, 2**62, 2**63 - 1, 7, 8, 9], dtype=np.int64)
+    trace = replace(_trace(), steps=steps, agent_ids=np.arange(9, dtype=np.int64) * 10**12,
+                    best=best, mean=mean)
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path)
+    lines = ["step,agent_id,best,mean"] + [
+        f"{steps[k]},{trace.agent_ids[k]},{float(best[k])!r},{float(mean[k])!r}"
+        for k in range(len(steps))]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert lines[1] == "0,0,-0.0,nan" and lines[2] == "1,1000000000000,5e-324,9007199254740994.0"
 
 
 # --- summary files ----------------------------------------------------------
