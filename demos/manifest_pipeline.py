@@ -30,22 +30,24 @@ manifest_data = {
     "overrides": {"offspring_size": 10},
 }
 
-work = Path(tempfile.mkdtemp(prefix="trustopt_demo_"))
-manifest_path = work / "demo_manifest.json"
-manifest_path.write_text(json.dumps(manifest_data, indent=2))
+# everything is written to a temporary directory, removed at the end
+with tempfile.TemporaryDirectory(prefix="trustopt_demo_") as tmp:
+    work = Path(tmp)
+    manifest_path = work / "demo_manifest.json"
+    manifest_path.write_text(json.dumps(manifest_data, indent=2))
 
-manifest = load_manifest(manifest_path)
-out = work / "results"
+    manifest = load_manifest(manifest_path)
+    out = work / "results"
 
-print(f"running {len(manifest.problems)} problems x {len(manifest.algorithms)} "
-      f"algorithms x {manifest.repetitions} repetitions ...")
-summaries = run_manifest(manifest, out)
-write_stats_reports(summaries, out, alpha=0.05)
-write_plots(sorted(out.glob("trace_*.csv")), out)
+    print(f"running {len(manifest.problems)} problems x {len(manifest.algorithms)} "
+          f"algorithms x {manifest.repetitions} repetitions ...")
+    summaries = run_manifest(manifest, out)
+    write_stats_reports(summaries, out, alpha=0.05)
+    write_plots(sorted(out.glob("trace_*.csv")), out)
 
-print(f"\neverything under {out}:")
-for p in sorted(out.iterdir()):
-    print(f"  {p.name:<56} {p.stat().st_size:>8} bytes")
+    print(f"\neverything under {out}:")
+    for p in sorted(out.iterdir()):
+        print(f"  {p.name:<56} {p.stat().st_size:>8} bytes")
 
-print("\nthe significance report:")
-print((out / "stats_report.txt").read_text())
+    print("\nthe significance report:")
+    print((out / "stats_report.txt").read_text())

@@ -12,16 +12,9 @@ pipeline and a CLI harness for batch experiments.
 from .benchmarks import (
     OBJECTIVE_NAMES,
     ObjectiveSpec,
-    expanded_schaffer,
     get_objective,
-    griewank,
-    lennard_jones,
-    rastrigin,
-    schwefel_noisy,
-    sphere,
 )
 from .config import (
-    ALGORITHMS,
     AgentTemplate,
     ConfigError,
     CredibilityConfig,
@@ -35,21 +28,16 @@ from .config import (
 from .ea import EaOperatorConfig, ea_step
 from .engine import island_model_run, run_repetitions, tbo_run
 from .harness import (
-    BASELINE_ALGORITHM,
-    ExperimentManifest,
-    ProblemCell,
     load_manifest,
     run_manifest,
     write_plots,
     write_stats_reports,
 )
-from .presets import DISPLAY_NAMES, PRESET_NAMES, load_preset, preset_json
+from .presets import PRESET_NAMES, load_preset
 from .rng import agent_stream, derive_run_seed
-from .socio import InteractionOutcome, ReputationDelta, TrustDelta, interaction_step
+from .socio import interaction_step
 from .stats import (
-    PairwiseComparison,
     SampleGroup,
-    TestReport,
     compare_groups,
     dunn_holm,
     holm_adjust,
@@ -58,9 +46,7 @@ from .stats import (
 )
 from .types import (
     AgentState,
-    ConvergenceTrace,
     CredibilityState,
-    GlobalBest,
     Population,
     ScCrossoverConfig,
     effective_rates,

@@ -30,9 +30,10 @@ resident partners and their objective noise.  Shares, thresholds and
 adoption depths are read from the populations and credibility as they
 stood at step start, so one agent's update never leaks into another
 agent's same-step decision and relabeling agents (with their streams)
-relabels the run.  Credibility deltas are summed and clamped into
+relabels the run.  Credibility changes are summed and clamped into
 ``[min_value, max_value]`` once per step, so their order does not
-matter.  The tbo exchange is :func:`~trustopt.socio.exchange_all`.
+matter.  The tbo exchange is :func:`~trustopt.socio.exchange_all`; an
+interaction log keeps the record it returns, one entry per epoch step.
 
 For noisy objectives every fitness value is cleared at the start of each
 step: values are evaluated at most once within a step and never reused
@@ -143,11 +144,10 @@ def advance_step(state: RunState) -> None:
         genes[rows, worst] = genes[others, best]
         fitness[rows, worst] = fitness[others, best]
     else:
-        outcomes = None if state.interaction_log is None else []
-        exchange_all(genes, fitness, others, state.credibility, state.intensity, state.gene_op,
-                     state.objective, streams, state.cfg.partner_policy, outcomes)
-        if outcomes is not None:
-            state.interaction_log.extend((state.t, out) for out in outcomes)
+        record = exchange_all(genes, fitness, others, state.credibility, state.intensity,
+                              state.gene_op, state.objective, streams, state.cfg.partner_policy)
+        if state.interaction_log is not None:
+            state.interaction_log.append((state.t, record))
     state.t += 1
 
 
@@ -206,8 +206,10 @@ def tbo_run(
     """Run the credibility-gated society once and return its trace.
 
     ``repetition`` selects the derived stream family; ``agent_rngs``
-    overrides stream derivation (mainly for tests); ``interaction_log``
-    collects ``(t, InteractionOutcome)`` pairs when given.
+    overrides stream derivation (mainly for tests); ``interaction_log``,
+    when given, collects one ``(t, ExchangeRecord)`` pair per epoch step:
+    the per-recipient arrays of that step's exchange
+    (:class:`~trustopt.socio.ExchangeRecord`).
     """
     return _run(_build_state(cfg, "tbo", [repetition], agent_rngs, interaction_log),
                 record_every)[0]

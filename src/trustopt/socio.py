@@ -33,14 +33,14 @@ consumes no partner draws.  Objective noise for the offspring follows, in
 offspring order.
 
 :func:`exchange_all` runs every interaction of an epoch step on the
-stacked society at once; the engine calls it.  :func:`interaction_step`
-is its one-recipient case on objects.
+stacked society at once and returns its :class:`ExchangeRecord`; the
+engine calls it.  :func:`interaction_step` is its one-recipient case on
+objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,53 +48,41 @@ from .benchmarks import ObjectiveSpec
 from .ea import _survivors
 from .types import AgentState, CredibilityState, Population, evaluate_stack
 
-__all__ = [
-    "TrustDelta",
-    "ReputationDelta",
-    "InteractionOutcome",
-    "interaction_step",
-    "exchange_all",
-]
+__all__ = ["ExchangeRecord", "interaction_step", "exchange_all"]
 
 
-@dataclass(frozen=True)
-class TrustDelta:
-    """Requested change of one trust cell (row truster, column trustee)."""
+class ExchangeRecord(NamedTuple):
+    """What one epoch exchange did, one entry per recipient (arrays from
+    :func:`exchange_all`, scalars in a :meth:`row`).
 
-    truster: int
-    trustee: int
-    delta: int
-
-
-@dataclass(frozen=True)
-class ReputationDelta:
-    """Requested change of one agent's reputation."""
-
-    agent: int
-    delta: int
-
-
-@dataclass
-class InteractionOutcome:
-    """Everything one interaction produced.
-
-    ``accepted`` is False exactly when the share failed the threshold; the
-    recipient population is then unchanged.  ``improved`` implies
-    ``accepted``.  ``credibility_deltas`` holds the raw requested changes;
-    the engine applies them (with clamping) after all interactions of the
-    step.
+    ``m`` is the share size and ``k`` the adoption depth K.  ``branch`` is
+    the outcome: +1 improved the recipient's mean, 0 accepted the share
+    without improving, -1 rejected it (the population is then unchanged);
+    ``accepted`` and ``improved`` are read off it.  The credibility change
+    follows from ``branch``, the recipient and ``sender`` (see
+    :func:`_apply_credit`).
     """
 
-    recipient: int
-    sender: int
-    accepted: bool
-    improved: bool
-    population: Population
-    credibility_deltas: tuple[Union[TrustDelta, ReputationDelta], ...]
-    mean_before: float
-    mean_after: float
-    mean_shared: float
-    threshold: float
+    sender: np.ndarray
+    m: np.ndarray
+    k: np.ndarray
+    branch: np.ndarray
+    mean_before: np.ndarray
+    mean_after: np.ndarray
+    mean_shared: np.ndarray
+    threshold: np.ndarray
+
+    @property
+    def accepted(self):
+        return self.branch >= 0
+
+    @property
+    def improved(self):
+        return self.branch > 0
+
+    def row(self, i: int) -> "ExchangeRecord":
+        """Recipient ``i``'s entry."""
+        return ExchangeRecord(*(field[i] for field in self))
 
 
 def _threshold(mean):
@@ -111,34 +99,19 @@ def _branch(mean_before, mean_after, mean_shared, threshold):
     return np.where(mean_after < mean_before, 1, np.where(mean_shared > threshold, -1, 0))
 
 
-def _credit(kind: str, recipient, sender, branch) -> list:
-    """The +-1 credibility rule as (table index, change) pairs: trust moves
-    the recipient's cell for the sender by ``branch``; reputation moves a
-    token from the recipient to the sender.  Works element-wise on index
-    and branch arrays."""
-    if kind == "trust":
-        return [((recipient, sender), branch)]
-    return [(recipient, -branch), (sender, branch)]
-
-
 def _apply_credit(table: np.ndarray, kind: str, recipient, sender, branch,
                   c_min: int, c_max: int) -> None:
-    """Sum the :func:`_credit` changes into ``table`` (repeated cells add
-    up), then clamp the table into ``[c_min, c_max]``."""
-    for index, change in _credit(kind, recipient, sender, branch):
-        np.add.at(table, index, change)
-    np.clip(table, c_min, c_max, out=table)
-
-
-def _deltas(kind: str, recipient: int, sender: int,
-            branch: int) -> tuple[Union[TrustDelta, ReputationDelta], ...]:
-    """Raw credibility changes one interaction requests (see :func:`_branch`)."""
-    if branch == 0:
-        return ()
-    changes = _credit(kind, recipient, sender, branch)
+    """The +-1 credibility rule, summed into ``table`` (repeated cells add
+    up) and clamped into ``[c_min, c_max]``: trust moves the recipient's
+    cell for the sender by ``branch``; reputation moves a token from the
+    recipient to the sender.  Works element-wise on index and branch
+    arrays."""
     if kind == "trust":
-        return tuple(TrustDelta(*index, change) for index, change in changes)
-    return tuple(ReputationDelta(index, change) for index, change in changes)
+        np.add.at(table, (recipient, sender), branch)
+    else:
+        np.add.at(table, recipient, -branch)
+        np.add.at(table, sender, branch)
+    np.clip(table, c_min, c_max, out=table)
 
 
 def interaction_step(
@@ -149,15 +122,16 @@ def interaction_step(
     objective: ObjectiveSpec,
     rng: np.random.Generator,
     partner_policy: str = "redraw",
-) -> InteractionOutcome:
+) -> ExchangeRecord:
     """One interaction for ``recipient`` (updated in place): the
-    one-recipient case of :func:`exchange_all`.
+    one-recipient case of :func:`exchange_all`, returning the recipient's
+    row of its record.
 
     ``sender_pop`` is a snapshot of the sender's population, of the
     recipient's shape, and is only read; missing fitness values of both
     are filled from ``rng``, the recipient's first.  ``cred`` supplies the
-    credibility and is not modified; the outcome carries the raw deltas
-    for the caller to apply once all interactions of the step are done.
+    credibility and is not modified; the caller applies the row's
+    ``branch`` once all interactions of the step are done.
     """
     i, j = recipient.index, int(sender_index)
     if i == j:
@@ -168,16 +142,14 @@ def interaction_step(
     pair = [i, j]
     table = cred.trust[np.ix_(pair, pair)] if cred.kind == "trust" else cred.reputation[pair]
     config = recipient.crossover_config
-    outcomes: list = []
     # the sender's mirrored exchange runs on a scratch stream and is dropped
-    exchange_all(genes, fitness, np.array([1, 0]),
-                 CredibilityState(cred.kind, cred.min_value, cred.max_value, **{cred.kind: table}),
-                 np.array([config.genome_intensity] * 2), np.array([config.gene_op] * 2),
-                 objective, [rng, np.random.default_rng(0)], partner_policy, outcomes)
-    out = outcomes[0]
-    recipient.population = out.population
-    b = int(_branch(out.mean_before, out.mean_after, out.mean_shared, out.threshold))
-    return replace(out, recipient=i, sender=j, credibility_deltas=_deltas(cred.kind, i, j, b))
+    record = exchange_all(
+        genes, fitness, np.array([1, 0]),
+        CredibilityState(cred.kind, cred.min_value, cred.max_value, **{cred.kind: table}),
+        np.array([config.genome_intensity] * 2), np.array([config.gene_op] * 2),
+        objective, [rng, np.random.default_rng(0)], partner_policy)
+    recipient.population = Population(genes[0], fitness[0])
+    return record.row(0)._replace(sender=j)
 
 
 def exchange_all(
@@ -190,18 +162,16 @@ def exchange_all(
     objective: ObjectiveSpec,
     streams: Sequence[np.random.Generator],
     partner_policy: str = "redraw",
-    outcomes: Optional[list] = None,
-) -> None:
+) -> ExchangeRecord:
     """Every interaction of one epoch step on the stacked society, in place.
 
     ``genes`` is the (N, n, D) stack, ``fitness`` the evaluated (N, n)
     cache; agent ``i`` receives from ``senders[i]`` with the crossover
     config ``intensity[i]``/``gene_op[i]``.  Shares, thresholds and depths
-    come from the step-start state; the raw credibility deltas are summed
+    come from the step-start state; the credibility changes are summed
     into ``cred`` and clamped once.  Each agent draws its partners, then
     its offspring noise, from its own stream (see the module's draw
-    discipline).  When ``outcomes`` is a list, every agent's
-    :class:`InteractionOutcome` is appended to it.
+    discipline).  Returns the per-recipient record of the step.
     """
     n_agents, n, d = genes.shape
     rows = np.arange(n_agents)
@@ -263,16 +233,7 @@ def exchange_all(
     branch = _branch(mean_before, mean_after, mean_shared, threshold)
     _apply_credit(cred.trust if cred.kind == "trust" else cred.reputation, cred.kind,
                   rows, senders, branch, cred.min_value, cred.max_value)
-    if outcomes is None:
-        return
-    for i, (j, b) in enumerate(zip(senders.tolist(), branch.tolist())):
-        outcomes.append(InteractionOutcome(
-            recipient=i, sender=j, accepted=bool(accepted[i]), improved=b > 0,
-            population=Population(genes[i].copy(), fitness[i].copy()),
-            credibility_deltas=_deltas(cred.kind, i, j, b), mean_before=float(mean_before[i]),
-            mean_after=float(mean_after[i]), mean_shared=float(mean_shared[i]),
-            threshold=float(threshold[i]),
-        ))
+    return ExchangeRecord(senders, m, k, branch, mean_before, mean_after, mean_shared, threshold)
 
 
 def _draw_partners(rng: np.random.Generator, n: int, m: int, k: int, weak: bool,

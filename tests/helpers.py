@@ -12,10 +12,11 @@ dense scheme the sparse gate sampling replaced, as a distributional
 reference.  :func:`replay_exchange` replays one epoch exchange of a whole
 society the same way, following ``trustopt.socio``, with its own share
 selection, threshold, divergence ranking, adoption, survivors, outcome
-branch and credit table; ``exchange_all`` and ``interaction_step`` are
-checked against it.  :func:`stepwise_run` is the reference the stacked
-engine is checked against: it advances the society agent by agent on
-``AgentState`` objects with the two replays.  :func:`lennard_jones_reference`
+branch and credit table, and builds the same ``ExchangeRecord``;
+``exchange_all`` and ``interaction_step`` are checked against it.
+:func:`stepwise_run` is the reference the stacked engine is checked
+against: it advances the society agent by agent on ``AgentState`` objects
+with the two replays.  :func:`lennard_jones_reference`
 evaluates one Lennard-Jones genome with plain float loops in the kernel's
 summation order.
 """
@@ -31,18 +32,15 @@ from trustopt import (
     AgentState,
     CredibilityState,
     EaOperatorConfig,
-    InteractionOutcome,
     ObjectiveSpec,
     Population,
-    ReputationDelta,
     ScCrossoverConfig,
-    TrustDelta,
     agent_stream,
     effective_rates,
     get_objective,
     init_population,
 )
-from trustopt.socio import _apply_credit, _branch, exchange_all
+from trustopt.socio import ExchangeRecord, _apply_credit, _branch, exchange_all
 
 
 def linear_objective(dimension: int = 2, bound: float = 1e6) -> ObjectiveSpec:
@@ -345,12 +343,13 @@ def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, str
     are summed per cell and clamped once.
 
     ``fitness`` must be evaluated.  Returns the new ``(genes, fitness)``
-    stacks, the new :class:`CredibilityState` and one
-    :class:`InteractionOutcome` per agent; the inputs are untouched.
+    stacks, the new :class:`CredibilityState`, the step's
+    :class:`ExchangeRecord` and each agent's own accept verdict; the inputs
+    are untouched.
     """
     trust = cred.kind == "trust"
     n, d = len(genes[0]), len(genes[0][0])
-    new_genes, new_fit, outcomes, credit = [], [], [], {}
+    new_genes, new_fit, rows, verdicts, credit = [], [], [], [], {}
     for i, j in enumerate(int(s) for s in senders):
         rng = streams[i]
         own, own_fit = [np.array(g, dtype=float) for g in genes[i]], [float(f) for f in fitness[i]]
@@ -388,23 +387,26 @@ def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, str
         # trust: the recipient's cell for the sender; reputation: a token
         # from the recipient to the sender
         changes = ([((i, j), branch)] if trust else [(i, -branch), (j, branch)]) if branch else []
-        deltas = tuple(TrustDelta(*cell, change) if trust else ReputationDelta(cell, change)
-                       for cell, change in changes)
         for cell, change in changes:
             credit[cell] = credit.get(cell, 0) + change
         new_genes.append(np.array(own))
         new_fit.append(np.array(own_fit))
-        outcomes.append(InteractionOutcome(
-            recipient=i, sender=j, accepted=accepted, improved=branch > 0,
-            population=Population(new_genes[-1].copy(), new_fit[-1].copy()),
-            credibility_deltas=deltas, mean_before=mean_before, mean_after=mean_after,
-            mean_shared=mean_shared, threshold=threshold))
+        rows.append((j, m, k, branch, mean_before, mean_after, mean_shared, threshold))
+        verdicts.append(accepted)
     table = (cred.trust if trust else cred.reputation).copy()
     for cell, total in credit.items():
         table[cell] = min(cred.max_value, max(cred.min_value, int(table[cell]) + total))
     return (np.array(new_genes), np.array(new_fit),
             CredibilityState(cred.kind, cred.min_value, cred.max_value, **{cred.kind: table}),
-            outcomes)
+            ExchangeRecord(*(np.array(field) for field in zip(*rows))), verdicts)
+
+
+def assert_records_equal(record, ref, ref_accepted):
+    """Every field of an exchange record (or row) equals the replay's, and
+    its accept verdict, ``branch >= 0``, equals the replay's own."""
+    for name in ExchangeRecord._fields:
+        assert np.array_equal(getattr(record, name), getattr(ref, name)), name
+    assert np.array_equal(record.branch >= 0, ref_accepted)
 
 
 def credit_after(kind, values, mean_before, mean_after, mean_shared, threshold,
@@ -422,11 +424,12 @@ def credit_after(kind, values, mean_before, mean_after, mean_shared, threshold,
 
 @dataclass
 class PairExchange:
-    """What :func:`exchange_pair` saw: agent 0's outcome, the offspring
-    blocks evaluated in recipient order (agent 0's first whenever its share
-    is accepted) and the society's genes after the step."""
+    """What :func:`exchange_pair` saw: agent 0's row of the exchange
+    record, the offspring blocks evaluated in recipient order (agent 0's
+    first whenever its share is accepted) and the society's genes after the
+    step."""
 
-    outcome: InteractionOutcome
+    record: ExchangeRecord
     blocks: list
     genes: np.ndarray
 
@@ -444,24 +447,28 @@ def exchange_pair(recipient, sender, share=50, depth=50, intensity="weak", gene_
     rec = RecordingObjective(genes.shape[2], bound=1e6, linear=True)
     cred = CredibilityState.initial("trust", 2, 1, 1, 50)
     cred.trust[1, 0], cred.trust[0, 1] = share, depth
-    outcomes = []
-    exchange_all(genes, genes[..., 0].copy(), np.array([1, 0]), cred, np.array([intensity] * 2),
-                 np.array([gene_op] * 2), rec.spec,
-                 [np.random.default_rng(0) if rng is None else rng, np.random.default_rng(1)],
-                 partner_policy, outcomes)
-    return PairExchange(outcomes[0], rec.blocks, genes)
+    record = exchange_all(
+        genes, genes[..., 0].copy(), np.array([1, 0]), cred, np.array([intensity] * 2),
+        np.array([gene_op] * 2), rec.spec,
+        [np.random.default_rng(0) if rng is None else rng, np.random.default_rng(1)],
+        partner_policy)
+    return PairExchange(record.row(0), rec.blocks, genes)
 
 
 @dataclass
 class StepwiseRun:
     """What the agent-by-agent reference loop saw: per-step agent bests and
-    means (rows are steps), the global best and the final credibility."""
+    means (rows are steps), the global best, the final society and
+    credibility, and one ``(t, ExchangeRecord, accepted)`` entry per tbo
+    epoch step, ``accepted`` being the replay's own verdicts."""
 
     best: np.ndarray
     mean: np.ndarray
     best_step: int
     best_genes: np.ndarray
     best_fitness: float
+    genes: np.ndarray
+    fitness: np.ndarray
     credibility: CredibilityState
     log: list
 
@@ -516,14 +523,14 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> S
                                                         objective, streams[a.index])
             senders = [_draw_other(streams[a.index], a.index, n_agents) for a in agents]
             if algorithm == "tbo":
-                genes, fitness, cred, outcomes = replay_exchange(
+                genes, fitness, cred, record, accepted = replay_exchange(
                     [a.population.genes for a in agents], [a.population.fitness for a in agents],
                     senders, cred, [a.crossover_config.genome_intensity for a in agents],
                     [a.crossover_config.gene_op for a in agents], objective, streams,
                     cfg.partner_policy)
                 for a, g, f in zip(agents, genes, fitness):
                     a.population = Population(g, f)
-                log += [(t, out) for out in outcomes]
+                log.append((t, record, accepted))
             else:
                 snapshot = [a.population.copy() for a in agents]
                 for a, src in zip(agents, senders):
@@ -539,4 +546,6 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> S
                 best_genes = a.population.genes[int(f.argmin())].copy()
         bests.append([a.population.fitness.min() for a in agents])
         means.append([a.population.fitness.mean() for a in agents])
-    return StepwiseRun(np.array(bests), np.array(means), best_step, best_genes, best_fit, cred, log)
+    return StepwiseRun(np.array(bests), np.array(means), best_step, best_genes, best_fit,
+                       np.array([a.population.genes for a in agents]),
+                       np.array([a.population.fitness for a in agents]), cred, log)

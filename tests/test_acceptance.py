@@ -152,7 +152,7 @@ def test_share_rejection_sign_cases():
         recipient = genomes_with_values([recipient_mean, recipient_mean])
         ex = exchange_pair(recipient, genomes_with_values([shared_mean, shared_mean]),
                            share=2, depth=1)
-        return recipient, ex, ex.outcome.accepted
+        return recipient, ex, ex.record.accepted
 
     # positive recipient mean: cutoff at twice the mean
     recipient, ex, accepted = run_case(10.0, 30.0)

@@ -100,9 +100,9 @@ def test_init_population_rejects_zero_size():
 def test_mean_fitness_values():
     # an exchange reports its recipient's mean fitness before the step
     sender = genomes_with_values([0.0])
-    assert exchange_pair(genomes_with_values([4.0]), sender).outcome.mean_before == 4.0
+    assert exchange_pair(genomes_with_values([4.0]), sender).record.mean_before == 4.0
     sender = genomes_with_values([0.0, 0.0])
-    assert exchange_pair(genomes_with_values([2.0, 6.0]), sender).outcome.mean_before == 4.0
+    assert exchange_pair(genomes_with_values([2.0, 6.0]), sender).record.mean_before == 4.0
 
 
 def test_mean_fitness_matches_oracle(rng):

@@ -7,7 +7,8 @@ from dataclasses import replace
 import helpers
 import numpy as np
 import pytest
-from helpers import plateau_objective, replay_ea_step, stepwise_run, twin_rngs
+from helpers import (assert_records_equal, plateau_objective, replay_ea_step, stepwise_run,
+                     twin_rngs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from trustopt import (
     AgentTemplate,
     ConfigError,
     CredibilityConfig,
+    CredibilityState,
     EaOperatorConfig,
     TboConfig,
     effective_rates,
@@ -28,6 +30,7 @@ from trustopt import (
     validate_config,
 )
 from trustopt.engine import _build_state, _run, advance_step
+from trustopt.socio import _apply_credit
 
 
 def _cfg(**kw):
@@ -79,11 +82,10 @@ def test_dispatch_runs_interaction_on_epoch():
     state = _build_state(_cfg(), "tbo", [0], None, log)
     state.t = 5
     advance_step(state)
-    out = log[0][1]
-    assert out is not None
-    assert out.recipient == 0
-    assert out.sender in (1, 2)
-    assert [t for t, _ in log] == [5, 5, 5]
+    record = log[0][1]
+    assert len(record.sender) == 3  # one entry per recipient
+    assert record.sender[0] in (1, 2)
+    assert [t for t, _ in log] == [5]
     assert state.t == 6
 
 
@@ -316,16 +318,12 @@ def test_fast_path_matches_stepwise_object_path(objective, algorithm, data):
         return
     assert np.array_equal(state.credibility.trust, ref.credibility.trust)
     assert np.array_equal(state.credibility.reputation, ref.credibility.reputation)
+    assert np.array_equal(state.genes, ref.genes)
+    assert np.array_equal(state.fitness, ref.fitness)
     assert len(log) == len(ref.log)
-    for (t, out), (rt, rout) in zip(log, ref.log):
+    for (t, record), (rt, ref_record, ref_accepted) in zip(log, ref.log):
         assert t == rt
-        assert (out.recipient, out.sender, out.accepted, out.improved) == (
-            rout.recipient, rout.sender, rout.accepted, rout.improved)
-        assert out.credibility_deltas == rout.credibility_deltas
-        assert (out.mean_before, out.mean_after, out.mean_shared, out.threshold) == (
-            rout.mean_before, rout.mean_after, rout.mean_shared, rout.threshold)
-        assert np.array_equal(out.population.genes, rout.population.genes)
-        assert np.array_equal(out.population.fitness, rout.population.fitness)
+        assert_records_equal(record, ref_record, ref_accepted)
 
 
 _PARAM_VALUES = st.one_of(
@@ -475,16 +473,43 @@ def test_interaction_log_sees_every_epoch():
     cfg = _cfg(epoch_length=3, max_steps=9)
     log = []
     tbo_run(cfg, interaction_log=log)
-    times = [t for t, _ in log]
-    assert times == [3, 3, 3, 6, 6, 6, 9, 9, 9]
-    for t, out in log:
-        assert out.recipient != out.sender
-        assert out.mean_before >= 0  # sphere fitness
+    assert [t for t, _ in log] == [3, 6, 9]
+    for t, record in log:
+        assert np.all(record.sender != np.arange(3))
+        assert np.all(record.mean_before >= 0)  # sphere fitness
+
+
+@pytest.mark.parametrize("kind", ["trust", "reputation"])
+def test_interaction_log_explains_the_credibility_state(kind, monkeypatch):
+    # after every epoch step, the start table plus the logged credit so
+    # far, clamped per step, is the run's table
+    c = CredibilityConfig(kind, 3, 1, 5)
+    cfg = _cfg(agent_count=4, epoch_length=2, max_steps=60, credibility=c)
+    log = []
+    state = _build_state(cfg, "tbo", [0], None, log)
+    table = getattr(CredibilityState.initial(kind, 4, c.start_value, c.min_value, c.max_value),
+                    kind)
+    loose = table.copy()
+
+    def checked_step(s):
+        advance_step(s)
+        _, record = log[-1]
+        for target, lo, hi in ((table, c.min_value, c.max_value), (loose, -99, 99)):
+            _apply_credit(target, kind, np.arange(4), record.sender, record.branch, lo, hi)
+        run_table = getattr(s.credibility, kind)
+        assert table.dtype == run_table.dtype
+        assert table.tobytes() == run_table.tobytes()
+
+    monkeypatch.setattr(engine, "advance_step", checked_step)
+    _run(state, 1)
+    assert len(log) == 30
+    # the run hit both bounds, so the per-step clamp mattered
+    assert loose.min() < c.min_value and loose.max() > c.max_value
 
 
 def test_first_step_zero_starts_with_an_exchange():
     cfg = _cfg(first_step=0, epoch_length=5, max_steps=3)
     log = []
     trace = tbo_run(cfg, interaction_log=log)
-    assert [t for t, _ in log] == [0, 0, 0]
+    assert [t for t, _ in log] == [0]
     assert sorted(set(trace.steps.tolist())) == [0, 1, 2]

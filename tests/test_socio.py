@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from helpers import (
     adopt_genes,
+    assert_records_equal,
     credit_after,
     evaluate_missing,
     exchange_pair,
@@ -34,16 +35,14 @@ from trustopt import (
     CredibilityConfig,
     CredibilityState,
     Population,
-    ReputationDelta,
     ScCrossoverConfig,
     TboConfig,
-    TrustDelta,
     get_objective,
     init_population,
     interaction_step,
     validate_config,
 )
-from trustopt.socio import _adopt, _branch, _threshold, exchange_all
+from trustopt.socio import _adopt, _apply_credit, _branch, _threshold, exchange_all
 
 SPEC2 = linear_objective(2)
 
@@ -73,7 +72,7 @@ def _cfg(**kw):
 def test_select_shared_whole_population_when_credibility_large():
     sender = genomes_with_values([3.0, 1.0, 7.0, 5.0])
     ex = exchange_pair(_rich(4), sender, share=50)
-    assert ex.outcome.mean_shared == 4.0
+    assert ex.record.mean_shared == 4.0
     assert sorted(ex.blocks[0][:, 0]) == [1.0, 3.0, 5.0, 7.0]
 
 
@@ -81,10 +80,10 @@ def test_select_shared_picks_worst_members():
     sender = genomes_with_values([3.0, 1.0, 7.0, 5.0])
     one = exchange_pair(_rich(4), sender, share=1)
     assert list(one.blocks[0][:, 0]) == [7.0]
-    assert one.outcome.mean_shared == 7.0
+    assert one.record.mean_shared == 7.0
     two = exchange_pair(_rich(4), sender, share=2)
     assert list(two.blocks[0][:, 0]) == [7.0, 5.0]
-    assert two.outcome.mean_shared == 6.0
+    assert two.record.mean_shared == 6.0
 
 
 def test_select_shared_breaks_ties_by_insertion_order():
@@ -97,7 +96,7 @@ def test_select_shared_returns_copies():
     # the recipient adopts from copies: the sender's population is only read
     sender = genomes_with_values([2.0, 8.0])
     ex = exchange_pair(_rich(2), sender, share=1)
-    assert ex.outcome.accepted
+    assert ex.record.accepted
     assert list(ex.blocks[0][:, 0]) == [8.0]
     # agent 1's own share (agent 0's members, mean 1000) fails its
     # threshold of 10, so nothing but its recipient read its members
@@ -130,7 +129,7 @@ def test_select_shared_rejects_bad_inputs():
 def test_acceptance_threshold_cases(mean, expected):
     assert _threshold(np.float64(mean)) == expected
     ex = exchange_pair(genomes_with_values([mean]), genomes_with_values([-100.0]))
-    assert ex.outcome.threshold == expected
+    assert ex.record.threshold == expected
 
 
 # --- divergence and adoption ------------------------------------------------
@@ -194,7 +193,7 @@ def test_phi_leaves_inputs_untouched():
     recipient = genomes_with_values([1.0, 1.0])
     ex = exchange_pair(recipient, genomes_with_values([1.5, 1.5]), share=2, depth=1,
                        gene_op="average")
-    assert ex.outcome.accepted
+    assert ex.record.accepted
     assert len(ex.blocks[0]) == 2
     assert np.array_equal(ex.genes[0], recipient)
 
@@ -335,22 +334,22 @@ def _variation_case(recipient_means, shared_mean, rng=None):
 def test_sc_variation_rejects_unfit_share():
     recipient = genomes_with_values([10.0, 10.0])
     ex = _variation_case([10.0, 10.0], 30.0)
-    assert not ex.outcome.accepted
+    assert not ex.record.accepted
     assert np.array_equal(ex.genes[0], recipient)
 
 
 def test_sc_variation_accepts_fit_share():
-    assert _variation_case([10.0, 10.0], 5.0).outcome.accepted
+    assert _variation_case([10.0, 10.0], 5.0).record.accepted
 
 
 def test_sc_variation_negative_means_accept():
     # threshold collapses to zero for non-positive recipient means
-    assert _variation_case([-100.0, -100.0], -1.0).outcome.accepted
+    assert _variation_case([-100.0, -100.0], -1.0).record.accepted
 
 
 def test_sc_variation_zero_mean_boundary():
-    assert not _variation_case([0.0, 0.0], 1e-9).outcome.accepted
-    assert _variation_case([0.0, 0.0], 0.0).outcome.accepted
+    assert not _variation_case([0.0, 0.0], 1e-9).record.accepted
+    assert _variation_case([0.0, 0.0], 0.0).record.accepted
 
 
 def test_sc_variation_rejection_consumes_no_draws():
@@ -358,7 +357,7 @@ def test_sc_variation_rejection_consumes_no_draws():
     before = rng.bit_generator.state
     ex = exchange_pair(genomes_with_values([10.0, 10.0]), genomes_with_values([30.0, 0.0]),
                        share=1, depth=2, intensity="moderate", rng=rng)
-    assert not ex.outcome.accepted
+    assert not ex.record.accepted
     assert rng.bit_generator.state == before
 
 
@@ -371,8 +370,8 @@ def test_sc_variation_merges_with_elitism(rng):
     before_best = float(np.min(spec.evaluate(agent.population.genes)))
     out = interaction_step(agent, donor, 1, cred, spec, rng)
     if out.accepted:
-        assert out.population.size == 4
-        assert out.population.fitness.min() <= before_best
+        assert agent.population.size == 4
+        assert agent.population.fitness.min() <= before_best
 
 
 # --- credibility updates ----------------------------------------------------
@@ -423,6 +422,18 @@ def _trust_state(n=3, start=10):
     return CredibilityState.initial("trust", n, start, 1, 50)
 
 
+def _credit(cred, recipient, out):
+    """The change a row's ``branch`` makes to ``cred``'s table, as
+    ``{cell: change}``; ``cred`` itself is left alone."""
+    before = cred.trust if cred.kind == "trust" else cred.reputation
+    after = before.copy()
+    _apply_credit(after, cred.kind, recipient, out.sender, out.branch, cred.min_value,
+                  cred.max_value)
+    diff = after - before
+    return {tuple(c) if len(c) > 1 else c[0]: int(diff[tuple(c)])
+            for c in np.argwhere(diff).tolist()}
+
+
 def test_interaction_rejected_share_is_noop_with_trust_penalty():
     recipient = make_agent(population_with_values([10.0, 10.0], 2), index=0,
                            intensity="moderate")
@@ -434,7 +445,8 @@ def test_interaction_rejected_share_is_noop_with_trust_penalty():
     assert not out.accepted
     assert not out.improved
     assert np.array_equal(recipient.population.genes, before)
-    assert out.credibility_deltas == (TrustDelta(0, 1, -1),)
+    assert out.branch == -1
+    assert _credit(cred, 0, out) == {(0, 1): -1}
     # the caller owns the state; nothing is applied in place
     assert np.all(cred.trust == 10)
 
@@ -443,12 +455,13 @@ def test_interaction_improvement_raises_sender_standing():
     recipient = make_agent(population_with_values([10.0, 12.0], 2), index=2,
                            intensity="weak")
     sender_pop = population_with_values([1.0, 2.0], 2)
-    out = interaction_step(recipient, sender_pop, 0, _trust_state(), SPEC2,
-                           np.random.default_rng(4))
+    cred = _trust_state()
+    out = interaction_step(recipient, sender_pop, 0, cred, SPEC2, np.random.default_rng(4))
     assert out.accepted
     assert out.improved
     assert out.mean_after < out.mean_before
-    assert out.credibility_deltas == (TrustDelta(2, 0, 1),)
+    assert out.branch == 1
+    assert _credit(cred, 2, out) == {(2, 0): 1}
 
 
 def test_interaction_reputation_moves_tokens():
@@ -459,20 +472,22 @@ def test_interaction_reputation_moves_tokens():
     out = interaction_step(recipient, sender_pop, 2, cred, SPEC2,
                            np.random.default_rng(4))
     assert out.improved
-    assert out.credibility_deltas == (ReputationDelta(1, -1), ReputationDelta(2, 1))
+    assert out.branch == 1
+    assert _credit(cred, 1, out) == {1: -1, 2: 1}
 
 
 def test_interaction_neutral_outcome_changes_nothing():
     # the share passes the threshold but every offspring loses to the
-    # residents, so the mean is unchanged and no delta is requested
+    # residents, so the mean is unchanged and no credit is given
     recipient = make_agent(population_with_values([1.0, 1.0], 2), index=0,
                            intensity="weak")
     sender_pop = population_with_values([1.5, 1.5], 2)
-    out = interaction_step(recipient, sender_pop, 1, _trust_state(), SPEC2,
-                           np.random.default_rng(5))
+    cred = _trust_state()
+    out = interaction_step(recipient, sender_pop, 1, cred, SPEC2, np.random.default_rng(5))
     assert out.accepted
     assert not out.improved
-    assert out.credibility_deltas == ()
+    assert out.branch == 0
+    assert _credit(cred, 0, out) == {}
 
 
 def test_interaction_rejects_self():
@@ -509,10 +524,10 @@ def test_interaction_matches_hand_stepped_composition():
     # replay: share the 2 worst, gate by threshold, depth-2 adoption, merge
     genes = np.stack([recipient_pop.genes, sender_pop.genes])
     fitness = spec.base(genes)
-    ref_genes, ref_fit, _, ref = replay_exchange(
+    ref_genes, ref_fit, _, _, ref_accepted = replay_exchange(
         genes, fitness, [1, 0], cred, ["moderate"] * 2, ["swap"] * 2, spec,
         [r2, np.random.default_rng(0)])
-    assert ref[0].accepted == out.accepted
+    assert ref_accepted[0] == out.accepted
     assert np.array_equal(agent.population.genes, ref_genes[0])
     assert np.array_equal(agent.population.fitness, ref_fit[0])
     assert r1.bit_generator.state == r2.bit_generator.state
@@ -564,36 +579,24 @@ def _society(s):
     return spec, genes, fitness.reshape(s["n_agents"], s["n"]), cred, senders
 
 
-def _assert_outcomes_equal(out, ref):
-    assert (out.recipient, out.sender, out.accepted, out.improved) == (
-        ref.recipient, ref.sender, ref.accepted, ref.improved)
-    assert out.credibility_deltas == ref.credibility_deltas
-    assert (out.mean_before, out.mean_after, out.mean_shared, out.threshold) == (
-        ref.mean_before, ref.mean_after, ref.mean_shared, ref.threshold)
-    assert np.array_equal(out.population.genes, ref.population.genes)
-    assert np.array_equal(out.population.fitness, ref.population.fitness)
-
-
 @settings(max_examples=300, deadline=None, database=None)
 @given(s=_societies())
 def test_exchange_all_matches_the_replay(s):
     spec, genes, fitness, cred, senders = _society(s)
     seeds = [s["seed"] + i for i in range(s["n_agents"])]
     ref_streams = [np.random.default_rng(x) for x in seeds]
-    ref_genes, ref_fit, ref_cred, ref_out = replay_exchange(
+    ref_genes, ref_fit, ref_cred, ref, ref_accepted = replay_exchange(
         genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec, ref_streams,
         s["policy"])
 
     streams = [np.random.default_rng(x) for x in seeds]
-    outcomes = []
-    exchange_all(genes, fitness, senders, cred, np.array(s["intensity"]),
-                 np.array(s["gene_op"]), spec, streams, s["policy"], outcomes)
+    record = exchange_all(genes, fitness, senders, cred, np.array(s["intensity"]),
+                          np.array(s["gene_op"]), spec, streams, s["policy"])
     assert np.array_equal(genes, ref_genes)
     assert np.array_equal(fitness, ref_fit)
     table = cred.trust if cred.kind == "trust" else cred.reputation
     assert np.array_equal(table, ref_cred.trust if cred.kind == "trust" else ref_cred.reputation)
-    for out, ref in zip(outcomes, ref_out, strict=True):
-        _assert_outcomes_equal(out, ref)
+    assert_records_equal(record, ref, ref_accepted)
     for a, b in zip(streams, ref_streams):
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -620,8 +623,9 @@ def test_interaction_step_matches_the_replay(s, data):
     # the other agents' exchanges run on throwaway streams and are ignored
     streams = [np.random.default_rng(0) for _ in range(s["n_agents"])]
     streams[i] = r2
-    _, _, _, ref = replay_exchange(genes, fitness, senders, cred, s["intensity"],
-                                   s["gene_op"], spec, streams, s["policy"])
-    _assert_outcomes_equal(out, ref[i])
-    assert np.array_equal(agent.population.genes, ref[i].population.genes)
+    ref_genes, ref_fit, _, ref, ref_accepted = replay_exchange(
+        genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec, streams, s["policy"])
+    assert_records_equal(out, ref.row(i), ref_accepted[i])
+    assert np.array_equal(agent.population.genes, ref_genes[i])
+    assert np.array_equal(agent.population.fitness, ref_fit[i])
     assert r1.bit_generator.state == r2.bit_generator.state
