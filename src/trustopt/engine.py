@@ -13,14 +13,28 @@ population and offspring sizes (``validate_config`` rejects templates that
 differ in either).  Each step is one batched pass over all agents:
 :func:`~trustopt.ea.ea_step_all` off-epoch, :func:`advance_step` on epoch.
 
-:func:`run_repetitions` stacks the ``R`` repetitions of a cell into one
+A cell (one config and algorithm) stacks its ``R`` repetitions into one
 ``(R*N, n, D)`` society, repetition by repetition, and splits the result
-into ``R`` traces; :func:`tbo_run` and :func:`island_model_run` are its
-``R = 1`` case.  Agent ``i`` of repetition ``r`` keeps its own stream
+into ``R`` traces.  Agent ``i`` of repetition ``r`` keeps its own stream
 ``agent_stream(seed, r, i)``, exchange partners are drawn inside the
 repetition's block, credibility is read only within a block and each
 repetition keeps its own global best, so stacking couples nothing: every
 repetition runs exactly as it would alone.
+
+:func:`run_cells` runs several cells in lockstep, one global step at a
+time; it is the one run loop, and :func:`run_repetitions`,
+:func:`tbo_run` and :func:`island_model_run` are its one-cell case.  The
+cells' genes and fitness live in one stacked array, and each cell keeps a
+view of its rows.  A step that is no cell's epoch step is one
+:func:`~trustopt.ea.ea_step_all` over the whole group with one group plan;
+on any other step each cell steps alone, :func:`advance_step` on its
+epoch and an EA step with its own plan off it.  Cells may differ in
+algorithm, agent count, repetitions, epoch length, rates and seed, but
+must share population and offspring size, the EA operator constants,
+``first_step``, ``max_steps`` and the objective binding.  Since each agent
+draws only from its own stream, every operator works row by row and an
+objective gives a row the same bytes in any block, a cell gives the same
+bytes in a group as alone.
 
 On an epoch step each agent draws from its own stream, in this order:
 noise for re-evaluating its population (noisy objectives only), its
@@ -59,14 +73,16 @@ from .types import (ConvergenceTrace, CredibilityState, GlobalBest, effective_ra
 # ea_step and interaction_step are unused here: the benchmark tracer
 # (perfbench/tracer.py) looks both up on this module by name.
 
-__all__ = ["tbo_run", "island_model_run", "run_repetitions"]
+__all__ = ["tbo_run", "island_model_run", "run_repetitions", "run_cells"]
 
 
 @dataclass
 class RunState:
     """The stacked society of one run between global steps: ``R``
     repetitions of a cell (``repetitions`` holds their indices) of ``N``
-    agents each, one repetition after another along the first axis."""
+    agents each, one repetition after another along the first axis.  In a
+    lockstep group, ``genes`` and ``fitness`` are views of the group's
+    arrays."""
 
     cfg: TboConfig
     algorithm: str
@@ -151,48 +167,92 @@ def advance_step(state: RunState) -> None:
     state.t += 1
 
 
-def _run(state: RunState, record_every: int) -> list[ConvergenceTrace]:
-    """Advance a freshly built state through ``max_steps`` global steps;
-    returns one trace per repetition."""
+def _shared(state: RunState) -> dict:
+    """What every cell of a lockstep group must share."""
+    c = state.cfg
+    return {"population size": state.genes.shape[1], "offspring size": state.plan.lam,
+            "EA operator constants": state.plan.op, "first_step": c.first_step,
+            "max_steps": c.max_steps,
+            "objective binding": (c.objective, c.dimension, c.objective_params)}
+
+
+def _lockstep(states: list[RunState], record_every: int) -> list[list[ConvergenceTrace]]:
+    """Advance freshly built states in lockstep through ``max_steps``
+    global steps (see the module docstring); returns each state's traces,
+    one per repetition."""
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    cfg = state.cfg
-    genes, fit = state.genes, state.fitness
-    first, last = cfg.first_step, cfg.first_step + cfg.max_steps - 1
-    n_reps, n_agents = len(state.repetitions), cfg.agent_count
-    reps = np.arange(n_reps)
+    shared = _shared(states[0])
+    for s in states[1:]:
+        if bad := [k for k, v in _shared(s).items() if v != shared[k]]:
+            raise ValueError(f"cells of one group differ in {', '.join(bad)}")
+    objective = states[0].objective
+    n, d = states[0].genes.shape[1:]
+
+    bounds = np.cumsum([0] + [len(s.streams) for s in states])
+    genes = np.concatenate([s.genes for s in states])
+    fit = np.concatenate([s.fitness for s in states])
+    for s, a, b in zip(states, bounds, bounds[1:]):
+        s.genes, s.fitness = genes[a:b], fit[a:b]
+    streams = [rng for s in states for rng in s.streams]
+    plan = states[0].plan if len(states) == 1 else step_plan(
+        n, d, shared["offspring size"], shared["EA operator constants"],
+        *np.concatenate([s.plan.p.reshape(2, -1) for s in states], axis=1))
+
+    # every repetition of the group: its first member in the flat fitness
+    starts = np.concatenate([a + s.cfg.agent_count * np.arange(len(s.repetitions))
+                             for s, a in zip(states, bounds)]) * n
+    rep_end = np.append(starts[1:], fit.size)
+    flat_fit, flat_genes = fit.reshape(-1), genes.reshape(-1, d)
+    first = shared["first_step"]
+    last = first + shared["max_steps"] - 1
     recorded, bests, means = [], [], []
+    n_reps = len(starts)
     best_fit, best_genes, best_step = np.full(n_reps, np.inf), [None] * n_reps, [-1] * n_reps
 
     for t in range(first, last + 1):
-        if state.t % cfg.epoch_length == 0:
-            advance_step(state)
+        epoch = [s.t % s.cfg.epoch_length == 0 for s in states]
+        if any(epoch):
+            for s, on in zip(states, epoch):
+                if on:
+                    advance_step(s)
+                    continue
+                if objective.noisy:
+                    s.fitness.fill(np.nan)
+                ea_step_all(s.genes, s.fitness, s.plan, s.objective, s.streams)
+                s.t += 1
         else:
-            if state.objective.noisy:
+            if objective.noisy:
                 fit.fill(np.nan)
-            ea_step_all(genes, fit, state.plan, state.objective, state.streams)
-            state.t += 1
-        flat = fit.reshape(n_reps, -1)
-        j = flat.argmin(axis=1)  # per repetition: first agent, first member
-        value = flat[reps, j]
+            ea_step_all(genes, fit, plan, objective, streams)
+            for s in states:
+                s.t += 1
+        value = np.minimum.reduceat(flat_fit, starts)
         for r in np.flatnonzero(value < best_fit).tolist():
-            best_fit[r], best_step[r] = value[r], t
-            best_genes[r] = genes.reshape(n_reps, -1, genes.shape[-1])[r, j[r]].copy()
+            j = starts[r] + flat_fit[starts[r]:rep_end[r]].argmin()  # first agent, first member
+            best_fit[r], best_step[r], best_genes[r] = value[r], t, flat_genes[j].copy()
         if (t - first) % record_every == 0 or t == last:
             recorded.append(t)
             bests.append(fit.min(axis=1))
             means.append(fit.mean(axis=1))
 
-    shape = (len(recorded), n_reps, n_agents)
-    best, mean = np.reshape(bests, shape), np.reshape(means, shape)
-    return [ConvergenceTrace(
-        steps=np.repeat(np.array(recorded, dtype=np.int64), n_agents),
-        agent_ids=np.tile(np.arange(n_agents, dtype=np.int64), len(recorded)),
-        best=best[:, r].ravel(), mean=mean[:, r].ravel(),
-        global_best=GlobalBest(best_step[r], best_genes[r], float(best_fit[r])),
-        repetition=rep, algorithm=state.algorithm, objective=cfg.objective,
-        dimension=cfg.dimension, seed=cfg.seed, total_steps=cfg.max_steps,
-    ) for r, rep in enumerate(state.repetitions)]
+    best, mean = np.array(bests), np.array(means)
+    steps = np.array(recorded, dtype=np.int64)
+    out, k = [], 0
+    for s, a, b in zip(states, bounds, bounds[1:]):
+        c, n_agents = s.cfg, s.cfg.agent_count
+        shape = (len(recorded), len(s.repetitions), n_agents)
+        cell_best, cell_mean = best[:, a:b].reshape(shape), mean[:, a:b].reshape(shape)
+        out.append([ConvergenceTrace(
+            steps=np.repeat(steps, n_agents),
+            agent_ids=np.tile(np.arange(n_agents, dtype=np.int64), len(recorded)),
+            best=cell_best[:, r].ravel(), mean=cell_mean[:, r].ravel(),
+            global_best=GlobalBest(best_step[k + r], best_genes[k + r], float(best_fit[k + r])),
+            repetition=rep, algorithm=s.algorithm, objective=c.objective,
+            dimension=c.dimension, seed=c.seed, total_steps=c.max_steps,
+        ) for r, rep in enumerate(s.repetitions)])
+        k += len(s.repetitions)
+    return out
 
 
 def tbo_run(
@@ -211,8 +271,8 @@ def tbo_run(
     the per-recipient arrays of that step's exchange
     (:class:`~trustopt.socio.ExchangeRecord`).
     """
-    return _run(_build_state(cfg, "tbo", [repetition], agent_rngs, interaction_log),
-                record_every)[0]
+    return _lockstep([_build_state(cfg, "tbo", [repetition], agent_rngs, interaction_log)],
+                     record_every)[0][0]
 
 
 def island_model_run(
@@ -224,8 +284,8 @@ def island_model_run(
 ) -> ConvergenceTrace:
     """Run the plain island-model baseline once: same EA, same epoch clock,
     best-genome migration instead of credibility-gated interaction."""
-    return _run(_build_state(cfg, "island_model", [repetition], agent_rngs, None),
-                record_every)[0]
+    return _lockstep([_build_state(cfg, "island_model", [repetition], agent_rngs, None)],
+                     record_every)[0][0]
 
 
 def run_repetitions(
@@ -241,5 +301,18 @@ def run_repetitions(
     repetitions run as one stacked society, each exactly as it would run
     alone.
     """
-    algorithm = algorithm or cfg.algorithm
-    return _run(_build_state(cfg, algorithm, range(cfg.repetitions), None, None), record_every)
+    cfg = replace(cfg, algorithm=algorithm or cfg.algorithm)
+    return run_cells([cfg], record_every=record_every)[0]
+
+
+def run_cells(cfgs: Sequence[TboConfig], *, record_every: int = 1) -> list[list[ConvergenceTrace]]:
+    """Run ``cfg.repetitions`` repetitions of ``cfg.algorithm`` for every
+    config, all cells in lockstep; returns each cell's traces, in order.
+
+    The cells must share their population size, offspring size, EA
+    operator constants, ``first_step``, ``max_steps`` and objective binding
+    (``ValueError`` otherwise); they may differ in everything else.  Each
+    cell gives the bytes it gives alone.
+    """
+    return _lockstep([_build_state(c, c.algorithm, range(c.repetitions), None, None)
+                      for c in cfgs], record_every)

@@ -22,8 +22,11 @@ crossover_scope, partner_policy.
 
 Every (problem x algorithm) cell derives its own run seed from the root
 seed and the cell labels, so results do not depend on manifest order or on
-how many workers execute the cells.  One trace CSV is written per
-repetition, one summary CSV per problem.
+how many workers execute them.  A problem's cells run as one lockstep
+group (:func:`~trustopt.engine.run_cells`), each giving the bytes it gives
+alone; one pool task runs one problem, so ``jobs`` parallelises over
+problems.  One trace CSV is written per repetition, one summary CSV per
+problem.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .config import (
     validate_config,
     with_cell,
 )
-from .engine import run_repetitions
+from .engine import run_cells, run_repetitions  # noqa: F401
 from .presets import PRESET_NAMES, load_preset
 from .results import (
     best_so_far_series,
@@ -62,6 +65,9 @@ from .results import (
 from .rng import derive_run_seed
 from .stats import SampleGroup, compare_groups, summarize
 from .svgchart import render_convergence_svg
+
+# run_repetitions is unused here: the benchmark tracer (perfbench/tracer.py)
+# looks it up on this module by name.
 
 __all__ = [
     "ProblemCell",
@@ -222,18 +228,21 @@ def _cell_config(manifest: ExperimentManifest, problem: ProblemCell, algorithm: 
 
 
 def _run_cell(args: tuple) -> list[tuple]:
-    """Execute one (problem, algorithm) cell and write its trace files.
+    """Execute every algorithm cell of one problem, as one lockstep group,
+    and write their trace files.
 
-    Standalone so process pools can pickle it; returns the summary rows.
+    Standalone so process pools can pickle it; returns the problem's
+    summary rows, algorithm by algorithm.
     """
-    manifest, problem, algorithm, out_dir, record_every = args
-    cfg = _cell_config(manifest, problem, algorithm)
-    traces = run_repetitions(cfg, record_every=record_every)
-    out = Path(out_dir)
-    for tr in traces:
-        write_trace_csv(tr, out / trace_filename(problem.objective, problem.dimension,
-                                                 algorithm, tr.repetition))
-    return summary_rows(problem.objective, problem.dimension, algorithm, traces)
+    manifest, problem, out_dir, record_every = args
+    cfgs = [_cell_config(manifest, problem, a) for a in manifest.algorithms]
+    out, rows = Path(out_dir), []
+    for algorithm, traces in zip(manifest.algorithms, run_cells(cfgs, record_every=record_every)):
+        for tr in traces:
+            write_trace_csv(tr, out / trace_filename(problem.objective, problem.dimension,
+                                                     algorithm, tr.repetition))
+        rows += summary_rows(problem.objective, problem.dimension, algorithm, traces)
+    return rows
 
 
 def run_manifest(
@@ -248,8 +257,8 @@ def run_manifest(
 
     ``seed`` overrides the manifest root seed (under the same rule, checked
     before anything is written), ``record_every`` its trace downsampling.
-    ``jobs > 1`` runs cells in a process pool; outputs are identical either
-    way.  Returns the written summary paths.
+    ``jobs > 1`` runs problems in a process pool; outputs are identical
+    either way.  Returns the written summary paths.
     """
     if seed is not None:
         manifest = replace(manifest, seed=seed)
@@ -259,25 +268,17 @@ def run_manifest(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells = [
-        (manifest, problem, algorithm, str(out), every)
-        for problem in manifest.problems
-        for algorithm in manifest.algorithms
-    ]
+    tasks = [(manifest, problem, str(out), every) for problem in manifest.problems]
     if jobs > 1:
         # a forking pool starts all its workers at the first submit, so ask
-        # for no more than there are cells
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            rows_per_cell = list(pool.map(_run_cell, cells))
+        # for no more than there are problems
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            rows_per_problem = list(pool.map(_run_cell, tasks))
     else:
-        rows_per_cell = [_run_cell(c) for c in cells]
+        rows_per_problem = [_run_cell(task) for task in tasks]
 
     paths = []
-    n_alg = len(manifest.algorithms)
-    for p_idx, problem in enumerate(manifest.problems):
-        rows: list[tuple] = []
-        for a_idx in range(n_alg):
-            rows.extend(rows_per_cell[p_idx * n_alg + a_idx])
+    for problem, rows in zip(manifest.problems, rows_per_problem):
         path = out / summary_filename(problem.objective, problem.dimension)
         write_summary_csv(rows, path)
         paths.append(path)

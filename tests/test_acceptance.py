@@ -33,6 +33,7 @@ from trustopt import (
     write_stats_reports,
 )
 from trustopt.config import with_cell
+from trustopt.engine import run_cells
 from trustopt.results import read_summary_csv
 from trustopt.socio import _adopt
 
@@ -99,16 +100,18 @@ def test_credibility_update_tables_and_bounds():
 
 
 def test_best_so_far_nonincreasing_across_suite():
+    # each (objective, seed)'s presets run as one lockstep group, as
+    # ``trustopt run`` runs a problem's cells
     started = time.perf_counter()
     for objective in OBJECTIVE_NAMES:
         dimension = 12 if objective == "lennard_jones" else 10
         noisy = objective == "schwefel_noise"
-        for preset in PRESET_NAMES:
-            for seed in (9001, 9002, 9003):
-                cfg = with_cell(load_preset(preset), objective=objective,
-                                dimension=dimension, max_steps=2000, seed=seed,
-                                repetitions=1)
-                trace = run_repetitions(cfg, record_every=1)[0]
+        for seed in (9001, 9002, 9003):
+            cfgs = [with_cell(load_preset(preset), objective=objective, dimension=dimension,
+                              max_steps=2000, seed=seed, repetitions=1)
+                    for preset in PRESET_NAMES]
+            for preset, cfg, (trace,) in zip(PRESET_NAMES, cfgs,
+                                             run_cells(cfgs, record_every=1)):
                 # the observed global best is the floor of everything seen
                 assert trace.global_best.fitness <= trace.best.min()
                 if not noisy:

@@ -29,7 +29,7 @@ from trustopt import (
     tbo_run,
     validate_config,
 )
-from trustopt.engine import _build_state, _run, advance_step
+from trustopt.engine import _build_state, _lockstep, advance_step, run_cells
 from trustopt.socio import _apply_credit
 
 
@@ -70,7 +70,7 @@ def test_dispatch_runs_ea_step_off_epoch():
     state = _build_state(_cfg(max_steps=1), "tbo", [0], None, log)
     assert state.t == 1 and state.t % 5 != 0  # not an epoch step
     before = state.streams[0].bit_generator.state
-    _run(state, 1)
+    _lockstep([state], 1)
     assert log == []  # an EA step produces no interaction
     assert state.streams[0].bit_generator.state != before
     assert not np.any(np.isnan(state.fitness[0]))
@@ -91,14 +91,14 @@ def test_dispatch_runs_interaction_on_epoch():
 
 def test_credibility_untouched_between_epochs():
     state = _build_state(_cfg(epoch_length=50, max_steps=10), "tbo", [0], None, None)
-    _run(state, 1)
+    _lockstep([state], 1)
     assert np.all(state.credibility.trust == 5)
     assert state.t == 11
 
 
 def test_trust_updates_stay_off_the_diagonal():
     state = _build_state(_cfg(agent_count=2, epoch_length=2, max_steps=20), "tbo", [0], None, None)
-    _run(state, 1)
+    _lockstep([state], 1)
     trust = state.credibility.trust
     assert trust[0, 0] == 5 and trust[1, 1] == 5
     assert np.all((trust >= 1) & (trust <= 50))
@@ -300,7 +300,7 @@ def test_fast_path_matches_stepwise_object_path(objective, algorithm, data):
     cfg = data.draw(_configs(objective, algorithm))
     log = []
     state = _build_state(cfg, algorithm, [0], None, log)
-    [trace] = _run(state, 1)
+    [[trace]] = _lockstep([state], 1)
     ref = stepwise_run(cfg, algorithm)
 
     runner = tbo_run if algorithm == "tbo" else island_model_run
@@ -377,7 +377,7 @@ def test_invariants_hold_over_random_configs(algorithm, data):
     monotone = not spec.noisy and (algorithm == "tbo" or n >= 2)
     previous = np.full(cfg.agent_count, np.inf)
     for _ in range(cfg.max_steps):
-        _run(state, 1)
+        _lockstep([state], 1)
         assert state.genes.shape == (cfg.agent_count, n, cfg.dimension)
         assert state.fitness.shape == (cfg.agent_count, n)
         assert np.all((state.genes >= spec.lower) & (state.genes <= spec.upper))
@@ -437,6 +437,60 @@ def test_stacked_repetitions_run_as_if_alone(data):
     assert [t.repetition for t in traces] == list(range(cfg.repetitions))
     for r, trace in enumerate(traces):
         _assert_same_run(trace, runner(cfg, r))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_grouped_cells_run_as_if_alone(data):
+    # run_cells steps a group of cells in lockstep, as one EA step off every
+    # cell's epoch; each cell must still be the run run_repetitions gives it
+    # alone, also on steps where only some cells exchange
+    shared = dict(objective=data.draw(st.sampled_from(["sphere", "schwefel_noise"])),
+                  first_step=data.draw(st.integers(0, 1)),
+                  max_steps=data.draw(st.integers(1, 8)))
+    cfgs = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        n_agents = data.draw(st.integers(2, 5))
+        templates = data.draw(st.lists(_templates, min_size=n_agents, max_size=n_agents))
+        kw = dict(
+            shared, agent_count=n_agents, repetitions=data.draw(st.integers(1, 3)),
+            epoch_length=data.draw(st.integers(1, 3)),
+            diversity_factor=data.draw(st.sampled_from([0.0, 1.3])),
+            seed=data.draw(st.integers(0, 2**32)),
+            per_agent=tuple(replace(t, population_size=3, offspring_size=4) for t in templates),
+        )
+        kind = data.draw(st.sampled_from(["trust", "reputation", "island_model"]))
+        if kind == "island_model":
+            cfgs.append(_island_cfg(**kw))
+        else:
+            start = data.draw(st.integers(1, 6))
+            cfgs.append(_cfg(credibility=CredibilityConfig(kind, start, 1, 6), **kw))
+    record_every = data.draw(st.integers(1, 3))
+    grouped = run_cells(cfgs, record_every=record_every)
+    assert len(grouped) == len(cfgs)
+    for cfg, traces in zip(cfgs, grouped):
+        alone = run_repetitions(cfg, record_every=record_every)
+        assert [t.repetition for t in traces] == [t.repetition for t in alone]
+        for a, b in zip(traces, alone):
+            _assert_same_run(a, b)
+
+
+@pytest.mark.parametrize("field, change", [
+    ("population size", dict(per_agent=(AgentTemplate(population_size=3, offspring_size=6),))),
+    ("offspring size", dict(per_agent=(AgentTemplate(population_size=4, offspring_size=5),))),
+    ("EA operator constants", dict(eta_c=10.0)),
+    ("EA operator constants", dict(eta_m=10.0)),
+    ("EA operator constants", dict(crossover_scope="pair")),
+    ("first_step", dict(first_step=0)),
+    ("max_steps", dict(max_steps=13)),
+    ("objective binding", dict(objective="sphere")),
+    ("objective binding", dict(dimension=3)),
+    ("objective binding", dict(objective_params={"noise_sigma": 0.5})),
+])
+def test_cells_that_cannot_share_a_step_are_rejected(field, change):
+    cfg = _cfg(objective="schwefel_noise")
+    with pytest.raises(ValueError, match=field):
+        run_cells([cfg, replace(cfg, **change)])
 
 
 @pytest.mark.parametrize("algorithm", ["tbo", "island_model"])
@@ -501,7 +555,7 @@ def test_interaction_log_explains_the_credibility_state(kind, monkeypatch):
         assert table.tobytes() == run_table.tobytes()
 
     monkeypatch.setattr(engine, "advance_step", checked_step)
-    _run(state, 1)
+    _lockstep([state], 1)
     assert len(log) == 30
     # the run hit both bounds, so the per-step clamp mattered
     assert loose.min() < c.min_value and loose.max() > c.max_value

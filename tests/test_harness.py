@@ -15,8 +15,10 @@ from trustopt import (
     write_plots,
     write_stats_reports,
 )
+from trustopt.engine import run_repetitions
 from trustopt.harness import ExperimentManifest, ProblemCell, _cell_config
-from trustopt.results import read_summary_csv, read_trace_csv
+from trustopt.results import (read_summary_csv, read_trace_csv, summary_filename, summary_rows,
+                              trace_filename, write_summary_csv, write_trace_csv)
 
 TINY = {
     "name": "tiny",
@@ -177,6 +179,36 @@ def test_cell_results_do_not_depend_on_manifest_order(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_grouped_problem_writes_the_files_of_lone_cells(tmp_path):
+    # run_manifest runs a problem's cells as one lockstep group; every file
+    # must be the one its cell writes when run alone.  large_society
+    # exchanges every 50 steps, the others every 25, so some steps are only
+    # some cells' epoch steps
+    manifest = load_manifest(_write_manifest(tmp_path, dict(
+        TINY, repetitions=2, record_every=7,
+        algorithms=["small_society", "large_society", "island_model"],
+        problems=[{"objective": "sphere", "dimension": 3, "max_steps": 110},
+                  {"objective": "schwefel_noise", "dimension": 2, "max_steps": 110}],
+        overrides={"population_size": 3, "offspring_size": 4})))
+    grouped, alone = tmp_path / "grouped", tmp_path / "alone"
+    run_manifest(manifest, grouped)
+    alone.mkdir()
+    for problem in manifest.problems:
+        rows = []
+        for algorithm in manifest.algorithms:
+            traces = run_repetitions(_cell_config(manifest, problem, algorithm), record_every=7)
+            for tr in traces:
+                write_trace_csv(tr, alone / trace_filename(problem.objective, problem.dimension,
+                                                           algorithm, tr.repetition))
+            rows += summary_rows(problem.objective, problem.dimension, algorithm, traces)
+        write_summary_csv(rows, alone / summary_filename(problem.objective, problem.dimension))
+    names = sorted(p.name for p in alone.iterdir())
+    assert sorted(p.name for p in grouped.iterdir()) == names
+    assert len(names) == 2 * 3 * 2 + 2
+    for name in names:
+        assert (grouped / name).read_bytes() == (alone / name).read_bytes(), name
+
+
 # --- reports ----------------------------------------------------------------
 
 
@@ -246,9 +278,12 @@ def test_parallel_execution_matches_serial(tiny_manifest, tmp_path):
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 64])
-def test_pool_asks_for_no_more_workers_than_cells(tiny_manifest, tmp_path, monkeypatch, jobs):
-    # a stand-in pool records its size and runs the cells in this process,
-    # so a large --jobs value starts no process at all
+def test_pool_asks_for_no_more_workers_than_problems(tmp_path, monkeypatch, jobs):
+    # a stand-in pool records its size and runs the problems in this
+    # process, so a large --jobs value starts no process at all
+    manifest = load_manifest(_write_manifest(tmp_path, dict(TINY, problems=[
+        {"objective": "sphere", "dimension": 2, "max_steps": 6},
+        {"objective": "rastrigin", "dimension": 2, "max_steps": 6}])))
     sizes = []
 
     class SerialPool:
@@ -265,8 +300,8 @@ def test_pool_asks_for_no_more_workers_than_cells(tiny_manifest, tmp_path, monke
             return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    run_manifest(tiny_manifest, tmp_path / "pooled", jobs=jobs)
-    run_manifest(tiny_manifest, tmp_path / "serial", jobs=1)
-    assert sizes == [2]  # two cells; the serial run builds no pool
+    run_manifest(manifest, tmp_path / "pooled", jobs=jobs)
+    run_manifest(manifest, tmp_path / "serial", jobs=1)
+    assert sizes == [2]  # two problems; the serial run builds no pool
     for p in sorted((tmp_path / "serial").iterdir()):
         assert (tmp_path / "pooled" / p.name).read_bytes() == p.read_bytes()
