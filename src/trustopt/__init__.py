@@ -25,7 +25,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .ea import EaOperatorConfig, ea_step
+from .ea import EaOperatorConfig
 from .engine import island_model_run, run_repetitions, tbo_run
 from .harness import (
     load_manifest,
@@ -35,7 +35,6 @@ from .harness import (
 )
 from .presets import PRESET_NAMES, load_preset
 from .rng import agent_stream, derive_run_seed
-from .socio import interaction_step
 from .stats import (
     SampleGroup,
     compare_groups,
@@ -44,13 +43,6 @@ from .stats import (
     kruskal_wallis,
     summarize,
 )
-from .types import (
-    AgentState,
-    CredibilityState,
-    Population,
-    ScCrossoverConfig,
-    effective_rates,
-    init_population,
-)
+from .types import CredibilityState, effective_rates, init_population
 
 __version__ = "0.1.0"

@@ -66,10 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand(inputs, pattern: str) -> list[Path]:
-    """Each named file (a directory names its ``pattern`` matches) once, first seen first."""
+    """Each named file (a directory names its ``pattern`` matches) once, first seen first.
+    An input that does not exist is an error, raised before anything is written."""
     paths: dict[Path, Path] = {}
     for item in inputs:
         p = Path(item)
+        if not p.exists():
+            raise FileNotFoundError(f"no such file or directory: {item}")
         for q in sorted(p.glob(pattern)) if p.is_dir() else [p]:
             paths.setdefault(q.resolve(), q)
     return list(paths.values())
@@ -94,8 +97,7 @@ def cmd_stats(args) -> int:
         raise ConfigError(["no summary CSVs found in the given inputs"])
     if not (0.0 < args.alpha < 1.0):
         raise ConfigError(["--alpha must lie in (0, 1)"])
-    out = args.out if args.out is not None else (
-        paths[0].parent if paths[0].is_file() else paths[0])
+    out = args.out if args.out is not None else paths[0].parent
     for p in write_stats_reports(paths, out, alpha=args.alpha):
         print(p)
     return 0

@@ -61,7 +61,7 @@ are still drawn).
 
 A run builds one :func:`step_plan` and passes it to every
 :func:`ea_step_all` call; nothing caches it, so it is freed with the run.
-:func:`ea_step` is the one-agent case, with a ``(1, n, D)`` stack and a plan per call.
+One agent steps as a ``(1, n, D)`` stack with a one-agent plan.
 """
 
 from __future__ import annotations
@@ -72,11 +72,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .benchmarks import ObjectiveSpec
-from .types import AgentState, Population, evaluate_stack
+from .types import evaluate_stack
 
 __all__ = [
     "EaOperatorConfig",
-    "ea_step",
     "ea_step_all",
     "StepPlan",
     "step_plan",
@@ -307,28 +306,6 @@ def _survivors(union_fit: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # steps
 
-def ea_step(
-    agent: AgentState,
-    objective: ObjectiveSpec,
-    rng: np.random.Generator,
-    op: EaOperatorConfig = EaOperatorConfig(),
-) -> Population:
-    """Advance one agent by one evolutionary step (in place): the
-    one-agent case of :func:`ea_step_all`.
-
-    With ``offspring_size == 0`` or both effective rates zero the
-    population is unchanged as a multiset.  The population minimum fitness
-    never increases for deterministic objectives.
-    """
-    genes = agent.population.genes[None].copy()
-    fitness = agent.population.fitness[None].copy()
-    plan = step_plan(*genes.shape[1:], agent.offspring_size, op,
-                     [agent.effective_crossover_rate], [agent.effective_mutation_rate])
-    ea_step_all(genes, fitness, plan, objective, [rng])
-    agent.population = Population(genes[0], fitness[0])
-    return agent.population
-
-
 def ea_step_all(
     genes: np.ndarray,
     fitness: np.ndarray,
@@ -342,6 +319,11 @@ def ea_step_all(
     matching (N, n) cache (NaN = not evaluated) and ``plan`` the
     :func:`step_plan` of this shape, with the agents' effective rates.
     Draws follow the module draw discipline.
+
+    With ``offspring_size == 0`` the populations are unchanged; with both
+    of an agent's rates zero its children are copies of its members, so no
+    new genome appears.  A population's minimum fitness never increases on
+    deterministic objectives.
     """
     n_agents, n, d = genes.shape
     lam, op = plan.lam, plan.op

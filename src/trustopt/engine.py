@@ -49,10 +49,11 @@ relabels the run.  Credibility changes are summed and clamped into
 matter.  The tbo exchange is :func:`~trustopt.socio.exchange_all`; an
 interaction log keeps the record it returns, one entry per epoch step.
 
-For noisy objectives every fitness value is cleared at the start of each
-step: values are evaluated at most once within a step and never reused
-across steps.  The trace's global best is the running minimum of observed
-fitness, so it never increases even under noise.
+For noisy objectives the run loop clears the whole group's fitness once at
+the start of each step, before any cell steps: values are evaluated at
+most once within a step and never reused across steps.  The trace's
+global best is the running minimum of observed fitness, so it never
+increases even under noise.
 """
 
 from __future__ import annotations
@@ -64,14 +65,13 @@ import numpy as np
 
 from .benchmarks import ObjectiveSpec, get_objective
 from .config import TboConfig, validate_config
-from .ea import EaOperatorConfig, StepPlan, ea_step, ea_step_all, step_plan  # noqa: F401
+from .ea import EaOperatorConfig, StepPlan, ea_step_all, step_plan
 from .rng import agent_stream
-from .socio import exchange_all, interaction_step  # noqa: F401
+from .socio import exchange_all
 from .types import (ConvergenceTrace, CredibilityState, GlobalBest, effective_rates,
                     evaluate_stack, init_population)
 
-# ea_step and interaction_step are unused here: the benchmark tracer
-# (perfbench/tracer.py) looks both up on this module by name.
+ea_step, interaction_step = ea_step_all, exchange_all  # perfbench/tracer.py patches these names; nothing calls them
 
 __all__ = ["tbo_run", "island_model_run", "run_repetitions", "run_cells"]
 
@@ -121,7 +121,7 @@ def _build_state(
     rates = np.array([effective_rates(t.base_crossover_rate, t.base_mutation_rate,
                                       i % n_agents, cfg.diversity_factor)
                       for i, t in enumerate(templates)])
-    genes = np.stack([init_population(t.population_size, objective, rng).genes
+    genes = np.stack([init_population(t.population_size, objective, rng)
                       for t, rng in zip(templates, streams)])
     plan = step_plan(*genes.shape[1:], templates[0].offspring_size,
                      EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope), *rates.T)
@@ -140,12 +140,12 @@ def _build_state(
 
 
 def advance_step(state: RunState) -> None:
-    """Run one epoch step for every agent, then advance ``t``.  In a
-    migration the source's first best genome replaces the recipient's first
-    worst member, both read from the step-start populations."""
+    """Run one epoch step for every agent, then advance ``t``.  The
+    members' missing fitness is evaluated first (a noisy objective's cache
+    is cleared by the caller at the top of every step).  In a migration the
+    source's first best genome replaces the recipient's first worst member,
+    both read from the step-start populations."""
     genes, fitness, streams = state.genes, state.fitness, state.streams
-    if state.objective.noisy:
-        fitness.fill(np.nan)
     evaluate_stack(genes, fitness, state.objective, streams)
     # one integer draw per agent, uniform over the other agents of its
     # repetition
@@ -211,19 +211,17 @@ def _lockstep(states: list[RunState], record_every: int) -> list[list[Convergenc
     best_fit, best_genes, best_step = np.full(n_reps, np.inf), [None] * n_reps, [-1] * n_reps
 
     for t in range(first, last + 1):
+        if objective.noisy:
+            fit.fill(np.nan)
         epoch = [s.t % s.cfg.epoch_length == 0 for s in states]
         if any(epoch):
             for s, on in zip(states, epoch):
                 if on:
                     advance_step(s)
                     continue
-                if objective.noisy:
-                    s.fitness.fill(np.nan)
                 ea_step_all(s.genes, s.fitness, s.plan, s.objective, s.streams)
                 s.t += 1
         else:
-            if objective.noisy:
-                fit.fill(np.nan)
             ea_step_all(genes, fit, plan, objective, streams)
             for s in states:
                 s.t += 1

@@ -34,8 +34,7 @@ offspring order.
 
 :func:`exchange_all` runs every interaction of an epoch step on the
 stacked society at once and returns its :class:`ExchangeRecord`; the
-engine calls it.  :func:`interaction_step` is its one-recipient case on
-objects.
+engine calls it.  One recipient's interaction is its row of that record.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ import numpy as np
 
 from .benchmarks import ObjectiveSpec
 from .ea import _survivors
-from .types import AgentState, CredibilityState, Population, evaluate_stack
+from .types import CredibilityState
 
-__all__ = ["ExchangeRecord", "interaction_step", "exchange_all"]
+__all__ = ["ExchangeRecord", "exchange_all"]
 
 
 class ExchangeRecord(NamedTuple):
@@ -112,44 +111,6 @@ def _apply_credit(table: np.ndarray, kind: str, recipient, sender, branch,
         np.add.at(table, recipient, -branch)
         np.add.at(table, sender, branch)
     np.clip(table, c_min, c_max, out=table)
-
-
-def interaction_step(
-    recipient: AgentState,
-    sender_pop: Population,
-    sender_index: int,
-    cred: CredibilityState,
-    objective: ObjectiveSpec,
-    rng: np.random.Generator,
-    partner_policy: str = "redraw",
-) -> ExchangeRecord:
-    """One interaction for ``recipient`` (updated in place): the
-    one-recipient case of :func:`exchange_all`, returning the recipient's
-    row of its record.
-
-    ``sender_pop`` is a snapshot of the sender's population, of the
-    recipient's shape, and is only read; missing fitness values of both
-    are filled from ``rng``, the recipient's first.  ``cred`` supplies the
-    credibility and is not modified; the caller applies the row's
-    ``branch`` once all interactions of the step are done.
-    """
-    i, j = recipient.index, int(sender_index)
-    if i == j:
-        raise ValueError("an agent cannot interact with itself")
-    genes = np.stack([recipient.population.genes, sender_pop.genes])
-    fitness = np.stack([recipient.population.fitness, sender_pop.fitness])
-    evaluate_stack(genes, fitness, objective, [rng, rng])
-    pair = [i, j]
-    table = cred.trust[np.ix_(pair, pair)] if cred.kind == "trust" else cred.reputation[pair]
-    config = recipient.crossover_config
-    # the sender's mirrored exchange runs on a scratch stream and is dropped
-    record = exchange_all(
-        genes, fitness, np.array([1, 0]),
-        CredibilityState(cred.kind, cred.min_value, cred.max_value, **{cred.kind: table}),
-        np.array([config.genome_intensity] * 2), np.array([config.gene_op] * 2),
-        objective, [rng, np.random.default_rng(0)], partner_policy)
-    recipient.population = Population(genes[0], fitness[0])
-    return record.row(0)._replace(sender=j)
 
 
 def exchange_all(

@@ -1,10 +1,12 @@
-"""Core state containers for the optimizer.
+"""Core state of a run, beside the stacked society itself.
 
-A genome is a plain 1-D float array.  A :class:`Population` keeps the
-genomes of one agent as an ``(n, D)`` block together with a fitness cache
-(``NaN`` marks a value that has not been evaluated yet).  Noisy objectives
-are handled by clearing the cache at every global step, so a noisy fitness
-is never carried across steps.
+A genome is a plain 1-D float array, and an agent's population an
+``(n, D)`` block of them; the engine holds the whole society as one
+``(N, n, D)`` genes stack with an ``(N, n)`` fitness cache (``NaN`` marks a
+value that has not been evaluated yet).  Noisy objectives are handled by
+clearing the cache at every global step, so a noisy fitness is never
+carried across steps.  This module holds the credibility state, the rate
+amplification, the fitness evaluation of a stack and the trace records.
 """
 
 from __future__ import annotations
@@ -17,10 +19,7 @@ import numpy as np
 from .benchmarks import ObjectiveSpec
 
 __all__ = [
-    "Population",
-    "ScCrossoverConfig",
     "CredibilityState",
-    "AgentState",
     "GlobalBest",
     "ConvergenceTrace",
     "init_population",
@@ -36,58 +35,20 @@ GENE_OPS = ("swap", "average")
 CREDIBILITY_KINDS = ("trust", "reputation")
 
 
-@dataclass
-class Population:
-    """Genomes of one agent plus their fitness cache.
-
-    ``genes`` has shape ``(n, D)``; ``fitness`` has shape ``(n,)`` with NaN
-    for entries that have not been evaluated.
-    """
-
-    genes: np.ndarray
-    fitness: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.genes = np.asarray(self.genes, dtype=float)
-        self.fitness = np.asarray(self.fitness, dtype=float)
-        if self.genes.ndim != 2:
-            raise ValueError("genes must be a 2-D array (n, D)")
-        if self.fitness.shape != (self.genes.shape[0],):
-            raise ValueError("fitness must have shape (n,)")
-        # empty populations are legal only as transient operator values;
-        # agent populations always hold at least one genome
-
-    @property
-    def size(self) -> int:
-        return self.genes.shape[0]
-
-    def copy(self) -> "Population":
-        return Population(self.genes.copy(), self.fitness.copy())
-
-    def clear_fitness(self) -> None:
-        """Invalidate the whole cache (used per step for noisy objectives)."""
-        self.fitness.fill(np.nan)
-
-    @classmethod
-    def from_genes(cls, genes: np.ndarray) -> "Population":
-        genes = np.asarray(genes, dtype=float)
-        return cls(genes, np.full(genes.shape[0], np.nan))
-
-
 def init_population(
     size: int,
     objective: ObjectiveSpec,
     rng: np.random.Generator,
-) -> Population:
-    """Sample ``size`` genomes uniformly inside the objective's search box.
+) -> np.ndarray:
+    """The ``(size, D)`` genomes of a new population, sampled uniformly
+    inside the objective's search box.
 
     Degenerate intervals (lower == upper in some coordinate) are allowed and
-    produce the single admissible value there.  Fitness starts unevaluated.
+    produce the single admissible value there.
     """
     if size < 1:
         raise ValueError("population size must be >= 1")
-    genes = rng.uniform(objective.lower, objective.upper, size=(size, objective.dimension))
-    return Population.from_genes(genes)
+    return rng.uniform(objective.lower, objective.upper, size=(size, objective.dimension))
 
 
 def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveSpec,
@@ -98,24 +59,6 @@ def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveS
     miss = np.isnan(fitness)
     if miss.any():
         fitness[miss] = objective.evaluate_rows(genes[miss], miss.sum(axis=1), streams)
-
-
-@dataclass(frozen=True)
-class ScCrossoverConfig:
-    """Interaction crossover behaviour of one agent.
-
-    ``genome_intensity`` picks the offspring scheme (weak, moderate,
-    strong); ``gene_op`` picks the per-gene operator (swap, average).
-    """
-
-    genome_intensity: str
-    gene_op: str
-
-    def __post_init__(self) -> None:
-        if self.genome_intensity not in GENOME_INTENSITIES:
-            raise ValueError(f"genome_intensity must be one of {GENOME_INTENSITIES}")
-        if self.gene_op not in GENE_OPS:
-            raise ValueError(f"gene_op must be one of {GENE_OPS}")
 
 
 @dataclass
@@ -167,31 +110,6 @@ class CredibilityState:
         if self.kind == "trust":
             return self.trust[recipient, sender]
         return self.reputation[sender]
-
-
-@dataclass
-class AgentState:
-    """One island: population, EA rates and interaction behaviour.
-
-    Effective rates are the base rates amplified by the agent's index (see
-    :func:`effective_rates`) and stay fixed for the whole run.
-    """
-
-    index: int
-    population: Population
-    offspring_size: int
-    effective_crossover_rate: float
-    effective_mutation_rate: float
-    crossover_config: ScCrossoverConfig
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("agent index must be >= 0")
-        if self.offspring_size < 0:
-            raise ValueError("offspring_size must be >= 0")
-        for r in (self.effective_crossover_rate, self.effective_mutation_rate):
-            if not (0.0 <= r <= 1.0):
-                raise ValueError("effective rates must lie in [0, 1]")
 
 
 def effective_rates(

@@ -2,23 +2,25 @@
 
 The linear objective reads gene 0, so a population's fitness values can be
 prescribed exactly (including negative ones, which no shipped benchmark
-reaches at will).
+reaches at will).  Populations are plain ``(n, D)`` genes and ``(n,)``
+fitness arrays, as in the package.
 
 :func:`replay_ea_step` replays one EA step of one agent with plain Python
 loops, scalar draws and one objective call per genome, following the draw
-discipline documented in ``trustopt.ea``; ``ea_step`` and ``ea_step_all``
-are checked against it.  :func:`dense_children` breeds offspring under the
+discipline documented in ``trustopt.ea``; ``ea_step_all`` is checked
+against it.  :func:`dense_children` breeds offspring under the
 dense scheme the sparse gate sampling replaced, as a distributional
 reference.  :func:`replay_exchange` replays one epoch exchange of a whole
 society the same way, following ``trustopt.socio``, with its own share
 selection, threshold, divergence ranking, adoption, survivors, outcome
 branch and credit table, and builds the same ``ExchangeRecord``;
-``exchange_all`` and ``interaction_step`` are checked against it.
-:func:`stepwise_run` is the reference the stacked engine is checked
-against: it advances the society agent by agent on ``AgentState`` objects
-with the two replays.  :func:`lennard_jones_reference`
-evaluates one Lennard-Jones genome with plain float loops in the kernel's
-summation order.
+``exchange_all`` is checked against it.  :func:`exchange_pair` and
+:func:`receive` run one ``exchange_all`` step of a two-agent society and
+return agent 0's row of its record.  :func:`stepwise_run` is the reference
+the stacked engine is checked against: it advances the society agent by
+agent, on per-agent arrays, with the two replays.
+:func:`lennard_jones_reference` evaluates one Lennard-Jones genome with
+plain float loops in the kernel's summation order.
 """
 
 from __future__ import annotations
@@ -29,12 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from trustopt import (
-    AgentState,
     CredibilityState,
     EaOperatorConfig,
     ObjectiveSpec,
-    Population,
-    ScCrossoverConfig,
     agent_stream,
     effective_rates,
     get_objective,
@@ -105,30 +104,6 @@ def genomes_with_values(values, dimension: int = 2) -> np.ndarray:
     if dimension > 1:
         genes[:, 1] = np.arange(len(values))
     return genes
-
-
-def population_with_values(values, dimension: int = 2) -> Population:
-    """Unevaluated population of :func:`genomes_with_values`."""
-    return Population.from_genes(genomes_with_values(values, dimension))
-
-
-def make_agent(
-    pop: Population,
-    index: int = 0,
-    offspring_size: int = 4,
-    pc: float = 0.9,
-    pm: float = 0.2,
-    intensity: str = "moderate",
-    gene_op: str = "swap",
-) -> AgentState:
-    return AgentState(
-        index=index,
-        population=pop,
-        offspring_size=offspring_size,
-        effective_crossover_rate=pc,
-        effective_mutation_rate=pm,
-        crossover_config=ScCrossoverConfig(intensity, gene_op),
-    )
 
 
 def twin_rngs(seed: int = 0) -> tuple[np.random.Generator, np.random.Generator]:
@@ -436,23 +411,34 @@ class PairExchange:
 
 def exchange_pair(recipient, sender, share=50, depth=50, intensity="weak", gene_op="swap",
                   rng=None, partner_policy="redraw") -> PairExchange:
-    """One ``exchange_all`` step of a two-agent trust society on the
-    recording linear objective (fitness is gene 0): agent 0 receives from
-    agent 1, and agent 1 from agent 0.  ``recipient`` and ``sender`` are
-    (n, D) genomes; ``share`` is the sender's trust in agent 0, which sizes
-    agent 0's share, and ``depth`` agent 0's trust in the sender, which
-    sets its adoption depth.  Agent 0 draws from ``rng`` (default seed 0),
-    agent 1 from a stream of seed 1."""
-    genes = np.stack([np.array(recipient, dtype=float), np.array(sender, dtype=float)])
-    rec = RecordingObjective(genes.shape[2], bound=1e6, linear=True)
+    """:func:`receive` on the recording linear objective with a trust
+    table: ``share`` is the sender's trust in agent 0, which sizes agent
+    0's share, and ``depth`` agent 0's trust in the sender, which sets its
+    adoption depth.  Agent 0 draws from ``rng`` (default seed 0)."""
+    rec = RecordingObjective(np.shape(recipient)[1], bound=1e6, linear=True)
     cred = CredibilityState.initial("trust", 2, 1, 1, 50)
     cred.trust[1, 0], cred.trust[0, 1] = share, depth
-    record = exchange_all(
-        genes, genes[..., 0].copy(), np.array([1, 0]), cred, np.array([intensity] * 2),
-        np.array([gene_op] * 2), rec.spec,
-        [np.random.default_rng(0) if rng is None else rng, np.random.default_rng(1)],
-        partner_policy)
-    return PairExchange(record.row(0), rec.blocks, genes)
+    row, genes, _ = receive(recipient, sender, cred, rec.spec,
+                            np.random.default_rng(0) if rng is None else rng,
+                            intensity, gene_op, partner_policy)
+    return PairExchange(row, rec.blocks[1:], genes)  # block 0 is the step-start evaluation
+
+
+def receive(recipient, sender, cred, spec, rng, intensity="moderate", gene_op="swap",
+            partner_policy="redraw"):
+    """One ``exchange_all`` step of a two-agent society on ``spec``: agent
+    0 receives from agent 1, and agent 1 from agent 0, both under
+    ``intensity``/``gene_op``.  ``recipient`` and ``sender`` are (n, D)
+    genomes, evaluated noise-free first; ``cred`` is a two-agent state and
+    takes the step's credit.  Agent 0 draws from ``rng``, agent 1 from a
+    stream of seed 1.  Returns agent 0's row of the record and the
+    society's genes and fitness after the step."""
+    genes = np.stack([np.array(recipient, dtype=float), np.array(sender, dtype=float)])
+    fitness = spec.base(genes)
+    record = exchange_all(genes, fitness, np.array([1, 0]), cred, np.array([intensity] * 2),
+                          np.array([gene_op] * 2), spec, [rng, np.random.default_rng(1)],
+                          partner_policy)
+    return record.row(0), genes, fitness
 
 
 @dataclass
@@ -479,7 +465,8 @@ def _draw_other(rng, own, n):
 
 
 def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> StepwiseRun:
-    """Run ``cfg`` one agent at a time on objects.
+    """Run ``cfg`` one agent at a time, on a list of per-agent ``(n, D)``
+    genes and ``(n,)`` fitness arrays.
 
     EA steps replay each agent with :func:`replay_ea_step`.  Epoch steps
     evaluate every population and draw every agent's partner first; then
@@ -492,14 +479,11 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> S
     n_agents = cfg.agent_count
     streams = (list(agent_rngs) if agent_rngs is not None
                else [agent_stream(cfg.seed, repetition, i) for i in range(n_agents)])
-    agents = []
-    for i in range(n_agents):
-        tpl = cfg.agent_template(i)
-        pc, pm = effective_rates(tpl.base_crossover_rate, tpl.base_mutation_rate,
-                                 i, cfg.diversity_factor)
-        agents.append(AgentState(i, init_population(tpl.population_size, objective, streams[i]),
-                                 tpl.offspring_size, pc, pm,
-                                 ScCrossoverConfig(tpl.genome_intensity, tpl.gene_op)))
+    tpls = [cfg.agent_template(i) for i in range(n_agents)]
+    rates = [effective_rates(t.base_crossover_rate, t.base_mutation_rate, i, cfg.diversity_factor)
+             for i, t in enumerate(tpls)]
+    genes = [init_population(t.population_size, objective, rng) for t, rng in zip(tpls, streams)]
+    fitness = [np.full(t.population_size, np.nan) for t in tpls]
     cred = None
     if algorithm == "tbo":
         c = cfg.credibility
@@ -509,43 +493,32 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> S
     best_fit, best_genes, best_step = np.inf, None, -1
     for t in range(cfg.first_step, cfg.first_step + cfg.max_steps):
         if objective.noisy:
-            for a in agents:
-                a.population.clear_fitness()
+            fitness = [np.full(len(f), np.nan) for f in fitness]
         if t % cfg.epoch_length:
-            for a in agents:
-                pop = a.population
-                a.population = Population(*replay_ea_step(
-                    pop.genes, pop.fitness, a.offspring_size, a.effective_crossover_rate,
-                    a.effective_mutation_rate, objective, streams[a.index], op))
+            for i, (tpl, (pc, pm)) in enumerate(zip(tpls, rates)):
+                genes[i], fitness[i] = replay_ea_step(genes[i], fitness[i], tpl.offspring_size,
+                                                      pc, pm, objective, streams[i], op)
         else:
-            for a in agents:
-                a.population.fitness = evaluate_missing(a.population.genes, a.population.fitness,
-                                                        objective, streams[a.index])
-            senders = [_draw_other(streams[a.index], a.index, n_agents) for a in agents]
+            fitness = [evaluate_missing(g, f, objective, rng)
+                       for g, f, rng in zip(genes, fitness, streams)]
+            senders = [_draw_other(rng, i, n_agents) for i, rng in enumerate(streams)]
             if algorithm == "tbo":
                 genes, fitness, cred, record, accepted = replay_exchange(
-                    [a.population.genes for a in agents], [a.population.fitness for a in agents],
-                    senders, cred, [a.crossover_config.genome_intensity for a in agents],
-                    [a.crossover_config.gene_op for a in agents], objective, streams,
-                    cfg.partner_policy)
-                for a, g, f in zip(agents, genes, fitness):
-                    a.population = Population(g, f)
+                    genes, fitness, senders, cred, [t.genome_intensity for t in tpls],
+                    [t.gene_op for t in tpls], objective, streams, cfg.partner_policy)
+                genes, fitness = list(genes), list(fitness)
                 log.append((t, record, accepted))
             else:
-                snapshot = [a.population.copy() for a in agents]
-                for a, src in zip(agents, senders):
-                    donor = snapshot[src]
-                    best = int(np.argmin(donor.fitness))
-                    worst = int(np.argmax(a.population.fitness))
-                    a.population.genes[worst] = donor.genes[best]
-                    a.population.fitness[worst] = donor.fitness[best]
-        for a in agents:
-            f = a.population.fitness
+                donors = [(g.copy(), f.copy()) for g, f in zip(genes, fitness)]
+                for g, f, src in zip(genes, fitness, senders):
+                    donor_genes, donor_fit = donors[src]
+                    best, worst = int(np.argmin(donor_fit)), int(np.argmax(f))
+                    g[worst], f[worst] = donor_genes[best], donor_fit[best]
+        for g, f in zip(genes, fitness):
             if f.min() < best_fit:
                 best_fit, best_step = float(f.min()), t
-                best_genes = a.population.genes[int(f.argmin())].copy()
-        bests.append([a.population.fitness.min() for a in agents])
-        means.append([a.population.fitness.mean() for a in agents])
+                best_genes = g[int(f.argmin())].copy()
+        bests.append([f.min() for f in fitness])
+        means.append([f.mean() for f in fitness])
     return StepwiseRun(np.array(bests), np.array(means), best_step, best_genes, best_fit,
-                       np.array([a.population.genes for a in agents]),
-                       np.array([a.population.fitness for a in agents]), cred, log)
+                       np.array(genes), np.array(fitness), cred, log)

@@ -285,6 +285,17 @@ def test_plot_empty_dir_exits_2(tmp_path, capsys):
     assert "no trace CSVs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stats", "plot"])
+@pytest.mark.parametrize("missing", ["missing_summary.csv", "nodir"])
+def test_missing_input_exits_1_and_writes_nothing(command, missing, tmp_path, monkeypatch,
+                                                  capsys):
+    # a missing input must not be taken for the report directory and created
+    monkeypatch.chdir(tmp_path)
+    assert main([command, missing]) == 1
+    assert missing in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_malformed_input_exits_1(tmp_path, capsys):
     (tmp_path / "summary_sphere_d2.csv").write_text("not,a,header\n1,2,3\n")
     assert main(["stats", str(tmp_path)]) == 1

@@ -1,11 +1,13 @@
-"""Core state containers, rate amplification, config validation, streams."""
+"""Package namespace, core state, rate amplification, config validation, streams."""
 
 import json
+from types import ModuleType
 
 import numpy as np
 import pytest
-from helpers import exchange_pair, genomes_with_values, linear_objective, make_agent
+from helpers import exchange_pair, genomes_with_values, linear_objective, receive
 
+import trustopt
 from trustopt.cli import main
 
 from trustopt import (
@@ -13,8 +15,6 @@ from trustopt import (
     ConfigError,
     CredibilityConfig,
     CredibilityState,
-    Population,
-    ScCrossoverConfig,
     TboConfig,
     agent_stream,
     config_from_dict,
@@ -24,12 +24,33 @@ from trustopt import (
     effective_rates,
     get_objective,
     init_population,
-    interaction_step,
     load_config,
     load_preset,
     validate_config,
 )
 from trustopt.types import evaluate_stack
+
+
+# --- package namespace ------------------------------------------------------
+
+# every public name of ``import trustopt``: adding or dropping an export is
+# an edit to this tuple
+PUBLIC_NAMES = (
+    "AgentTemplate", "ConfigError", "CredibilityConfig", "CredibilityState", "EaOperatorConfig",
+    "OBJECTIVE_NAMES", "ObjectiveSpec", "PRESET_NAMES", "SampleGroup", "TboConfig",
+    "agent_stream", "compare_groups", "config_from_dict", "config_to_dict", "derive_run_seed",
+    "dump_config", "dunn_holm", "effective_rates", "get_objective", "holm_adjust",
+    "init_population", "island_model_run", "kruskal_wallis", "load_config", "load_manifest",
+    "load_preset", "run_manifest", "run_repetitions", "summarize", "tbo_run", "validate_config",
+    "write_plots", "write_stats_reports",
+)
+
+
+def test_package_namespace_is_pinned():
+    # submodules are left out: importing one binds it on the package
+    names = sorted(n for n, v in vars(trustopt).items()
+                   if not n.startswith("_") and not isinstance(v, ModuleType))
+    assert tuple(names) == PUBLIC_NAMES
 
 
 # --- effective rates --------------------------------------------------------
@@ -59,37 +80,21 @@ def test_effective_rates_reject_negative_arguments():
 # --- population -------------------------------------------------------------
 
 
-def test_population_shape_checks():
-    with pytest.raises(ValueError):
-        Population(np.zeros(3), np.zeros(3))  # genes not 2-D
-    with pytest.raises(ValueError):
-        Population(np.zeros((3, 2)), np.zeros(2))  # fitness length mismatch
-
-
-def test_population_copy_is_independent():
-    pop = Population.from_genes(np.ones((2, 3)))
-    other = pop.copy()
-    other.genes[0, 0] = 7.0
-    other.fitness[0] = 1.0
-    assert pop.genes[0, 0] == 1.0
-    assert np.isnan(pop.fitness[0])
-
-
 def test_init_population_degenerate_interval():
     spec = linear_objective(2, bound=0.0)
-    pop = init_population(5, spec, np.random.default_rng(0))
-    assert pop.genes.shape == (5, 2)
-    assert np.all(pop.genes == 0.0)
-    assert np.all(np.isnan(pop.fitness))
+    genes = init_population(5, spec, np.random.default_rng(0))
+    assert genes.shape == (5, 2)
+    assert np.all(genes == 0.0)
 
 
 def test_init_population_in_bounds_and_deterministic():
     spec = get_objective("sphere", 50)
     a = init_population(3, spec, np.random.default_rng(11))
     b = init_population(3, spec, np.random.default_rng(11))
-    assert np.all(a.genes >= -100.0)
-    assert np.all(a.genes <= 100.0)
-    assert np.array_equal(a.genes, b.genes)
+    assert a.shape == (3, 50)
+    assert np.all(a >= -100.0)
+    assert np.all(a <= 100.0)
+    assert np.array_equal(a, b)
 
 
 def test_init_population_rejects_zero_size():
@@ -107,10 +112,10 @@ def test_mean_fitness_values():
 
 def test_mean_fitness_matches_oracle(rng):
     spec = get_objective("sphere", 5)
-    agent = make_agent(init_population(5, spec, rng), index=0)
-    expected = sum(float(spec.evaluate(g)) for g in agent.population.genes) / 5.0
-    out = interaction_step(agent, init_population(5, spec, rng), 1,
-                           CredibilityState.initial("trust", 2, 3, 1, 50), spec, rng)
+    recipient = init_population(5, spec, rng)
+    expected = sum(float(spec.evaluate(g)) for g in recipient) / 5.0
+    out, _, _ = receive(recipient, init_population(5, spec, rng),
+                        CredibilityState.initial("trust", 2, 3, 1, 50), spec, rng)
     assert out.mean_before == pytest.approx(expected, rel=1e-12)
 
 
@@ -166,10 +171,11 @@ def test_credibility_state_validation():
 
 
 def test_sc_crossover_config_validation():
-    with pytest.raises(ValueError):
-        ScCrossoverConfig("mild", "swap")
-    with pytest.raises(ValueError):
-        ScCrossoverConfig("weak", "merge")
+    # an agent's interaction crossover: its genome intensity and gene operator
+    with pytest.raises(ConfigError, match="genome_intensity must be one of"):
+        validate_config(_valid_cfg(per_agent=(AgentTemplate(genome_intensity="mild"),)))
+    with pytest.raises(ConfigError, match="gene_op must be one of"):
+        validate_config(_valid_cfg(per_agent=(AgentTemplate(gene_op="merge"),)))
 
 
 # --- config validation ------------------------------------------------------

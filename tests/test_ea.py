@@ -6,8 +6,8 @@ kernels (``_tournament_apply``, ``_sbx_apply``, ``_poly_apply``,
 ``_survivors``).
 
 ``helpers.replay_ea_step`` replays the documented draw order with plain
-Python loops, so any drift in how ``ea_step_all`` (and its one-agent case
-``ea_step``) consumes its streams or combines its draws fails loudly here.
+Python loops, so any drift in how ``ea_step_all`` consumes its streams or
+combines its draws fails loudly here.
 """
 
 from dataclasses import replace
@@ -19,10 +19,8 @@ from helpers import (
     RecordingObjective,
     dense_children,
     gap_budget,
-    make_agent,
     plateau_objective,
     replay_ea_step,
-    twin_rngs,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +29,6 @@ from scipy.stats import ks_2samp
 from trustopt import (
     ConfigError,
     EaOperatorConfig,
-    ea_step,
     effective_rates,
     get_objective,
     init_population,
@@ -242,7 +239,7 @@ def test_replacement_rejects_overdraw():
     # step keeps exactly the n members, also without offspring, and a
     # negative offspring count is rejected
     spec = get_objective("sphere", 2)
-    genes = np.stack([init_population(3, spec, np.random.default_rng(1)).genes])
+    genes = np.stack([init_population(3, spec, np.random.default_rng(1))])
     fitness = np.full((1, 3), np.nan)
     plan = step_plan(3, 2, 0, EaOperatorConfig(), [0.5], [0.5])
     ea_step_all(genes, fitness, plan, spec, [np.random.default_rng(2)])
@@ -261,73 +258,55 @@ def test_replacement_survivors_keep_insertion_order():
 # --- full step --------------------------------------------------------------
 
 
-def test_ea_step_zero_offspring_is_identity(rng):
+def _one_agent(n, d, lam, pc, pm, seed, op=EaOperatorConfig()):
+    """A one-agent society (see _societies) for ``_society``."""
+    return dict(n_agents=1, n=n, d=d, lam=lam, op=op, pcs=[pc], pms=[pm], seed=seed, steps=1)
+
+
+def test_ea_step_zero_offspring_is_identity():
     spec = get_objective("sphere", 3)
-    agent = make_agent(init_population(4, spec, rng), offspring_size=0)
-    before = agent.population.genes.copy()
-    ea_step(agent, spec, rng)
-    assert np.array_equal(agent.population.genes, before)
+    genes, fitness, plan, streams = _society(_one_agent(4, 3, 0, 0.9, 0.2, 5), spec)
+    before = genes.copy()
+    ea_step_all(genes, fitness, plan, spec, streams)
+    assert np.array_equal(genes, before)
 
 
-def test_ea_step_zero_rates_add_no_new_genomes(rng):
+def test_ea_step_zero_rates_add_no_new_genomes():
     # with both rates at zero every child is a clone of a tournament winner,
     # so the step can concentrate on good members but never invent material
     spec = get_objective("sphere", 3)
-    agent = make_agent(init_population(4, spec, rng), offspring_size=6, pc=0.0, pm=0.0)
-    before = agent.population.genes.copy()
+    genes, fitness, plan, streams = _society(_one_agent(4, 3, 6, 0.0, 0.0, 6), spec)
+    before = genes[0].copy()
     best = float(np.min(spec.evaluate(before)))
-    ea_step(agent, spec, rng)
-    after = agent.population
-    assert after.size == 4
-    assert after.fitness.min() == best
-    for row in after.genes:
+    ea_step_all(genes, fitness, plan, spec, streams)
+    assert genes.shape == (1, 4, 3)
+    assert fitness.min() == best
+    for row in genes[0]:
         assert any(np.array_equal(row, old) for old in before)
 
 
-def test_ea_step_preserves_size_and_never_worsens(rng):
-    for name in ("sphere", "rastrigin", "griewank"):
+def test_ea_step_preserves_size_and_never_worsens():
+    for k, name in enumerate(("sphere", "rastrigin", "griewank")):
         spec = get_objective(name, 6)
-        agent = make_agent(init_population(5, spec, rng), offspring_size=7,
-                           pc=0.6, pm=0.1)
+        genes, fitness, plan, streams = _society(_one_agent(5, 6, 7, 0.6, 0.1, 7 + k), spec)
         best = np.inf
         for _ in range(50):
-            pop = ea_step(agent, spec, rng)
-            assert pop.size == 5
-            assert np.all(pop.genes >= spec.lower)
-            assert np.all(pop.genes <= spec.upper)
-            assert pop.fitness.min() <= best + 1e-15
-            best = pop.fitness.min()
+            ea_step_all(genes, fitness, plan, spec, streams)
+            assert genes.shape == (1, 5, 6) and fitness.shape == (1, 5)
+            assert np.all(genes >= spec.lower)
+            assert np.all(genes <= spec.upper)
+            assert fitness.min() <= best + 1e-15
+            best = fitness.min()
 
 
 def test_ea_step_matches_recorded_trace_oracle():
-    spec = get_objective("sphere", 2)
-    r1, r2 = twin_rngs(314)
-    pop = init_population(3, spec, r1)
-    base = init_population(3, spec, r2).genes  # same draws, twin stays aligned
-    agent = make_agent(pop, offspring_size=4, pc=0.9, pm=0.5)
-
-    ea_step(agent, spec, r1)
-
-    oracle_genes, oracle_fit = replay_ea_step(base, np.full(3, np.nan), 4, 0.9, 0.5, spec, r2)
-    assert np.array_equal(agent.population.genes, oracle_genes)
-    assert np.array_equal(agent.population.fitness, oracle_fit)
-    assert r1.bit_generator.state == r2.bit_generator.state
+    _assert_batched_matches_replay(get_objective("sphere", 2), _one_agent(3, 2, 4, 0.9, 0.5, 314))
 
 
 def test_ea_step_oracle_odd_offspring_and_pair_scope():
-    spec = get_objective("rastrigin", 3)
-    r1, r2 = twin_rngs(2718)
-    pop = init_population(4, spec, r1)
-    base = init_population(4, spec, r2).genes
-    agent = make_agent(pop, offspring_size=5, pc=0.7, pm=0.3)
     op = EaOperatorConfig(eta_c=15.0, eta_m=25.0, crossover_scope="pair")
-
-    ea_step(agent, spec, r1, op)
-
-    genes_out, fit_out = replay_ea_step(base, np.full(4, np.nan), 5, 0.7, 0.3, spec, r2, op)
-    assert np.array_equal(agent.population.genes, genes_out)
-    assert np.array_equal(agent.population.fitness, fit_out)
-    assert r1.bit_generator.state == r2.bit_generator.state
+    _assert_batched_matches_replay(get_objective("rastrigin", 3),
+                                   _one_agent(4, 3, 5, 0.7, 0.3, 2718, op))
 
 
 # --- batched kernel ---------------------------------------------------------
@@ -351,7 +330,7 @@ def _societies(draw):
 def _society(s, spec):
     """The (genes, fitness, plan, streams) of society ``s`` (see _societies)."""
     streams = [np.random.default_rng(s["seed"] + i) for i in range(s["n_agents"])]
-    genes = np.stack([init_population(s["n"], spec, g).genes for g in streams])
+    genes = np.stack([init_population(s["n"], spec, g) for g in streams])
     plan = step_plan(s["n"], s["d"], s["lam"], s["op"], s["pcs"], s["pms"])
     return genes, np.full(genes.shape[:2], np.nan), plan, streams
 
@@ -359,7 +338,7 @@ def _society(s, spec):
 def _assert_batched_matches_replay(spec, s, budget=gap_budget):
     genes, fitness, plan, streams = _society(s, spec)
     ref_streams = [np.random.default_rng(s["seed"] + i) for i in range(s["n_agents"])]
-    ref = [[init_population(s["n"], spec, g).genes, np.full(s["n"], np.nan)]
+    ref = [[init_population(s["n"], spec, g), np.full(s["n"], np.nan)]
            for g in ref_streams]
     for _ in range(s["steps"]):
         if spec.noisy:
@@ -413,7 +392,7 @@ def test_batched_step_matches_the_replay_past_the_budget(society):
 def test_batched_step_zero_offspring_only_evaluates():
     spec = get_objective("sphere", 3)
     streams = [np.random.default_rng(s) for s in (1, 2)]
-    genes = np.stack([init_population(4, spec, st).genes for st in streams])
+    genes = np.stack([init_population(4, spec, st) for st in streams])
     fitness = np.full((2, 4), np.nan)
     before = genes.copy()
     plan = step_plan(4, 3, 0, EaOperatorConfig(), np.array([0.5, 0.5]), np.array([0.1, 0.1]))
@@ -527,7 +506,7 @@ def test_forced_top_up_keeps_the_marginals(monkeypatch, p):
 def test_zero_rates_breed_copies_of_the_parents(scope):
     rec = RecordingObjective(4)
     streams = [CountingStream(np.random.default_rng(s)) for s in range(3)]
-    genes = np.stack([init_population(5, rec.spec, s.rng).genes for s in streams])
+    genes = np.stack([init_population(5, rec.spec, s.rng) for s in streams])
     fitness = np.full((3, 5), np.nan)
     plan = step_plan(5, 4, 7, EaOperatorConfig(crossover_scope=scope), [0.0] * 3, [0.0] * 3)
     ea_step_all(genes.copy(), fitness, plan, rec.spec, streams)
@@ -570,7 +549,7 @@ def test_high_dimensional_step_draws_few_uniforms():
     spec = get_objective("sphere", d)
     rates = np.array([effective_rates(0.005, 0.0005, i, 1.3) for i in range(n_agents)])
     streams = [CountingStream(np.random.default_rng(s)) for s in range(n_agents)]
-    genes = np.stack([init_population(5, spec, s.rng).genes for s in streams])
+    genes = np.stack([init_population(5, spec, s.rng) for s in streams])
     fitness = np.full((n_agents, 5), np.nan)
     plan = step_plan(5, d, 15, EaOperatorConfig(), rates[:, 0], rates[:, 1])
     for _ in range(5):

@@ -157,7 +157,7 @@ def test_long_epoch_run_equals_independent_ea_chains():
         rng = np.random.default_rng(seed)
         pc, pm = effective_rates(tpl.base_crossover_rate, tpl.base_mutation_rate,
                                  i, cfg.diversity_factor)
-        genes = init_population(tpl.population_size, spec, rng).genes
+        genes = init_population(tpl.population_size, spec, rng)
         fitness = np.full(tpl.population_size, np.nan)
         bests, means = [], []
         for _ in range(cfg.max_steps):

@@ -1,14 +1,17 @@
 """Credibility-gated exchange: share selection, threshold, gene adoption,
-offspring, credibility updates, and the batched ``exchange_all`` and its
-one-recipient case ``interaction_step`` against ``helpers.replay_exchange``.
+offspring, credibility updates, and the batched ``exchange_all`` against
+``helpers.replay_exchange``.
 
-Hand cases run one ``exchange_all`` step of a two-agent society on the
-linear objective (``helpers.exchange_pair``), where fitness is gene 0 and
-gene 1 marks the member index, and read the offspring off the blocks the
-objective evaluated.  Test names keep the paper-style rule names:
+Hand cases run one ``exchange_all`` step of a two-agent society and read
+agent 0's row of its record (``helpers.receive``).  On the linear
+objective (``helpers.exchange_pair``) fitness is gene 0 and gene 1 marks
+the member index, and the offspring are read off the blocks the objective
+evaluated.  Test names keep the paper-style rule names:
 ``phi`` is gene adoption, ``sc_crossover`` the breeding of offspring and
 ``sc_variation`` the threshold-gated merge.
 """
+
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -16,13 +19,11 @@ from helpers import (
     adopt_genes,
     assert_records_equal,
     credit_after,
-    evaluate_missing,
     exchange_pair,
     genomes_with_values,
     linear_objective,
-    make_agent,
     plateau_objective,
-    population_with_values,
+    receive,
     replay_exchange,
     twin_rngs,
 )
@@ -34,12 +35,9 @@ from trustopt import (
     ConfigError,
     CredibilityConfig,
     CredibilityState,
-    Population,
-    ScCrossoverConfig,
     TboConfig,
     get_objective,
     init_population,
-    interaction_step,
     validate_config,
 )
 from trustopt.socio import _adopt, _apply_credit, _branch, _threshold, exchange_all
@@ -161,10 +159,10 @@ def test_divergence_ranking_matches_sort_oracle(rng):
 
 
 def test_divergence_ranking_shape_checks():
-    recipient = make_agent(population_with_values([1.0, 2.0], 3), index=0)
+    # a recipient and a sender of different dimensions cannot share a stack
     with pytest.raises(ValueError):
-        interaction_step(recipient, population_with_values([1.0, 2.0], 4), 1,
-                         _trust_state(), SPEC2, np.random.default_rng(0))
+        receive(genomes_with_values([1.0, 2.0], 3), genomes_with_values([1.0, 2.0], 4),
+                _trust_state(), SPEC2, np.random.default_rng(0))
 
 
 def test_phi_swap_and_average():
@@ -203,8 +201,6 @@ def test_phi_rejects_bad_arguments():
     # is checked where a config is built
     with pytest.raises(ValueError):
         CredibilityState.initial("trust", 2, 0, 0, 50)
-    with pytest.raises(ValueError):
-        ScCrossoverConfig("weak", "blend")
     with pytest.raises(ConfigError, match="gene_op"):
         validate_config(_cfg(per_agent=(AgentTemplate(gene_op="blend"),)))
 
@@ -363,15 +359,15 @@ def test_sc_variation_rejection_consumes_no_draws():
 
 def test_sc_variation_merges_with_elitism(rng):
     spec = get_objective("sphere", 3)
-    agent = make_agent(init_population(4, spec, rng), index=0, intensity="moderate")
+    recipient = init_population(4, spec, rng)
     donor = init_population(4, spec, rng)
     cred = CredibilityState.initial("trust", 2, 3, 1, 50)
     cred.trust[1, 0] = 2
-    before_best = float(np.min(spec.evaluate(agent.population.genes)))
-    out = interaction_step(agent, donor, 1, cred, spec, rng)
+    before_best = float(np.min(spec.evaluate(recipient)))
+    out, genes, fitness = receive(recipient, donor, cred, spec, rng, "moderate")
     if out.accepted:
-        assert agent.population.size == 4
-        assert agent.population.fitness.min() <= before_best
+        assert genes[0].shape == (4, 3)
+        assert fitness[0].min() <= before_best
 
 
 # --- credibility updates ----------------------------------------------------
@@ -418,8 +414,9 @@ def test_credibility_updates_fuzzed_stay_in_bounds(rng):
 # --- full interaction -------------------------------------------------------
 
 
-def _trust_state(n=3, start=10):
-    return CredibilityState.initial("trust", n, start, 1, 50)
+def _trust_state(start=10):
+    """A two-agent trust table at ``start``."""
+    return CredibilityState.initial("trust", 2, start, 1, 50)
 
 
 def _credit(cred, recipient, out):
@@ -435,77 +432,59 @@ def _credit(cred, recipient, out):
 
 
 def test_interaction_rejected_share_is_noop_with_trust_penalty():
-    recipient = make_agent(population_with_values([10.0, 10.0], 2), index=0,
-                           intensity="moderate")
-    sender_pop = population_with_values([40.0, 50.0], 2)
+    recipient = genomes_with_values([10.0, 10.0])
     cred = _trust_state()
-    before = recipient.population.genes.copy()
-    out = interaction_step(recipient, sender_pop, 1, cred, SPEC2,
-                           np.random.default_rng(3))
+    before = deepcopy(cred)
+    out, genes, _ = receive(recipient, genomes_with_values([40.0, 50.0]), cred, SPEC2,
+                            np.random.default_rng(3), "moderate")
     assert not out.accepted
     assert not out.improved
-    assert np.array_equal(recipient.population.genes, before)
+    assert np.array_equal(genes[0], recipient)
     assert out.branch == -1
-    assert _credit(cred, 0, out) == {(0, 1): -1}
-    # the caller owns the state; nothing is applied in place
-    assert np.all(cred.trust == 10)
+    assert _credit(before, 0, out) == {(0, 1): -1}
+    # the step applies it: agent 1's own exchange moves only its cell for agent 0
+    assert cred.trust[0, 1] == 9
 
 
 def test_interaction_improvement_raises_sender_standing():
-    recipient = make_agent(population_with_values([10.0, 12.0], 2), index=2,
-                           intensity="weak")
-    sender_pop = population_with_values([1.0, 2.0], 2)
     cred = _trust_state()
-    out = interaction_step(recipient, sender_pop, 0, cred, SPEC2, np.random.default_rng(4))
+    out, _, _ = receive(genomes_with_values([10.0, 12.0]), genomes_with_values([1.0, 2.0]),
+                        deepcopy(cred), SPEC2, np.random.default_rng(4), "weak")
     assert out.accepted
     assert out.improved
     assert out.mean_after < out.mean_before
     assert out.branch == 1
-    assert _credit(cred, 2, out) == {(2, 0): 1}
+    assert _credit(cred, 0, out) == {(0, 1): 1}
 
 
 def test_interaction_reputation_moves_tokens():
-    recipient = make_agent(population_with_values([10.0, 12.0], 2), index=1,
-                           intensity="weak")
-    sender_pop = population_with_values([1.0, 2.0], 2)
-    cred = CredibilityState.initial("reputation", 3, 10, 1, 50)
-    out = interaction_step(recipient, sender_pop, 2, cred, SPEC2,
-                           np.random.default_rng(4))
+    cred = CredibilityState.initial("reputation", 2, 10, 1, 50)
+    out, _, _ = receive(genomes_with_values([10.0, 12.0]), genomes_with_values([1.0, 2.0]),
+                        deepcopy(cred), SPEC2, np.random.default_rng(4), "weak")
     assert out.improved
     assert out.branch == 1
-    assert _credit(cred, 1, out) == {1: -1, 2: 1}
+    assert _credit(cred, 0, out) == {0: -1, 1: 1}
 
 
 def test_interaction_neutral_outcome_changes_nothing():
     # the share passes the threshold but every offspring loses to the
     # residents, so the mean is unchanged and no credit is given
-    recipient = make_agent(population_with_values([1.0, 1.0], 2), index=0,
-                           intensity="weak")
-    sender_pop = population_with_values([1.5, 1.5], 2)
     cred = _trust_state()
-    out = interaction_step(recipient, sender_pop, 1, cred, SPEC2, np.random.default_rng(5))
+    out, _, _ = receive(genomes_with_values([1.0, 1.0]), genomes_with_values([1.5, 1.5]),
+                        deepcopy(cred), SPEC2, np.random.default_rng(5), "weak")
     assert out.accepted
     assert not out.improved
     assert out.branch == 0
     assert _credit(cred, 0, out) == {}
 
 
-def test_interaction_rejects_self():
-    recipient = make_agent(population_with_values([1.0], 2), index=1)
-    with pytest.raises(ValueError):
-        interaction_step(recipient, population_with_values([1.0], 2), 1,
-                         _trust_state(), SPEC2, np.random.default_rng(0))
-
-
 def test_interaction_share_size_follows_sender_trust_in_recipient():
-    cred = _trust_state(3, start=10)
+    cred = _trust_state()
     cred.trust[1, 0] = 2   # sender 1 trusts recipient 0 this much
     cred.trust[0, 1] = 50  # recipient trusts sender fully
-    recipient = make_agent(population_with_values([5.0, 6.0, 7.0], 2), index=0,
-                           intensity="weak")
-    sender_pop = population_with_values([1.0, 2.0, 3.0], 2)
-    out = interaction_step(recipient, sender_pop, 1, cred, SPEC2,
-                           np.random.default_rng(6))
+    out, _, _ = receive(genomes_with_values([5.0, 6.0, 7.0]),
+                        genomes_with_values([1.0, 2.0, 3.0]), cred, SPEC2,
+                        np.random.default_rng(6), "weak")
     # the 2 worst of the sender were considered: mean of {3, 2}
     assert out.mean_shared == 2.5
 
@@ -513,27 +492,26 @@ def test_interaction_share_size_follows_sender_trust_in_recipient():
 def test_interaction_matches_hand_stepped_composition():
     spec = get_objective("sphere", 2)
     r_init = np.random.default_rng(71)
-    recipient_pop = init_population(3, spec, r_init)
-    sender_pop = init_population(3, spec, r_init)
-    cred = _trust_state(2, start=2)
-
-    r1, r2 = twin_rngs(99)
-    agent = make_agent(recipient_pop.copy(), index=0, intensity="moderate")
-    out = interaction_step(agent, sender_pop.copy(), 1, cred, spec, r1)
+    recipient = init_population(3, spec, r_init)
+    sender = init_population(3, spec, r_init)
+    cred = _trust_state(start=2)
 
     # replay: share the 2 worst, gate by threshold, depth-2 adoption, merge
-    genes = np.stack([recipient_pop.genes, sender_pop.genes])
-    fitness = spec.base(genes)
-    ref_genes, ref_fit, _, _, ref_accepted = replay_exchange(
-        genes, fitness, [1, 0], cred, ["moderate"] * 2, ["swap"] * 2, spec,
-        [r2, np.random.default_rng(0)])
-    assert ref_accepted[0] == out.accepted
-    assert np.array_equal(agent.population.genes, ref_genes[0])
-    assert np.array_equal(agent.population.fitness, ref_fit[0])
+    r1, r2 = twin_rngs(99)
+    genes = np.stack([recipient, sender])
+    ref_genes, ref_fit, ref_cred, ref, ref_accepted = replay_exchange(
+        genes, spec.base(genes), [1, 0], cred, ["moderate"] * 2, ["swap"] * 2, spec,
+        [r2, np.random.default_rng(1)])
+
+    out, genes, fitness = receive(recipient, sender, cred, spec, r1, "moderate")
+    assert_records_equal(out, ref.row(0), ref_accepted[0])
+    assert np.array_equal(genes, ref_genes)
+    assert np.array_equal(fitness, ref_fit)
+    assert np.array_equal(cred.trust, ref_cred.trust)
     assert r1.bit_generator.state == r2.bit_generator.state
 
 
-# --- batched exchange and its one-recipient case against the replay ---------
+# --- batched exchange against the replay -------------------------------------
 
 
 _OBJECTIVES = {
@@ -599,33 +577,3 @@ def test_exchange_all_matches_the_replay(s):
     assert_records_equal(record, ref, ref_accepted)
     for a, b in zip(streams, ref_streams):
         assert a.bit_generator.state == b.bit_generator.state
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(s=_societies(), data=st.data())
-def test_interaction_step_matches_the_replay(s, data):
-    spec, genes, fitness, cred, senders = _society(s)
-    i = data.draw(st.integers(0, s["n_agents"] - 1))
-    j = int(senders[i])
-    if data.draw(st.booleans()):  # unevaluated members are filled first
-        fitness[[i, j]] = np.nan
-    r1, r2 = twin_rngs(s["seed"])
-    table = (cred.trust if cred.kind == "trust" else cred.reputation).copy()
-
-    agent = make_agent(Population(genes[i].copy(), fitness[i].copy()), index=i,
-                       intensity=s["intensity"][i], gene_op=s["gene_op"][i])
-    out = interaction_step(agent, Population(genes[j].copy(), fitness[j].copy()), j, cred,
-                           spec, r1, s["policy"])
-    assert np.array_equal(cred.trust if cred.kind == "trust" else cred.reputation, table)
-
-    fitness[i] = evaluate_missing(genes[i], fitness[i], spec, r2)
-    fitness[j] = evaluate_missing(genes[j], fitness[j], spec, r2)
-    # the other agents' exchanges run on throwaway streams and are ignored
-    streams = [np.random.default_rng(0) for _ in range(s["n_agents"])]
-    streams[i] = r2
-    ref_genes, ref_fit, _, ref, ref_accepted = replay_exchange(
-        genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec, streams, s["policy"])
-    assert_records_equal(out, ref.row(i), ref_accepted[i])
-    assert np.array_equal(agent.population.genes, ref_genes[i])
-    assert np.array_equal(agent.population.fitness, ref_fit[i])
-    assert r1.bit_generator.state == r2.bit_generator.state
