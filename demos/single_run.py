@@ -12,7 +12,7 @@ from trustopt import (
     AgentTemplate,
     CredibilityConfig,
     TboConfig,
-    tbo_run,
+    run_repetitions,
 )
 from trustopt.results import best_so_far_series
 
@@ -35,7 +35,7 @@ cfg = TboConfig(
     ),),
 )
 
-trace = tbo_run(cfg, record_every=100)
+[trace] = run_repetitions(cfg, record_every=100)  # one trace per repetition
 
 print(f"run: {trace.algorithm} on {trace.objective} D={trace.dimension}, "
       f"{trace.total_steps} steps, {cfg.agent_count} agents")

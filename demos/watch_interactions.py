@@ -6,13 +6,13 @@ offspring that adopt K genes of them (K is the agent's trust in the peer)
 and either merges those (when the shared members' mean fitness passes the
 acceptance threshold) or throws the share away.  The outcome, the branch,
 moves trust: +1 improved, 0 accepted, -1 rejected.  Passing
-interaction_log= to tbo_run records one (step, ExchangeRecord) pair per
-epoch: the per-agent arrays of that epoch's exchanges.
+interaction_log= to run_repetitions records one (step, ExchangeRecord) pair
+per epoch: the per-agent arrays of that epoch's exchanges.
 """
 
 from collections import Counter
 
-from trustopt import AgentTemplate, CredibilityConfig, TboConfig, tbo_run
+from trustopt import AgentTemplate, CredibilityConfig, TboConfig, run_repetitions
 
 cfg = TboConfig(
     agent_count=4,
@@ -29,7 +29,7 @@ cfg = TboConfig(
 )
 
 log = []
-tbo_run(cfg, interaction_log=log)
+run_repetitions(cfg, interaction_log=log)
 VERDICTS = {1: "improved", 0: "accepted", -1: "rejected"}
 
 print(f"{len(log) * cfg.agent_count} interactions over {cfg.max_steps} steps "

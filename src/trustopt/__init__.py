@@ -26,7 +26,7 @@ from .config import (
     validate_config,
 )
 from .ea import EaOperatorConfig
-from .engine import island_model_run, run_repetitions, tbo_run
+from .engine import run_repetitions
 from .harness import (
     load_manifest,
     run_manifest,

@@ -22,10 +22,10 @@ repetition keeps its own global best, so stacking couples nothing: every
 repetition runs exactly as it would alone.
 
 :func:`run_cells` runs several cells in lockstep, one global step at a
-time; it is the one run loop, and :func:`run_repetitions`,
-:func:`tbo_run` and :func:`island_model_run` are its one-cell case.  The
-cells' genes and fitness live in one stacked array, and each cell keeps a
-view of its rows.  A step that is no cell's epoch step is one
+time; it is the one run loop, and :func:`run_repetitions` is its one-cell
+case.  Both read the algorithm from ``cfg.algorithm``.  The cells' genes
+and fitness live in one stacked array, and each cell keeps a view of its
+rows.  A step that is no cell's epoch step is one
 :func:`~trustopt.ea.ea_step_all` over the whole group with one group plan;
 on any other step each cell steps alone, :func:`advance_step` on its
 epoch and an EA step with its own plan off it.  Cells may differ in
@@ -47,7 +47,8 @@ agent's same-step decision and relabeling agents (with their streams)
 relabels the run.  Credibility changes are summed and clamped into
 ``[min_value, max_value]`` once per step, so their order does not
 matter.  The tbo exchange is :func:`~trustopt.socio.exchange_all`; an
-interaction log keeps the record it returns, one entry per epoch step.
+interaction log keeps the record it returns, one entry per epoch step,
+with one row per agent of every repetition, repetition after repetition.
 
 For noisy objectives the run loop clears the whole group's fitness once at
 the start of each step, before any cell steps: values are evaluated at
@@ -58,7 +59,7 @@ increases even under noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ from .types import (ConvergenceTrace, CredibilityState, GlobalBest, effective_ra
 
 ea_step, interaction_step = ea_step_all, exchange_all  # perfbench/tracer.py patches these names; nothing calls them
 
-__all__ = ["tbo_run", "island_model_run", "run_repetitions", "run_cells"]
+__all__ = ["run_repetitions", "run_cells"]
 
 
 @dataclass
@@ -85,7 +86,6 @@ class RunState:
     arrays."""
 
     cfg: TboConfig
-    algorithm: str
     objective: ObjectiveSpec
     plan: StepPlan  # EA step constants, the (R*N,) rates and scratch
     streams: list[np.random.Generator]
@@ -94,30 +94,17 @@ class RunState:
     intensity: np.ndarray  # (R*N,) genome intensity names
     gene_op: np.ndarray  # (R*N,) gene operator names
     credibility: Optional[CredibilityState]  # only diagonal blocks of a trust table are read
-    t: int
     repetitions: list[int]
     interaction_log: Optional[list] = None
 
 
-def _build_state(
-    cfg: TboConfig,
-    algorithm: str,
-    repetitions: Sequence[int],
-    agent_rngs: Optional[Sequence[np.random.Generator]],
-    interaction_log: Optional[list],
-) -> RunState:
-    validate_config(replace(cfg, algorithm=algorithm))
+def _build_state(cfg: TboConfig, repetitions: Sequence[int],
+                 interaction_log: Optional[list] = None) -> RunState:
+    validate_config(cfg)
     objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
-
-    n_reps, n_agents = len(repetitions), cfg.agent_count
-    if agent_rngs is None:
-        streams = [agent_stream(cfg.seed, r, i) for r in repetitions for i in range(n_agents)]
-    else:
-        if len(agent_rngs) != n_reps * n_agents:
-            raise ValueError("need one injected stream per agent")
-        streams = list(agent_rngs)
-
-    templates = [cfg.agent_template(i) for i in range(n_agents)] * n_reps
+    n_agents = cfg.agent_count
+    streams = [agent_stream(cfg.seed, r, i) for r in repetitions for i in range(n_agents)]
+    templates = [cfg.agent_template(i) for i in range(n_agents)] * len(repetitions)
     rates = np.array([effective_rates(t.base_crossover_rate, t.base_mutation_rate,
                                       i % n_agents, cfg.diversity_factor)
                       for i, t in enumerate(templates)])
@@ -127,20 +114,20 @@ def _build_state(
                      EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope), *rates.T)
 
     credibility = None
-    if algorithm == "tbo":
+    if cfg.algorithm == "tbo":
         c = cfg.credibility
         credibility = CredibilityState.initial(c.kind, len(streams), c.start_value,
                                                c.min_value, c.max_value)
     return RunState(
-        cfg, algorithm, objective, plan, streams, genes, np.full(genes.shape[:2], np.nan),
+        cfg, objective, plan, streams, genes, np.full(genes.shape[:2], np.nan),
         np.array([t.genome_intensity for t in templates]),
         np.array([t.gene_op for t in templates]),
-        credibility, cfg.first_step, list(repetitions), interaction_log,
+        credibility, list(repetitions), interaction_log,
     )
 
 
-def advance_step(state: RunState) -> None:
-    """Run one epoch step for every agent, then advance ``t``.  The
+def advance_step(state: RunState, t: int) -> None:
+    """Run global step ``t`` as an epoch step for every agent.  The
     members' missing fitness is evaluated first (a noisy objective's cache
     is cleared by the caller at the top of every step).  In a migration the
     source's first best genome replaces the recipient's first worst member,
@@ -154,7 +141,7 @@ def advance_step(state: RunState) -> None:
     rows = np.arange(len(streams))
     local = rows % n_agents
     others = rows - local + draws + (draws >= local)
-    if state.algorithm == "island_model":
+    if state.cfg.algorithm == "island_model":
         best = fitness.argmin(axis=1)[others]
         worst = fitness.argmax(axis=1)
         genes[rows, worst] = genes[others, best]
@@ -163,8 +150,7 @@ def advance_step(state: RunState) -> None:
         record = exchange_all(genes, fitness, others, state.credibility, state.intensity,
                               state.gene_op, state.objective, streams, state.cfg.partner_policy)
         if state.interaction_log is not None:
-            state.interaction_log.append((state.t, record))
-    state.t += 1
+            state.interaction_log.append((t, record))
 
 
 def _shared(state: RunState) -> dict:
@@ -213,18 +199,15 @@ def _lockstep(states: list[RunState], record_every: int) -> list[list[Convergenc
     for t in range(first, last + 1):
         if objective.noisy:
             fit.fill(np.nan)
-        epoch = [s.t % s.cfg.epoch_length == 0 for s in states]
+        epoch = [t % s.cfg.epoch_length == 0 for s in states]
         if any(epoch):
             for s, on in zip(states, epoch):
                 if on:
-                    advance_step(s)
-                    continue
-                ea_step_all(s.genes, s.fitness, s.plan, s.objective, s.streams)
-                s.t += 1
+                    advance_step(s, t)
+                else:
+                    ea_step_all(s.genes, s.fitness, s.plan, s.objective, s.streams)
         else:
             ea_step_all(genes, fit, plan, objective, streams)
-            for s in states:
-                s.t += 1
         value = np.minimum.reduceat(flat_fit, starts)
         for r in np.flatnonzero(value < best_fit).tolist():
             j = starts[r] + flat_fit[starts[r]:rep_end[r]].argmin()  # first agent, first member
@@ -246,61 +229,27 @@ def _lockstep(states: list[RunState], record_every: int) -> list[list[Convergenc
             agent_ids=np.tile(np.arange(n_agents, dtype=np.int64), len(recorded)),
             best=cell_best[:, r].ravel(), mean=cell_mean[:, r].ravel(),
             global_best=GlobalBest(best_step[k + r], best_genes[k + r], float(best_fit[k + r])),
-            repetition=rep, algorithm=s.algorithm, objective=c.objective,
+            repetition=rep, algorithm=c.algorithm, objective=c.objective,
             dimension=c.dimension, seed=c.seed, total_steps=c.max_steps,
         ) for r, rep in enumerate(s.repetitions)])
         k += len(s.repetitions)
     return out
 
 
-def tbo_run(
-    cfg: TboConfig,
-    repetition: int = 0,
-    *,
-    record_every: int = 1,
-    agent_rngs: Optional[Sequence[np.random.Generator]] = None,
-    interaction_log: Optional[list] = None,
-) -> ConvergenceTrace:
-    """Run the credibility-gated society once and return its trace.
-
-    ``repetition`` selects the derived stream family; ``agent_rngs``
-    overrides stream derivation (mainly for tests); ``interaction_log``,
-    when given, collects one ``(t, ExchangeRecord)`` pair per epoch step:
-    the per-recipient arrays of that step's exchange
-    (:class:`~trustopt.socio.ExchangeRecord`).
-    """
-    return _lockstep([_build_state(cfg, "tbo", [repetition], agent_rngs, interaction_log)],
-                     record_every)[0][0]
-
-
-def island_model_run(
-    cfg: TboConfig,
-    repetition: int = 0,
-    *,
-    record_every: int = 1,
-    agent_rngs: Optional[Sequence[np.random.Generator]] = None,
-) -> ConvergenceTrace:
-    """Run the plain island-model baseline once: same EA, same epoch clock,
-    best-genome migration instead of credibility-gated interaction."""
-    return _lockstep([_build_state(cfg, "island_model", [repetition], agent_rngs, None)],
-                     record_every)[0][0]
-
-
-def run_repetitions(
-    cfg: TboConfig,
-    algorithm: Optional[str] = None,
-    *,
-    record_every: int = 1,
-) -> list[ConvergenceTrace]:
-    """Run ``cfg.repetitions`` independent repetitions of one algorithm.
+def run_repetitions(cfg: TboConfig, *, record_every: int = 1,
+                    interaction_log: Optional[list] = None) -> list[ConvergenceTrace]:
+    """Run ``cfg.repetitions`` independent repetitions of ``cfg.algorithm``.
 
     Repetition ``r`` uses the stream family ``(cfg.seed, r, agent)``; the
     returned traces are tagged with their repetition index.  All
     repetitions run as one stacked society, each exactly as it would run
-    alone.
+    alone.  ``interaction_log``, when given, collects one ``(t,
+    ExchangeRecord)`` pair per tbo epoch step
+    (:class:`~trustopt.socio.ExchangeRecord`): for ``R`` repetitions of
+    ``N`` agents, ``R*N`` rows, repetition after repetition.
     """
-    cfg = replace(cfg, algorithm=algorithm or cfg.algorithm)
-    return run_cells([cfg], record_every=record_every)[0]
+    return _lockstep([_build_state(cfg, range(cfg.repetitions), interaction_log)],
+                     record_every)[0]
 
 
 def run_cells(cfgs: Sequence[TboConfig], *, record_every: int = 1) -> list[list[ConvergenceTrace]]:
@@ -312,5 +261,4 @@ def run_cells(cfgs: Sequence[TboConfig], *, record_every: int = 1) -> list[list[
     (``ValueError`` otherwise); they may differ in everything else.  Each
     cell gives the bytes it gives alone.
     """
-    return _lockstep([_build_state(c, c.algorithm, range(c.repetitions), None, None)
-                      for c in cfgs], record_every)
+    return _lockstep([_build_state(c, range(c.repetitions)) for c in cfgs], record_every)

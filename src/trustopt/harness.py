@@ -241,7 +241,7 @@ def _run_cell(args: tuple) -> list[tuple]:
         for tr in traces:
             write_trace_csv(tr, out / trace_filename(problem.objective, problem.dimension,
                                                      algorithm, tr.repetition))
-        rows += summary_rows(problem.objective, problem.dimension, algorithm, traces)
+        rows += summary_rows(algorithm, traces)
     return rows
 
 

@@ -95,14 +95,13 @@ def read_trace_csv(path: Union[str, Path]) -> dict:
     return {"step": steps, "agent_id": agent_ids, "best": best, "mean": mean}
 
 
-def summary_rows(problem: str, dim: int, algorithm: str,
-                 traces: Sequence[ConvergenceTrace]) -> list[tuple]:
-    """Summary tuples for the runs of one (problem, algorithm) cell."""
-    return [
-        (problem, dim, algorithm, tr.repetition, tr.global_best.fitness,
-         tr.total_steps, tr.seed)
-        for tr in traces
-    ]
+def summary_rows(algorithm: str, traces: Sequence[ConvergenceTrace]) -> list[tuple]:
+    """Summary tuples for the runs of one (problem, algorithm) cell.  The
+    problem and dimension come from the traces; ``algorithm`` is the
+    column's label (a manifest's preset name), which a trace does not
+    carry: its ``algorithm`` is the engine's, ``tbo`` or ``island_model``."""
+    return [(tr.objective, tr.dimension, algorithm, tr.repetition, tr.global_best.fitness,
+             tr.total_steps, tr.seed) for tr in traces]
 
 
 def write_summary_csv(rows: Iterable[tuple], path: Union[str, Path]) -> None:

@@ -464,7 +464,7 @@ def _draw_other(rng, own, n):
     return k + (k >= own)
 
 
-def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> StepwiseRun:
+def stepwise_run(cfg, algorithm: str, repetition: int = 0) -> StepwiseRun:
     """Run ``cfg`` one agent at a time, on a list of per-agent ``(n, D)``
     genes and ``(n,)`` fitness arrays.
 
@@ -477,8 +477,7 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0, agent_rngs=None) -> S
     objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
     op = EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope)
     n_agents = cfg.agent_count
-    streams = (list(agent_rngs) if agent_rngs is not None
-               else [agent_stream(cfg.seed, repetition, i) for i in range(n_agents)])
+    streams = [agent_stream(cfg.seed, repetition, i) for i in range(n_agents)]
     tpls = [cfg.agent_template(i) for i in range(n_agents)]
     rates = [effective_rates(t.base_crossover_rate, t.base_mutation_rate, i, cfg.diversity_factor)
              for i, t in enumerate(tpls)]

@@ -40,9 +40,9 @@ PUBLIC_NAMES = (
     "OBJECTIVE_NAMES", "ObjectiveSpec", "PRESET_NAMES", "SampleGroup", "TboConfig",
     "agent_stream", "compare_groups", "config_from_dict", "config_to_dict", "derive_run_seed",
     "dump_config", "dunn_holm", "effective_rates", "get_objective", "holm_adjust",
-    "init_population", "island_model_run", "kruskal_wallis", "load_config", "load_manifest",
-    "load_preset", "run_manifest", "run_repetitions", "summarize", "tbo_run", "validate_config",
-    "write_plots", "write_stats_reports",
+    "init_population", "kruskal_wallis", "load_config", "load_manifest", "load_preset",
+    "run_manifest", "run_repetitions", "summarize", "validate_config", "write_plots",
+    "write_stats_reports",
 )
 
 

@@ -24,9 +24,7 @@ from trustopt import (
     effective_rates,
     get_objective,
     init_population,
-    island_model_run,
     run_repetitions,
-    tbo_run,
     validate_config,
 )
 from trustopt.engine import _build_state, _lockstep, advance_step, run_cells
@@ -62,13 +60,29 @@ def _series(trace, agent):
     return trace.steps[mask], trace.best[mask], trace.mean[mask]
 
 
+def _run(cfg, repetition=0, record_every=1, interaction_log=None):
+    """The trace of repetition ``repetition`` of ``cfg``, run alone."""
+    return _lockstep([_build_state(cfg, [repetition], interaction_log)], record_every)[0][0]
+
+
+def _inject(monkeypatch, seeds):
+    """Give agent ``i`` of every repetition the stream ``default_rng(seeds[i])``."""
+    monkeypatch.setattr(engine, "agent_stream",
+                        lambda seed, repetition, i: np.random.default_rng(seeds[i]))
+
+
+# one case per algorithm: a tbo run and an island-model run
+_ALGORITHMS = pytest.mark.parametrize("algorithm", ["tbo", "island_model"],
+                                      ids=["tbo_run", "island_model_run"])
+
+
 # --- one global step -------------------------------------------------------
 
 
 def test_dispatch_runs_ea_step_off_epoch():
     log = []
-    state = _build_state(_cfg(max_steps=1), "tbo", [0], None, log)
-    assert state.t == 1 and state.t % 5 != 0  # not an epoch step
+    state = _build_state(_cfg(max_steps=1), [0], log)
+    assert state.cfg.first_step % state.cfg.epoch_length != 0  # not an epoch step
     before = state.streams[0].bit_generator.state
     _lockstep([state], 1)
     assert log == []  # an EA step produces no interaction
@@ -79,25 +93,22 @@ def test_dispatch_runs_ea_step_off_epoch():
 
 def test_dispatch_runs_interaction_on_epoch():
     log = []
-    state = _build_state(_cfg(), "tbo", [0], None, log)
-    state.t = 5
-    advance_step(state)
+    state = _build_state(_cfg(), [0], log)
+    advance_step(state, 5)
     record = log[0][1]
     assert len(record.sender) == 3  # one entry per recipient
     assert record.sender[0] in (1, 2)
     assert [t for t, _ in log] == [5]
-    assert state.t == 6
 
 
 def test_credibility_untouched_between_epochs():
-    state = _build_state(_cfg(epoch_length=50, max_steps=10), "tbo", [0], None, None)
+    state = _build_state(_cfg(epoch_length=50, max_steps=10), [0])
     _lockstep([state], 1)
     assert np.all(state.credibility.trust == 5)
-    assert state.t == 11
 
 
 def test_trust_updates_stay_off_the_diagonal():
-    state = _build_state(_cfg(agent_count=2, epoch_length=2, max_steps=20), "tbo", [0], None, None)
+    state = _build_state(_cfg(agent_count=2, epoch_length=2, max_steps=20), [0])
     _lockstep([state], 1)
     trust = state.credibility.trust
     assert trust[0, 0] == 5 and trust[1, 1] == 5
@@ -109,13 +120,12 @@ def test_trust_updates_stay_off_the_diagonal():
 
 def test_migration_replaces_worst_with_donor_best():
     log = []
-    state = _build_state(_island_cfg(), "island_model", [0], None, log)
-    state.t = 5
+    state = _build_state(_island_cfg(), [0], log)
     state.streams[0], probe = twin_rngs(777)
     spec = get_objective("sphere", 2)
     genes_before = state.genes.copy()
     fit_before = spec.base(genes_before)
-    advance_step(state)
+    advance_step(state, 5)
     assert log == []  # migrations are not interactions
     k = int(probe.integers(0, 2))
     src = k + (k >= 0)
@@ -130,12 +140,11 @@ def test_migration_replaces_worst_with_donor_best():
 def test_epoch_snapshot_is_taken_before_any_write():
     # the second recipient must see the first recipient's pre-step
     # population, not its freshly merged one
-    state = _build_state(_island_cfg(agent_count=2), "island_model", [0], None, None)
-    state.t = 5
+    state = _build_state(_island_cfg(agent_count=2), [0])
     spec = get_objective("sphere", 2)
     frozen = state.genes.copy()
     fit = spec.base(frozen)
-    advance_step(state)
+    advance_step(state, 5)
     for i in (0, 1):
         expected = frozen[i].copy()
         expected[int(np.argmax(fit[i]))] = frozen[1 - i, int(np.argmin(fit[1 - i]))]
@@ -145,10 +154,11 @@ def test_epoch_snapshot_is_taken_before_any_write():
 # --- no-exchange runs reduce to independent chains --------------------------
 
 
-def test_long_epoch_run_equals_independent_ea_chains():
+def test_long_epoch_run_equals_independent_ea_chains(monkeypatch):
     cfg = _cfg(epoch_length=10_000, max_steps=30, diversity_factor=1.3)
     seeds = [11, 22, 33]
-    trace = tbo_run(cfg, agent_rngs=[np.random.default_rng(s) for s in seeds])
+    _inject(monkeypatch, seeds)
+    trace = _run(cfg)
 
     spec = get_objective(cfg.objective, cfg.dimension)
     op = EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope)
@@ -170,19 +180,14 @@ def test_long_epoch_run_equals_independent_ea_chains():
         assert np.array_equal(tm, np.array(means))
 
 
-def test_injected_stream_count_must_match():
-    with pytest.raises(ValueError):
-        tbo_run(_cfg(), agent_rngs=[np.random.default_rng(0)])
-
-
 # --- determinism and relabeling ---------------------------------------------
 
 
-@pytest.mark.parametrize("runner", [tbo_run, island_model_run])
-def test_identical_runs_produce_identical_traces(runner):
-    cfg = _cfg() if runner is tbo_run else _island_cfg()
-    a = runner(cfg)
-    b = runner(cfg)
+@_ALGORITHMS
+def test_identical_runs_produce_identical_traces(algorithm):
+    cfg = _cfg() if algorithm == "tbo" else _island_cfg()
+    a = _run(cfg)
+    b = _run(cfg)
     assert np.array_equal(a.steps, b.steps)
     assert np.array_equal(a.best, b.best)
     assert np.array_equal(a.mean, b.mean)
@@ -190,14 +195,16 @@ def test_identical_runs_produce_identical_traces(runner):
     assert np.array_equal(a.global_best.genes, b.global_best.genes)
 
 
-@pytest.mark.parametrize("runner", [tbo_run, island_model_run])
-def test_swapping_two_agents_relabels_the_run(runner):
+@_ALGORITHMS
+def test_swapping_two_agents_relabels_the_run(algorithm, monkeypatch):
     # agents differ only by their streams, so exchanging the streams must
     # exchange the per-agent series bit for bit, interactions included
-    cfg = (_cfg if runner is tbo_run else _island_cfg)(
+    cfg = (_cfg if algorithm == "tbo" else _island_cfg)(
         agent_count=2, epoch_length=3, max_steps=12)
-    a = runner(cfg, agent_rngs=[np.random.default_rng(101), np.random.default_rng(202)])
-    b = runner(cfg, agent_rngs=[np.random.default_rng(202), np.random.default_rng(101)])
+    _inject(monkeypatch, [101, 202])
+    a = _run(cfg)
+    _inject(monkeypatch, [202, 101])
+    b = _run(cfg)
     for i in (0, 1):
         _, ab, am = _series(a, i)
         _, bb, bm = _series(b, 1 - i)
@@ -206,12 +213,14 @@ def test_swapping_two_agents_relabels_the_run(runner):
     assert a.global_best.fitness == b.global_best.fitness
 
 
-def test_permuting_agents_relabels_exchange_free_runs():
+def test_permuting_agents_relabels_exchange_free_runs(monkeypatch):
     cfg = _cfg(agent_count=4, epoch_length=10_000, max_steps=15)
     perm = [2, 0, 3, 1]
     seeds = [1000, 1001, 1002, 1003]
-    a = tbo_run(cfg, agent_rngs=[np.random.default_rng(s) for s in seeds])
-    b = tbo_run(cfg, agent_rngs=[np.random.default_rng(seeds[perm[j]]) for j in range(4)])
+    _inject(monkeypatch, seeds)
+    a = _run(cfg)
+    _inject(monkeypatch, [seeds[perm[j]] for j in range(4)])
+    b = _run(cfg)
     for j in range(4):
         _, ab, am = _series(a, perm[j])
         _, bb, bm = _series(b, j)
@@ -224,7 +233,7 @@ def test_permuting_agents_relabels_exchange_free_runs():
 
 def test_trace_records_every_agent_on_the_grid_plus_last():
     cfg = _cfg(max_steps=17)
-    trace = tbo_run(cfg, record_every=5)
+    trace = _run(cfg, record_every=5)
     recorded = sorted(set(trace.steps.tolist()))
     assert recorded == [1, 6, 11, 16, 17]
     for t in recorded:
@@ -236,13 +245,13 @@ def test_trace_records_every_agent_on_the_grid_plus_last():
 
 
 def test_trace_with_coarse_grid_keeps_first_and_last():
-    trace = island_model_run(_island_cfg(max_steps=10), record_every=50)
+    trace = _run(_island_cfg(max_steps=10), record_every=50)
     assert sorted(set(trace.steps.tolist())) == [1, 10]
 
 
 def test_global_best_is_minimum_of_recorded_bests():
     cfg = _cfg(max_steps=25)
-    trace = tbo_run(cfg)
+    trace = _run(cfg)
     assert trace.global_best.fitness <= trace.best.min()
     spec = get_objective(cfg.objective, cfg.dimension)
     assert trace.global_best.fitness == pytest.approx(
@@ -252,7 +261,7 @@ def test_global_best_is_minimum_of_recorded_bests():
 
 def test_record_every_must_be_positive():
     with pytest.raises(ValueError):
-        tbo_run(_cfg(), record_every=0)
+        run_repetitions(_cfg(), record_every=0)
 
 
 # --- stacked engine vs the stepwise reference ------------------------------
@@ -299,12 +308,11 @@ def _configs(draw, objective, algorithm):
 def test_fast_path_matches_stepwise_object_path(objective, algorithm, data):
     cfg = data.draw(_configs(objective, algorithm))
     log = []
-    state = _build_state(cfg, algorithm, [0], None, log)
+    state = _build_state(cfg, [0], log)
     [[trace]] = _lockstep([state], 1)
     ref = stepwise_run(cfg, algorithm)
 
-    runner = tbo_run if algorithm == "tbo" else island_model_run
-    direct = runner(cfg)
+    [direct] = run_repetitions(cfg)
     assert np.array_equal(direct.best, trace.best)
     assert np.array_equal(direct.mean, trace.mean)
 
@@ -345,7 +353,7 @@ def test_validate_accepts_exactly_the_bindings_the_engine_builds(objective, dime
     except ConfigError:
         valid = False
     try:
-        state = _build_state(cfg, "tbo", [0], None, None)
+        state = _build_state(cfg, [0])
         built = True
     except ValueError:
         built = False
@@ -369,15 +377,15 @@ def test_invariants_hold_over_random_configs(algorithm, data):
     cfg = data.draw(_configs(objective, algorithm))
     cfg = replace(cfg, dimension=max(cfg.dimension, _DIMENSION_FLOORS.get(objective, 1)))
     n = cfg.per_agent[0].population_size
-    state = _build_state(replace(cfg, max_steps=1), algorithm, [0], None, None)
+    state = _build_state(cfg, [0])
     spec, cred = state.objective, state.credibility
     # with one member, a migration overwrites the agent's only genome, so
     # its best may rise; with two or more it overwrites a worst member and
     # a member at least as good survives
     monotone = not spec.noisy and (algorithm == "tbo" or n >= 2)
-    previous = np.full(cfg.agent_count, np.inf)
-    for _ in range(cfg.max_steps):
-        _lockstep([state], 1)
+    bests = [np.full(cfg.agent_count, np.inf)]
+
+    def check():
         assert state.genes.shape == (cfg.agent_count, n, cfg.dimension)
         assert state.fitness.shape == (cfg.agent_count, n)
         assert np.all((state.genes >= spec.lower) & (state.genes <= spec.upper))
@@ -386,8 +394,21 @@ def test_invariants_hold_over_random_configs(algorithm, data):
             assert np.all((table >= cred.min_value) & (table <= cred.max_value))
         best = state.fitness.min(axis=1)
         if monotone:
-            assert np.all(best <= previous)
-        previous = best
+            assert np.all(best <= bests[-1])
+        bests.append(best)
+
+    def checked(step):
+        def run(*args):
+            step(*args)
+            check()
+        return run
+
+    # a one-cell group takes exactly one of these per global step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "ea_step_all", checked(engine.ea_step_all))
+        mp.setattr(engine, "advance_step", checked(engine.advance_step))
+        _lockstep([state], 1)
+    assert len(bests) == 1 + cfg.max_steps
 
 
 # --- repetitions and logging ------------------------------------------------
@@ -399,7 +420,7 @@ def test_run_repetitions_tags_and_varies():
     assert [t.repetition for t in traces] == [0, 1, 2, 3]
     finals = [t.global_best.fitness for t in traces]
     assert len(set(finals)) > 1
-    direct = tbo_run(cfg, 2)
+    direct = _run(cfg, 2)
     assert np.array_equal(traces[2].best, direct.best)
 
 
@@ -415,7 +436,7 @@ def _assert_same_run(a, b):
 @given(data=st.data())
 def test_stacked_repetitions_run_as_if_alone(data):
     # run_repetitions stacks every repetition into one society; each must
-    # still be the run that tbo_run or island_model_run gives it alone
+    # still be the run it gives alone
     algorithm = data.draw(st.sampled_from(["tbo", "island_model"]))
     n_agents = data.draw(st.integers(2, 5))
     templates = data.draw(st.lists(_templates, min_size=n_agents, max_size=n_agents))
@@ -432,11 +453,10 @@ def test_stacked_repetitions_run_as_if_alone(data):
         cfg = _cfg(credibility=CredibilityConfig(kind, data.draw(st.integers(1, 6)), 1, 6), **kw)
     else:
         cfg = _island_cfg(**kw)
-    runner = tbo_run if algorithm == "tbo" else island_model_run
     traces = run_repetitions(cfg)
     assert [t.repetition for t in traces] == list(range(cfg.repetitions))
     for r, trace in enumerate(traces):
-        _assert_same_run(trace, runner(cfg, r))
+        _assert_same_run(trace, _run(cfg, r))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -519,14 +539,14 @@ def test_stacked_global_best_keeps_the_tie_rule(algorithm, monkeypatch):
 
 def test_run_repetitions_respects_algorithm_override():
     cfg = _cfg(max_steps=6, repetitions=2)
-    traces = run_repetitions(cfg, "island_model")
+    traces = run_repetitions(replace(cfg, algorithm="island_model"))
     assert all(t.algorithm == "island_model" for t in traces)
 
 
 def test_interaction_log_sees_every_epoch():
     cfg = _cfg(epoch_length=3, max_steps=9)
     log = []
-    tbo_run(cfg, interaction_log=log)
+    run_repetitions(cfg, interaction_log=log)
     assert [t for t, _ in log] == [3, 6, 9]
     for t, record in log:
         assert np.all(record.sender != np.arange(3))
@@ -540,13 +560,13 @@ def test_interaction_log_explains_the_credibility_state(kind, monkeypatch):
     c = CredibilityConfig(kind, 3, 1, 5)
     cfg = _cfg(agent_count=4, epoch_length=2, max_steps=60, credibility=c)
     log = []
-    state = _build_state(cfg, "tbo", [0], None, log)
+    state = _build_state(cfg, [0], log)
     table = getattr(CredibilityState.initial(kind, 4, c.start_value, c.min_value, c.max_value),
                     kind)
     loose = table.copy()
 
-    def checked_step(s):
-        advance_step(s)
+    def checked_step(s, t):
+        advance_step(s, t)
         _, record = log[-1]
         for target, lo, hi in ((table, c.min_value, c.max_value), (loose, -99, 99)):
             _apply_credit(target, kind, np.arange(4), record.sender, record.branch, lo, hi)
@@ -564,6 +584,28 @@ def test_interaction_log_explains_the_credibility_state(kind, monkeypatch):
 def test_first_step_zero_starts_with_an_exchange():
     cfg = _cfg(first_step=0, epoch_length=5, max_steps=3)
     log = []
-    trace = tbo_run(cfg, interaction_log=log)
+    [trace] = run_repetitions(cfg, interaction_log=log)
     assert [t for t, _ in log] == [0]
     assert sorted(set(trace.steps.tolist())) == [0, 1, 2]
+
+
+def test_interaction_log_stacks_repetitions():
+    # a stacked run logs every repetition's agents in one record per epoch
+    # step, repetition after repetition; block r is the lone run's record
+    # with its senders shifted to the block's rows
+    cfg = _cfg(agent_count=3, repetitions=3, epoch_length=2, max_steps=9)
+    n = cfg.agent_count
+    log = []
+    run_repetitions(cfg, interaction_log=log)
+    assert [t for t, _ in log] == [2, 4, 6, 8]
+    for r in range(cfg.repetitions):
+        alone = []
+        _run(cfg, r, interaction_log=alone)
+        assert [t for t, _ in alone] == [t for t, _ in log]
+        for (_, record), (_, lone) in zip(log, alone):
+            for name, field, lone_field in zip(record._fields, record, lone):
+                assert len(field) == cfg.repetitions * n, name
+                block = field[r * n:(r + 1) * n]
+                expected = lone_field + r * n if name == "sender" else lone_field
+                assert block.dtype == expected.dtype, name
+                assert block.tobytes() == expected.tobytes(), name

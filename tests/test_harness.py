@@ -200,7 +200,7 @@ def test_grouped_problem_writes_the_files_of_lone_cells(tmp_path):
             for tr in traces:
                 write_trace_csv(tr, alone / trace_filename(problem.objective, problem.dimension,
                                                            algorithm, tr.repetition))
-            rows += summary_rows(problem.objective, problem.dimension, algorithm, traces)
+            rows += summary_rows(algorithm, traces)
         write_summary_csv(rows, alone / summary_filename(problem.objective, problem.dimension))
     names = sorted(p.name for p in alone.iterdir())
     assert sorted(p.name for p in grouped.iterdir()) == names

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trustopt import AgentTemplate, CredibilityConfig, TboConfig, tbo_run
+from trustopt import AgentTemplate, CredibilityConfig, TboConfig, run_repetitions
 from trustopt.results import (
     SUMMARY_HEADER,
     TRACE_HEADER,
@@ -29,7 +29,7 @@ def _trace(seed=5150, max_steps=7):
         per_agent=(AgentTemplate(population_size=3, offspring_size=4,
                                  base_crossover_rate=0.4, base_mutation_rate=0.2),),
     )
-    return tbo_run(cfg)
+    return run_repetitions(cfg)[0]
 
 
 # --- naming -----------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_summary_round_trip(tmp_path):
     traces = [_trace(seed=5150), _trace(seed=5151)]
     for i, t in enumerate(traces):
         object.__setattr__(t, "repetition", i)
-    rows = summary_rows("sphere", 2, "tbo", traces)
+    rows = summary_rows("tbo", traces)
     path = tmp_path / summary_filename("sphere", 2)
     write_summary_csv(rows, path)
     back = read_summary_csv(path)
