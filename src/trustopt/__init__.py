@@ -9,40 +9,42 @@ six benchmark objectives, a Kruskal-Wallis / Dunn / Holm comparison
 pipeline and a CLI harness for batch experiments.
 """
 
-from .benchmarks import (
-    OBJECTIVE_NAMES,
-    ObjectiveSpec,
-    get_objective,
-)
-from .config import (
-    AgentTemplate,
-    ConfigError,
-    CredibilityConfig,
-    TboConfig,
-    config_from_dict,
-    config_to_dict,
-    dump_config,
-    load_config,
-    validate_config,
-)
-from .ea import EaOperatorConfig
-from .engine import run_repetitions
-from .harness import (
-    load_manifest,
-    run_manifest,
-    write_plots,
-    write_stats_reports,
-)
-from .presets import PRESET_NAMES, load_preset
-from .rng import agent_stream, derive_run_seed
-from .stats import (
-    SampleGroup,
-    compare_groups,
-    dunn_holm,
-    holm_adjust,
-    kruskal_wallis,
-    summarize,
-)
-from .types import CredibilityState, effective_rates, init_population
+import importlib
 
 __version__ = "0.1.0"
+
+# each public name and the submodule it is defined in; a name is imported on
+# first access (PEP 562), so that ``import trustopt`` and ``trustopt plot``
+# load no numpy
+_EXPORTS = {
+    "OBJECTIVE_NAMES": "benchmarks", "ObjectiveSpec": "benchmarks",
+    "get_objective": "benchmarks",
+    "AgentTemplate": "config", "ConfigError": "config", "CredibilityConfig": "config",
+    "TboConfig": "config", "config_from_dict": "config", "config_to_dict": "config",
+    "dump_config": "config", "load_config": "config", "validate_config": "config",
+    "EaOperatorConfig": "ea",
+    "run_repetitions": "engine",
+    "load_manifest": "harness", "run_manifest": "harness", "write_stats_reports": "harness",
+    "PRESET_NAMES": "presets", "load_preset": "presets",
+    "agent_stream": "rng", "derive_run_seed": "rng",
+    "SampleGroup": "stats", "compare_groups": "stats", "dunn_holm": "stats",
+    "holm_adjust": "stats", "kruskal_wallis": "stats", "summarize": "stats",
+    "write_plots": "svgchart",
+    "CredibilityState": "types", "effective_rates": "types", "init_population": "types",
+}
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        # an AttributeError lets ``from trustopt import ea`` import the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -11,6 +11,9 @@ Subcommands::
 Exit status: 0 on success, 2 on configuration or manifest validation
 errors (the message names the offending field or objective), 1 on any
 other failure.
+
+Importing this module loads no numpy: ``plot`` needs none, and the other
+commands import what they need when they run.
 """
 
 from __future__ import annotations
@@ -19,11 +22,26 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
-from .harness import load_manifest, run_manifest, write_plots, write_stats_reports
-from .presets import DISPLAY_NAMES, PRESET_NAMES, load_preset, preset_json
+from .svgchart import write_plots
 
 __all__ = ["main", "build_parser"]
+
+
+def _from_harness(name: str):
+    """``trustopt.harness.<name>``, imported at the first call: the harness
+    loads numpy.  The commands call these module-level names, which the
+    benchmark tracer (perfbench/tracer.py) patches."""
+    def call(*args, **kwargs):
+        from . import harness
+
+        return getattr(harness, name)(*args, **kwargs)
+
+    return call
+
+
+load_manifest = _from_harness("load_manifest")
+run_manifest = _from_harness("run_manifest")
+write_stats_reports = _from_harness("write_stats_reports")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,6 +97,8 @@ def _expand(inputs, pattern: str) -> list[Path]:
 
 
 def cmd_run(args) -> int:
+    from .config import ConfigError
+
     manifest = load_manifest(args.manifest)
     if args.jobs < 1:
         raise ConfigError(["--jobs must be >= 1"])
@@ -92,6 +112,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .config import ConfigError
+
     paths = _expand(args.inputs, "summary_*.csv")
     if not paths:
         raise ConfigError(["no summary CSVs found in the given inputs"])
@@ -106,6 +128,8 @@ def cmd_stats(args) -> int:
 def cmd_plot(args) -> int:
     paths = _expand(args.inputs, "trace_*.csv")
     if not paths:
+        from .config import ConfigError
+
         raise ConfigError(["no trace CSVs found in the given inputs"])
     out = args.out if args.out is not None else paths[0].parent
     for p in write_plots(paths, out, log_scale=args.log_scale):
@@ -114,6 +138,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_presets(args) -> int:
+    from .config import ConfigError
+    from .presets import DISPLAY_NAMES, PRESET_NAMES, load_preset, preset_json
+
     if args.name is not None:
         try:
             print(preset_json(args.name), end="")
@@ -143,6 +170,8 @@ def cmd_validate(args) -> int:
         load_manifest(args.manifest)
         print(f"manifest ok: {args.manifest}")
     else:
+        from .config import load_config
+
         load_config(args.config)
         print(f"config ok: {args.config}")
     return 0
@@ -162,11 +191,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as err:
-        for v in err.violations:
-            print(f"error: {v}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as err:
+        from .config import ConfigError  # a ValueError; config loads numpy
+
+        if isinstance(err, ConfigError):
+            for v in err.violations:
+                print(f"error: {v}", file=sys.stderr)
+            return 2
         print(f"error: {err}", file=sys.stderr)
         return 1
 

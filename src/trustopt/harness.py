@@ -51,9 +51,8 @@ from .config import (
 )
 from .engine import run_cells, run_repetitions  # noqa: F401
 from .presets import PRESET_NAMES, load_preset
-from .results import (
+from .results import (  # noqa: F401
     best_so_far_series,
-    parse_trace_filename,
     read_summary_csv,
     read_trace_csv,
     summary_filename,
@@ -64,10 +63,11 @@ from .results import (
 )
 from .rng import derive_run_seed
 from .stats import SampleGroup, compare_groups, summarize
-from .svgchart import render_convergence_svg
+from .svgchart import render_convergence_svg  # noqa: F401
 
-# run_repetitions is unused here: the benchmark tracer (perfbench/tracer.py)
-# looks it up on this module by name.
+# run_repetitions, best_so_far_series, read_trace_csv and
+# render_convergence_svg are unused here: the benchmark tracer
+# (perfbench/tracer.py) looks them up on this module by name.
 
 __all__ = [
     "ProblemCell",
@@ -75,7 +75,6 @@ __all__ = [
     "load_manifest",
     "run_manifest",
     "write_stats_reports",
-    "write_plots",
     "BASELINE_ALGORITHM",
 ]
 
@@ -379,56 +378,4 @@ def write_stats_reports(
     p = out / "stats_report.txt"
     p.write_text("\n".join(text) + "\n", encoding="utf-8")
     written.append(p)
-    return written
-
-
-# ---------------------------------------------------------------------------
-# plots
-
-def _algorithm_order(names) -> list[str]:
-    known = [n for n in PRESET_NAMES if n in names]
-    extra = sorted(n for n in names if n not in PRESET_NAMES)
-    return known + extra
-
-
-def write_plots(
-    trace_paths: Sequence[Union[str, Path]],
-    out_dir: Union[str, Path],
-    log_scale: str = "auto",
-) -> list[Path]:
-    """Render one convergence chart per (problem, dimension).
-
-    Each algorithm contributes one curve: the best-so-far series averaged
-    over its repetitions (grids must agree across repetitions).
-    """
-    cells: dict[tuple[str, int], dict[str, list]] = {}
-    for path in trace_paths:
-        meta = parse_trace_filename(path)
-        data = read_trace_csv(path)
-        steps, curve = best_so_far_series(data["step"], data["best"])
-        cell = cells.setdefault((meta["problem"], meta["dim"]), {})
-        cell.setdefault(meta["algorithm"], []).append((meta["rep"], steps, curve))
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for (problem, dim) in sorted(cells):
-        per_algo = cells[(problem, dim)]
-        series = []
-        for algorithm in _algorithm_order(per_algo):
-            reps = sorted(per_algo[algorithm], key=lambda item: item[0])
-            grid = reps[0][1]
-            for _, steps, _ in reps[1:]:
-                if not np.array_equal(steps, grid):
-                    raise ValueError(
-                        f"trace grids differ across repetitions for {problem} d={dim} {algorithm}"
-                    )
-            mean_curve = np.mean(np.stack([curve for _, _, curve in reps]), axis=0)
-            series.append((algorithm, grid.tolist(), mean_curve.tolist()))
-        svg = render_convergence_svg(series, f"{problem} (D={dim})",
-                                     subtitle="best so far, mean over repetitions",
-                                     log_scale=log_scale)
-        p = out / f"convergence_{problem}_d{dim}.svg"
-        p.write_text(svg, encoding="utf-8")
-        written.append(p)
     return written

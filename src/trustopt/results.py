@@ -15,14 +15,15 @@ final_best, steps, seed`` (one row per run).
 from __future__ import annotations
 
 import csv
+import math
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-import numpy as np
-
-from .types import ConvergenceTrace
+if TYPE_CHECKING:  # types imports numpy, which reading and plotting do not need
+    from .types import ConvergenceTrace
 
 __all__ = [
     "TRACE_HEADER",
@@ -36,6 +37,7 @@ __all__ = [
     "write_summary_csv",
     "read_summary_csv",
     "best_so_far_series",
+    "mean_curve",
 ]
 
 TRACE_HEADER = ("step", "agent_id", "best", "mean")
@@ -68,31 +70,39 @@ def _fmt(x: float) -> str:
 
 def write_trace_csv(trace: ConvergenceTrace, path: Union[str, Path]) -> None:
     columns = (trace.steps.tolist(), trace.agent_ids.tolist(),
-               np.asarray(trace.best, dtype=float).tolist(),
-               np.asarray(trace.mean, dtype=float).tolist())
+               trace.best.tolist(), trace.mean.tolist())
     lines = [",".join(TRACE_HEADER)]
     lines += [f"{step},{agent},{best!r},{mean!r}" for step, agent, best, mean in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_trace_csv(path: Union[str, Path]) -> dict:
-    """Read a trace CSV back into parallel numpy arrays."""
+def _read_rows(path: Union[str, Path], header: tuple, kind: str) -> list[list[str]]:
+    """The data rows of a CSV whose first row must be ``header``; every row
+    must have as many fields as the header."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header in {path}: {header or 'empty file'}")
+        found = tuple(next(reader, ()))
+        if found != header:
+            raise ValueError(f"unexpected {kind} header in {path}: {found or 'empty file'}")
         rows = list(reader)
+    for k, r in enumerate(rows, 1):
+        if len(r) != len(header):
+            raise ValueError(f"row {k} has {len(r)} fields, not {len(header)}, "
+                             f"in {kind} file {path}")
+    return rows
+
+
+def read_trace_csv(path: Union[str, Path]) -> dict:
+    """Read a trace CSV back into parallel ``array.array`` columns: ``step``
+    and ``agent_id`` as 64-bit integers, ``best`` and ``mean`` as doubles."""
+    rows = _read_rows(path, TRACE_HEADER, "trace")
     try:
-        steps = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        agent_ids = np.array([int(r[1]) for r in rows], dtype=np.int64)
-        best = np.array([float(r[2]) for r in rows])
-        mean = np.array([float(r[3]) for r in rows])
-    except IndexError:
-        raise ValueError(f"short row in trace file {path}") from None
-    except ValueError as err:
+        return {"step": array("q", [int(r[0]) for r in rows]),
+                "agent_id": array("q", [int(r[1]) for r in rows]),
+                "best": array("d", [float(r[2]) for r in rows]),
+                "mean": array("d", [float(r[3]) for r in rows])}
+    except (ValueError, OverflowError) as err:
         raise ValueError(f"{err} in trace file {path}") from None
-    return {"step": steps, "agent_id": agent_ids, "best": best, "mean": mean}
 
 
 def summary_rows(algorithm: str, traces: Sequence[ConvergenceTrace]) -> list[tuple]:
@@ -123,28 +133,46 @@ class SummaryRow:
 
 
 def read_summary_csv(path: Union[str, Path]) -> list[SummaryRow]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != SUMMARY_HEADER:
-            raise ValueError(f"unexpected summary header in {path}: {header or 'empty file'}")
-        try:
-            return [
-                SummaryRow(r[0], int(r[1]), r[2], int(r[3]), float(r[4]), int(r[5]), int(r[6]))
-                for r in reader
-            ]
-        except IndexError:
-            raise ValueError(f"short row in summary file {path}") from None
-        except ValueError as err:
-            raise ValueError(f"{err} in summary file {path}") from None
+    rows = _read_rows(path, SUMMARY_HEADER, "summary")
+    try:
+        return [SummaryRow(r[0], int(r[1]), r[2], int(r[3]), float(r[4]), int(r[5]), int(r[6]))
+                for r in rows]
+    except ValueError as err:
+        raise ValueError(f"{err} in summary file {path}") from None
 
 
-def best_so_far_series(steps: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _minimum(a: float, b: float) -> float:
+    """``numpy.minimum`` of two floats: a NaN wins, and of two equal values
+    (``0.0`` and ``-0.0``) the second is returned."""
+    return a if a < b or a != a else b
+
+
+def best_so_far_series(steps: Sequence[int], best: Sequence[float]) -> tuple[array, array]:
     """Collapse per-agent records into a best-so-far curve.
 
     Takes the minimum over agents at each step, then the running minimum
-    over steps.  ``steps`` may repeat (one entry per agent)."""
-    uniq, inverse = np.unique(steps, return_inverse=True)
-    per_step = np.full(len(uniq), np.inf)
-    np.minimum.at(per_step, inverse, best)
-    return uniq, np.minimum.accumulate(per_step)
+    over steps, and returns the distinct steps in ascending order
+    (``array("q")``) with the curve (``array("d")``).  ``steps`` may repeat
+    (one entry per agent) and come in any order; a NaN propagates, as
+    under ``numpy.minimum``."""
+    per_step: dict[int, float] = {}
+    for s, v in zip(steps, best):
+        per_step[s] = _minimum(per_step.get(s, math.inf), v)
+    uniq = sorted(per_step)
+    curve, run = array("d"), math.inf
+    for s in uniq:
+        run = _minimum(run, per_step[s])
+        curve.append(run)
+    return array("q", uniq), curve
+
+
+def mean_curve(curves: Sequence[Sequence[float]]) -> list[float]:
+    """The pointwise mean of equally long curves: a left-to-right sum from
+    ``0.0``, divided by the number of curves.  This is how
+    ``numpy.mean(curves, axis=0)`` computes it for curves of two or more
+    points; for one-point curves numpy sums eight or more values pairwise,
+    so the last bit can differ."""
+    sums = [0.0] * len(curves[0])
+    for curve in curves:
+        sums = [a + b for a, b in zip(sums, curve)]
+    return [a / len(curves) for a in sums]

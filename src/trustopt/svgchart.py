@@ -1,24 +1,30 @@
-"""Minimal SVG 1.1 line charts for convergence curves.
+"""Minimal SVG 1.1 line charts for convergence curves, and the charts of a
+run's trace CSVs.
 
 No plotting dependency: the document is assembled as a list of strings and
 every coordinate is formatted to two decimals, so identical inputs yield
 identical bytes.  The canvas is a fixed 960x540 viewBox.  The y axis uses
 a log scale when every plotted value is positive (decade ticks); otherwise
-it falls back to linear and says so in the subtitle.
+it falls back to linear and says so in the subtitle.  Nothing here imports
+numpy, so ``trustopt plot`` starts without it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from pathlib import Path
+from typing import Sequence, Union
 
-__all__ = ["PALETTE", "display_color", "render_convergence_svg"]
+from .results import best_so_far_series, mean_curve, parse_trace_filename, read_trace_csv
+
+__all__ = ["PALETTE", "display_color", "render_convergence_svg", "write_plots"]
 
 WIDTH, HEIGHT = 960, 540
 PLOT = (80.0, 60.0, 760.0, 480.0)  # x0, y0, x1, y1 in SVG coordinates
 
 # one fixed colour per shipped algorithm: blue, green, magenta, red,
-# yellow, cyan (darkened for legibility on white)
+# yellow, cyan (darkened for legibility on white); the keys are the presets
+# in their legend order
 PALETTE = {
     "strong_leadership": "#1f4fc4",  # blue
     "exploration": "#2e8b2e",        # green
@@ -177,3 +183,51 @@ def render_convergence_svg(
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _algorithm_order(names) -> list[str]:
+    known = [n for n in PALETTE if n in names]
+    extra = sorted(n for n in names if n not in PALETTE)
+    return known + extra
+
+
+def write_plots(
+    trace_paths: Sequence[Union[str, Path]],
+    out_dir: Union[str, Path],
+    log_scale: str = "auto",
+) -> list[Path]:
+    """Render one convergence chart per (problem, dimension).
+
+    Each algorithm contributes one curve: the best-so-far series averaged
+    over its repetitions (grids must agree across repetitions).
+    """
+    cells: dict[tuple[str, int], dict[str, list]] = {}
+    for path in trace_paths:
+        meta = parse_trace_filename(path)
+        data = read_trace_csv(path)
+        steps, curve = best_so_far_series(data["step"], data["best"])
+        cell = cells.setdefault((meta["problem"], meta["dim"]), {})
+        cell.setdefault(meta["algorithm"], []).append((meta["rep"], steps, curve))
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for (problem, dim) in sorted(cells):
+        per_algo = cells[(problem, dim)]
+        series = []
+        for algorithm in _algorithm_order(per_algo):
+            reps = sorted(per_algo[algorithm], key=lambda item: item[0])
+            grid = reps[0][1]
+            for _, steps, _ in reps[1:]:
+                if steps != grid:
+                    raise ValueError(
+                        f"trace grids differ across repetitions for {problem} d={dim} {algorithm}"
+                    )
+            series.append((algorithm, grid.tolist(), mean_curve([c for _, _, c in reps])))
+        svg = render_convergence_svg(series, f"{problem} (D={dim})",
+                                     subtitle="best so far, mean over repetitions",
+                                     log_scale=log_scale)
+        p = out / f"convergence_{problem}_d{dim}.svg"
+        p.write_text(svg, encoding="utf-8")
+        written.append(p)
+    return written

@@ -21,6 +21,9 @@ the stacked engine is checked against: it advances the society agent by
 agent, on per-agent arrays, with the two replays.
 :func:`lennard_jones_reference` evaluates one Lennard-Jones genome with
 plain float loops in the kernel's summation order.
+:func:`best_so_far_reference` and :func:`mean_curve_reference` are the numpy
+formulas the plain-Python plot maths (``best_so_far_series`` and
+``mean_curve`` in ``trustopt.results``) is checked against.
 """
 
 from __future__ import annotations
@@ -521,3 +524,19 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0) -> StepwiseRun:
         means.append([f.mean() for f in fitness])
     return StepwiseRun(np.array(bests), np.array(means), best_step, best_genes, best_fit,
                        np.array(genes), np.array(fitness), cred, log)
+
+
+def best_so_far_reference(steps, best) -> tuple[np.ndarray, np.ndarray]:
+    """The best-so-far curve with numpy: the minimum over each step's
+    records, then the running minimum over the sorted distinct steps."""
+    uniq, inverse = np.unique(np.asarray(steps, dtype=np.int64), return_inverse=True)
+    per_step = np.full(len(uniq), np.inf)
+    with np.errstate(invalid="ignore"):
+        np.minimum.at(per_step, inverse, np.asarray(best, dtype=float))
+        return uniq, np.minimum.accumulate(per_step)
+
+
+def mean_curve_reference(curves) -> np.ndarray:
+    """The pointwise mean over repetitions' curves with numpy."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.mean(np.stack([np.asarray(c, dtype=float) for c in curves]), axis=0)

@@ -300,15 +300,19 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     (tmp_path / "summary_sphere_d2.csv").write_text("not,a,header\n1,2,3\n")
     assert main(["stats", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
-    # an empty summary, an empty trace, a short trace row and non-numeric
-    # trace and summary fields: an error naming the file, not a traceback
+    # an empty summary, an empty trace, a short and an over-long trace row,
+    # an over-long summary row, non-numeric trace and summary fields and a
+    # step beyond 64 bits: an error naming the file, not a traceback
     trace = "trace_sphere_d2_island_model_rep0.csv"
     summary = "summary_sphere_d2.csv"
+    summary_header = "problem,dim,algorithm,repetition,final_best,steps,seed\n"
     cases = [("stats", summary, ""), ("plot", trace, ""),
              ("plot", trace, "step,agent_id,best,mean\n1,0,3.0\n"),
+             ("plot", trace, "step,agent_id,best,mean\n1,0,3.0,4.0,99\n"),
              ("plot", trace, "step,agent_id,best,mean\n1,0,abc,3.0\n"),
-             ("stats", summary, "problem,dim,algorithm,repetition,final_best,steps,seed\n"
-                                "sphere,2,island_model,0,zz,10,7\n")]
+             ("plot", trace, "step,agent_id,best,mean\n9223372036854775808,0,1.0,1.0\n"),
+             ("stats", summary, summary_header + "sphere,2,island_model,0,zz,10,7\n"),
+             ("stats", summary, summary_header + "sphere,2,island_model,0,1.0,10,7,8\n")]
     for k, (command, name, text) in enumerate(cases):
         case = tmp_path / f"case{k}"
         case.mkdir()
@@ -363,3 +367,32 @@ def test_plot_and_stats_leave_scipy_stats_unloaded(manifest_path, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(manifest_path),
                            str(tmp_path / "res")], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_and_plot_leave_numpy_unloaded(manifest_path, tmp_path):
+    # `trustopt plot` reads CSVs and writes SVG text; importing the CLI and
+    # plotting must not pay for loading numpy.  Its error paths still exit
+    # 2 on an empty input and 1, naming the file, on a malformed trace.
+    out, empty, bad = tmp_path / "res", tmp_path / "empty", tmp_path / "bad"
+    assert main(["run", "--manifest", str(manifest_path), "--out", str(out)]) == 0
+    empty.mkdir()
+    bad.mkdir()
+    (bad / "trace_sphere_d2_tbo_rep0.csv").write_text("step,agent_id,best,mean\n1,0,x,1.0\n")
+    package = Path(trustopt.__file__).parent
+    code = (
+        "import sys\n"
+        "import trustopt.cli\n"
+        "assert 'numpy' not in sys.modules, 'loaded by the import'\n"
+        "out, empty, bad = sys.argv[1:]\n"
+        "assert trustopt.cli.main(['plot', out]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'loaded by plot'\n"
+        "assert trustopt.cli.main(['plot', empty]) == 2\n"
+        "assert trustopt.cli.main(['plot', bad]) == 1\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    proc = subprocess.run([sys.executable, "-c", code, str(out), str(empty), str(bad)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "convergence_sphere_d2.svg").exists()
+    assert "no trace CSVs" in proc.stderr
+    assert "trace_sphere_d2_tbo_rep0.csv" in proc.stderr

@@ -1,15 +1,21 @@
 """Result-file round trips, naming, and curve collapsing."""
 
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import best_so_far_reference, mean_curve_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustopt import AgentTemplate, CredibilityConfig, TboConfig, run_repetitions
 from trustopt.results import (
     SUMMARY_HEADER,
     TRACE_HEADER,
     best_so_far_series,
+    mean_curve,
     parse_trace_filename,
     read_summary_csv,
     read_trace_csv,
@@ -182,3 +188,37 @@ def test_best_so_far_is_nonincreasing_on_real_trace():
     trace = _trace(max_steps=20)
     _, curve = best_so_far_series(trace.steps, trace.best)
     assert np.all(np.diff(curve) <= 0)
+
+
+def _bits(values) -> list[bytes]:
+    """Each value's eight bytes; every NaN reads as one value, since numpy
+    and Python may carry different NaN payloads."""
+    return [struct.pack("<d", v) if v == v else b"nan" for v in map(float, values)]
+
+
+_VALUES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(records=st.lists(st.tuples(st.integers(-3, 12), _VALUES), max_size=60))
+def test_best_so_far_matches_numpy_bit_for_bit(records):
+    # a tie of 0.0 and -0.0 and a NaN resolve as under numpy.minimum
+    steps = [s for s, _ in records]
+    best = [v for _, v in records]
+    ref_uniq, ref_curve = best_so_far_reference(steps, best)
+    for args in ((steps, best), (np.array(steps, dtype=np.int64), np.array(best))):
+        uniq, curve = best_so_far_series(*args)
+        assert uniq.tolist() == ref_uniq.tolist()
+        assert _bits(curve) == _bits(ref_curve)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_mean_curve_matches_numpy_bit_for_bit(data):
+    # numpy sums a one-point column of eight or more values pairwise, and
+    # mean_curve always left to right, so one-point curves stop at seven
+    points = data.draw(st.integers(1, 6))
+    reps = data.draw(st.integers(1, 7 if points == 1 else 69))
+    flat = data.draw(st.lists(_VALUES, min_size=points * reps, max_size=points * reps))
+    curves = [flat[r * points:(r + 1) * points] for r in range(reps)]
+    assert _bits(mean_curve(curves)) == _bits(mean_curve_reference(curves))

@@ -1,8 +1,11 @@
 """Dependency-free SVG chart rendering."""
 
+import numpy as np
 import pytest
+from helpers import best_so_far_reference, mean_curve_reference
 
-from trustopt.svgchart import PALETTE, display_color, render_convergence_svg
+from trustopt import PRESET_NAMES
+from trustopt.svgchart import PALETTE, display_color, render_convergence_svg, write_plots
 
 
 def _one_series():
@@ -88,3 +91,32 @@ def test_document_shape():
     assert 'viewBox="0 0 960 540"' in svg
     assert ">step</text>" in svg
     assert ">best so far</text>" in svg
+
+
+def test_palette_lists_the_presets_in_legend_order():
+    # write_plots orders a chart's curves by PALETTE without importing presets
+    assert tuple(PALETTE) == PRESET_NAMES
+
+
+def test_write_plots_matches_the_numpy_reference_chart(tmp_path):
+    # per algorithm: the numpy best-so-far curve of each repetition, their
+    # numpy mean, presets in PALETTE order and other labels sorted after them
+    rng = np.random.default_rng(31)
+    grid = np.repeat([1, 4, 9, 10], 3)  # three agents per recorded step
+    series = []
+    for algorithm in ("island_model", "zeta", "exploration", "alpha"):
+        curves = []
+        for rep in range(3):
+            best = rng.lognormal(0.0, 3.0, grid.size)
+            lines = ["step,agent_id,best,mean"] + [
+                f"{s},{k % 3},{b!r},{b!r}" for k, (s, b) in enumerate(zip(grid, best.tolist()))]
+            (tmp_path / f"trace_sphere_d4_{algorithm}_rep{rep}.csv").write_text(
+                "\n".join(lines) + "\n")
+            steps, curve = best_so_far_reference(grid, best)
+            curves.append(curve)
+        series.append((algorithm, steps.tolist(), mean_curve_reference(curves).tolist()))
+    order = ["exploration", "island_model", "alpha", "zeta"]
+    series.sort(key=lambda item: order.index(item[0]))
+    [path] = write_plots(sorted(tmp_path.glob("trace_*.csv")), tmp_path / "out")
+    assert path.read_text() == render_convergence_svg(
+        series, "sphere (D=4)", subtitle="best so far, mean over repetitions")
