@@ -22,7 +22,6 @@ _EXPORTS = {
     "AgentTemplate": "config", "ConfigError": "config", "CredibilityConfig": "config",
     "TboConfig": "config", "config_from_dict": "config", "config_to_dict": "config",
     "dump_config": "config", "load_config": "config", "validate_config": "config",
-    "EaOperatorConfig": "ea",
     "run_repetitions": "engine",
     "load_manifest": "harness", "run_manifest": "harness", "write_stats_reports": "harness",
     "PRESET_NAMES": "presets", "load_preset": "presets",

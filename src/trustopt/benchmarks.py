@@ -204,16 +204,6 @@ class ObjectiveSpec:
             )
         return self._fn(genes)
 
-    def evaluate(self, genes: np.ndarray, rng: Optional[np.random.Generator] = None):
-        """Evaluate one genome ``(D,)`` or a block ``(n, D)``: the one-owner
-        case of :meth:`evaluate_rows`.
-
-        ``rng`` is required for noisy objectives and ignored otherwise.
-        """
-        genes = np.asarray(genes, dtype=float)
-        owned = int(np.prod(genes.shape[:-1]))
-        return self.evaluate_rows(genes, [owned], [rng]).reshape(genes.shape[:-1])[()]
-
     def evaluate_rows(self, rows: np.ndarray, counts: Sequence[int],
                       streams: Sequence[Optional[np.random.Generator]]) -> np.ndarray:
         """Flat values of a block of genomes (last axis D) whose owners come

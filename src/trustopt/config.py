@@ -2,8 +2,9 @@
 
 A :class:`TboConfig` fully describes one run (or its repetitions): the
 society size, objective binding, epoch clock, credibility model, per-agent
-EA/interaction parameters and engine knobs.  ``validate_config`` collects
-every violation instead of stopping at the first one.
+EA/interaction parameters and the EA operator constants.
+``validate_config`` collects every violation instead of stopping at the
+first one.
 """
 
 from __future__ import annotations
@@ -78,12 +79,9 @@ class TboConfig:
     credibility: Optional[CredibilityConfig] = field(default_factory=CredibilityConfig)
     per_agent: tuple[AgentTemplate, ...] = (AgentTemplate(),)
     objective_params: dict = field(default_factory=dict)
-    # engine / operator knobs
+    # SBX and polynomial-mutation distribution indices, shared by every agent
     eta_c: float = 20.0
     eta_m: float = 40.0
-    crossover_scope: str = "gene"  # "gene" | "pair"
-    partner_policy: str = "redraw"  # "redraw" | "fixed"
-    first_step: int = 1  # 1: first epoch after epoch_length EA steps; 0: interaction at t=0
 
     def agent_template(self, index: int) -> AgentTemplate:
         """Template for agent ``index`` (a single template applies to all)."""
@@ -153,12 +151,6 @@ def validate_config(cfg: TboConfig) -> None:
     bad += seed_errors(cfg.seed)
     if cfg.repetitions < 1:
         bad.append("repetitions must be >= 1")
-    if cfg.first_step not in (0, 1):
-        bad.append("first_step must be 0 or 1")
-    if cfg.crossover_scope not in ("gene", "pair"):
-        bad.append("crossover_scope must be 'gene' or 'pair'")
-    if cfg.partner_policy not in ("redraw", "fixed"):
-        bad.append("partner_policy must be 'redraw' or 'fixed'")
     if cfg.eta_c <= 0:
         bad.append("eta_c must be > 0")
     if cfg.eta_m <= 0:

@@ -26,8 +26,7 @@ blocks).  A gate stream's gap budget is ``min(M, ceil(mu + 6 sqrt(mu) +
 
 With ``npairs = ceil(offspring_size / 2)``, ``n`` parents and dimension
 ``D``, the crossover gates have ``Mc = npairs * D`` trials ordered pair by
-pair, gene by gene ("gene" scope) or ``Mc = npairs``, one per pair
-("pair" scope); the mutation gates have ``Mm = offspring_size * D``
+pair, gene by gene; the mutation gates have ``Mm = offspring_size * D``
 trials ordered child by child, gene by gene.  Agent ``i`` draws from its
 stream:
 
@@ -46,9 +45,9 @@ stream:
 3. a top-up, only when a budget ran out before its gate stream ended:
    one uniform per remaining trial, each firing below ``p`` (crossover
    first, then mutation);
-4. one block of values: ``D`` spread values for each firing pair ("pair"
-   scope) or one per firing gene ("gene" scope), in trial order, then one
-   mutation magnitude per firing gene, in trial order;
+4. one block of values: one spread value per firing crossover gene, in
+   trial order, then one mutation magnitude per firing mutation gene, in
+   trial order;
 5. objective noise draws for the offspring evaluation, in offspring order,
    when the objective is noisy (the same rule as step 1).
 
@@ -66,7 +65,6 @@ One agent steps as a ``(1, n, D)`` stack with a one-agent plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -75,31 +73,10 @@ from .benchmarks import ObjectiveSpec
 from .types import evaluate_stack
 
 __all__ = [
-    "EaOperatorConfig",
     "ea_step_all",
     "StepPlan",
     "step_plan",
 ]
-
-
-@dataclass(frozen=True)
-class EaOperatorConfig:
-    """Variation-operator constants shared by every agent of a run.
-
-    The tournament size is fixed at two.  ``crossover_scope`` selects
-    whether the crossover rate gates each gene ("gene") or each parent pair
-    as a whole ("pair").
-    """
-
-    eta_c: float = 20.0
-    eta_m: float = 40.0
-    crossover_scope: str = "gene"
-
-    def __post_init__(self) -> None:
-        if self.eta_c <= 0 or self.eta_m <= 0:
-            raise ValueError("distribution indices must be positive")
-        if self.crossover_scope not in ("gene", "pair"):
-            raise ValueError("crossover_scope must be 'gene' or 'pair'")
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +163,11 @@ def _gate_budget(m: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 class StepPlan(NamedTuple):
     """The constants of :func:`ea_step_all` for one society shape,
-    offspring size ``lam``, operator config ``op`` and rate vector, built
-    once per run, and two scratch arrays that every step overwrites:
-    ``block`` (each agent's stream fills its row view ``rows[i]``) and
-    ``union``.  The other arrays are never written.
+    offspring size ``lam``, distribution indices ``eta_c`` (SBX) and
+    ``eta_m`` (polynomial mutation) and rate vector, built once per run,
+    and two scratch arrays that every step overwrites: ``block`` (each
+    agent's stream fills its row view ``rows[i]``) and ``union``.  The
+    other arrays are never written.
 
     Sparse sampler: rows ``i`` and ``N + i`` of the stream arrays belong to
     agent ``i``'s crossover and mutation gates: ``gates`` trials fire with
@@ -210,7 +188,8 @@ class StepPlan(NamedTuple):
     """
 
     lam: int
-    op: EaOperatorConfig
+    eta_c: float
+    eta_m: float
     gates: np.ndarray
     p: np.ndarray
     block: np.ndarray
@@ -226,13 +205,13 @@ class StepPlan(NamedTuple):
     union: np.ndarray
 
 
-def step_plan(n: int, d: int, offspring_size: int, op: EaOperatorConfig,
+def step_plan(n: int, d: int, offspring_size: int, eta_c: float, eta_m: float,
               crossover_rates: Sequence[float], mutation_rates: Sequence[float]) -> StepPlan:
     """The plan for ``len(crossover_rates)`` agents of ``n`` members in dimension ``d``."""
     lam = offspring_size
     n_agents, n_pairs = len(crossover_rates), (lam + 1) // 2
     t = 6 * n_pairs
-    gates = np.repeat([n_pairs if op.crossover_scope == "pair" else n_pairs * d, lam * d], n_agents)
+    gates = np.repeat([n_pairs * d, lam * d], n_agents)
     p = np.concatenate([crossover_rates, mutation_rates]).astype(float)
     budget = _gate_budget(gates, p)
     drawn = np.where(p < 1.0, budget, 0)
@@ -255,7 +234,7 @@ def step_plan(n: int, d: int, offspring_size: int, op: EaOperatorConfig,
     at = np.empty_like(pick)
     at[pick] = n_agents * n + np.arange(len(pick))  # the union row of every slot
     at = at.reshape(n_agents, n_pairs, 2) * d
-    return StepPlan(lam, op, gates, p, block, [block[i, :k] for i, k in enumerate(draws)],
+    return StepPlan(lam, eta_c, eta_m, gates, p, block, [block[i, :k] for i, k in enumerate(draws)],
                     gather, den, limit, (short, last), limit[short, last], pick,
                     at[..., 0], at[..., 1], np.empty((n_agents * n + len(pick), d)))
 
@@ -326,14 +305,13 @@ def ea_step_all(
     deterministic objectives.
     """
     n_agents, n, d = genes.shape
-    lam, op = plan.lam, plan.op
+    lam = plan.lam
 
     evaluate_stack(genes, fitness, objective, streams)
     if lam == 0:
         return
 
     n_pairs = (lam + 1) // 2
-    pair_scope = op.crossover_scope == "pair"
     block = plan.block
     for rng, row in zip(streams, plan.rows):
         rng.random(out=row)
@@ -349,8 +327,6 @@ def ea_step_all(
 
     # each agent's values: its spread values, then its mutation magnitudes
     cnt = np.bincount(row, minlength=2 * n_agents)
-    if pair_scope:
-        cnt[:n_agents] *= d
     ends = (cnt[:n_agents] + cnt[n_agents:]).cumsum()
     values = np.empty(ends[-1])
     lo = 0
@@ -368,16 +344,11 @@ def ea_step_all(
     np.take(union[:n_par], winners.ravel()[plan.pick], axis=0, out=union[n_par:], mode="clip")
     flat = union.ravel()
     agent = row[:k]
-    if pair_scope:
-        pair, gene, agent = pos[:k, None], np.arange(d), agent[:, None]
-        spread = values[(start[row[:k]] + d * j[:k])[:, None] + gene]
-    else:
-        pair, gene = np.divmod(pos[:k], d)
-        spread = values[start[agent] + j[:k]]
-    _sbx_apply(flat, plan.c1[agent, pair] + gene, plan.c2[agent, pair] + gene, gene, spread,
-               op.eta_c, objective.lower, objective.upper)
+    pair, gene = np.divmod(pos[:k], d)
+    _sbx_apply(flat, plan.c1[agent, pair] + gene, plan.c2[agent, pair] + gene, gene,
+               values[start[agent] + j[:k]], plan.eta_c, objective.lower, objective.upper)
     _poly_apply(flat, (n_par + lam * (row[k:] - n_agents)) * d + pos[k:], pos[k:] % d,
-                values[start[row[k:]] + j[k:]], op.eta_m, objective.lower, objective.upper)
+                values[start[row[k:]] + j[k:]], plan.eta_m, objective.lower, objective.upper)
 
     children = union[n_par:n_par + n_agents * lam]
     off_fit = objective.evaluate_rows(children, [lam] * n_agents, streams)

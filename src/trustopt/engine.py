@@ -1,9 +1,10 @@
 """Run loops: the credibility-gated society and the island-model baseline.
 
-Both algorithms share one global step counter ``t`` and one epoch clock.
-At ``t mod epoch_length != 0`` every agent runs an independent EA step; at
-epoch boundaries the EA step is replaced by an exchange: a credibility-
-gated interaction (tbo) or a best-genome migration (island_model).
+Both algorithms share one global step counter ``t``, which runs from 1
+to ``max_steps``, and one epoch clock.  At ``t mod epoch_length != 0``
+every agent runs an independent EA step; at epoch boundaries the EA step
+is replaced by an exchange: a credibility-gated interaction (tbo) or a
+best-genome migration (island_model).
 
 The society is held as stacked arrays for the whole run: ``(N, n, D)``
 genes, an ``(N, n)`` fitness cache, per-agent vectors for genome intensity
@@ -31,7 +32,7 @@ on any other step each cell steps alone, :func:`advance_step` on its
 epoch and an EA step with its own plan off it.  Cells may differ in
 algorithm, agent count, repetitions, epoch length, rates and seed, but
 must share population and offspring size, the EA operator constants,
-``first_step``, ``max_steps`` and the objective binding.  Since each agent
+``max_steps`` and the objective binding.  Since each agent
 draws only from its own stream, every operator works row by row and an
 objective gives a row the same bytes in any block, a cell gives the same
 bytes in a group as alone.
@@ -66,7 +67,7 @@ import numpy as np
 
 from .benchmarks import ObjectiveSpec, get_objective
 from .config import TboConfig, validate_config
-from .ea import EaOperatorConfig, StepPlan, ea_step_all, step_plan
+from .ea import StepPlan, ea_step_all, step_plan
 from .rng import agent_stream
 from .socio import exchange_all
 from .types import (ConvergenceTrace, CredibilityState, GlobalBest, effective_rates,
@@ -110,8 +111,8 @@ def _build_state(cfg: TboConfig, repetitions: Sequence[int],
                       for i, t in enumerate(templates)])
     genes = np.stack([init_population(t.population_size, objective, rng)
                       for t, rng in zip(templates, streams)])
-    plan = step_plan(*genes.shape[1:], templates[0].offspring_size,
-                     EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope), *rates.T)
+    plan = step_plan(*genes.shape[1:], templates[0].offspring_size, cfg.eta_c, cfg.eta_m,
+                     *rates.T)
 
     credibility = None
     if cfg.algorithm == "tbo":
@@ -148,7 +149,7 @@ def advance_step(state: RunState, t: int) -> None:
         fitness[rows, worst] = fitness[others, best]
     else:
         record = exchange_all(genes, fitness, others, state.credibility, state.intensity,
-                              state.gene_op, state.objective, streams, state.cfg.partner_policy)
+                              state.gene_op, state.objective, streams)
         if state.interaction_log is not None:
             state.interaction_log.append((t, record))
 
@@ -157,7 +158,7 @@ def _shared(state: RunState) -> dict:
     """What every cell of a lockstep group must share."""
     c = state.cfg
     return {"population size": state.genes.shape[1], "offspring size": state.plan.lam,
-            "EA operator constants": state.plan.op, "first_step": c.first_step,
+            "EA operator constants": (state.plan.eta_c, state.plan.eta_m),
             "max_steps": c.max_steps,
             "objective binding": (c.objective, c.dimension, c.objective_params)}
 
@@ -182,7 +183,7 @@ def _lockstep(states: list[RunState], record_every: int) -> list[list[Convergenc
         s.genes, s.fitness = genes[a:b], fit[a:b]
     streams = [rng for s in states for rng in s.streams]
     plan = states[0].plan if len(states) == 1 else step_plan(
-        n, d, shared["offspring size"], shared["EA operator constants"],
+        n, d, shared["offspring size"], *shared["EA operator constants"],
         *np.concatenate([s.plan.p.reshape(2, -1) for s in states], axis=1))
 
     # every repetition of the group: its first member in the flat fitness
@@ -190,13 +191,12 @@ def _lockstep(states: list[RunState], record_every: int) -> list[list[Convergenc
                              for s, a in zip(states, bounds)]) * n
     rep_end = np.append(starts[1:], fit.size)
     flat_fit, flat_genes = fit.reshape(-1), genes.reshape(-1, d)
-    first = shared["first_step"]
-    last = first + shared["max_steps"] - 1
+    last = shared["max_steps"]
     recorded, bests, means = [], [], []
     n_reps = len(starts)
     best_fit, best_genes, best_step = np.full(n_reps, np.inf), [None] * n_reps, [-1] * n_reps
 
-    for t in range(first, last + 1):
+    for t in range(1, last + 1):
         if objective.noisy:
             fit.fill(np.nan)
         epoch = [t % s.cfg.epoch_length == 0 for s in states]
@@ -212,7 +212,7 @@ def _lockstep(states: list[RunState], record_every: int) -> list[list[Convergenc
         for r in np.flatnonzero(value < best_fit).tolist():
             j = starts[r] + flat_fit[starts[r]:rep_end[r]].argmin()  # first agent, first member
             best_fit[r], best_step[r], best_genes[r] = value[r], t, flat_genes[j].copy()
-        if (t - first) % record_every == 0 or t == last:
+        if (t - 1) % record_every == 0 or t == last:
             recorded.append(t)
             bests.append(fit.min(axis=1))
             means.append(fit.mean(axis=1))
@@ -257,7 +257,7 @@ def run_cells(cfgs: Sequence[TboConfig], *, record_every: int = 1) -> list[list[
     config, all cells in lockstep; returns each cell's traces, in order.
 
     The cells must share their population size, offspring size, EA
-    operator constants, ``first_step``, ``max_steps`` and objective binding
+    operator constants, ``max_steps`` and objective binding
     (``ValueError`` otherwise); they may differ in everything else.  Each
     cell gives the bytes it gives alone.
     """

@@ -17,8 +17,7 @@ the algorithm presets to compare, the repetition count and a root seed::
 
 The optional ``overrides`` object replaces preset EA parameters in every
 cell: population_size, offspring_size, base_crossover_rate,
-base_mutation_rate, epoch_length, diversity_factor, eta_c, eta_m,
-crossover_scope, partner_policy.
+base_mutation_rate, epoch_length, diversity_factor, eta_c, eta_m.
 
 Every (problem x algorithm) cell derives its own run seed from the root
 seed and the cell labels, so results do not depend on manifest order or on
@@ -92,8 +91,7 @@ class ProblemCell:
 # manifest "overrides" may replace these preset values in every cell
 _AGENT_OVERRIDES = ("population_size", "offspring_size",
                     "base_crossover_rate", "base_mutation_rate")
-_RUN_OVERRIDES = ("epoch_length", "diversity_factor", "eta_c", "eta_m",
-                  "crossover_scope", "partner_policy")
+_RUN_OVERRIDES = ("epoch_length", "diversity_factor", "eta_c", "eta_m")
 
 
 @dataclass(frozen=True)

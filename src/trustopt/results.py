@@ -94,8 +94,12 @@ def _read_rows(path: Union[str, Path], header: tuple, kind: str) -> list[list[st
 
 def read_trace_csv(path: Union[str, Path]) -> dict:
     """Read a trace CSV back into parallel ``array.array`` columns: ``step``
-    and ``agent_id`` as 64-bit integers, ``best`` and ``mean`` as doubles."""
+    and ``agent_id`` as 64-bit integers, ``best`` and ``mean`` as doubles.
+    A trace without data rows is an error: every run records at least its
+    last step."""
     rows = _read_rows(path, TRACE_HEADER, "trace")
+    if not rows:
+        raise ValueError(f"no data rows in trace file {path}")
     try:
         return {"step": array("q", [int(r[0]) for r in rows]),
                 "agent_id": array("q", [int(r[1]) for r in rows]),

@@ -26,11 +26,9 @@ replacement the EA uses.  Improvement raises the sender's standing,
 rejection lowers it, anything else leaves it unchanged.
 
 Draw discipline (recipient's stream): partner indices are drawn uniformly
-from the recipient's members in shared-member order, one draw per
-offspring under the "redraw" policy or one per shared member under
-"fixed" (weak always draws one per shared member); a rejected share
-consumes no partner draws.  Objective noise for the offspring follows, in
-offspring order.
+from the recipient's members, one draw per offspring in offspring order
+(shared member by shared member); a rejected share consumes no partner
+draws.  Objective noise for the offspring follows, in offspring order.
 
 :func:`exchange_all` runs every interaction of an epoch step on the
 stacked society at once and returns its :class:`ExchangeRecord`; the
@@ -122,7 +120,6 @@ def exchange_all(
     gene_op: np.ndarray,
     objective: ObjectiveSpec,
     streams: Sequence[np.random.Generator],
-    partner_policy: str = "redraw",
 ) -> ExchangeRecord:
     """Every interaction of one epoch step on the stacked society, in place.
 
@@ -156,8 +153,9 @@ def exchange_all(
     counts = np.where(accepted, m * per_member, 0)
     acc = np.flatnonzero(accepted)
     if len(acc):
-        partners = [_draw_partners(streams[i], n, m[i], k[i], weak[i], partner_policy)
-                    for i in acc.tolist()]
+        # one resident partner per offspring (see the module's draw discipline)
+        partners = [streams[i].integers(0, n, size=c)
+                    for i, c in zip(acc.tolist(), counts[acc].tolist())]
         local = np.repeat(np.arange(len(acc)), counts[acc])
         starts = np.cumsum(counts[acc]) - counts[acc]
         slot = np.arange(len(local)) - starts[local]
@@ -195,17 +193,6 @@ def exchange_all(
     _apply_credit(cred.trust if cred.kind == "trust" else cred.reputation, cred.kind,
                   rows, senders, branch, cred.min_value, cred.max_value)
     return ExchangeRecord(senders, m, k, branch, mean_before, mean_after, mean_shared, threshold)
-
-
-def _draw_partners(rng: np.random.Generator, n: int, m: int, k: int, weak: bool,
-                   partner_policy: str) -> np.ndarray:
-    """Resident partner index of every offspring of one interaction, in
-    offspring order (see the module's draw discipline)."""
-    if weak:
-        return rng.integers(0, n, size=m)
-    if partner_policy == "redraw":
-        return rng.integers(0, n, size=(m, k)).ravel()
-    return np.repeat(rng.integers(0, n, size=m), k)
 
 
 def _adopt(base: np.ndarray, donor: np.ndarray, depth: np.ndarray,

@@ -35,7 +35,6 @@ import numpy as np
 
 from trustopt import (
     CredibilityState,
-    EaOperatorConfig,
     ObjectiveSpec,
     agent_stream,
     effective_rates,
@@ -188,7 +187,7 @@ def _firing_gates(gaps, m, p, rng):
     return fired
 
 
-def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig(),
+def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, eta_c=20.0, eta_m=40.0,
                    budget=gap_budget):
     """Plain-loop replay of one EA step of one agent under draw discipline
     2 (see ``trustopt.ea``): scalar draws, one objective call per genome.
@@ -203,8 +202,7 @@ def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig()
     if lam == 0:
         return np.array(genes), np.array(fitness)
     n_pairs = (lam + 1) // 2
-    pair_scope = op.crossover_scope == "pair"
-    m_c, m_m = (n_pairs if pair_scope else n_pairs * d), lam * d
+    m_c, m_m = n_pairs * d, lam * d
     b_c = budget(m_c, pc) if pc < 1.0 else 0
     b_m = budget(m_m, pm) if pm < 1.0 else 0
     cand = [[[min(math.floor(rng.random() * n), n - 1) for _ in range(2)] for _ in range(2)]
@@ -217,8 +215,7 @@ def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig()
     # (pair, gene) -> spread value, then (child, gene) -> magnitude
     spread, mag = {}, {}
     for q in fired_c:
-        for g in (range(d) if pair_scope else [q % d]):
-            spread[(q if pair_scope else q // d, g)] = rng.random()
+        spread[divmod(q, d)] = rng.random()
     for q in fired_m:
         mag[divmod(q, d)] = rng.random()
     lo, hi = spec.lower, spec.upper
@@ -238,9 +235,9 @@ def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig()
             if (p, g) in spread and c1[g] != c2[g]:
                 s = spread[(p, g)]
                 if s <= 0.5:
-                    beta = _pow(2.0 * s, 1.0 / (op.eta_c + 1.0))
+                    beta = _pow(2.0 * s, 1.0 / (eta_c + 1.0))
                 else:
-                    beta = _pow(2.0 * (1.0 - s), -1.0 / (op.eta_c + 1.0))
+                    beta = _pow(2.0 * (1.0 - s), -1.0 / (eta_c + 1.0))
                 va, vb = c1[g], c2[g]
                 c1[g] = min(hi[g], max(lo[g], 0.5 * ((1 + beta) * va + (1 - beta) * vb)))
                 c2[g] = min(hi[g], max(lo[g], 0.5 * ((1 - beta) * va + (1 + beta) * vb)))
@@ -248,9 +245,9 @@ def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig()
     children = children[:lam]
     for (k, g), m in mag.items():
         if m < 0.5:
-            delta = _pow(2.0 * m, 1.0 / (op.eta_m + 1.0)) - 1.0
+            delta = _pow(2.0 * m, 1.0 / (eta_m + 1.0)) - 1.0
         else:
-            delta = 1.0 - _pow(2.0 * (1.0 - m), 1.0 / (op.eta_m + 1.0))
+            delta = 1.0 - _pow(2.0 * (1.0 - m), 1.0 / (eta_m + 1.0))
         children[k][g] = min(hi[g], max(lo[g], children[k][g] + delta * (hi[g] - lo[g])))
     # one scalar noise draw per child, in child order
     off_fit = [_evaluate_one(c, spec, rng) for c in children]
@@ -261,7 +258,7 @@ def replay_ea_step(genes, fitness, lam, pc, pm, spec, rng, op=EaOperatorConfig()
     return np.array([union_genes[i] for i in keep]), np.array([union_fit[i] for i in keep])
 
 
-def dense_children(genes, lam, pc, pm, spec, rng, op=EaOperatorConfig()):
+def dense_children(genes, lam, pc, pm, spec, rng, eta_c=20.0, eta_m=40.0):
     """Offspring of one agent under the dense reference scheme (draw
     discipline 1): uniform tournaments, then a full gate and value block
     per crossover pair and per child.  Only the distributions are meant to
@@ -279,16 +276,15 @@ def dense_children(genes, lam, pc, pm, spec, rng, op=EaOperatorConfig()):
             w.append(a if fitness[a] < fitness[b] or tie else b)
         c1, c2 = genes[w[0]].copy(), genes[w[1]].copy()
         gate, s = rng.random((2, d))
-        fire = (gate[0] < pc) if op.crossover_scope == "pair" else (gate < pc)
-        fire = np.broadcast_to(fire, (d,)) & (c1 != c2)
-        e = 1 / (op.eta_c + 1)
+        fire = (gate < pc) & (c1 != c2)
+        e = 1 / (eta_c + 1)
         beta = np.where(s <= 0.5, (2 * s) ** e, (2 * (1 - s)) ** -e)
         n1 = np.clip(0.5 * ((1 + beta) * c1 + (1 - beta) * c2), lo, hi)
         n2 = np.clip(0.5 * ((1 - beta) * c1 + (1 + beta) * c2), lo, hi)
         children += [np.where(fire, n1, c1), np.where(fire, n2, c2)]
     children = np.array(children[:lam])
     gate, m = rng.random((2, lam, d))
-    e = 1 / (op.eta_m + 1)
+    e = 1 / (eta_m + 1)
     delta = np.where(m < 0.5, (2 * m) ** e - 1, 1 - (2 * (1 - m)) ** e)
     return np.where(gate < pm, np.clip(children + delta * (hi - lo), lo, hi), children)
 
@@ -310,8 +306,7 @@ def _mean(values) -> float:
     return float(np.mean(np.array(values, dtype=float)))
 
 
-def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, streams,
-                    partner_policy="redraw"):
+def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, streams):
     """Plain-loop replay of one epoch exchange of a whole society (see
     ``trustopt.socio``): agent ``i`` receives from ``senders[i]`` under the
     crossover config ``intensity[i]``/``gene_op[i]``, reading the
@@ -344,11 +339,8 @@ def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, str
             depth = 1 if intensity[i] == "strong" else k
             children = []
             for q in shared:
-                if weak or partner_policy == "fixed":
-                    partner = int(rng.integers(0, n))
                 for _ in range(per_member):
-                    if not weak and partner_policy == "redraw":
-                        partner = int(rng.integers(0, n))
+                    partner = int(rng.integers(0, n))
                     children.append(np.array(adopt_genes(own[partner], genes[j][q], depth,
                                                          gene_op[i])))
             child_fit = [_evaluate_one(c, spec, rng) for c in children]
@@ -413,7 +405,7 @@ class PairExchange:
 
 
 def exchange_pair(recipient, sender, share=50, depth=50, intensity="weak", gene_op="swap",
-                  rng=None, partner_policy="redraw") -> PairExchange:
+                  rng=None) -> PairExchange:
     """:func:`receive` on the recording linear objective with a trust
     table: ``share`` is the sender's trust in agent 0, which sizes agent
     0's share, and ``depth`` agent 0's trust in the sender, which sets its
@@ -423,12 +415,11 @@ def exchange_pair(recipient, sender, share=50, depth=50, intensity="weak", gene_
     cred.trust[1, 0], cred.trust[0, 1] = share, depth
     row, genes, _ = receive(recipient, sender, cred, rec.spec,
                             np.random.default_rng(0) if rng is None else rng,
-                            intensity, gene_op, partner_policy)
+                            intensity, gene_op)
     return PairExchange(row, rec.blocks[1:], genes)  # block 0 is the step-start evaluation
 
 
-def receive(recipient, sender, cred, spec, rng, intensity="moderate", gene_op="swap",
-            partner_policy="redraw"):
+def receive(recipient, sender, cred, spec, rng, intensity="moderate", gene_op="swap"):
     """One ``exchange_all`` step of a two-agent society on ``spec``: agent
     0 receives from agent 1, and agent 1 from agent 0, both under
     ``intensity``/``gene_op``.  ``recipient`` and ``sender`` are (n, D)
@@ -439,8 +430,7 @@ def receive(recipient, sender, cred, spec, rng, intensity="moderate", gene_op="s
     genes = np.stack([np.array(recipient, dtype=float), np.array(sender, dtype=float)])
     fitness = spec.base(genes)
     record = exchange_all(genes, fitness, np.array([1, 0]), cred, np.array([intensity] * 2),
-                          np.array([gene_op] * 2), spec, [rng, np.random.default_rng(1)],
-                          partner_policy)
+                          np.array([gene_op] * 2), spec, [rng, np.random.default_rng(1)])
     return record.row(0), genes, fitness
 
 
@@ -478,7 +468,6 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0) -> StepwiseRun:
     (island_model).
     """
     objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
-    op = EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope)
     n_agents = cfg.agent_count
     streams = [agent_stream(cfg.seed, repetition, i) for i in range(n_agents)]
     tpls = [cfg.agent_template(i) for i in range(n_agents)]
@@ -493,13 +482,14 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0) -> StepwiseRun:
 
     bests, means, log = [], [], []
     best_fit, best_genes, best_step = np.inf, None, -1
-    for t in range(cfg.first_step, cfg.first_step + cfg.max_steps):
+    for t in range(1, cfg.max_steps + 1):
         if objective.noisy:
             fitness = [np.full(len(f), np.nan) for f in fitness]
         if t % cfg.epoch_length:
             for i, (tpl, (pc, pm)) in enumerate(zip(tpls, rates)):
                 genes[i], fitness[i] = replay_ea_step(genes[i], fitness[i], tpl.offspring_size,
-                                                      pc, pm, objective, streams[i], op)
+                                                      pc, pm, objective, streams[i],
+                                                      cfg.eta_c, cfg.eta_m)
         else:
             fitness = [evaluate_missing(g, f, objective, rng)
                        for g, f, rng in zip(genes, fitness, streams)]
@@ -507,7 +497,7 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0) -> StepwiseRun:
             if algorithm == "tbo":
                 genes, fitness, cred, record, accepted = replay_exchange(
                     genes, fitness, senders, cred, [t.genome_intensity for t in tpls],
-                    [t.gene_op for t in tpls], objective, streams, cfg.partner_policy)
+                    [t.gene_op for t in tpls], objective, streams)
                 genes, fitness = list(genes), list(fitness)
                 log.append((t, record, accepted))
             else:

@@ -239,7 +239,7 @@ def test_noisy_evaluate_is_base_plus_gaussian(rng):
     genes = rng.uniform(-500, 500, (6, 4))
     r1 = np.random.default_rng(7)
     r2 = np.random.default_rng(7)
-    vals = spec.evaluate(genes, r1)
+    vals = spec.evaluate_rows(genes, [6], [r1])
     expected = spec.base(genes) + r2.normal(0.0, 2.0, size=6)
     assert np.array_equal(vals, expected)
 
@@ -247,20 +247,20 @@ def test_noisy_evaluate_is_base_plus_gaussian(rng):
 def test_noisy_evaluate_requires_generator():
     spec = get_objective("schwefel_noise", 3)
     with pytest.raises(ValueError):
-        spec.evaluate(np.zeros(3))
+        spec.evaluate_rows(np.zeros((1, 3)), [1], [None])
 
 
 def test_evaluate_checks_dimension():
     spec = get_objective("sphere", 5)
     with pytest.raises(ValueError):
-        spec.evaluate(np.zeros(4))
+        spec.evaluate_rows(np.zeros((1, 4)), [1], [None])
 
 
 def test_lennard_jones_constants_are_knobs():
     spec = get_objective("lennard_jones", 6, a=2.0, b=3.0)
     r = (2.0 * 2.0 / 3.0) ** (1.0 / 6.0)
     genes = np.array([0.0, 0.0, 0.0, r, 0.0, 0.0])
-    assert spec.evaluate(genes) == pytest.approx(-(3.0**2) / (4.0 * 2.0), abs=1e-9)
+    assert spec.base(genes) == pytest.approx(-(3.0**2) / (4.0 * 2.0), abs=1e-9)
 
 
 def test_deterministic_objectives_repeat_exactly(rng):
@@ -269,4 +269,5 @@ def test_deterministic_objectives_repeat_exactly(rng):
             continue
         spec = get_objective(name, 9)
         pts = rng.uniform(spec.lower, spec.upper, (5, 9))
-        assert np.array_equal(spec.evaluate(pts), spec.evaluate(pts))
+        assert np.array_equal(spec.evaluate_rows(pts, [5], [None]),
+                              spec.evaluate_rows(pts, [5], [None]))

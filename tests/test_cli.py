@@ -70,6 +70,8 @@ def _problem(**kw):
     ({"repetitions": 2.0}, "repetitions"),
     ({"algorithms": "island_model"}, "algorithms"),
     (None, "manifest must be a JSON object"),
+    ({"overrides": {"crossover_scope": "pair"}}, "overrides: unknown parameter 'crossover_scope'"),
+    ({"overrides": {"partner_policy": "fixed"}}, "overrides: unknown parameter 'partner_policy'"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_validate_rejects_wrongly_typed_manifest(tmp_path, capsys, change, field):
     path = tmp_path / "bad.json"
@@ -104,6 +106,9 @@ def _config(**kw):
     (_config(per_agent=[5]), "per_agent"),
     ({k: v for k, v in _config().items() if k != "seed"}, "seed"),
     ([_config()], "config must be a JSON object"),
+    (_config(crossover_scope="pair"), "unknown config field: crossover_scope"),
+    (_config(partner_policy="fixed"), "unknown config field: partner_policy"),
+    (_config(first_step=0), "unknown config field: first_step"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_validate_rejects_wrongly_typed_config(tmp_path, capsys, data, field):
     path = tmp_path / "cfg.json"
@@ -300,13 +305,15 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     (tmp_path / "summary_sphere_d2.csv").write_text("not,a,header\n1,2,3\n")
     assert main(["stats", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
-    # an empty summary, an empty trace, a short and an over-long trace row,
-    # an over-long summary row, non-numeric trace and summary fields and a
-    # step beyond 64 bits: an error naming the file, not a traceback
+    # an empty summary, an empty and a header-only trace, a short and an
+    # over-long trace row, an over-long summary row, non-numeric trace and
+    # summary fields and a step beyond 64 bits: an error naming the file,
+    # not a traceback
     trace = "trace_sphere_d2_island_model_rep0.csv"
     summary = "summary_sphere_d2.csv"
     summary_header = "problem,dim,algorithm,repetition,final_best,steps,seed\n"
     cases = [("stats", summary, ""), ("plot", trace, ""),
+             ("plot", trace, "step,agent_id,best,mean\n"),
              ("plot", trace, "step,agent_id,best,mean\n1,0,3.0\n"),
              ("plot", trace, "step,agent_id,best,mean\n1,0,3.0,4.0,99\n"),
              ("plot", trace, "step,agent_id,best,mean\n1,0,abc,3.0\n"),
@@ -320,6 +327,19 @@ def test_malformed_input_exits_1(tmp_path, capsys):
         assert main([command, str(case)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err, err
+
+
+def test_header_only_trace_beside_a_good_one_exits_1(tmp_path, capsys):
+    # a header-only trace must not draw an empty curve beside a good one
+    (tmp_path / "trace_sphere_d2_island_model_rep0.csv").write_text(
+        "step,agent_id,best,mean\n1,0,3.0,4.0\n2,0,2.0,3.0\n")
+    empty = "trace_sphere_d2_small_society_rep0.csv"
+    (tmp_path / empty).write_text("step,agent_id,best,mean\n")
+    out = tmp_path / "charts"
+    assert main(["plot", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and empty in err, err
+    assert not out.exists()
 
 
 def test_run_rejects_bad_jobs(manifest_path, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Package namespace, core state, rate amplification, config validation, streams."""
 
 import json
+from dataclasses import fields
 from types import ModuleType
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from helpers import exchange_pair, genomes_with_values, linear_objective, receive
 
 import trustopt
+from trustopt import harness
 from trustopt.cli import main
 
 from trustopt import (
@@ -36,7 +38,7 @@ from trustopt.types import evaluate_stack
 # every public name of ``import trustopt``: adding or dropping an export is
 # an edit to this tuple
 PUBLIC_NAMES = (
-    "AgentTemplate", "ConfigError", "CredibilityConfig", "CredibilityState", "EaOperatorConfig",
+    "AgentTemplate", "ConfigError", "CredibilityConfig", "CredibilityState",
     "OBJECTIVE_NAMES", "ObjectiveSpec", "PRESET_NAMES", "SampleGroup", "TboConfig",
     "agent_stream", "compare_groups", "config_from_dict", "config_to_dict", "derive_run_seed",
     "dump_config", "dunn_holm", "effective_rates", "get_objective", "holm_adjust",
@@ -59,6 +61,24 @@ def test_package_namespace_is_pinned():
     from trustopt import ea
 
     assert isinstance(ea, ModuleType)
+
+
+# every field of a run config and every manifest override name: adding a
+# knob is an edit to these tuples
+CONFIG_FIELDS = (
+    "agent_count", "dimension", "objective", "epoch_length", "diversity_factor", "max_steps",
+    "seed", "repetitions", "algorithm", "credibility", "per_agent", "objective_params",
+    "eta_c", "eta_m",
+)
+OVERRIDE_NAMES = (
+    "population_size", "offspring_size", "base_crossover_rate", "base_mutation_rate",
+    "epoch_length", "diversity_factor", "eta_c", "eta_m",
+)
+
+
+def test_config_schema_is_pinned():
+    assert tuple(f.name for f in fields(TboConfig)) == CONFIG_FIELDS
+    assert harness._AGENT_OVERRIDES + harness._RUN_OVERRIDES == OVERRIDE_NAMES
 
 
 # --- effective rates --------------------------------------------------------
@@ -121,7 +141,7 @@ def test_mean_fitness_values():
 def test_mean_fitness_matches_oracle(rng):
     spec = get_objective("sphere", 5)
     recipient = init_population(5, spec, rng)
-    expected = sum(float(spec.evaluate(g)) for g in recipient) / 5.0
+    expected = sum(float(spec.base(g)) for g in recipient) / 5.0
     out, _, _ = receive(recipient, init_population(5, spec, rng),
                         CredibilityState.initial("trust", 2, 3, 1, 50), spec, rng)
     assert out.mean_before == pytest.approx(expected, rel=1e-12)

@@ -28,7 +28,6 @@ from scipy.stats import ks_2samp
 
 from trustopt import (
     ConfigError,
-    EaOperatorConfig,
     effective_rates,
     get_objective,
     init_population,
@@ -39,13 +38,13 @@ from trustopt import ea
 from trustopt.ea import ea_step_all, step_plan
 
 
-def _children(genes, lam, pc, pm, op=EaOperatorConfig(), seed=0):
+def _children(genes, lam, pc, pm, seed=0):
     """The ``lam`` offspring one ``ea_step_all`` step breeds from the (n, D)
     population ``genes`` in the box [-100, 100]^D (linear objective:
     fitness is gene 0)."""
     genes = np.array(genes, dtype=float)
     rec = RecordingObjective(genes.shape[1], linear=True)
-    plan = step_plan(*genes.shape, lam, op, [pc], [pm])
+    plan = step_plan(*genes.shape, lam, 20.0, 40.0, [pc], [pm])
     ea_step_all(genes[None].copy(), genes[None, :, 0].copy(), plan, rec.spec,
                 [np.random.default_rng(seed)])
     return rec.blocks[-1]
@@ -139,29 +138,12 @@ def test_sbx_children_stay_in_bounds(rng):
             assert np.all(c <= 1.0)
 
 
-def test_sbx_pair_scope_consults_first_gate_only():
-    # every gene of the two parents differs, so a child is either a copy
-    # (its pair's gate did not fire, or both winners are one member) or
-    # recombined in every gene
+def test_sbx_gates_each_gene_on_its_own():
+    # every gene of the two parents differs; each gene's gate fires on its
+    # own, so at rate 0.5 children mix copied and recombined genes
     parents = np.array([[1.0, 2.0, 3.0, 4.0], [-4.0, -3.0, -2.0, -1.0]])
-    children = _children(parents, 400, 0.5, 0.0, EaOperatorConfig(crossover_scope="pair"))
-    copies = [_is_copy(c, parents) for c in children]
-    for child, copy in zip(children, copies):
-        if not copy:
-            assert not np.any(child == parents[0]) and not np.any(child == parents[1])
-    assert 0 < sum(copies) < len(children)
-    # under the gene scope, children mix copied and recombined genes
     mixed = _children(parents, 400, 0.5, 0.0)
     assert any(np.any(c == parents[0]) and not _is_copy(c, parents) for c in mixed)
-
-
-def test_sbx_full_rate_same_for_both_scopes():
-    # at rate 1 every gate fires without a draw, and both scopes draw one
-    # spread value per gene of every pair in the same order
-    parents = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0], [0.5, 0.5, 0.5]])
-    a = _children(parents, 6, 1.0, 0.0, EaOperatorConfig(crossover_scope="gene"), seed=17)
-    b = _children(parents, 6, 1.0, 0.0, EaOperatorConfig(crossover_scope="pair"), seed=17)
-    assert np.array_equal(a, b)
 
 
 # --- mutation ---------------------------------------------------------------
@@ -241,7 +223,7 @@ def test_replacement_rejects_overdraw():
     spec = get_objective("sphere", 2)
     genes = np.stack([init_population(3, spec, np.random.default_rng(1))])
     fitness = np.full((1, 3), np.nan)
-    plan = step_plan(3, 2, 0, EaOperatorConfig(), [0.5], [0.5])
+    plan = step_plan(3, 2, 0, 20.0, 40.0, [0.5], [0.5])
     ea_step_all(genes, fitness, plan, spec, [np.random.default_rng(2)])
     assert genes.shape == (1, 3, 2) and not np.isnan(fitness).any()
     cfg = load_preset("island_model")
@@ -258,9 +240,9 @@ def test_replacement_survivors_keep_insertion_order():
 # --- full step --------------------------------------------------------------
 
 
-def _one_agent(n, d, lam, pc, pm, seed, op=EaOperatorConfig()):
+def _one_agent(n, d, lam, pc, pm, seed, eta=(20.0, 40.0)):
     """A one-agent society (see _societies) for ``_society``."""
-    return dict(n_agents=1, n=n, d=d, lam=lam, op=op, pcs=[pc], pms=[pm], seed=seed, steps=1)
+    return dict(n_agents=1, n=n, d=d, lam=lam, eta=eta, pcs=[pc], pms=[pm], seed=seed, steps=1)
 
 
 def test_ea_step_zero_offspring_is_identity():
@@ -277,7 +259,7 @@ def test_ea_step_zero_rates_add_no_new_genomes():
     spec = get_objective("sphere", 3)
     genes, fitness, plan, streams = _society(_one_agent(4, 3, 6, 0.0, 0.0, 6), spec)
     before = genes[0].copy()
-    best = float(np.min(spec.evaluate(before)))
+    best = float(np.min(spec.base(before)))
     ea_step_all(genes, fitness, plan, spec, streams)
     assert genes.shape == (1, 4, 3)
     assert fitness.min() == best
@@ -303,10 +285,9 @@ def test_ea_step_matches_recorded_trace_oracle():
     _assert_batched_matches_replay(get_objective("sphere", 2), _one_agent(3, 2, 4, 0.9, 0.5, 314))
 
 
-def test_ea_step_oracle_odd_offspring_and_pair_scope():
-    op = EaOperatorConfig(eta_c=15.0, eta_m=25.0, crossover_scope="pair")
+def test_ea_step_oracle_odd_offspring_and_other_indices():
     _assert_batched_matches_replay(get_objective("rastrigin", 3),
-                                   _one_agent(4, 3, 5, 0.7, 0.3, 2718, op))
+                                   _one_agent(4, 3, 5, 0.7, 0.3, 2718, eta=(15.0, 25.0)))
 
 
 # --- batched kernel ---------------------------------------------------------
@@ -321,8 +302,7 @@ def _societies(draw):
         d=draw(st.integers(1, 5)),
         pcs=draw(st.lists(rates, min_size=n_agents, max_size=n_agents)),
         pms=draw(st.lists(rates, min_size=n_agents, max_size=n_agents)),
-        op=EaOperatorConfig(draw(st.sampled_from([2.0, 20.0])), draw(st.sampled_from([5.0, 40.0])),
-                            draw(st.sampled_from(["gene", "pair"]))),
+        eta=(draw(st.sampled_from([2.0, 20.0])), draw(st.sampled_from([5.0, 40.0]))),
         seed=draw(st.integers(0, 2**32)), steps=draw(st.integers(1, 3)),
     )
 
@@ -331,7 +311,7 @@ def _society(s, spec):
     """The (genes, fitness, plan, streams) of society ``s`` (see _societies)."""
     streams = [np.random.default_rng(s["seed"] + i) for i in range(s["n_agents"])]
     genes = np.stack([init_population(s["n"], spec, g) for g in streams])
-    plan = step_plan(s["n"], s["d"], s["lam"], s["op"], s["pcs"], s["pms"])
+    plan = step_plan(s["n"], s["d"], s["lam"], *s["eta"], s["pcs"], s["pms"])
     return genes, np.full(genes.shape[:2], np.nan), plan, streams
 
 
@@ -348,7 +328,7 @@ def _assert_batched_matches_replay(spec, s, budget=gap_budget):
             if spec.noisy:
                 ref[i][1] = np.full(s["n"], np.nan)
             ref[i] = list(replay_ea_step(*ref[i], s["lam"], s["pcs"][i], s["pms"][i],
-                                         spec, rng, s["op"], budget))
+                                         spec, rng, *s["eta"], budget))
 
     for i in range(s["n_agents"]):
         assert np.array_equal(genes[i], ref[i][0])
@@ -395,10 +375,10 @@ def test_batched_step_zero_offspring_only_evaluates():
     genes = np.stack([init_population(4, spec, st) for st in streams])
     fitness = np.full((2, 4), np.nan)
     before = genes.copy()
-    plan = step_plan(4, 3, 0, EaOperatorConfig(), np.array([0.5, 0.5]), np.array([0.1, 0.1]))
+    plan = step_plan(4, 3, 0, 20.0, 40.0, np.array([0.5, 0.5]), np.array([0.1, 0.1]))
     ea_step_all(genes, fitness, plan, spec, streams)
     assert np.array_equal(genes, before)
-    assert np.array_equal(fitness, spec.evaluate(genes.reshape(-1, 3)).reshape(2, 4))
+    assert np.array_equal(fitness, spec.base(genes.reshape(-1, 3)).reshape(2, 4))
 
 
 # --- step plan --------------------------------------------------------------
@@ -409,7 +389,7 @@ def _society_pairs(draw):
     a, b = draw(_societies()), draw(_societies())
     if draw(st.booleans()):
         # the same shape with other rates: only the plans tell them apart
-        b.update({k: a[k] for k in ("n_agents", "n", "lam", "d", "op")},
+        b.update({k: a[k] for k in ("n_agents", "n", "lam", "d", "eta")},
                  pcs=draw(st.permutations(a["pcs"])), pms=[1.0 - x for x in a["pms"]])
     return a, b
 
@@ -439,26 +419,26 @@ def test_interleaved_plans_match_each_society_alone(pair):
 
 
 @pytest.mark.parametrize("case", [
-    dict(lam=0, pcs=[0.5, 0.5], pms=[0.1, 0.1], op=EaOperatorConfig()),
-    dict(lam=5, pcs=[0.3, 0.9], pms=[0.2, 0.05], op=EaOperatorConfig(crossover_scope="pair")),
-    dict(lam=4, pcs=[0.0, 0.0], pms=[0.0, 0.0], op=EaOperatorConfig()),
-    dict(lam=3, pcs=[1.0, 1.0], pms=[1.0, 1.0], op=EaOperatorConfig()),
-    dict(lam=6, pcs=[0.0, 1.0], pms=[1.0, 0.0], op=EaOperatorConfig(crossover_scope="pair")),
-], ids=["lam0", "pair", "rates0", "rates1", "rates01-pair"])
+    dict(lam=0, pcs=[0.5, 0.5], pms=[0.1, 0.1]),
+    dict(lam=5, pcs=[0.3, 0.9], pms=[0.2, 0.05]),
+    dict(lam=4, pcs=[0.0, 0.0], pms=[0.0, 0.0]),
+    dict(lam=3, pcs=[1.0, 1.0], pms=[1.0, 1.0]),
+    dict(lam=6, pcs=[0.0, 1.0], pms=[1.0, 0.0]),
+], ids=["lam0", "lam5", "rates0", "rates1", "rates01"])
 def test_reused_plan_matches_the_replay(case):
     # one plan over four steps, as a run uses it
     _assert_batched_matches_replay(get_objective("rastrigin", 3),
-                                   dict(case, n_agents=2, n=4, d=3, seed=11, steps=4))
+                                   dict(case, n_agents=2, n=4, d=3, eta=(20.0, 40.0), seed=11,
+                                        steps=4))
 
 
 # --- sparse gate sampler ----------------------------------------------------
 
 
-def _tally_fires(n_agents, d, lam, scope, p, steps, seed=0):
+def _tally_fires(n_agents, d, lam, p, steps, seed=0):
     """Per-position fire counts of the crossover and mutation gates over
     ``steps`` draws of ``n_agents`` streams, all at rate ``p``."""
-    plan = step_plan(2, d, lam, EaOperatorConfig(crossover_scope=scope), [p] * n_agents,
-                     [p] * n_agents)
+    plan = step_plan(2, d, lam, 20.0, 40.0, [p] * n_agents, [p] * n_agents)
     streams = [np.random.default_rng([seed, i]) for i in range(n_agents)]
     counts = np.zeros((2, lam * d), dtype=np.int64)
     for _ in range(steps):
@@ -476,12 +456,11 @@ def _assert_binomial(counts, trials, p):
     assert np.all(np.abs(counts - trials * p) <= 6.0 * sd + 1.0), (counts, trials * p)
 
 
-@pytest.mark.parametrize("scope", ["gene", "pair"])
 @pytest.mark.parametrize("p", [0.0, 0.002, 0.05, 0.5, 1.0])
-def test_gate_fires_each_gene_with_its_rate(p, scope):
+def test_gate_fires_each_gene_with_its_rate(p):
     n_agents, steps = 50, 200
-    cross, mut = _tally_fires(n_agents, 6, 8, scope, p, steps)
-    assert len(cross) == (4 if scope == "pair" else 24)
+    cross, mut = _tally_fires(n_agents, 6, 8, p, steps)
+    assert len(cross) == 24
     for counts in (cross, mut):
         _assert_binomial(counts, n_agents * steps, p)
 
@@ -495,20 +474,18 @@ def test_forced_top_up_keeps_the_marginals(monkeypatch, p):
     top_up = ea._top_up
     monkeypatch.setattr(ea, "_top_up", lambda *a: calls.append(1) or top_up(*a))
     n_agents, steps = 50, 200
-    for scope in ("gene", "pair"):
-        cross, mut = _tally_fires(n_agents, 6, 8, scope, p, steps, seed=1)
-        for counts in (cross, mut):
-            _assert_binomial(counts, n_agents * steps, p)
-    assert len(calls) > steps
+    cross, mut = _tally_fires(n_agents, 6, 8, p, steps, seed=1)
+    for counts in (cross, mut):
+        _assert_binomial(counts, n_agents * steps, p)
+    assert len(calls) == steps  # every step topped up some stream
 
 
-@pytest.mark.parametrize("scope", ["gene", "pair"])
-def test_zero_rates_breed_copies_of_the_parents(scope):
+def test_zero_rates_breed_copies_of_the_parents():
     rec = RecordingObjective(4)
     streams = [CountingStream(np.random.default_rng(s)) for s in range(3)]
     genes = np.stack([init_population(5, rec.spec, s.rng) for s in streams])
     fitness = np.full((3, 5), np.nan)
-    plan = step_plan(5, 4, 7, EaOperatorConfig(crossover_scope=scope), [0.0] * 3, [0.0] * 3)
+    plan = step_plan(5, 4, 7, 20.0, 40.0, [0.0] * 3, [0.0] * 3)
     ea_step_all(genes.copy(), fitness, plan, rec.spec, streams)
     children = rec.blocks[-1].reshape(3, 7, 4)
     for i in range(3):
@@ -518,23 +495,21 @@ def test_zero_rates_breed_copies_of_the_parents(scope):
     assert [s.uniforms for s in streams] == [6 * 4] * 3
 
 
-@pytest.mark.parametrize("scope", ["gene", "pair"])
-def test_child_genes_match_the_dense_scheme(scope):
+def test_child_genes_match_the_dense_scheme():
     # two members tie on the sphere, so tournaments pick either at random;
     # every child gene is then a parent value, an SBX value or a mutation
     n_agents, lam, d, pc, pm = 40, 8, 6, 0.3, 0.1
-    op = EaOperatorConfig(crossover_scope=scope)
     rec = RecordingObjective(d, bound=5.0)
     pop = np.stack([np.full(d, -1.0), np.full(d, 1.0)])
     sparse, dense = [], []
-    plan = step_plan(2, d, lam, op, [pc] * n_agents, [pm] * n_agents)
+    plan = step_plan(2, d, lam, 20.0, 40.0, [pc] * n_agents, [pm] * n_agents)
     for seed in range(20):
         streams = [np.random.default_rng([seed, i]) for i in range(n_agents)]
         ea_step_all(np.repeat(pop[None], n_agents, axis=0), np.full((n_agents, 2), np.nan),
                     plan, rec.spec, streams)
         sparse.append(rec.blocks[-1].ravel())
         ref = np.random.default_rng([seed, 10_000])
-        dense += [dense_children(pop, lam, pc, pm, rec.spec, ref, op).ravel()
+        dense += [dense_children(pop, lam, pc, pm, rec.spec, ref).ravel()
                   for _ in range(n_agents)]
     sparse, dense = np.concatenate(sparse), np.concatenate(dense)
     assert ks_2samp(sparse, dense).pvalue > 1e-3
@@ -551,7 +526,7 @@ def test_high_dimensional_step_draws_few_uniforms():
     streams = [CountingStream(np.random.default_rng(s)) for s in range(n_agents)]
     genes = np.stack([init_population(5, spec, s.rng) for s in streams])
     fitness = np.full((n_agents, 5), np.nan)
-    plan = step_plan(5, d, 15, EaOperatorConfig(), rates[:, 0], rates[:, 1])
+    plan = step_plan(5, d, 15, 20.0, 40.0, rates[:, 0], rates[:, 1])
     for _ in range(5):
         for s in streams:
             s.uniforms = 0

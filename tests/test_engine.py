@@ -19,7 +19,6 @@ from trustopt import (
     ConfigError,
     CredibilityConfig,
     CredibilityState,
-    EaOperatorConfig,
     TboConfig,
     effective_rates,
     get_objective,
@@ -82,7 +81,7 @@ _ALGORITHMS = pytest.mark.parametrize("algorithm", ["tbo", "island_model"],
 def test_dispatch_runs_ea_step_off_epoch():
     log = []
     state = _build_state(_cfg(max_steps=1), [0], log)
-    assert state.cfg.first_step % state.cfg.epoch_length != 0  # not an epoch step
+    assert state.cfg.epoch_length > 1  # the one step, t = 1, is no epoch step
     before = state.streams[0].bit_generator.state
     _lockstep([state], 1)
     assert log == []  # an EA step produces no interaction
@@ -161,7 +160,6 @@ def test_long_epoch_run_equals_independent_ea_chains(monkeypatch):
     trace = _run(cfg)
 
     spec = get_objective(cfg.objective, cfg.dimension)
-    op = EaOperatorConfig(cfg.eta_c, cfg.eta_m, cfg.crossover_scope)
     tpl = cfg.per_agent[0]
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -172,7 +170,7 @@ def test_long_epoch_run_equals_independent_ea_chains(monkeypatch):
         bests, means = [], []
         for _ in range(cfg.max_steps):
             genes, fitness = replay_ea_step(genes, fitness, tpl.offspring_size, pc, pm,
-                                            spec, rng, op)
+                                            spec, rng, cfg.eta_c, cfg.eta_m)
             bests.append(fitness.min())
             means.append(fitness.mean())
         _, tb, tm = _series(trace, i)
@@ -294,9 +292,7 @@ def _configs(draw, objective, algorithm):
         max_steps=draw(st.integers(1, 9)), seed=draw(st.integers(0, 2**32)),
         credibility=CredibilityConfig(draw(st.sampled_from(["trust", "reputation"])),
                                       draw(st.integers(lo, hi)), lo, hi),
-        per_agent=per_agent, partner_policy=draw(st.sampled_from(["redraw", "fixed"])),
-        crossover_scope=draw(st.sampled_from(["gene", "pair"])),
-        first_step=draw(st.integers(0, 1)),
+        per_agent=per_agent,
     )
     return _cfg(**kw) if algorithm == "tbo" else _island_cfg(**kw)
 
@@ -443,7 +439,7 @@ def test_stacked_repetitions_run_as_if_alone(data):
     kw = dict(
         agent_count=n_agents, repetitions=data.draw(st.integers(1, 4)),
         objective=data.draw(st.sampled_from(["sphere", "schwefel_noise"])),
-        first_step=data.draw(st.integers(0, 1)), epoch_length=data.draw(st.integers(1, 3)),
+        epoch_length=data.draw(st.integers(1, 3)),
         diversity_factor=data.draw(st.sampled_from([0.0, 1.3])),
         max_steps=data.draw(st.integers(1, 8)), seed=data.draw(st.integers(0, 2**32)),
         per_agent=tuple(replace(t, population_size=3, offspring_size=4) for t in templates),
@@ -466,7 +462,6 @@ def test_grouped_cells_run_as_if_alone(data):
     # cell's epoch; each cell must still be the run run_repetitions gives it
     # alone, also on steps where only some cells exchange
     shared = dict(objective=data.draw(st.sampled_from(["sphere", "schwefel_noise"])),
-                  first_step=data.draw(st.integers(0, 1)),
                   max_steps=data.draw(st.integers(1, 8)))
     cfgs = []
     for _ in range(data.draw(st.integers(2, 4))):
@@ -500,8 +495,9 @@ def test_grouped_cells_run_as_if_alone(data):
     ("offspring size", dict(per_agent=(AgentTemplate(population_size=4, offspring_size=5),))),
     ("EA operator constants", dict(eta_c=10.0)),
     ("EA operator constants", dict(eta_m=10.0)),
-    ("EA operator constants", dict(crossover_scope="pair")),
-    ("first_step", dict(first_step=0)),
+    ("EA operator constants", dict(eta_c=10.0, eta_m=10.0)),
+    ("population size, offspring size",
+     dict(per_agent=(AgentTemplate(population_size=3, offspring_size=5),))),
     ("max_steps", dict(max_steps=13)),
     ("objective binding", dict(objective="sphere")),
     ("objective binding", dict(dimension=3)),
@@ -579,14 +575,6 @@ def test_interaction_log_explains_the_credibility_state(kind, monkeypatch):
     assert len(log) == 30
     # the run hit both bounds, so the per-step clamp mattered
     assert loose.min() < c.min_value and loose.max() > c.max_value
-
-
-def test_first_step_zero_starts_with_an_exchange():
-    cfg = _cfg(first_step=0, epoch_length=5, max_steps=3)
-    log = []
-    [trace] = run_repetitions(cfg, interaction_log=log)
-    assert [t for t, _ in log] == [0]
-    assert sorted(set(trace.steps.tolist())) == [0, 1, 2]
 
 
 def test_interaction_log_stacks_repetitions():

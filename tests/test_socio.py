@@ -274,16 +274,14 @@ def test_sc_crossover_average_midpoints(rng):
 
 def test_sc_crossover_partner_draw_replay():
     # partner indices must come from the recipient stream in shared-member
-    # order: one block for weak, (m, K) row-major for redraw, m repeated
-    # K times for fixed
+    # order: one per shared member for weak, (m, K) row-major otherwise
     recipient = np.arange(12.0).reshape(6, 2) + [1000.0, 0.0]
     sender = np.array([[300.0, 400.0], [100.0, 200.0]] + [[0.0, 0.0]] * 4)
     shared = sender[:2]  # worst first
     k = 2
 
     r1, r2 = twin_rngs(55)
-    ex = exchange_pair(recipient, sender, share=2, depth=k, intensity="moderate", rng=r1,
-                       partner_policy="redraw")
+    ex = exchange_pair(recipient, sender, share=2, depth=k, intensity="moderate", rng=r1)
     partners = r2.integers(0, 6, size=(2, k)).ravel()
     z = np.repeat(shared, k, axis=0)
     for o in range(4):
@@ -291,16 +289,14 @@ def test_sc_crossover_partner_draw_replay():
     assert r1.bit_generator.state == r2.bit_generator.state
 
     r1, r2 = twin_rngs(66)
-    ex = exchange_pair(recipient, sender, share=2, depth=k, intensity="strong", rng=r1,
-                       partner_policy="fixed")
-    partners = np.repeat(r2.integers(0, 6, size=2), k)
+    ex = exchange_pair(recipient, sender, share=2, depth=k, intensity="strong", rng=r1)
+    partners = r2.integers(0, 6, size=(2, k)).ravel()
     for o in range(4):
         assert ex.blocks[0][o].tolist() == adopt_genes(recipient[partners[o]], z[o], 1, "swap")
     assert r1.bit_generator.state == r2.bit_generator.state
 
     r1, r2 = twin_rngs(77)
-    ex = exchange_pair(recipient, sender, share=2, depth=k, intensity="weak", rng=r1,
-                       partner_policy="redraw")
+    ex = exchange_pair(recipient, sender, share=2, depth=k, intensity="weak", rng=r1)
     partners = r2.integers(0, 6, size=2)
     for o in range(2):
         assert ex.blocks[0][o].tolist() == adopt_genes(recipient[partners[o]], shared[o], k,
@@ -311,8 +307,6 @@ def test_sc_crossover_partner_draw_replay():
 def test_sc_crossover_validates_inputs(rng):
     with pytest.raises(ConfigError, match="min_value must be >= 1"):
         validate_config(_cfg(credibility=CredibilityConfig("trust", 1, 0, 50)))
-    with pytest.raises(ConfigError, match="partner_policy"):
-        validate_config(_cfg(partner_policy="psychic"))
 
 
 # --- gated variation --------------------------------------------------------
@@ -363,7 +357,7 @@ def test_sc_variation_merges_with_elitism(rng):
     donor = init_population(4, spec, rng)
     cred = CredibilityState.initial("trust", 2, 3, 1, 50)
     cred.trust[1, 0] = 2
-    before_best = float(np.min(spec.evaluate(recipient)))
+    before_best = float(np.min(spec.base(recipient)))
     out, genes, fitness = receive(recipient, donor, cred, spec, rng, "moderate")
     if out.accepted:
         assert genes[0].shape == (4, 3)
@@ -535,7 +529,6 @@ def _societies(draw, min_agents=2):
                                 min_size=n_agents, max_size=n_agents)),
         gene_op=draw(st.lists(st.sampled_from(["swap", "average"]),
                               min_size=n_agents, max_size=n_agents)),
-        policy=draw(st.sampled_from(["redraw", "fixed"])),
         grid=draw(st.booleans()),  # genes on a coarse grid: divergence ties
         seed=draw(st.integers(0, 2**32)),
     )
@@ -564,12 +557,11 @@ def test_exchange_all_matches_the_replay(s):
     seeds = [s["seed"] + i for i in range(s["n_agents"])]
     ref_streams = [np.random.default_rng(x) for x in seeds]
     ref_genes, ref_fit, ref_cred, ref, ref_accepted = replay_exchange(
-        genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec, ref_streams,
-        s["policy"])
+        genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec, ref_streams)
 
     streams = [np.random.default_rng(x) for x in seeds]
     record = exchange_all(genes, fitness, senders, cred, np.array(s["intensity"]),
-                          np.array(s["gene_op"]), spec, streams, s["policy"])
+                          np.array(s["gene_op"]), spec, streams)
     assert np.array_equal(genes, ref_genes)
     assert np.array_equal(fitness, ref_fit)
     table = cred.trust if cred.kind == "trust" else cred.reputation
