@@ -2,8 +2,9 @@
 what comes back.
 
 A run is described by a TboConfig: how many agents, which objective, how
-often they exchange solutions, and the per-agent EA parameters.  Here we
-build one by hand instead of loading a preset so every knob is visible.
+often they exchange solutions, and the one agent template every agent
+breeds with.  Here we build one by hand instead of loading a preset so
+every knob is visible.
 """
 
 import numpy as np
@@ -25,14 +26,14 @@ cfg = TboConfig(
     max_steps=2000,
     seed=7,
     credibility=CredibilityConfig(kind="trust", start_value=25),
-    per_agent=(AgentTemplate(
+    per_agent=AgentTemplate(  # one template for every agent
         population_size=5,
         offspring_size=15,
         base_crossover_rate=0.005,
         base_mutation_rate=0.0005,
         genome_intensity="moderate",
         gene_op="swap",
-    ),),
+    ),
 )
 
 [trace] = run_repetitions(cfg, record_every=100)  # one trace per repetition

@@ -23,9 +23,9 @@ cfg = TboConfig(
     max_steps=200,
     seed=99,
     credibility=CredibilityConfig(kind="trust", start_value=2),
-    per_agent=(AgentTemplate(population_size=5, offspring_size=15,
-                             base_crossover_rate=0.005,
-                             base_mutation_rate=0.0005),),
+    per_agent=AgentTemplate(population_size=5, offspring_size=15,
+                            base_crossover_rate=0.005,
+                            base_mutation_rate=0.0005),
 )
 
 log = []

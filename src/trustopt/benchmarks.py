@@ -181,8 +181,6 @@ class ObjectiveSpec:
         never cached across global steps.
     optimum_value : float or None
         Known global minimum value, when available.
-    optimum_location : ndarray or None
-        A known minimiser, when available.
     """
 
     name: str
@@ -192,7 +190,6 @@ class ObjectiveSpec:
     noisy: bool
     _fn: Callable[..., np.ndarray] = field(repr=False)
     optimum_value: Optional[float] = None
-    optimum_location: Optional[np.ndarray] = field(default=None, repr=False)
     noise_sigma: float = 0.0
 
     def base(self, genes: np.ndarray):
@@ -239,16 +236,14 @@ class _Row(NamedTuple):
     # noise_sigma sets the evaluation noise, the others are keywords of fn
     params: dict = {}
     optimum_value: Optional[float] = None
-    optimum_gene: Optional[float] = None  # every gene of a known minimiser
 
 
 _REGISTRY = {
-    "sphere": _Row(sphere, 100.0, optimum_value=0.0, optimum_gene=0.0),
-    "griewank": _Row(griewank, 600.0, optimum_value=0.0, optimum_gene=0.0),
-    "rastrigin": _Row(rastrigin, 5.12, optimum_value=0.0, optimum_gene=0.0),
-    "expanded_schaffer": _Row(expanded_schaffer, 100.0, 2, optimum_value=0.0, optimum_gene=0.0),
-    "schwefel_noise": _Row(schwefel_noisy, 500.0, params={"noise_sigma": lambda d: 0.01 * d},
-                           optimum_gene=420.9687),
+    "sphere": _Row(sphere, 100.0, optimum_value=0.0),
+    "griewank": _Row(griewank, 600.0, optimum_value=0.0),
+    "rastrigin": _Row(rastrigin, 5.12, optimum_value=0.0),
+    "expanded_schaffer": _Row(expanded_schaffer, 100.0, 2, optimum_value=0.0),
+    "schwefel_noise": _Row(schwefel_noisy, 500.0, params={"noise_sigma": lambda d: 0.01 * d}),
     "lennard_jones": _Row(lennard_jones, 3.0, 6, params={"a": 1.0, "b": 2.0}),
 }
 
@@ -288,7 +283,5 @@ def get_objective(name: str, dimension: int, **params) -> ObjectiveSpec:
     return ObjectiveSpec(
         name, dimension, -full, full, sigma > 0.0,
         functools.partial(row.fn, **bound) if bound else row.fn,
-        optimum_value=row.optimum_value,
-        optimum_location=None if row.optimum_gene is None else np.full(dimension, row.optimum_gene),
-        noise_sigma=sigma,
+        optimum_value=row.optimum_value, noise_sigma=sigma,
     )

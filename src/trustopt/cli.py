@@ -10,7 +10,8 @@ Subcommands::
 
 Exit status: 0 on success, 2 on configuration or manifest validation
 errors (the message names the offending field or objective), 1 on any
-other failure.
+other failure (an unreadable or malformed input, or a binding too large
+to allocate).
 
 Importing this module loads no numpy: ``plot`` needs none, and the other
 commands import what they need when they run.
@@ -152,7 +153,7 @@ def cmd_presets(args) -> int:
     print(header)
     for slug in PRESET_NAMES:
         cfg = load_preset(slug)
-        tpl = cfg.per_agent[0]
+        tpl = cfg.per_agent
         if cfg.credibility is None:
             kind, start = "-", "-"
         else:
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, MemoryError) as err:
         from .config import ConfigError  # a ValueError; config loads numpy
 
         if isinstance(err, ConfigError):

@@ -1,8 +1,9 @@
 """Run configuration: schema, validation and JSON round-trip.
 
 A :class:`TboConfig` fully describes one run (or its repetitions): the
-society size, objective binding, epoch clock, credibility model, per-agent
-EA/interaction parameters and the EA operator constants.
+society size, objective binding, epoch clock, credibility model, the
+agent template (EA and interaction parameters shared by every agent) and
+the EA operator constants.
 ``validate_config`` collects every violation instead of stopping at the
 first one.
 """
@@ -44,8 +45,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class AgentTemplate:
-    """EA and interaction parameters of one agent (or of all agents when a
-    single template is given)."""
+    """EA and interaction parameters shared by every agent of a run; agents
+    differ only through the diversity factor, which scales their rates."""
 
     population_size: int = 5
     offspring_size: int = 15
@@ -77,17 +78,11 @@ class TboConfig:
     repetitions: int = 1
     algorithm: str = "tbo"
     credibility: Optional[CredibilityConfig] = field(default_factory=CredibilityConfig)
-    per_agent: tuple[AgentTemplate, ...] = (AgentTemplate(),)
+    per_agent: AgentTemplate = AgentTemplate()
     objective_params: dict = field(default_factory=dict)
     # SBX and polynomial-mutation distribution indices, shared by every agent
     eta_c: float = 20.0
     eta_m: float = 40.0
-
-    def agent_template(self, index: int) -> AgentTemplate:
-        """Template for agent ``index`` (a single template applies to all)."""
-        if len(self.per_agent) == 1:
-            return self.per_agent[0]
-        return self.per_agent[index]
 
 
 def _is_int(v) -> bool:
@@ -100,6 +95,7 @@ _TYPE_CHECKS = {
     "float": (finite_real, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "dict": (lambda v: isinstance(v, dict), "a mapping"),
+    "AgentTemplate": (lambda v: isinstance(v, AgentTemplate), "one AgentTemplate"),
 }
 
 
@@ -129,8 +125,8 @@ def validate_config(cfg: TboConfig) -> None:
     bad = list(type_errors(TboConfig, vars(cfg)).values())
     if isinstance(cfg.credibility, CredibilityConfig):
         bad += type_errors(CredibilityConfig, vars(cfg.credibility), "credibility ").values()
-    for i, t in enumerate(cfg.per_agent):
-        bad += type_errors(AgentTemplate, vars(t), f"per_agent[{i}]: ").values()
+    if isinstance(cfg.per_agent, AgentTemplate):
+        bad += type_errors(AgentTemplate, vars(cfg.per_agent), "per_agent: ").values()
     if bad:
         raise ConfigError(bad)
 
@@ -172,28 +168,19 @@ def validate_config(cfg: TboConfig) -> None:
             if c.start_value > c.max_value:
                 bad.append(f"credibility start above max ({c.start_value} > {c.max_value})")
 
-    if len(cfg.per_agent) not in (1, cfg.agent_count):
-        bad.append(
-            f"per_agent must hold 1 or agent_count={cfg.agent_count} templates, got {len(cfg.per_agent)}"
-        )
-    for i, t in enumerate(cfg.per_agent):
-        tag = f"per_agent[{i}]"
-        if t.population_size < 1:
-            bad.append(f"{tag}: population_size must be >= 1")
-        if t.offspring_size < 0:
-            bad.append(f"{tag}: offspring_size must be >= 0")
-        if not (0.0 <= t.base_crossover_rate <= 1.0):
-            bad.append(f"{tag}: base_crossover_rate must lie in [0, 1]")
-        if not (0.0 <= t.base_mutation_rate <= 1.0):
-            bad.append(f"{tag}: base_mutation_rate must lie in [0, 1]")
-        if t.genome_intensity not in GENOME_INTENSITIES:
-            bad.append(f"{tag}: genome_intensity must be one of {GENOME_INTENSITIES}")
-        if t.gene_op not in GENE_OPS:
-            bad.append(f"{tag}: gene_op must be one of {GENE_OPS}")
-
-    if len({(t.population_size, t.offspring_size) for t in cfg.per_agent}) > 1:
-        bad.append("per_agent templates must share population_size and offspring_size; "
-                   "the engine holds the society as one (N, n, D) stack")
+    t = cfg.per_agent
+    if t.population_size < 1:
+        bad.append("per_agent: population_size must be >= 1")
+    if t.offspring_size < 0:
+        bad.append("per_agent: offspring_size must be >= 0")
+    if not (0.0 <= t.base_crossover_rate <= 1.0):
+        bad.append("per_agent: base_crossover_rate must lie in [0, 1]")
+    if not (0.0 <= t.base_mutation_rate <= 1.0):
+        bad.append("per_agent: base_mutation_rate must lie in [0, 1]")
+    if t.genome_intensity not in GENOME_INTENSITIES:
+        bad.append(f"per_agent: genome_intensity must be one of {GENOME_INTENSITIES}")
+    if t.gene_op not in GENE_OPS:
+        bad.append(f"per_agent: gene_op must be one of {GENE_OPS}")
 
     if bad:
         raise ConfigError(bad)
@@ -204,9 +191,7 @@ def config_to_dict(cfg: TboConfig) -> dict:
     d = asdict(cfg)
     if cfg.credibility is None:
         d.pop("credibility")
-    # a single shared template serialises as an object, a full list as a list
-    agents = d.pop("per_agent")
-    d["per_agent"] = agents[0] if len(agents) == 1 else agents
+    d["per_agent"] = d.pop("per_agent")  # dumps keep the key order they have always had
     if not d["objective_params"]:
         d.pop("objective_params")
     return d
@@ -235,22 +220,16 @@ def config_from_dict(data: dict) -> TboConfig:
     elif "credibility" in data or data.get("algorithm", "tbo") != "tbo":
         data["credibility"] = None
 
-    if "per_agent" in data:
-        pa = data["per_agent"]
-        items = [pa] if isinstance(pa, dict) else pa if isinstance(pa, (list, tuple)) else None
-        if items is None or not all(isinstance(t, (dict, AgentTemplate)) for t in items):
-            raise ConfigError([f"per_agent must be an object or a list of objects, got {pa!r}"])
-        data["per_agent"] = tuple(_template_from_dict(t) if isinstance(t, dict) else t
-                                  for t in items)
+    pa = data.get("per_agent")
+    if isinstance(pa, dict):
+        extra = set(pa) - {f.name for f in fields(AgentTemplate)}
+        if extra:
+            raise ConfigError([f"unknown per_agent field: {k}" for k in sorted(extra)])
+        data["per_agent"] = AgentTemplate(**pa)
+    elif "per_agent" in data and not isinstance(pa, AgentTemplate):
+        raise ConfigError([f"per_agent must be an object, got {pa!r}"])
 
     return TboConfig(**data)
-
-
-def _template_from_dict(d: dict) -> AgentTemplate:
-    extra = set(d) - {f.name for f in fields(AgentTemplate)}
-    if extra:
-        raise ConfigError([f"unknown per_agent field: {k}" for k in sorted(extra)])
-    return AgentTemplate(**d)
 
 
 def load_config(path: Union[str, Path]) -> TboConfig:

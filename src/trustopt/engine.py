@@ -7,11 +7,12 @@ is replaced by an exchange: a credibility-gated interaction (tbo) or a
 best-genome migration (island_model).
 
 The society is held as stacked arrays for the whole run: ``(N, n, D)``
-genes, an ``(N, n)`` fitness cache, per-agent vectors for genome intensity
-and gene operator, and one EA step plan (:func:`~trustopt.ea.step_plan`:
-the EA rates and scratch).  Agents must therefore share their
-population and offspring sizes (``validate_config`` rejects templates that
-differ in either).  Each step is one batched pass over all agents:
+genes, an ``(N, n)`` fitness cache and one EA step plan
+(:func:`~trustopt.ea.step_plan`: the EA rates and scratch).  Every agent
+follows the config's one agent template, so agents share their
+population and offspring sizes, genome intensity and gene operator, and
+differ only in the rates the diversity factor gives them.  Each step is
+one batched pass over all agents:
 :func:`~trustopt.ea.ea_step_all` off-epoch, :func:`advance_step` on epoch.
 
 A cell (one config and algorithm) stacks its ``R`` repetitions into one
@@ -30,12 +31,12 @@ rows.  A step that is no cell's epoch step is one
 :func:`~trustopt.ea.ea_step_all` over the whole group with one group plan;
 on any other step each cell steps alone, :func:`advance_step` on its
 epoch and an EA step with its own plan off it.  Cells may differ in
-algorithm, agent count, repetitions, epoch length, rates and seed, but
-must share population and offspring size, the EA operator constants,
-``max_steps`` and the objective binding.  Since each agent
-draws only from its own stream, every operator works row by row and an
-objective gives a row the same bytes in any block, a cell gives the same
-bytes in a group as alone.
+algorithm, agent count, repetitions, epoch length, rates, genome
+intensity, gene operator and seed, but must share population and
+offspring size, the EA operator constants, ``max_steps`` and the
+objective binding.  Since each agent draws only from its own stream,
+every operator works row by row and an objective gives a row the same
+bytes in any block, a cell gives the same bytes in a group as alone.
 
 On an epoch step each agent draws from its own stream, in this order:
 noise for re-evaluating its population (noisy objectives only), its
@@ -92,8 +93,6 @@ class RunState:
     streams: list[np.random.Generator]
     genes: np.ndarray  # (R*N, n, D)
     fitness: np.ndarray  # (R*N, n), NaN = not evaluated
-    intensity: np.ndarray  # (R*N,) genome intensity names
-    gene_op: np.ndarray  # (R*N,) gene operator names
     credibility: Optional[CredibilityState]  # only diagonal blocks of a trust table are read
     repetitions: list[int]
     interaction_log: Optional[list] = None
@@ -103,16 +102,13 @@ def _build_state(cfg: TboConfig, repetitions: Sequence[int],
                  interaction_log: Optional[list] = None) -> RunState:
     validate_config(cfg)
     objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
-    n_agents = cfg.agent_count
+    n_agents, tpl = cfg.agent_count, cfg.per_agent
     streams = [agent_stream(cfg.seed, r, i) for r in repetitions for i in range(n_agents)]
-    templates = [cfg.agent_template(i) for i in range(n_agents)] * len(repetitions)
-    rates = np.array([effective_rates(t.base_crossover_rate, t.base_mutation_rate,
-                                      i % n_agents, cfg.diversity_factor)
-                      for i, t in enumerate(templates)])
-    genes = np.stack([init_population(t.population_size, objective, rng)
-                      for t, rng in zip(templates, streams)])
-    plan = step_plan(*genes.shape[1:], templates[0].offspring_size, cfg.eta_c, cfg.eta_m,
-                     *rates.T)
+    rates = np.array([effective_rates(tpl.base_crossover_rate, tpl.base_mutation_rate,
+                                      i, cfg.diversity_factor)
+                      for i in range(n_agents)] * len(repetitions))
+    genes = np.stack([init_population(tpl.population_size, objective, rng) for rng in streams])
+    plan = step_plan(*genes.shape[1:], tpl.offspring_size, cfg.eta_c, cfg.eta_m, *rates.T)
 
     credibility = None
     if cfg.algorithm == "tbo":
@@ -121,8 +117,6 @@ def _build_state(cfg: TboConfig, repetitions: Sequence[int],
                                                c.min_value, c.max_value)
     return RunState(
         cfg, objective, plan, streams, genes, np.full(genes.shape[:2], np.nan),
-        np.array([t.genome_intensity for t in templates]),
-        np.array([t.gene_op for t in templates]),
         credibility, list(repetitions), interaction_log,
     )
 
@@ -148,8 +142,9 @@ def advance_step(state: RunState, t: int) -> None:
         genes[rows, worst] = genes[others, best]
         fitness[rows, worst] = fitness[others, best]
     else:
-        record = exchange_all(genes, fitness, others, state.credibility, state.intensity,
-                              state.gene_op, state.objective, streams)
+        tpl = state.cfg.per_agent
+        record = exchange_all(genes, fitness, others, state.credibility, tpl.genome_intensity,
+                              tpl.gene_op, state.objective, streams)
         if state.interaction_log is not None:
             state.interaction_log.append((t, record))
 

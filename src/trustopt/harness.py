@@ -219,7 +219,7 @@ def _cell_config(manifest: ExperimentManifest, problem: ProblemCell, algorithm: 
         if run_kw:
             cfg = replace(cfg, **run_kw)
         if agent_kw:
-            cfg = replace(cfg, per_agent=tuple(replace(t, **agent_kw) for t in cfg.per_agent))
+            cfg = replace(cfg, per_agent=replace(cfg.per_agent, **agent_kw))
     validate_config(cfg)
     return cfg
 
@@ -309,8 +309,20 @@ def write_stats_reports(
     Kruskal-Wallis row per problem), ``stats_pairwise.csv`` (every Dunn
     pair with Holm-adjusted p-values), ``stats_vs_baseline.csv`` (the
     algorithms not significantly different from the baseline at ``alpha``)
-    and ``stats_report.txt`` (the same content as aligned text).
+    and ``stats_report.txt`` (the same content as aligned text).  Every
+    summary is read, and must be the only one of its (problem, dim),
+    before anything is written.
     """
+    tables, seen = [], {}
+    for path in summary_paths:
+        rows = read_summary_csv(path)
+        if not rows:
+            raise ValueError(f"empty summary: {path}")
+        key = (rows[0].problem, rows[0].dim)
+        if key in seen:
+            raise ValueError(f"duplicate summary for {key[0]} d={key[1]}: {seen[key]} and {path}")
+        seen[key] = path
+        tables.append((path, rows))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     omnibus_lines = [_OMNIBUS_HEADER]
@@ -318,10 +330,7 @@ def write_stats_reports(
     baseline_lines = [_BASELINE_HEADER]
     text: list[str] = []
 
-    for path in summary_paths:
-        rows = read_summary_csv(path)
-        if not rows:
-            raise ValueError(f"empty summary: {path}")
+    for path, rows in tables:
         problem, dim = rows[0].problem, rows[0].dim
         groups = _collect_groups(rows)
         if len(groups) < 2:

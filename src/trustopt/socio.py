@@ -116,20 +116,21 @@ def exchange_all(
     fitness: np.ndarray,
     senders: np.ndarray,
     cred: CredibilityState,
-    intensity: np.ndarray,
-    gene_op: np.ndarray,
+    intensity: str,
+    gene_op: str,
     objective: ObjectiveSpec,
     streams: Sequence[np.random.Generator],
 ) -> ExchangeRecord:
     """Every interaction of one epoch step on the stacked society, in place.
 
     ``genes`` is the (N, n, D) stack, ``fitness`` the evaluated (N, n)
-    cache; agent ``i`` receives from ``senders[i]`` with the crossover
-    config ``intensity[i]``/``gene_op[i]``.  Shares, thresholds and depths
-    come from the step-start state; the credibility changes are summed
-    into ``cred`` and clamped once.  Each agent draws its partners, then
-    its offspring noise, from its own stream (see the module's draw
-    discipline).  Returns the per-recipient record of the step.
+    cache; agent ``i`` receives from ``senders[i]``, and every recipient
+    breeds with the society's one genome ``intensity`` and ``gene_op``.
+    Shares, thresholds and depths come from the step-start state; the
+    credibility changes are summed into ``cred`` and clamped once.  Each
+    agent draws its partners, then its offspring noise, from its own
+    stream (see the module's draw discipline).  Returns the per-recipient
+    record of the step.
     """
     n_agents, n, d = genes.shape
     rows = np.arange(n_agents)
@@ -148,8 +149,7 @@ def exchange_all(
     accepted = ~(mean_shared > threshold)
 
     # offspring per shared member: one (weak) or K (moderate, strong)
-    weak = intensity == "weak"
-    per_member = np.where(weak, 1, k)
+    per_member = np.ones_like(k) if intensity == "weak" else k
     counts = np.where(accepted, m * per_member, 0)
     acc = np.flatnonzero(accepted)
     if len(acc):
@@ -170,8 +170,8 @@ def exchange_all(
         owner = acc[triple // (n * n)]
         base = genes[owner, triple % n]
         donor = genes[senders[owner], shared_idx[owner, triple // n % n]]
-        depth = np.where(intensity[owner] == "strong", 1, k[owner])
-        distinct = _adopt(base, donor, depth, gene_op[owner] == "average")
+        depth = np.ones_like(owner) if intensity == "strong" else k[owner]
+        distinct = _adopt(base, donor, depth, gene_op == "average")
         # one evaluation per recipient keeps its block in cache
         off_fit = np.concatenate([
             objective.evaluate_rows(distinct[row[lo:lo + c]], [c], [streams[i]])
@@ -196,7 +196,7 @@ def exchange_all(
 
 
 def _adopt(base: np.ndarray, donor: np.ndarray, depth: np.ndarray,
-           average: np.ndarray) -> np.ndarray:
+           average: bool) -> np.ndarray:
     """Gene adoption on (C, D) blocks, row by row: each row of ``base``
     takes the donor's value ("swap") or the midpoint (``average``) at its
     ``depth`` most divergent genes; rewrites ``base`` in place and returns
@@ -209,7 +209,7 @@ def _adopt(base: np.ndarray, donor: np.ndarray, depth: np.ndarray,
     candidates than places keep the lowest indices.
     """
     c, d = base.shape
-    value = donor if not average.any() else np.where(average[:, None], 0.5 * (donor + base), donor)
+    value = 0.5 * (donor + base) if average else donor
     if (depth >= d).all():
         base[...] = value
         return base

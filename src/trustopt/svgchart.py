@@ -199,11 +199,18 @@ def write_plots(
     """Render one convergence chart per (problem, dimension).
 
     Each algorithm contributes one curve: the best-so-far series averaged
-    over its repetitions (grids must agree across repetitions).
+    over its repetitions (grids must agree across repetitions).  Two
+    traces of the same (problem, dim, algorithm, rep) are an error.
     """
     cells: dict[tuple[str, int], dict[str, list]] = {}
+    seen: dict[tuple, Union[str, Path]] = {}
     for path in trace_paths:
         meta = parse_trace_filename(path)
+        key = (meta["problem"], meta["dim"], meta["algorithm"], meta["rep"])
+        if key in seen:
+            raise ValueError(f"duplicate trace for {key[0]} d={key[1]} {key[2]} rep {key[3]}: "
+                             f"{seen[key]} and {path}")
+        seen[key] = path
         data = read_trace_csv(path)
         steps, curve = best_so_far_series(data["step"], data["best"])
         cell = cells.setdefault((meta["problem"], meta["dim"]), {})

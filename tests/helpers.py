@@ -308,8 +308,8 @@ def _mean(values) -> float:
 
 def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, streams):
     """Plain-loop replay of one epoch exchange of a whole society (see
-    ``trustopt.socio``): agent ``i`` receives from ``senders[i]`` under the
-    crossover config ``intensity[i]``/``gene_op[i]``, reading the
+    ``trustopt.socio``): agent ``i`` receives from ``senders[i]``, every
+    agent under the one ``intensity`` and ``gene_op``, reading the
     step-start populations and credibility.  Partners are scalar
     ``rng.integers(0, n)`` draws and offspring noise one scalar draw per
     offspring, from the recipient's stream.  The +-1 credits of the step
@@ -334,15 +334,14 @@ def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, str
         mean_shared = _mean([fitness[j][q] for q in shared])
         accepted = not mean_shared > threshold
         if accepted:
-            weak = intensity[i] == "weak"
-            per_member = 1 if weak else k
-            depth = 1 if intensity[i] == "strong" else k
+            per_member = 1 if intensity == "weak" else k
+            depth = 1 if intensity == "strong" else k
             children = []
             for q in shared:
                 for _ in range(per_member):
                     partner = int(rng.integers(0, n))
                     children.append(np.array(adopt_genes(own[partner], genes[j][q], depth,
-                                                         gene_op[i])))
+                                                         gene_op)))
             child_fit = [_evaluate_one(c, spec, rng) for c in children]
             union, union_fit = own + children, own_fit + child_fit
             keep = sorted(sorted(range(len(union)), key=lambda u: (union_fit[u], u))[:n])
@@ -429,8 +428,8 @@ def receive(recipient, sender, cred, spec, rng, intensity="moderate", gene_op="s
     society's genes and fitness after the step."""
     genes = np.stack([np.array(recipient, dtype=float), np.array(sender, dtype=float)])
     fitness = spec.base(genes)
-    record = exchange_all(genes, fitness, np.array([1, 0]), cred, np.array([intensity] * 2),
-                          np.array([gene_op] * 2), spec, [rng, np.random.default_rng(1)])
+    record = exchange_all(genes, fitness, np.array([1, 0]), cred, intensity, gene_op, spec,
+                          [rng, np.random.default_rng(1)])
     return record.row(0), genes, fitness
 
 
@@ -459,7 +458,8 @@ def _draw_other(rng, own, n):
 
 def stepwise_run(cfg, algorithm: str, repetition: int = 0) -> StepwiseRun:
     """Run ``cfg`` one agent at a time, on a list of per-agent ``(n, D)``
-    genes and ``(n,)`` fitness arrays.
+    genes and ``(n,)`` fitness arrays; every agent follows the one template
+    ``cfg.per_agent``, at the rates its index gives it.
 
     EA steps replay each agent with :func:`replay_ea_step`.  Epoch steps
     evaluate every population and draw every agent's partner first; then
@@ -470,11 +470,11 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0) -> StepwiseRun:
     objective = get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
     n_agents = cfg.agent_count
     streams = [agent_stream(cfg.seed, repetition, i) for i in range(n_agents)]
-    tpls = [cfg.agent_template(i) for i in range(n_agents)]
-    rates = [effective_rates(t.base_crossover_rate, t.base_mutation_rate, i, cfg.diversity_factor)
-             for i, t in enumerate(tpls)]
-    genes = [init_population(t.population_size, objective, rng) for t, rng in zip(tpls, streams)]
-    fitness = [np.full(t.population_size, np.nan) for t in tpls]
+    tpl = cfg.per_agent
+    rates = [effective_rates(tpl.base_crossover_rate, tpl.base_mutation_rate, i,
+                             cfg.diversity_factor) for i in range(n_agents)]
+    genes = [init_population(tpl.population_size, objective, rng) for rng in streams]
+    fitness = [np.full(tpl.population_size, np.nan) for _ in streams]
     cred = None
     if algorithm == "tbo":
         c = cfg.credibility
@@ -486,7 +486,7 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0) -> StepwiseRun:
         if objective.noisy:
             fitness = [np.full(len(f), np.nan) for f in fitness]
         if t % cfg.epoch_length:
-            for i, (tpl, (pc, pm)) in enumerate(zip(tpls, rates)):
+            for i, (pc, pm) in enumerate(rates):
                 genes[i], fitness[i] = replay_ea_step(genes[i], fitness[i], tpl.offspring_size,
                                                       pc, pm, objective, streams[i],
                                                       cfg.eta_c, cfg.eta_m)
@@ -496,8 +496,8 @@ def stepwise_run(cfg, algorithm: str, repetition: int = 0) -> StepwiseRun:
             senders = [_draw_other(rng, i, n_agents) for i, rng in enumerate(streams)]
             if algorithm == "tbo":
                 genes, fitness, cred, record, accepted = replay_exchange(
-                    genes, fitness, senders, cred, [t.genome_intensity for t in tpls],
-                    [t.gene_op for t in tpls], objective, streams)
+                    genes, fitness, senders, cred, tpl.genome_intensity, tpl.gene_op,
+                    objective, streams)
                 genes, fitness = list(genes), list(fitness)
                 log.append((t, record, accepted))
             else:

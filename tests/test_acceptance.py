@@ -72,8 +72,7 @@ def test_phi_matches_exhaustive_oracle():
         x = np.round(rng.normal(size=d), 1)
         for k in range(1, d + 1):
             for gene_op in ("swap", "average"):
-                got = _adopt(y[None].copy(), x[None], np.array([k]),
-                             np.array([gene_op == "average"]))[0]
+                got = _adopt(y[None].copy(), x[None], np.array([k]), gene_op == "average")[0]
                 assert got.tolist() == _phi_oracle(y.tolist(), x.tolist(), k, gene_op)
 
 

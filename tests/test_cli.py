@@ -109,6 +109,7 @@ def _config(**kw):
     (_config(crossover_scope="pair"), "unknown config field: crossover_scope"),
     (_config(partner_policy="fixed"), "unknown config field: partner_policy"),
     (_config(first_step=0), "unknown config field: first_step"),
+    (_config(per_agent=[{}]), "per_agent must be an object"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_validate_rejects_wrongly_typed_config(tmp_path, capsys, data, field):
     path = tmp_path / "cfg.json"
@@ -327,6 +328,35 @@ def test_malformed_input_exits_1(tmp_path, capsys):
         assert main([command, str(case)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err, err
+    # a dimension whose search box cannot be allocated (7 PiB, beyond any
+    # address space, so the allocation fails at once): one error line, not
+    # a traceback
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_manifest("sphere", 10**15)))
+    assert main(["validate", "--manifest", str(huge)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command,name,text", [
+    ("plot", "trace_sphere_d2_island_model_rep0.csv", "step,agent_id,best,mean\n1,0,{v},{v}\n"),
+    ("stats", "summary_sphere_d2.csv", "problem,dim,algorithm,repetition,final_best,steps,seed\n"
+                                       "sphere,2,a,0,{v},5,7\nsphere,2,b,0,2.0,5,7\n"),
+], ids=["plot", "stats"])
+def test_duplicate_cells_from_two_files_exit_1(tmp_path, capsys, command, name, text):
+    # a second file for the same cell (plot: problem, dim, algorithm and
+    # rep; stats: problem and dim) is an error naming both files, not a
+    # second repetition or a second report row
+    paths = []
+    for k, value in enumerate(["1.0", "3.0"]):
+        (tmp_path / f"run{k}").mkdir()
+        paths.append(tmp_path / f"run{k}" / name)
+        paths[-1].write_text(text.format(v=value))
+    out = tmp_path / "out"
+    assert main([command, str(paths[0].parent), str(paths[1].parent), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(paths[0]) in err and str(paths[1]) in err, err
+    assert not out.exists()
 
 
 def test_header_only_trace_beside_a_good_one_exits_1(tmp_path, capsys):

@@ -201,9 +201,9 @@ def test_credibility_state_validation():
 def test_sc_crossover_config_validation():
     # an agent's interaction crossover: its genome intensity and gene operator
     with pytest.raises(ConfigError, match="genome_intensity must be one of"):
-        validate_config(_valid_cfg(per_agent=(AgentTemplate(genome_intensity="mild"),)))
+        validate_config(_valid_cfg(per_agent=AgentTemplate(genome_intensity="mild")))
     with pytest.raises(ConfigError, match="gene_op must be one of"):
-        validate_config(_valid_cfg(per_agent=(AgentTemplate(gene_op="merge"),)))
+        validate_config(_valid_cfg(per_agent=AgentTemplate(gene_op="merge")))
 
 
 # --- config validation ------------------------------------------------------
@@ -255,11 +255,13 @@ def test_validate_tbo_needs_credibility():
 
 
 def test_validate_per_agent_count_and_fields():
-    two = (AgentTemplate(), AgentTemplate())
-    with pytest.raises(ConfigError, match="per_agent"):
-        validate_config(_valid_cfg(per_agent=two))  # 2 templates for 4 agents
-    bad = (AgentTemplate(base_crossover_rate=1.5),)
-    with pytest.raises(ConfigError, match="base_crossover_rate"):
+    # per_agent is one template for every agent: a tuple of templates, even
+    # of one, is not a template
+    for value in ((AgentTemplate(),), [AgentTemplate()] * 4, {}):
+        with pytest.raises(ConfigError, match="^per_agent must be one AgentTemplate"):
+            validate_config(_valid_cfg(per_agent=value))
+    bad = AgentTemplate(base_crossover_rate=1.5)
+    with pytest.raises(ConfigError, match="per_agent: base_crossover_rate"):
         validate_config(_valid_cfg(per_agent=bad))
 
 
@@ -275,25 +277,6 @@ def test_validate_rejects_heterogeneous_epochs(tmp_path, capsys):
         path.write_text(json.dumps(d))
         assert main(["validate", "--config", str(path)]) == 2
         assert "unknown per_agent field: epoch_length" in capsys.readouterr().err
-
-
-def test_validate_rejects_heterogeneous_shapes():
-    for field in ("population_size", "offspring_size"):
-        tpl = tuple(AgentTemplate(**{field: 4 + (i == 2)}) for i in range(4))
-        with pytest.raises(ConfigError, match="share population_size and offspring_size"):
-            validate_config(_valid_cfg(per_agent=tpl))
-    # per-agent rates, intensities and gene operators may still differ
-    mixed = tuple(AgentTemplate(base_mutation_rate=0.01 * i,
-                                genome_intensity=("weak", "moderate", "strong", "weak")[i],
-                                gene_op=("swap", "average")[i % 2]) for i in range(4))
-    validate_config(_valid_cfg(per_agent=mixed))
-
-
-def test_agent_template_accessor_broadcasts():
-    cfg = _valid_cfg()
-    assert cfg.agent_template(0) is cfg.agent_template(3)
-    cfg4 = _valid_cfg(per_agent=tuple(AgentTemplate(offspring_size=i) for i in range(4)))
-    assert cfg4.agent_template(2).offspring_size == 2
 
 
 # --- JSON round trip --------------------------------------------------------
@@ -347,7 +330,7 @@ PRESET_TABLE = {
 def test_society_preset_parameters(name):
     n, epoch, kind, start, intensity, gene_op, d_f = PRESET_TABLE[name]
     cfg = load_preset(name)
-    tpl = cfg.per_agent[0]
+    tpl = cfg.per_agent
     assert cfg.algorithm == "tbo"
     assert cfg.agent_count == n
     assert cfg.epoch_length == epoch
@@ -361,7 +344,7 @@ def test_society_preset_parameters(name):
 @pytest.mark.parametrize("name", sorted(PRESET_TABLE) + ["island_model"])
 def test_every_preset_shares_ea_constants(name):
     cfg = load_preset(name)
-    tpl = cfg.per_agent[0]
+    tpl = cfg.per_agent
     assert tpl.population_size == 5
     assert tpl.offspring_size == 15
     assert tpl.base_crossover_rate == 0.005

@@ -85,7 +85,7 @@ def test_tournament_rejects_empty():
     with pytest.raises(ValueError):
         init_population(0, get_objective("sphere", 2), np.random.default_rng(0))
     cfg = load_preset("island_model")
-    bad = replace(cfg, per_agent=(replace(cfg.per_agent[0], population_size=0),))
+    bad = replace(cfg, per_agent=replace(cfg.per_agent, population_size=0))
     with pytest.raises(ConfigError, match="population_size must be >= 1"):
         validate_config(bad)
 
@@ -227,7 +227,7 @@ def test_replacement_rejects_overdraw():
     ea_step_all(genes, fitness, plan, spec, [np.random.default_rng(2)])
     assert genes.shape == (1, 3, 2) and not np.isnan(fitness).any()
     cfg = load_preset("island_model")
-    bad = replace(cfg, per_agent=(replace(cfg.per_agent[0], offspring_size=-1),))
+    bad = replace(cfg, per_agent=replace(cfg.per_agent, offspring_size=-1))
     with pytest.raises(ConfigError, match="offspring_size must be >= 0"):
         validate_config(bad)
 

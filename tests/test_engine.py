@@ -40,9 +40,9 @@ def _cfg(**kw):
         max_steps=12,
         seed=90210,
         credibility=CredibilityConfig("trust", 5, 1, 50),
-        per_agent=(AgentTemplate(population_size=4, offspring_size=6,
-                                 base_crossover_rate=0.3,
-                                 base_mutation_rate=0.1),),
+        per_agent=AgentTemplate(population_size=4, offspring_size=6,
+                                base_crossover_rate=0.3,
+                                base_mutation_rate=0.1),
     )
     base.update(kw)
     return TboConfig(**base)
@@ -160,7 +160,7 @@ def test_long_epoch_run_equals_independent_ea_chains(monkeypatch):
     trace = _run(cfg)
 
     spec = get_objective(cfg.objective, cfg.dimension)
-    tpl = cfg.per_agent[0]
+    tpl = cfg.per_agent
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         pc, pm = effective_rates(tpl.base_crossover_rate, tpl.base_mutation_rate,
@@ -281,10 +281,7 @@ def _configs(draw, objective, algorithm):
     lam = draw(st.sampled_from([0, 1, 3, 4, 6]))
     lo = draw(st.integers(1, 4))
     hi = draw(st.integers(lo, 8))
-    per_agent = draw(st.one_of(st.lists(_templates, min_size=1, max_size=1),
-                               st.lists(_templates, min_size=n_agents, max_size=n_agents)))
-    per_agent = tuple(AgentTemplate(n, lam, t.base_crossover_rate, t.base_mutation_rate,
-                                    t.genome_intensity, t.gene_op) for t in per_agent)
+    per_agent = replace(draw(_templates), population_size=n, offspring_size=lam)
     kw = dict(
         agent_count=n_agents, dimension=draw(st.sampled_from([1, 2, 6])),
         objective=objective, epoch_length=draw(st.integers(1, 3)),
@@ -356,7 +353,7 @@ def test_validate_accepts_exactly_the_bindings_the_engine_builds(objective, dime
     assert valid == built
     if built:
         # a binding that validates also evaluates to finite values
-        n = cfg.per_agent[0].population_size
+        n = cfg.per_agent.population_size
         values = state.objective.evaluate_rows(state.genes.reshape(-1, dimension),
                                                [n] * cfg.agent_count, state.streams)
         assert np.all(np.isfinite(values))
@@ -372,7 +369,7 @@ def test_invariants_hold_over_random_configs(algorithm, data):
     objective = data.draw(st.sampled_from(OBJECTIVE_NAMES))
     cfg = data.draw(_configs(objective, algorithm))
     cfg = replace(cfg, dimension=max(cfg.dimension, _DIMENSION_FLOORS.get(objective, 1)))
-    n = cfg.per_agent[0].population_size
+    n = cfg.per_agent.population_size
     state = _build_state(cfg, [0])
     spec, cred = state.objective, state.credibility
     # with one member, a migration overwrites the agent's only genome, so
@@ -434,15 +431,13 @@ def test_stacked_repetitions_run_as_if_alone(data):
     # run_repetitions stacks every repetition into one society; each must
     # still be the run it gives alone
     algorithm = data.draw(st.sampled_from(["tbo", "island_model"]))
-    n_agents = data.draw(st.integers(2, 5))
-    templates = data.draw(st.lists(_templates, min_size=n_agents, max_size=n_agents))
     kw = dict(
-        agent_count=n_agents, repetitions=data.draw(st.integers(1, 4)),
+        agent_count=data.draw(st.integers(2, 5)), repetitions=data.draw(st.integers(1, 4)),
         objective=data.draw(st.sampled_from(["sphere", "schwefel_noise"])),
         epoch_length=data.draw(st.integers(1, 3)),
         diversity_factor=data.draw(st.sampled_from([0.0, 1.3])),
         max_steps=data.draw(st.integers(1, 8)), seed=data.draw(st.integers(0, 2**32)),
-        per_agent=tuple(replace(t, population_size=3, offspring_size=4) for t in templates),
+        per_agent=replace(data.draw(_templates), population_size=3, offspring_size=4),
     )
     if algorithm == "tbo":
         kind = data.draw(st.sampled_from(["trust", "reputation"]))
@@ -460,19 +455,20 @@ def test_stacked_repetitions_run_as_if_alone(data):
 def test_grouped_cells_run_as_if_alone(data):
     # run_cells steps a group of cells in lockstep, as one EA step off every
     # cell's epoch; each cell must still be the run run_repetitions gives it
-    # alone, also on steps where only some cells exchange
+    # alone, also on steps where only some cells exchange.  Each cell draws
+    # its own template, so the cells of a group mix rates, genome
+    # intensities and gene operators
     shared = dict(objective=data.draw(st.sampled_from(["sphere", "schwefel_noise"])),
                   max_steps=data.draw(st.integers(1, 8)))
     cfgs = []
     for _ in range(data.draw(st.integers(2, 4))):
-        n_agents = data.draw(st.integers(2, 5))
-        templates = data.draw(st.lists(_templates, min_size=n_agents, max_size=n_agents))
         kw = dict(
-            shared, agent_count=n_agents, repetitions=data.draw(st.integers(1, 3)),
+            shared, agent_count=data.draw(st.integers(2, 5)),
+            repetitions=data.draw(st.integers(1, 3)),
             epoch_length=data.draw(st.integers(1, 3)),
             diversity_factor=data.draw(st.sampled_from([0.0, 1.3])),
             seed=data.draw(st.integers(0, 2**32)),
-            per_agent=tuple(replace(t, population_size=3, offspring_size=4) for t in templates),
+            per_agent=replace(data.draw(_templates), population_size=3, offspring_size=4),
         )
         kind = data.draw(st.sampled_from(["trust", "reputation", "island_model"]))
         if kind == "island_model":
@@ -491,13 +487,13 @@ def test_grouped_cells_run_as_if_alone(data):
 
 
 @pytest.mark.parametrize("field, change", [
-    ("population size", dict(per_agent=(AgentTemplate(population_size=3, offspring_size=6),))),
-    ("offspring size", dict(per_agent=(AgentTemplate(population_size=4, offspring_size=5),))),
+    ("population size", dict(per_agent=AgentTemplate(population_size=3, offspring_size=6))),
+    ("offspring size", dict(per_agent=AgentTemplate(population_size=4, offspring_size=5))),
     ("EA operator constants", dict(eta_c=10.0)),
     ("EA operator constants", dict(eta_m=10.0)),
     ("EA operator constants", dict(eta_c=10.0, eta_m=10.0)),
     ("population size, offspring size",
-     dict(per_agent=(AgentTemplate(population_size=3, offspring_size=5),))),
+     dict(per_agent=AgentTemplate(population_size=3, offspring_size=5))),
     ("max_steps", dict(max_steps=13)),
     ("objective binding", dict(objective="sphere")),
     ("objective binding", dict(dimension=3)),

@@ -106,9 +106,8 @@ def test_cell_config_binds_cell_and_applies_overrides(tiny_manifest):
     assert cfg.repetitions == 2
     assert cfg.seed == derive_run_seed(1234, "sphere", 2, "small_society")
     assert cfg.epoch_length == 3
-    for tpl in cfg.per_agent:
-        assert tpl.population_size == 3
-        assert tpl.offspring_size == 4
+    assert cfg.per_agent.population_size == 3
+    assert cfg.per_agent.offspring_size == 4
     # untouched preset values survive
     assert cfg.agent_count == preset.agent_count
     assert cfg.diversity_factor == preset.diversity_factor

@@ -32,8 +32,8 @@ def _trace(seed=5150, max_steps=7):
         agent_count=2, dimension=2, objective="sphere", epoch_length=3,
         diversity_factor=0.0, max_steps=max_steps, seed=seed,
         credibility=CredibilityConfig("trust", 5, 1, 50),
-        per_agent=(AgentTemplate(population_size=3, offspring_size=4,
-                                 base_crossover_rate=0.4, base_mutation_rate=0.2),),
+        per_agent=AgentTemplate(population_size=3, offspring_size=4,
+                                base_crossover_rate=0.4, base_mutation_rate=0.2),
     )
     return run_repetitions(cfg)[0]
 

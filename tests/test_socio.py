@@ -48,7 +48,7 @@ SPEC2 = linear_objective(2)
 def _adopted(base, donor, k, gene_op="swap"):
     """``socio._adopt`` on one row; the inputs are left alone."""
     return _adopt(np.array([base], dtype=float), np.array([donor], dtype=float),
-                  np.array([k]), np.array([gene_op == "average"]))[0]
+                  np.array([k]), gene_op == "average")[0]
 
 
 def _rich(n, dimension=2):
@@ -184,7 +184,7 @@ def test_phi_leaves_inputs_untouched():
     # the donor is only read; exchange_all adopts into copies of residents
     y = np.array([[1.0, 2.0]])
     x = np.array([[9.0, 2.5]])
-    _adopt(y.copy(), x, np.array([1]), np.array([True]))
+    _adopt(y.copy(), x, np.array([1]), True)
     assert np.array_equal(x, [[9.0, 2.5]])
     # offspring that all lose leave the residents they started from as
     # they were
@@ -202,7 +202,7 @@ def test_phi_rejects_bad_arguments():
     with pytest.raises(ValueError):
         CredibilityState.initial("trust", 2, 0, 0, 50)
     with pytest.raises(ConfigError, match="gene_op"):
-        validate_config(_cfg(per_agent=(AgentTemplate(gene_op="blend"),)))
+        validate_config(_cfg(per_agent=AgentTemplate(gene_op="blend")))
 
 
 def test_phi_untouched_indices_pass_through(rng):
@@ -494,7 +494,7 @@ def test_interaction_matches_hand_stepped_composition():
     r1, r2 = twin_rngs(99)
     genes = np.stack([recipient, sender])
     ref_genes, ref_fit, ref_cred, ref, ref_accepted = replay_exchange(
-        genes, spec.base(genes), [1, 0], cred, ["moderate"] * 2, ["swap"] * 2, spec,
+        genes, spec.base(genes), [1, 0], cred, "moderate", "swap", spec,
         [r2, np.random.default_rng(1)])
 
     out, genes, fitness = receive(recipient, sender, cred, spec, r1, "moderate")
@@ -525,10 +525,8 @@ def _societies(draw, min_agents=2):
         objective=draw(st.sampled_from(sorted(_OBJECTIVES))),
         n_agents=n_agents, n=draw(st.integers(1, 5)), d=draw(st.integers(1, 5)),
         kind=draw(st.sampled_from(["trust", "reputation"])), lo=lo, hi=hi,
-        intensity=draw(st.lists(st.sampled_from(["weak", "moderate", "strong"]),
-                                min_size=n_agents, max_size=n_agents)),
-        gene_op=draw(st.lists(st.sampled_from(["swap", "average"]),
-                              min_size=n_agents, max_size=n_agents)),
+        intensity=draw(st.sampled_from(["weak", "moderate", "strong"])),
+        gene_op=draw(st.sampled_from(["swap", "average"])),
         grid=draw(st.booleans()),  # genes on a coarse grid: divergence ties
         seed=draw(st.integers(0, 2**32)),
     )
@@ -560,8 +558,8 @@ def test_exchange_all_matches_the_replay(s):
         genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec, ref_streams)
 
     streams = [np.random.default_rng(x) for x in seeds]
-    record = exchange_all(genes, fitness, senders, cred, np.array(s["intensity"]),
-                          np.array(s["gene_op"]), spec, streams)
+    record = exchange_all(genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec,
+                          streams)
     assert np.array_equal(genes, ref_genes)
     assert np.array_equal(fitness, ref_fit)
     table = cred.trust if cred.kind == "trust" else cred.reputation
