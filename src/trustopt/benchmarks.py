@@ -90,26 +90,15 @@ def expanded_schaffer(x: np.ndarray) -> np.ndarray | float:
     return np.sum(0.5 + num / den, axis=-1)
 
 
-def schwefel_noisy(
-    x: np.ndarray,
-    rng: Optional[np.random.Generator] = None,
-    noise_sigma: float = 0.0,
-) -> np.ndarray | float:
-    """Schwefel function with additive Gaussian evaluation noise.
+def schwefel_noisy(x: np.ndarray) -> np.ndarray | float:
+    """Schwefel function ``418.9829 * D - sum(x_i * sin(sqrt(|x_i|)))``;
+    minimum close to 0 at all genes equal to 420.9687.
 
-    ``418.9829 * D - sum(x_i * sin(sqrt(|x_i|)))`` plus one
-    ``Normal(0, noise_sigma)`` draw per evaluated genome.  With
-    ``noise_sigma=0`` the function is deterministic with minimum close to 0
-    at all genes equal to 420.9687.
+    The registry's ``schwefel_noise`` adds Gaussian evaluation noise to it
+    (see :meth:`ObjectiveSpec.evaluate_rows`).
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    base = 418.9829 * d - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
-    if noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("schwefel_noisy with noise_sigma > 0 needs a Generator")
-        base = base + rng.normal(0.0, noise_sigma, size=np.shape(base))
-    return base
+    return 418.9829 * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
 def lennard_jones(x: np.ndarray, a: float = 1.0, b: float = 2.0) -> np.ndarray | float:
@@ -176,21 +165,26 @@ class ObjectiveSpec:
         Genome length D.
     lower, upper : ndarray, shape (D,)
         Search box; initialisation and variation clamp to it.
-    noisy : bool
-        True when evaluations carry fresh noise.  Noisy fitness values are
-        never cached across global steps.
     optimum_value : float or None
         Known global minimum value, when available.
+    noise_sigma : float
+        Standard deviation of the additive Gaussian evaluation noise; the
+        objective is ``noisy`` when it is above 0.
     """
 
     name: str
     dimension: int
     lower: np.ndarray
     upper: np.ndarray
-    noisy: bool
     _fn: Callable[..., np.ndarray] = field(repr=False)
     optimum_value: Optional[float] = None
     noise_sigma: float = 0.0
+
+    @property
+    def noisy(self) -> bool:
+        """True when evaluations carry fresh noise.  Noisy fitness values
+        are never cached across global steps."""
+        return self.noise_sigma > 0.0
 
     def base(self, genes: np.ndarray):
         """Evaluate without noise: one genome ``(D,)`` or a block ``(n, D)``."""
@@ -281,7 +275,7 @@ def get_objective(name: str, dimension: int, **params) -> ObjectiveSpec:
 
     full = np.full(dimension, row.half_width)
     return ObjectiveSpec(
-        name, dimension, -full, full, sigma > 0.0,
+        name, dimension, -full, full,
         functools.partial(row.fn, **bound) if bound else row.fn,
         optimum_value=row.optimum_value, noise_sigma=sigma,
     )

@@ -46,11 +46,12 @@ resident partners and their objective noise.  Shares, thresholds and
 adoption depths are read from the populations and credibility as they
 stood at step start, so one agent's update never leaks into another
 agent's same-step decision and relabeling agents (with their streams)
-relabels the run.  Credibility changes are summed and clamped into
-``[min_value, max_value]`` once per step, so their order does not
-matter.  The tbo exchange is :func:`~trustopt.socio.exchange_all`; an
-interaction log keeps the record it returns, one entry per epoch step,
-with one row per agent of every repetition, repetition after repetition.
+relabels the run.  The engine reads every m and K from the credibility
+state, runs the tbo exchange (:func:`~trustopt.socio.exchange_all`), then
+credits its outcomes, summed and clamped into ``[min_value, max_value]``
+once per step, so their order does not matter.  An interaction log keeps
+the exchange's record, one entry per epoch step, with one row per agent
+of every repetition, repetition after repetition.
 
 For noisy objectives the run loop clears the whole group's fitness once at
 the start of each step, before any cell steps: values are evaluated at
@@ -142,9 +143,11 @@ def advance_step(state: RunState, t: int) -> None:
         genes[rows, worst] = genes[others, best]
         fitness[rows, worst] = fitness[others, best]
     else:
-        tpl = state.cfg.per_agent
-        record = exchange_all(genes, fitness, others, state.credibility, tpl.genome_intensity,
-                              tpl.gene_op, state.objective, streams)
+        tpl, cred = state.cfg.per_agent, state.credibility
+        m, k = cred.share_and_depth(others, rows)
+        record = exchange_all(genes, fitness, others, m, k, tpl.genome_intensity, tpl.gene_op,
+                              state.objective, streams)
+        cred.credit(rows, others, record.branch)
         if state.interaction_log is not None:
             state.interaction_log.append((t, record))
 

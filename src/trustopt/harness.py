@@ -310,8 +310,8 @@ def write_stats_reports(
     pair with Holm-adjusted p-values), ``stats_vs_baseline.csv`` (the
     algorithms not significantly different from the baseline at ``alpha``)
     and ``stats_report.txt`` (the same content as aligned text).  Every
-    summary is read, and must be the only one of its (problem, dim),
-    before anything is written.
+    summary is read, and must be the only one of its (problem, dim) and
+    hold at least 2 algorithms, before anything is written.
     """
     tables, seen = [], {}
     for path in summary_paths:
@@ -322,7 +322,10 @@ def write_stats_reports(
         if key in seen:
             raise ValueError(f"duplicate summary for {key[0]} d={key[1]}: {seen[key]} and {path}")
         seen[key] = path
-        tables.append((path, rows))
+        groups = _collect_groups(rows)
+        if len(groups) < 2:
+            raise ValueError(f"summary {path} holds fewer than 2 algorithms")
+        tables.append((key, groups))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     omnibus_lines = [_OMNIBUS_HEADER]
@@ -330,11 +333,7 @@ def write_stats_reports(
     baseline_lines = [_BASELINE_HEADER]
     text: list[str] = []
 
-    for path, rows in tables:
-        problem, dim = rows[0].problem, rows[0].dim
-        groups = _collect_groups(rows)
-        if len(groups) < 2:
-            raise ValueError(f"summary {path} holds fewer than 2 algorithms")
+    for (problem, dim), groups in tables:
         sample = [SampleGroup(k, np.array(v)) for k, v in groups.items()]
         report = compare_groups(sample, alpha)
         stats_rows = summarize(sample) if min(len(v) for v in groups.values()) >= 2 else None

@@ -2,15 +2,16 @@
 
 At every epoch boundary an agent receives candidate solutions from one
 other agent instead of running an EA step.  Credibility (pairwise trust or
-public reputation) gates both ends of the exchange:
+public reputation) gates both ends of the exchange; the engine reads both
+values and passes them in:
 
-* the credibility the sender assigns to the recipient sizes the share: the
-  ``m = min(credibility, sender population size)`` worst members are sent
-  (highest fitness first, ties by lower index);
-* the credibility the recipient assigns to the sender sets the adoption
-  depth ``K = min(credibility, D)``: how many of the most divergent genes
-  of a resident genome are overwritten by (or averaged with) received
-  values, and how many offspring each shared member spawns.
+* the credibility m the sender assigns to the recipient sizes the share:
+  the ``min(m, sender population size)`` worst members are sent (highest
+  fitness first, ties by lower index);
+* the credibility K the recipient assigns to the sender sets the adoption
+  depth ``min(K, D)``: how many of the most divergent genes of a resident
+  genome are overwritten by (or averaged with) received values, and how
+  many offspring each shared member spawns.
 
 A share whose mean fitness exceeds the acceptance threshold (twice the
 recipient's mean when that mean is positive, zero otherwise) is rejected
@@ -22,8 +23,9 @@ received value and "average" takes the midpoint.  Per shared member, the
 weak intensity breeds one offspring adopting K genes, moderate breeds K
 offspring adopting K genes each and strong K offspring adopting one gene
 each.  Offspring are merged through the same mu+lambda elitist
-replacement the EA uses.  Improvement raises the sender's standing,
-rejection lowers it, anything else leaves it unchanged.
+replacement the EA uses.  The engine then credits the outcome:
+improvement raises the sender's standing, rejection lowers it, anything
+else leaves it unchanged.
 
 Draw discipline (recipient's stream): partner indices are drawn uniformly
 from the recipient's members, one draw per offspring in offspring order
@@ -43,7 +45,6 @@ import numpy as np
 
 from .benchmarks import ObjectiveSpec
 from .ea import _survivors
-from .types import CredibilityState
 
 __all__ = ["ExchangeRecord", "exchange_all"]
 
@@ -57,7 +58,7 @@ class ExchangeRecord(NamedTuple):
     without improving, -1 rejected it (the population is then unchanged);
     ``accepted`` and ``improved`` are read off it.  The credibility change
     follows from ``branch``, the recipient and ``sender`` (see
-    :func:`_apply_credit`).
+    :meth:`~trustopt.types.CredibilityState.credit`).
     """
 
     sender: np.ndarray
@@ -96,26 +97,12 @@ def _branch(mean_before, mean_after, mean_shared, threshold):
     return np.where(mean_after < mean_before, 1, np.where(mean_shared > threshold, -1, 0))
 
 
-def _apply_credit(table: np.ndarray, kind: str, recipient, sender, branch,
-                  c_min: int, c_max: int) -> None:
-    """The +-1 credibility rule, summed into ``table`` (repeated cells add
-    up) and clamped into ``[c_min, c_max]``: trust moves the recipient's
-    cell for the sender by ``branch``; reputation moves a token from the
-    recipient to the sender.  Works element-wise on index and branch
-    arrays."""
-    if kind == "trust":
-        np.add.at(table, (recipient, sender), branch)
-    else:
-        np.add.at(table, recipient, -branch)
-        np.add.at(table, sender, branch)
-    np.clip(table, c_min, c_max, out=table)
-
-
 def exchange_all(
     genes: np.ndarray,
     fitness: np.ndarray,
     senders: np.ndarray,
-    cred: CredibilityState,
+    m: np.ndarray,
+    k: np.ndarray,
     intensity: str,
     gene_op: str,
     objective: ObjectiveSpec,
@@ -124,18 +111,16 @@ def exchange_all(
     """Every interaction of one epoch step on the stacked society, in place.
 
     ``genes`` is the (N, n, D) stack, ``fitness`` the evaluated (N, n)
-    cache; agent ``i`` receives from ``senders[i]``, and every recipient
-    breeds with the society's one genome ``intensity`` and ``gene_op``.
-    Shares, thresholds and depths come from the step-start state; the
-    credibility changes are summed into ``cred`` and clamped once.  Each
-    agent draws its partners, then its offspring noise, from its own
-    stream (see the module's draw discipline).  Returns the per-recipient
-    record of the step.
+    cache; agent ``i`` receives ``m[i]`` members (at most n) from
+    ``senders[i]`` at adoption depth ``k[i]`` (at most D), and every
+    recipient breeds with the society's one genome ``intensity`` and
+    ``gene_op``.  Shares and thresholds come from the step-start
+    populations.  Each agent draws its partners, then its offspring noise,
+    from its own stream (see the module's draw discipline).  Returns the
+    per-recipient record of the step, from which the caller credits.
     """
     n_agents, n, d = genes.shape
-    rows = np.arange(n_agents)
-    m = np.minimum(cred.credibility_in(senders, rows), n)
-    k = np.minimum(cred.credibility_out(senders, rows), d)
+    m, k = np.minimum(m, n), np.minimum(k, d)
 
     mean_before = fitness.mean(axis=1)
     threshold = _threshold(mean_before)
@@ -190,8 +175,6 @@ def exchange_all(
 
     mean_after = fitness.mean(axis=1)
     branch = _branch(mean_before, mean_after, mean_shared, threshold)
-    _apply_credit(cred.trust if cred.kind == "trust" else cred.reputation, cred.kind,
-                  rows, senders, branch, cred.min_value, cred.max_value)
     return ExchangeRecord(senders, m, k, branch, mean_before, mean_after, mean_shared, threshold)
 
 

@@ -200,7 +200,8 @@ def write_plots(
 
     Each algorithm contributes one curve: the best-so-far series averaged
     over its repetitions (grids must agree across repetitions).  Two
-    traces of the same (problem, dim, algorithm, rep) are an error.
+    traces of the same (problem, dim, algorithm, rep) are an error.  Every
+    chart is rendered before anything is written.
     """
     cells: dict[tuple[str, int], dict[str, list]] = {}
     seen: dict[tuple, Union[str, Path]] = {}
@@ -216,9 +217,7 @@ def write_plots(
         cell = cells.setdefault((meta["problem"], meta["dim"]), {})
         cell.setdefault(meta["algorithm"], []).append((meta["rep"], steps, curve))
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    charts = {}
     for (problem, dim) in sorted(cells):
         per_algo = cells[(problem, dim)]
         series = []
@@ -231,10 +230,12 @@ def write_plots(
                         f"trace grids differ across repetitions for {problem} d={dim} {algorithm}"
                     )
             series.append((algorithm, grid.tolist(), mean_curve([c for _, _, c in reps])))
-        svg = render_convergence_svg(series, f"{problem} (D={dim})",
-                                     subtitle="best so far, mean over repetitions",
-                                     log_scale=log_scale)
-        p = out / f"convergence_{problem}_d{dim}.svg"
-        p.write_text(svg, encoding="utf-8")
-        written.append(p)
-    return written
+        charts[f"convergence_{problem}_d{dim}.svg"] = render_convergence_svg(
+            series, f"{problem} (D={dim})", subtitle="best so far, mean over repetitions",
+            log_scale=log_scale)
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, svg in charts.items():
+        (out / name).write_text(svg, encoding="utf-8")
+    return [out / name for name in charts]

@@ -5,8 +5,9 @@ A genome is a plain 1-D float array, and an agent's population an
 ``(N, n, D)`` genes stack with an ``(N, n)`` fitness cache (``NaN`` marks a
 value that has not been evaluated yet).  Noisy objectives are handled by
 clearing the cache at every global step, so a noisy fitness is never
-carried across steps.  This module holds the credibility state, the rate
-amplification, the fitness evaluation of a stack and the trace records.
+carried across steps.  This module holds the credibility state and its
+rule, the rate amplification, the fitness evaluation of a stack and the
+trace records.
 """
 
 from __future__ import annotations
@@ -65,51 +66,53 @@ def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveS
 class CredibilityState:
     """Trust matrix or reputation vector shared by all agents of a run.
 
-    In trust mode ``trust[j, i]`` is the integer trust agent ``j`` assigns
-    to agent ``i``; the diagonal is unused.  In reputation mode
-    ``reputation[i]`` is the public reputation of agent ``i``.  All cells
-    stay within ``[min_value, max_value]``.
+    In trust mode ``table`` is ``(N, N)`` and ``table[j, i]`` the integer
+    trust agent ``j`` assigns to agent ``i``; the diagonal is unused.  In
+    reputation mode it is ``(N,)`` and ``table[i]`` the public reputation
+    of agent ``i``.  All cells stay within ``[min_value, max_value]``.
     """
 
     kind: str
     min_value: int
     max_value: int
-    trust: Optional[np.ndarray] = None
-    reputation: Optional[np.ndarray] = None
+    table: np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind not in CREDIBILITY_KINDS:
             raise ValueError(f"kind must be one of {CREDIBILITY_KINDS}")
         if not (1 <= self.min_value <= self.max_value):
             raise ValueError("need 1 <= min_value <= max_value")
-        if self.kind == "trust" and self.trust is None:
-            raise ValueError("trust mode needs a trust matrix")
-        if self.kind == "reputation" and self.reputation is None:
-            raise ValueError("reputation mode needs a reputation vector")
+        if np.ndim(self.table) != (2 if self.kind == "trust" else 1):
+            raise ValueError("trust mode needs a matrix, reputation mode a vector")
 
     @classmethod
     def initial(cls, kind: str, n_agents: int, start: int, min_value: int, max_value: int) -> "CredibilityState":
         if not (min_value <= start <= max_value):
             raise ValueError("start value must lie in [min_value, max_value]")
-        if kind == "trust":
-            return cls(kind, min_value, max_value,
-                       trust=np.full((n_agents, n_agents), start, dtype=np.int64))
-        return cls(kind, min_value, max_value,
-                   reputation=np.full(n_agents, start, dtype=np.int64))
+        shape = (n_agents, n_agents) if kind == "trust" else n_agents
+        return cls(kind, min_value, max_value, np.full(shape, start, dtype=np.int64))
 
-    def credibility_in(self, sender, recipient):
-        """Credibility that sizes the share: sender's trust in the
-        recipient, or the recipient's reputation.  Indices may be arrays."""
+    def share_and_depth(self, sender, recipient):
+        """The credibility that sizes the share (the sender's trust in the
+        recipient, or the recipient's reputation) and the one that sets the
+        adoption depth (the recipient's trust in the sender, or the
+        sender's reputation).  Indices may be arrays."""
         if self.kind == "trust":
-            return self.trust[sender, recipient]
-        return self.reputation[recipient]
+            return self.table[sender, recipient], self.table[recipient, sender]
+        return self.table[recipient], self.table[sender]
 
-    def credibility_out(self, sender, recipient):
-        """Credibility that drives variation depth: recipient's trust in
-        the sender, or the sender's reputation.  Indices may be arrays."""
+    def credit(self, recipient, sender, branch) -> None:
+        """The +-1 rule for exchange outcomes ``branch``, summed into the
+        table (repeated cells add up) and clamped once: trust moves the
+        recipient's cell for the sender by ``branch``; reputation moves a
+        token from the recipient to the sender.  Works element-wise on
+        index and branch arrays."""
         if self.kind == "trust":
-            return self.trust[recipient, sender]
-        return self.reputation[sender]
+            np.add.at(self.table, (recipient, sender), branch)
+        else:
+            np.add.at(self.table, recipient, -branch)
+            np.add.at(self.table, sender, branch)
+        np.clip(self.table, self.min_value, self.max_value, out=self.table)
 
 
 def effective_rates(

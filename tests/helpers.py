@@ -14,9 +14,10 @@ reference.  :func:`replay_exchange` replays one epoch exchange of a whole
 society the same way, following ``trustopt.socio``, with its own share
 selection, threshold, divergence ranking, adoption, survivors, outcome
 branch and credit table, and builds the same ``ExchangeRecord``;
-``exchange_all`` is checked against it.  :func:`exchange_pair` and
-:func:`receive` run one ``exchange_all`` step of a two-agent society and
-return agent 0's row of its record.  :func:`stepwise_run` is the reference
+``exchange_all`` followed by ``CredibilityState.credit`` is checked against
+it.  :func:`exchange_pair` and :func:`receive` run one ``exchange_all``
+step of a two-agent society at given share sizes and depths and return
+agent 0's row of its record.  :func:`stepwise_run` is the reference
 the stacked engine is checked against: it advances the society agent by
 agent, on per-agent arrays, with the two replays.
 :func:`lennard_jones_reference` evaluates one Lennard-Jones genome with
@@ -41,7 +42,7 @@ from trustopt import (
     get_objective,
     init_population,
 )
-from trustopt.socio import ExchangeRecord, _apply_credit, _branch, exchange_all
+from trustopt.socio import ExchangeRecord, _branch, exchange_all
 
 
 def linear_objective(dimension: int = 2, bound: float = 1e6) -> ObjectiveSpec:
@@ -51,7 +52,7 @@ def linear_objective(dimension: int = 2, bound: float = 1e6) -> ObjectiveSpec:
         return np.asarray(genes, dtype=float)[..., 0]
 
     full = np.full(dimension, float(bound))
-    return ObjectiveSpec("linear", dimension, -full, full, False, first_gene)
+    return ObjectiveSpec("linear", dimension, -full, full, first_gene)
 
 
 def plateau_objective(dimension: int = 2, bound: float = 100.0,
@@ -62,7 +63,7 @@ def plateau_objective(dimension: int = 2, bound: float = 100.0,
         return np.floor(np.abs(np.asarray(genes, dtype=float)).sum(axis=-1) / step)
 
     full = np.full(dimension, float(bound))
-    return ObjectiveSpec("plateau", dimension, -full, full, False, steps)
+    return ObjectiveSpec("plateau", dimension, -full, full, steps)
 
 
 class RecordingObjective:
@@ -79,7 +80,7 @@ class RecordingObjective:
 
         full = np.full(dimension, float(bound))
         self.spec = ObjectiveSpec("recorded_linear" if linear else "recorded_sphere",
-                                  dimension, -full, full, False, record)
+                                  dimension, -full, full, record)
 
 
 class CountingStream:
@@ -326,8 +327,8 @@ def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, str
     for i, j in enumerate(int(s) for s in senders):
         rng = streams[i]
         own, own_fit = [np.array(g, dtype=float) for g in genes[i]], [float(f) for f in fitness[i]]
-        m = min(int(cred.trust[j, i] if trust else cred.reputation[i]), n)
-        k = min(int(cred.trust[i, j] if trust else cred.reputation[j]), d)
+        m = min(int(cred.table[j, i] if trust else cred.table[i]), n)
+        k = min(int(cred.table[i, j] if trust else cred.table[j]), d)
         mean_before = _mean(own_fit)
         threshold = 2.0 * mean_before if mean_before > 0.0 else 0.0
         shared = sorted(range(n), key=lambda q: (-fitness[j][q], q))[:m]
@@ -362,11 +363,11 @@ def replay_exchange(genes, fitness, senders, cred, intensity, gene_op, spec, str
         new_fit.append(np.array(own_fit))
         rows.append((j, m, k, branch, mean_before, mean_after, mean_shared, threshold))
         verdicts.append(accepted)
-    table = (cred.trust if trust else cred.reputation).copy()
+    table = cred.table.copy()
     for cell, total in credit.items():
         table[cell] = min(cred.max_value, max(cred.min_value, int(table[cell]) + total))
     return (np.array(new_genes), np.array(new_fit),
-            CredibilityState(cred.kind, cred.min_value, cred.max_value, **{cred.kind: table}),
+            CredibilityState(cred.kind, cred.min_value, cred.max_value, table),
             ExchangeRecord(*(np.array(field) for field in zip(*rows))), verdicts)
 
 
@@ -381,14 +382,14 @@ def assert_records_equal(record, ref, ref_accepted):
 def credit_after(kind, values, mean_before, mean_after, mean_shared, threshold,
                  c_min=1, c_max=50):
     """Credibility after one interaction with the given means, through the
-    kernels ``exchange_all`` uses (``socio._branch`` and
-    ``socio._apply_credit``).  ``values`` is the recipient's trust in the
-    sender (trust) or the (recipient, sender) reputations; the result has
-    the same form."""
-    table = np.array([[values]] if kind == "trust" else list(values))
-    _apply_credit(table, kind, 0, 0 if kind == "trust" else 1,
-                  _branch(mean_before, mean_after, mean_shared, threshold), c_min, c_max)
-    return int(table[0, 0]) if kind == "trust" else tuple(int(v) for v in table)
+    kernels a run uses (``socio._branch`` and ``CredibilityState.credit``).
+    ``values`` is the recipient's trust in the sender (trust) or the
+    (recipient, sender) reputations; the result has the same form."""
+    cred = CredibilityState(kind, c_min, c_max,
+                            np.array([[values]] if kind == "trust" else list(values)))
+    cred.credit(0, 0 if kind == "trust" else 1,
+                _branch(mean_before, mean_after, mean_shared, threshold))
+    return int(cred.table[0, 0]) if kind == "trust" else tuple(int(v) for v in cred.table)
 
 
 @dataclass
@@ -405,30 +406,30 @@ class PairExchange:
 
 def exchange_pair(recipient, sender, share=50, depth=50, intensity="weak", gene_op="swap",
                   rng=None) -> PairExchange:
-    """:func:`receive` on the recording linear objective with a trust
-    table: ``share`` is the sender's trust in agent 0, which sizes agent
-    0's share, and ``depth`` agent 0's trust in the sender, which sets its
-    adoption depth.  Agent 0 draws from ``rng`` (default seed 0)."""
+    """:func:`receive` on the recording linear objective: ``share`` sizes
+    agent 0's share and ``depth`` sets its adoption depth; agent 1 gets
+    them the other way round, as under a trust table.  Agent 0 draws from
+    ``rng`` (default seed 0)."""
     rec = RecordingObjective(np.shape(recipient)[1], bound=1e6, linear=True)
-    cred = CredibilityState.initial("trust", 2, 1, 1, 50)
-    cred.trust[1, 0], cred.trust[0, 1] = share, depth
-    row, genes, _ = receive(recipient, sender, cred, rec.spec,
+    row, genes, _ = receive(recipient, sender, [share, depth], [depth, share], rec.spec,
                             np.random.default_rng(0) if rng is None else rng,
                             intensity, gene_op)
     return PairExchange(row, rec.blocks[1:], genes)  # block 0 is the step-start evaluation
 
 
-def receive(recipient, sender, cred, spec, rng, intensity="moderate", gene_op="swap"):
+def receive(recipient, sender, m, k, spec, rng, intensity="moderate", gene_op="swap"):
     """One ``exchange_all`` step of a two-agent society on ``spec``: agent
     0 receives from agent 1, and agent 1 from agent 0, both under
     ``intensity``/``gene_op``.  ``recipient`` and ``sender`` are (n, D)
-    genomes, evaluated noise-free first; ``cred`` is a two-agent state and
-    takes the step's credit.  Agent 0 draws from ``rng``, agent 1 from a
-    stream of seed 1.  Returns agent 0's row of the record and the
-    society's genes and fitness after the step."""
+    genomes, evaluated noise-free first; ``m`` and ``k`` are the two
+    agents' share sizes and adoption depths (one value serves both).
+    Agent 0 draws from ``rng``, agent 1 from a stream of seed 1.  Returns
+    agent 0's row of the record and the society's genes and fitness after
+    the step."""
     genes = np.stack([np.array(recipient, dtype=float), np.array(sender, dtype=float)])
     fitness = spec.base(genes)
-    record = exchange_all(genes, fitness, np.array([1, 0]), cred, intensity, gene_op, spec,
+    record = exchange_all(genes, fitness, np.array([1, 0]), np.broadcast_to(m, 2),
+                          np.broadcast_to(k, 2), intensity, gene_op, spec,
                           [rng, np.random.default_rng(1)])
     return record.row(0), genes, fitness
 

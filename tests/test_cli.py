@@ -372,6 +372,36 @@ def test_header_only_trace_beside_a_good_one_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_plot_failing_later_problem_leaves_no_chart(tmp_path, capsys):
+    # the zzz repetitions disagree on their step grid, which is found after
+    # aaa's chart is rendered: the command fails and writes nothing
+    rows = {"aaa_d2_island_model_rep0": "1,0,3.0,4.0\n2,0,2.0,3.0\n",
+            "zzz_d2_island_model_rep0": "1,0,3.0,4.0\n2,0,2.0,3.0\n",
+            "zzz_d2_island_model_rep1": "1,0,3.0,4.0\n3,0,2.0,3.0\n"}
+    for name, text in rows.items():
+        (tmp_path / f"trace_{name}.csv").write_text("step,agent_id,best,mean\n" + text)
+    out = tmp_path / "charts"
+    assert main(["plot", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grids differ" in err, err
+    assert not out.exists()
+
+
+def test_stats_one_algorithm_summary_writes_nothing(tmp_path, capsys):
+    # a summary of one algorithm cannot be compared; it is rejected before
+    # the report directory is made, even after a good summary
+    header = "problem,dim,algorithm,repetition,final_best,steps,seed\n"
+    (tmp_path / "summary_aaa_d2.csv").write_text(
+        header + "aaa,2,a,0,1.0,5,7\naaa,2,b,0,2.0,5,7\n")
+    (tmp_path / "summary_zzz_d2.csv").write_text(
+        header + "zzz,2,a,0,1.0,5,7\nzzz,2,a,1,2.0,5,7\n")
+    out = tmp_path / "reports"
+    assert main(["stats", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fewer than 2 algorithms" in err, err
+    assert not out.exists()
+
+
 def test_run_rejects_bad_jobs(manifest_path, tmp_path, capsys):
     assert main(["run", "--manifest", str(manifest_path),
                  "--out", str(tmp_path / "x"), "--jobs", "0"]) == 2

@@ -142,8 +142,7 @@ def test_mean_fitness_matches_oracle(rng):
     spec = get_objective("sphere", 5)
     recipient = init_population(5, spec, rng)
     expected = sum(float(spec.base(g)) for g in recipient) / 5.0
-    out, _, _ = receive(recipient, init_population(5, spec, rng),
-                        CredibilityState.initial("trust", 2, 3, 1, 50), spec, rng)
+    out, _, _ = receive(recipient, init_population(5, spec, rng), 3, 3, spec, rng)
     assert out.mean_before == pytest.approx(expected, rel=1e-12)
 
 
@@ -165,35 +164,40 @@ def test_evaluate_population_fills_only_missing():
 # --- credibility state ------------------------------------------------------
 
 
-def test_credibility_initial_values():
+def test_initial_credibility_tables():
     t = CredibilityState.initial("trust", 4, 25, 1, 50)
-    assert t.trust.shape == (4, 4)
-    assert np.all(t.trust == 25)
+    assert t.table.shape == (4, 4)
+    assert np.all(t.table == 25)
     r = CredibilityState.initial("reputation", 3, 40, 1, 50)
-    assert np.array_equal(r.reputation, [40, 40, 40])
+    assert np.array_equal(r.table, [40, 40, 40])
 
 
 def test_credibility_role_mapping_trust():
     state = CredibilityState.initial("trust", 3, 10, 1, 50)
-    state.trust[1, 2] = 33  # sender 1's trust in recipient 2
-    state.trust[2, 1] = 7   # recipient 2's trust in sender 1
-    assert state.credibility_in(1, 2) == 33
-    assert state.credibility_out(1, 2) == 7
+    state.table[1, 2] = 33  # sender 1's trust in recipient 2
+    state.table[2, 1] = 7   # recipient 2's trust in sender 1
+    assert state.share_and_depth(1, 2) == (33, 7)
+    # index arrays read one (share, depth) pair per (sender, recipient)
+    share, depth = state.share_and_depth(np.array([1, 2]), np.array([2, 1]))
+    assert share.tolist() == [33, 7] and depth.tolist() == [7, 33]
 
 
 def test_credibility_role_mapping_reputation():
     state = CredibilityState.initial("reputation", 3, 10, 1, 50)
-    state.reputation[1] = 44  # sender's public score
-    state.reputation[2] = 5   # recipient's public score
-    assert state.credibility_in(1, 2) == 5
-    assert state.credibility_out(1, 2) == 44
+    state.table[1] = 44  # sender's public score
+    state.table[2] = 5   # recipient's public score
+    assert state.share_and_depth(1, 2) == (5, 44)
+    share, depth = state.share_and_depth(np.array([1, 2]), np.array([2, 1]))
+    assert share.tolist() == [5, 44] and depth.tolist() == [44, 5]
 
 
 def test_credibility_state_validation():
     with pytest.raises(ValueError):
         CredibilityState.initial("trust", 3, 0, 1, 50)  # start below min
     with pytest.raises(ValueError):
-        CredibilityState("trust", 1, 50)  # missing matrix
+        CredibilityState("reputation", 1, 50, np.ones((3, 3), dtype=np.int64))  # a matrix
+    with pytest.raises(ValueError):
+        CredibilityState("trust", 1, 50, np.ones(3, dtype=np.int64))  # a vector
     with pytest.raises(ValueError):
         CredibilityState.initial("karma", 3, 10, 1, 50)
 

@@ -27,7 +27,6 @@ from trustopt import (
     validate_config,
 )
 from trustopt.engine import _build_state, _lockstep, advance_step, run_cells
-from trustopt.socio import _apply_credit
 
 
 def _cfg(**kw):
@@ -87,7 +86,7 @@ def test_dispatch_runs_ea_step_off_epoch():
     assert log == []  # an EA step produces no interaction
     assert state.streams[0].bit_generator.state != before
     assert not np.any(np.isnan(state.fitness[0]))
-    assert np.all(state.credibility.trust == 5)
+    assert np.all(state.credibility.table == 5)
 
 
 def test_dispatch_runs_interaction_on_epoch():
@@ -103,13 +102,13 @@ def test_dispatch_runs_interaction_on_epoch():
 def test_credibility_untouched_between_epochs():
     state = _build_state(_cfg(epoch_length=50, max_steps=10), [0])
     _lockstep([state], 1)
-    assert np.all(state.credibility.trust == 5)
+    assert np.all(state.credibility.table == 5)
 
 
 def test_trust_updates_stay_off_the_diagonal():
     state = _build_state(_cfg(agent_count=2, epoch_length=2, max_steps=20), [0])
     _lockstep([state], 1)
-    trust = state.credibility.trust
+    trust = state.credibility.table
     assert trust[0, 0] == 5 and trust[1, 1] == 5
     assert np.all((trust >= 1) & (trust <= 50))
     # with only two agents the partner draw always lands on the other one
@@ -317,8 +316,8 @@ def test_fast_path_matches_stepwise_object_path(objective, algorithm, data):
     if algorithm == "island_model":
         assert state.credibility is None and log == []
         return
-    assert np.array_equal(state.credibility.trust, ref.credibility.trust)
-    assert np.array_equal(state.credibility.reputation, ref.credibility.reputation)
+    assert state.credibility.kind == ref.credibility.kind
+    assert np.array_equal(state.credibility.table, ref.credibility.table)
     assert np.array_equal(state.genes, ref.genes)
     assert np.array_equal(state.fitness, ref.fitness)
     assert len(log) == len(ref.log)
@@ -383,8 +382,7 @@ def test_invariants_hold_over_random_configs(algorithm, data):
         assert state.fitness.shape == (cfg.agent_count, n)
         assert np.all((state.genes >= spec.lower) & (state.genes <= spec.upper))
         if cred is not None:
-            table = cred.trust if cred.kind == "trust" else cred.reputation
-            assert np.all((table >= cred.min_value) & (table <= cred.max_value))
+            assert np.all((cred.table >= cred.min_value) & (cred.table <= cred.max_value))
         best = state.fitness.min(axis=1)
         if monotone:
             assert np.all(best <= bests[-1])
@@ -553,24 +551,23 @@ def test_interaction_log_explains_the_credibility_state(kind, monkeypatch):
     cfg = _cfg(agent_count=4, epoch_length=2, max_steps=60, credibility=c)
     log = []
     state = _build_state(cfg, [0], log)
-    table = getattr(CredibilityState.initial(kind, 4, c.start_value, c.min_value, c.max_value),
-                    kind)
-    loose = table.copy()
+    rebuilt = CredibilityState.initial(kind, 4, c.start_value, c.min_value, c.max_value)
+    # the same credit 100 above, where the bounds never bind
+    loose = CredibilityState.initial(kind, 4, c.start_value + 100, 1, 999)
 
     def checked_step(s, t):
         advance_step(s, t)
         _, record = log[-1]
-        for target, lo, hi in ((table, c.min_value, c.max_value), (loose, -99, 99)):
-            _apply_credit(target, kind, np.arange(4), record.sender, record.branch, lo, hi)
-        run_table = getattr(s.credibility, kind)
-        assert table.dtype == run_table.dtype
-        assert table.tobytes() == run_table.tobytes()
+        for target in (rebuilt, loose):
+            target.credit(np.arange(4), record.sender, record.branch)
+        assert rebuilt.table.dtype == s.credibility.table.dtype
+        assert rebuilt.table.tobytes() == s.credibility.table.tobytes()
 
     monkeypatch.setattr(engine, "advance_step", checked_step)
     _lockstep([state], 1)
     assert len(log) == 30
     # the run hit both bounds, so the per-step clamp mattered
-    assert loose.min() < c.min_value and loose.max() > c.max_value
+    assert loose.table.min() - 100 < c.min_value and loose.table.max() - 100 > c.max_value
 
 
 def test_interaction_log_stacks_repetitions():

@@ -40,7 +40,7 @@ from trustopt import (
     init_population,
     validate_config,
 )
-from trustopt.socio import _adopt, _apply_credit, _branch, _threshold, exchange_all
+from trustopt.socio import _adopt, _branch, _threshold, exchange_all
 
 SPEC2 = linear_objective(2)
 
@@ -115,7 +115,7 @@ def test_select_shared_matches_rank_oracle(rng):
 def test_select_shared_rejects_bad_inputs():
     # a share of zero members cannot arise: credibility is at least 1
     with pytest.raises(ValueError):
-        CredibilityState("trust", 0, 50, trust=np.ones((2, 2), dtype=np.int64))
+        CredibilityState("trust", 0, 50, np.ones((2, 2), dtype=np.int64))
     with pytest.raises(ConfigError, match="min_value must be >= 1"):
         validate_config(_cfg(credibility=CredibilityConfig("trust", 1, 0, 50)))
 
@@ -162,7 +162,7 @@ def test_divergence_ranking_shape_checks():
     # a recipient and a sender of different dimensions cannot share a stack
     with pytest.raises(ValueError):
         receive(genomes_with_values([1.0, 2.0], 3), genomes_with_values([1.0, 2.0], 4),
-                _trust_state(), SPEC2, np.random.default_rng(0))
+                10, 10, SPEC2, np.random.default_rng(0))
 
 
 def test_phi_swap_and_average():
@@ -355,10 +355,9 @@ def test_sc_variation_merges_with_elitism(rng):
     spec = get_objective("sphere", 3)
     recipient = init_population(4, spec, rng)
     donor = init_population(4, spec, rng)
-    cred = CredibilityState.initial("trust", 2, 3, 1, 50)
-    cred.trust[1, 0] = 2
     before_best = float(np.min(spec.base(recipient)))
-    out, genes, fitness = receive(recipient, donor, cred, spec, rng, "moderate")
+    # a trust table at 3 whose cell [1, 0] is 2
+    out, genes, fitness = receive(recipient, donor, [2, 3], [3, 2], spec, rng, "moderate")
     if out.accepted:
         assert genes[0].shape == (4, 3)
         assert fitness[0].min() <= before_best
@@ -416,11 +415,9 @@ def _trust_state(start=10):
 def _credit(cred, recipient, out):
     """The change a row's ``branch`` makes to ``cred``'s table, as
     ``{cell: change}``; ``cred`` itself is left alone."""
-    before = cred.trust if cred.kind == "trust" else cred.reputation
-    after = before.copy()
-    _apply_credit(after, cred.kind, recipient, out.sender, out.branch, cred.min_value,
-                  cred.max_value)
-    diff = after - before
+    after = deepcopy(cred)
+    after.credit(recipient, out.sender, out.branch)
+    diff = after.table - cred.table
     return {tuple(c) if len(c) > 1 else c[0]: int(diff[tuple(c)])
             for c in np.argwhere(diff).tolist()}
 
@@ -428,22 +425,22 @@ def _credit(cred, recipient, out):
 def test_interaction_rejected_share_is_noop_with_trust_penalty():
     recipient = genomes_with_values([10.0, 10.0])
     cred = _trust_state()
-    before = deepcopy(cred)
-    out, genes, _ = receive(recipient, genomes_with_values([40.0, 50.0]), cred, SPEC2,
+    out, genes, _ = receive(recipient, genomes_with_values([40.0, 50.0]), 10, 10, SPEC2,
                             np.random.default_rng(3), "moderate")
     assert not out.accepted
     assert not out.improved
     assert np.array_equal(genes[0], recipient)
     assert out.branch == -1
-    assert _credit(before, 0, out) == {(0, 1): -1}
-    # the step applies it: agent 1's own exchange moves only its cell for agent 0
-    assert cred.trust[0, 1] == 9
+    assert _credit(cred, 0, out) == {(0, 1): -1}
+    # a step's credit moves each recipient's own cell for its sender only
+    cred.credit(np.array([0, 1]), np.array([1, 0]), np.array([out.branch, 1]))
+    assert cred.table[0, 1] == 9 and cred.table[1, 0] == 11
 
 
 def test_interaction_improvement_raises_sender_standing():
     cred = _trust_state()
     out, _, _ = receive(genomes_with_values([10.0, 12.0]), genomes_with_values([1.0, 2.0]),
-                        deepcopy(cred), SPEC2, np.random.default_rng(4), "weak")
+                        10, 10, SPEC2, np.random.default_rng(4), "weak")
     assert out.accepted
     assert out.improved
     assert out.mean_after < out.mean_before
@@ -454,7 +451,7 @@ def test_interaction_improvement_raises_sender_standing():
 def test_interaction_reputation_moves_tokens():
     cred = CredibilityState.initial("reputation", 2, 10, 1, 50)
     out, _, _ = receive(genomes_with_values([10.0, 12.0]), genomes_with_values([1.0, 2.0]),
-                        deepcopy(cred), SPEC2, np.random.default_rng(4), "weak")
+                        10, 10, SPEC2, np.random.default_rng(4), "weak")
     assert out.improved
     assert out.branch == 1
     assert _credit(cred, 0, out) == {0: -1, 1: 1}
@@ -465,7 +462,7 @@ def test_interaction_neutral_outcome_changes_nothing():
     # residents, so the mean is unchanged and no credit is given
     cred = _trust_state()
     out, _, _ = receive(genomes_with_values([1.0, 1.0]), genomes_with_values([1.5, 1.5]),
-                        deepcopy(cred), SPEC2, np.random.default_rng(5), "weak")
+                        10, 10, SPEC2, np.random.default_rng(5), "weak")
     assert out.accepted
     assert not out.improved
     assert out.branch == 0
@@ -474,10 +471,12 @@ def test_interaction_neutral_outcome_changes_nothing():
 
 def test_interaction_share_size_follows_sender_trust_in_recipient():
     cred = _trust_state()
-    cred.trust[1, 0] = 2   # sender 1 trusts recipient 0 this much
-    cred.trust[0, 1] = 50  # recipient trusts sender fully
+    cred.table[1, 0] = 2   # sender 1 trusts recipient 0 this much
+    cred.table[0, 1] = 50  # recipient trusts sender fully
+    m, k = cred.share_and_depth(np.array([1, 0]), np.arange(2))
+    assert m.tolist() == [2, 50] and k.tolist() == [50, 2]
     out, _, _ = receive(genomes_with_values([5.0, 6.0, 7.0]),
-                        genomes_with_values([1.0, 2.0, 3.0]), cred, SPEC2,
+                        genomes_with_values([1.0, 2.0, 3.0]), m, k, SPEC2,
                         np.random.default_rng(6), "weak")
     # the 2 worst of the sender were considered: mean of {3, 2}
     assert out.mean_shared == 2.5
@@ -497,11 +496,16 @@ def test_interaction_matches_hand_stepped_composition():
         genes, spec.base(genes), [1, 0], cred, "moderate", "swap", spec,
         [r2, np.random.default_rng(1)])
 
-    out, genes, fitness = receive(recipient, sender, cred, spec, r1, "moderate")
-    assert_records_equal(out, ref.row(0), ref_accepted[0])
+    # the engine's composition: read m and K, exchange, then credit
+    senders, rows = np.array([1, 0]), np.arange(2)
+    fitness = spec.base(genes)
+    record = exchange_all(genes, fitness, senders, *cred.share_and_depth(senders, rows),
+                          "moderate", "swap", spec, [r1, np.random.default_rng(1)])
+    cred.credit(rows, senders, record.branch)
+    assert_records_equal(record, ref, ref_accepted)
     assert np.array_equal(genes, ref_genes)
     assert np.array_equal(fitness, ref_fit)
-    assert np.array_equal(cred.trust, ref_cred.trust)
+    assert np.array_equal(cred.table, ref_cred.table)
     assert r1.bit_generator.state == r2.bit_generator.state
 
 
@@ -541,8 +545,7 @@ def _society(s):
         genes = np.round(genes / (spec.upper - spec.lower) * 4) * (spec.upper - spec.lower) / 4
     fitness = spec.evaluate_rows(genes.reshape(-1, s["d"]), [genes.size // s["d"]], [rng])
     cred = CredibilityState.initial(s["kind"], s["n_agents"], s["lo"], s["lo"], s["hi"])
-    table = cred.trust if s["kind"] == "trust" else cred.reputation
-    table[...] = rng.integers(s["lo"], s["hi"] + 1, size=table.shape)
+    cred.table[...] = rng.integers(s["lo"], s["hi"] + 1, size=cred.table.shape)
     senders = rng.integers(0, s["n_agents"] - 1, size=s["n_agents"])
     senders += senders >= np.arange(s["n_agents"])
     return spec, genes, fitness.reshape(s["n_agents"], s["n"]), cred, senders
@@ -558,12 +561,14 @@ def test_exchange_all_matches_the_replay(s):
         genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec, ref_streams)
 
     streams = [np.random.default_rng(x) for x in seeds]
-    record = exchange_all(genes, fitness, senders, cred, s["intensity"], s["gene_op"], spec,
+    rows = np.arange(s["n_agents"])
+    m, k = cred.share_and_depth(senders, rows)
+    record = exchange_all(genes, fitness, senders, m, k, s["intensity"], s["gene_op"], spec,
                           streams)
+    cred.credit(rows, senders, record.branch)
     assert np.array_equal(genes, ref_genes)
     assert np.array_equal(fitness, ref_fit)
-    table = cred.trust if cred.kind == "trust" else cred.reputation
-    assert np.array_equal(table, ref_cred.trust if cred.kind == "trust" else ref_cred.reputation)
+    assert np.array_equal(cred.table, ref_cred.table)
     assert_records_equal(record, ref, ref_accepted)
     for a, b in zip(streams, ref_streams):
         assert a.bit_generator.state == b.bit_generator.state
