@@ -13,13 +13,16 @@ errors (the message names the offending field or objective), 1 on any
 other failure (an unreadable or malformed input, or a binding too large
 to allocate).
 
-Importing this module loads no numpy: ``plot`` needs none, and the other
-commands import what they need when they run.
+Importing this module loads no numpy.  ``plot`` and ``stats`` run on the
+standard library alone (``stats`` imports ``scipy.special`` only to
+compare 42 or more algorithms); ``run``, ``validate`` and ``presets``
+import numpy when they run, and so does every error exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
@@ -28,21 +31,20 @@ from .svgchart import write_plots
 __all__ = ["main", "build_parser"]
 
 
-def _from_harness(name: str):
-    """``trustopt.harness.<name>``, imported at the first call: the harness
-    loads numpy.  The commands call these module-level names, which the
-    benchmark tracer (perfbench/tracer.py) patches."""
+def _lazy(module: str, name: str):
+    """``trustopt.<module>.<name>``, imported at the first call: the harness
+    loads numpy, and ``stats`` is needed by one command only.  The commands
+    call these module-level names, which the benchmark tracer
+    (perfbench/tracer.py) patches."""
     def call(*args, **kwargs):
-        from . import harness
-
-        return getattr(harness, name)(*args, **kwargs)
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
 
     return call
 
 
-load_manifest = _from_harness("load_manifest")
-run_manifest = _from_harness("run_manifest")
-write_stats_reports = _from_harness("write_stats_reports")
+load_manifest = _lazy("harness", "load_manifest")
+run_manifest = _lazy("harness", "run_manifest")
+write_stats_reports = _lazy("stats", "write_stats_reports")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,14 +114,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
+def _usage_error(message: str):
+    """A ConfigError (exit status 2), imported only on this error path:
+    ``config`` loads numpy, which ``stats`` and ``plot`` do not need."""
     from .config import ConfigError
 
+    return ConfigError([message])
+
+
+def cmd_stats(args) -> int:
     paths = _expand(args.inputs, "summary_*.csv")
     if not paths:
-        raise ConfigError(["no summary CSVs found in the given inputs"])
+        raise _usage_error("no summary CSVs found in the given inputs")
     if not (0.0 < args.alpha < 1.0):
-        raise ConfigError(["--alpha must lie in (0, 1)"])
+        raise _usage_error("--alpha must lie in (0, 1)")
     out = args.out if args.out is not None else paths[0].parent
     for p in write_stats_reports(paths, out, alpha=args.alpha):
         print(p)
@@ -129,9 +137,7 @@ def cmd_stats(args) -> int:
 def cmd_plot(args) -> int:
     paths = _expand(args.inputs, "trace_*.csv")
     if not paths:
-        from .config import ConfigError
-
-        raise ConfigError(["no trace CSVs found in the given inputs"])
+        raise _usage_error("no trace CSVs found in the given inputs")
     out = args.out if args.out is not None else paths[0].parent
     for p in write_plots(paths, out, log_scale=args.log_scale):
         print(p)

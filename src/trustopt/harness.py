@@ -34,9 +34,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from .benchmarks import get_objective
 from .config import (
@@ -61,24 +59,20 @@ from .results import (  # noqa: F401
     write_trace_csv,
 )
 from .rng import derive_run_seed
-from .stats import SampleGroup, compare_groups, summarize
+from .stats import compare_groups, summarize, write_stats_reports  # noqa: F401
 from .svgchart import render_convergence_svg  # noqa: F401
 
-# run_repetitions, best_so_far_series, read_trace_csv and
-# render_convergence_svg are unused here: the benchmark tracer
-# (perfbench/tracer.py) looks them up on this module by name.
+# run_repetitions, best_so_far_series, read_trace_csv, read_summary_csv,
+# compare_groups, summarize and render_convergence_svg are unused here: the
+# benchmark tracer (perfbench/tracer.py) looks them up on this module by
+# name.  The stats reports live in trustopt.stats.
 
 __all__ = [
     "ProblemCell",
     "ExperimentManifest",
     "load_manifest",
     "run_manifest",
-    "write_stats_reports",
-    "BASELINE_ALGORITHM",
 ]
-
-BASELINE_ALGORITHM = "island_model"
-
 
 @dataclass(frozen=True)
 class ProblemCell:
@@ -281,107 +275,3 @@ def run_manifest(
         paths.append(path)
     return paths
 
-
-# ---------------------------------------------------------------------------
-# statistics reports
-
-_OMNIBUS_HEADER = "problem,dim,h_statistic,p_value,df,degenerate"
-_PAIRWISE_HEADER = "problem,dim,group_a,group_b,z,raw_p,adjusted_p,significant"
-_BASELINE_HEADER = "problem,dim,algorithm,adjusted_p"
-
-
-def _collect_groups(rows) -> dict[str, list[float]]:
-    groups: dict[str, list[float]] = {}
-    for r in rows:
-        groups.setdefault(r.algorithm, []).append(r.final_best)
-    return groups
-
-
-def write_stats_reports(
-    summary_paths: Sequence[Union[str, Path]],
-    out_dir: Union[str, Path],
-    alpha: float = 0.01,
-    baseline: str = BASELINE_ALGORITHM,
-) -> list[Path]:
-    """Produce the comparison reports for a set of summary CSVs.
-
-    Writes four files into ``out_dir``: ``stats_omnibus.csv`` (one
-    Kruskal-Wallis row per problem), ``stats_pairwise.csv`` (every Dunn
-    pair with Holm-adjusted p-values), ``stats_vs_baseline.csv`` (the
-    algorithms not significantly different from the baseline at ``alpha``)
-    and ``stats_report.txt`` (the same content as aligned text).  Every
-    summary is read, and must be the only one of its (problem, dim) and
-    hold at least 2 algorithms, before anything is written.
-    """
-    tables, seen = [], {}
-    for path in summary_paths:
-        rows = read_summary_csv(path)
-        if not rows:
-            raise ValueError(f"empty summary: {path}")
-        key = (rows[0].problem, rows[0].dim)
-        if key in seen:
-            raise ValueError(f"duplicate summary for {key[0]} d={key[1]}: {seen[key]} and {path}")
-        seen[key] = path
-        groups = _collect_groups(rows)
-        if len(groups) < 2:
-            raise ValueError(f"summary {path} holds fewer than 2 algorithms")
-        tables.append((key, groups))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    omnibus_lines = [_OMNIBUS_HEADER]
-    pairwise_lines = [_PAIRWISE_HEADER]
-    baseline_lines = [_BASELINE_HEADER]
-    text: list[str] = []
-
-    for (problem, dim), groups in tables:
-        sample = [SampleGroup(k, np.array(v)) for k, v in groups.items()]
-        report = compare_groups(sample, alpha)
-        stats_rows = summarize(sample) if min(len(v) for v in groups.values()) >= 2 else None
-
-        omnibus_lines.append(
-            f"{problem},{dim},{report.statistic!r},{report.p_value!r},{report.df},"
-            f"{'true' if report.degenerate else 'false'}"
-        )
-        text.append(f"== {problem} (D={dim}) ==")
-        if stats_rows is not None:
-            text.append(f"  {'algorithm':<20} {'mean':>14} {'sd':>14} {'n':>4}")
-            for label, mean, sd, n in stats_rows:
-                text.append(f"  {label:<20} {mean:>14.6g} {sd:>14.6g} {n:>4}")
-        text.append(f"  Kruskal-Wallis H = {report.statistic:.6g}, "
-                    f"p = {report.p_value:.6g} (df = {report.df})"
-                    + ("  [degenerate]" if report.degenerate else ""))
-        text.append(f"  {'pair':<42} {'z':>10} {'raw p':>12} {'adj p':>12}  sig")
-        ties = []
-        for c in report.pairwise:
-            pairwise_lines.append(
-                f"{problem},{dim},{c.group_a},{c.group_b},{c.z!r},{c.raw_p!r},"
-                f"{c.adjusted_p!r},{'true' if c.significant else 'false'}"
-            )
-            pair = f"{c.group_a} vs {c.group_b}"
-            text.append(f"  {pair:<42} {c.z:>10.4f} {c.raw_p:>12.4g} "
-                        f"{c.adjusted_p:>12.4g}  {'*' if c.significant else '-'}")
-            if baseline in (c.group_a, c.group_b) and not c.significant:
-                other = c.group_b if c.group_a == baseline else c.group_a
-                ties.append((other, c.adjusted_p))
-        for other, adj in ties:
-            baseline_lines.append(f"{problem},{dim},{other},{adj!r}")
-        if ties:
-            text.append(f"  not significantly different from {baseline} at alpha={alpha:g}: "
-                        + ", ".join(o for o, _ in ties))
-        else:
-            text.append(f"  every algorithm differs from {baseline} at alpha={alpha:g}")
-        text.append("")
-
-    written = []
-    for fname, lines in (
-        ("stats_omnibus.csv", omnibus_lines),
-        ("stats_pairwise.csv", pairwise_lines),
-        ("stats_vs_baseline.csv", baseline_lines),
-    ):
-        p = out / fname
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(p)
-    p = out / "stats_report.txt"
-    p.write_text("\n".join(text) + "\n", encoding="utf-8")
-    written.append(p)
-    return written

@@ -25,6 +25,10 @@ plain float loops in the kernel's summation order.
 :func:`best_so_far_reference` and :func:`mean_curve_reference` are the numpy
 formulas the plain-Python plot maths (``best_so_far_series`` and
 ``mean_curve`` in ``trustopt.results``) is checked against.
+:data:`STATS_REFERENCE` maps the numeric steps of ``trustopt.stats``
+(ranking, mean and SD, Holm adjustment and the two distribution tails) to
+their numpy and ``scipy.special`` formulas; patched over the module, it
+gives the reports the plain-Python statistics must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -531,3 +535,64 @@ def mean_curve_reference(curves) -> np.ndarray:
     """The pointwise mean over repetitions' curves with numpy."""
     with np.errstate(invalid="ignore", over="ignore"):
         return np.mean(np.stack([np.asarray(c, dtype=float) for c in curves]), axis=0)
+
+
+def reference_rank(groups) -> tuple:
+    """The pooled ranking with ``numpy.unique``: labels, each group's
+    mid-ranks (as lists), the pooled size and the tie term sum(t^3 - t)."""
+    from trustopt.stats import _as_groups
+
+    gs = _as_groups(groups)
+    pooled = np.concatenate([np.asarray(g.values, dtype=float) for g in gs])
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    starts = np.concatenate(([0.0], np.cumsum(counts)[:-1].astype(float))) + 1.0
+    avg = starts + (counts - 1) / 2.0
+    tie_term = float(np.sum(counts.astype(float) ** 3 - counts))
+    ranks = np.split(avg[inverse], np.cumsum([len(g.values) for g in gs])[:-1])
+    return tuple(g.label for g in gs), [r.tolist() for r in ranks], len(pooled), tie_term
+
+
+def reference_summarize(groups) -> list[tuple[str, float, float, int]]:
+    """Per-group (label, mean, sample SD, n) with ``numpy.mean`` and
+    ``numpy.std(ddof=1)``."""
+    from trustopt.stats import _as_groups
+
+    out = []
+    for g in _as_groups(groups):
+        if len(g.values) < 2:
+            raise ValueError(f"group {g.label!r} needs at least 2 values for an SD")
+        values = np.asarray(g.values, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out.append((g.label, float(np.mean(values)), float(np.std(values, ddof=1)),
+                        len(values)))
+    return out
+
+
+def reference_holm_adjust(raw_p) -> list[float]:
+    """Holm step-down adjustment with a stable argsort and
+    ``numpy.maximum.accumulate``."""
+    raw = np.asarray(raw_p, dtype=float)
+    m = len(raw)
+    order = np.argsort(raw, kind="stable")
+    out = np.empty(m)
+    out[order] = np.minimum(1.0, np.maximum.accumulate(raw[order] * (m - np.arange(m))))
+    return out.tolist()
+
+
+def reference_chi2_sf(h: float, df: int) -> float:
+    """``scipy.special.chdtrc`` at max(h, 0): ``scipy.stats.chi2.sf``."""
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, max(h, 0.0)))
+
+
+def reference_norm_sf(z: float) -> float:
+    """``scipy.special.ndtr(-z)``: ``scipy.stats.norm.sf``."""
+    from scipy.special import ndtr
+
+    return float(ndtr(-z))
+
+
+STATS_REFERENCE = {"_rank": reference_rank, "summarize": reference_summarize,
+                   "holm_adjust": reference_holm_adjust, "_chi2_sf": reference_chi2_sf,
+                   "_norm_sf": reference_norm_sf}

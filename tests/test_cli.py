@@ -402,6 +402,21 @@ def test_stats_one_algorithm_summary_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_stats_rejects_non_finite_result_and_writes_nothing(tmp_path, capsys, value):
+    # a final_best that is not a finite number has no rank; the summary is
+    # rejected by name before the report directory is made
+    name = "summary_sphere_d2.csv"
+    (tmp_path / name).write_text(
+        "problem,dim,algorithm,repetition,final_best,steps,seed\n"
+        f"sphere,2,a,0,1.0,5,7\nsphere,2,a,1,{value},5,7\nsphere,2,b,0,2.0,5,7\n")
+    out = tmp_path / "reports"
+    assert main(["stats", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and value in err, err
+    assert not out.exists()
+
+
 def test_run_rejects_bad_jobs(manifest_path, tmp_path, capsys):
     assert main(["run", "--manifest", str(manifest_path),
                  "--out", str(tmp_path / "x"), "--jobs", "0"]) == 2
@@ -428,25 +443,28 @@ def test_import_and_validate_leave_scipy_unloaded(manifest_path):
 
 
 def test_plot_and_stats_leave_scipy_stats_unloaded(manifest_path, tmp_path):
-    # plot needs no scipy at all; stats needs only the two tails from
-    # scipy.special, and importing scipy.stats would double its start-up
+    # plot and stats run on the standard library: neither loads numpy or
+    # any part of scipy (stats needs scipy.special only for 42 or more
+    # algorithms, which no run directory here holds)
+    out = tmp_path / "res"
+    assert main(["run", "--manifest", str(manifest_path), "--out", str(out)]) == 0
     package = Path(trustopt.__file__).parent
     code = (
         "import sys\n"
         "import trustopt.cli\n"
-        "manifest, out = sys.argv[1:]\n"
-        "assert trustopt.cli.main(['run', '--manifest', manifest, '--out', out]) == 0\n"
+        "out = sys.argv[1]\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
         "assert trustopt.cli.main(['plot', out]) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, f'loaded by run or plot: {loaded}'\n"
+        "assert not heavy(), f'loaded by plot: {heavy()}'\n"
         "assert trustopt.cli.main(['stats', out]) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
-        "assert not loaded, f'loaded by stats: {loaded}'\n"
+        "assert not heavy(), f'loaded by stats: {heavy()}'\n"
     )
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
-    proc = subprocess.run([sys.executable, "-c", code, str(manifest_path),
-                           str(tmp_path / "res")], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True,
+                          text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert (out / "stats_report.txt").exists()
 
 
 def test_import_and_plot_leave_numpy_unloaded(manifest_path, tmp_path):

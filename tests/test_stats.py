@@ -1,12 +1,20 @@
-"""Rank statistics: summaries, omnibus test, pairwise tests, adjustment."""
+"""Rank statistics: summaries, omnibus test, pairwise tests, adjustment,
+and the reports, checked against the numpy and scipy formulas."""
 
 import math
+import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from helpers import STATS_REFERENCE, reference_summarize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trustopt.stats
 from trustopt import (
     SampleGroup,
     compare_groups,
@@ -14,7 +22,9 @@ from trustopt import (
     holm_adjust,
     kruskal_wallis,
     summarize,
+    write_stats_reports,
 )
+from trustopt.results import write_summary_csv
 
 
 def _midrank_oracle(pooled):
@@ -69,6 +79,19 @@ def test_summarize_matches_two_pass_oracle(rng):
     assert mean == pytest.approx(om, rel=1e-12)
     assert sd == pytest.approx(osd, rel=1e-12)
     assert n == 25
+
+
+def test_summarize_matches_numpy_bit_for_bit(rng):
+    # every length through numpy's pairwise blocks (8 accumulators up to
+    # 128 values, halves above), on wide magnitudes, cancellation and -0.0
+    for n in range(2, 300):
+        for values in (rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, size=n),
+                       rng.choice([-0.0, 0.0, 1e16, -1e16, 1.0, 3.3], size=n),
+                       np.full(n, -0.0)):
+            data = {"x": values, "y": values[::-1]}
+            got = [(m, sd) for _, m, sd, _ in summarize(data)]
+            ref = [(m, sd) for _, m, sd, _ in reference_summarize(data)]
+            assert np.array_equal(_bits(got), _bits(ref)), n
 
 
 def test_summarize_rejects_singleton():
@@ -134,6 +157,15 @@ def test_group_validation():
         SampleGroup("bad", np.zeros((2, 2)))
     with pytest.raises(ValueError):
         SampleGroup("empty", [])
+    # ranks need an order, which NaN does not have; infinities are no
+    # run's result
+    for bad in ([1.0, math.nan], [math.inf, 1.0], np.array([-np.inf]), ["1.0", 2.0],
+                [[1.0], [2.0]], 3.0, [10**400]):
+        with pytest.raises(ValueError):
+            SampleGroup("bad", bad)
+        with pytest.raises(ValueError):
+            compare_groups({"bad": bad, "ok": [1.0, 2.0]})
+    assert SampleGroup("ok", np.array([1, 2.5])).values == (1.0, 2.5)
 
 
 # --- step-down adjustment ---------------------------------------------------
@@ -145,8 +177,8 @@ def test_holm_hand_example():
 
 
 def test_holm_single_and_empty():
-    assert holm_adjust([0.2]).tolist() == [0.2]
-    assert holm_adjust([]).size == 0
+    assert holm_adjust([0.2]) == [0.2]
+    assert holm_adjust([]) == []
 
 
 def _holm_loop_oracle(raw):
@@ -164,8 +196,9 @@ def test_holm_matches_loop_oracle_and_properties(rng):
     for _ in range(100):
         m = int(rng.integers(1, 12))
         raw = np.round(rng.random(m), 2)  # coarse grid forces ties
-        adj = holm_adjust(raw)
+        adj = np.array(holm_adjust(raw))
         assert np.array_equal(adj, np.array(_holm_loop_oracle(list(raw))))
+        assert np.array_equal(adj, STATS_REFERENCE["holm_adjust"](raw))
         assert np.all(adj >= raw)
         assert np.all(adj <= 1.0)
         order = np.argsort(raw, kind="stable")
@@ -173,6 +206,7 @@ def test_holm_matches_loop_oracle_and_properties(rng):
         # label order must not matter
         perm = rng.permutation(m)
         assert np.array_equal(holm_adjust(raw[perm]), adj[perm])
+        assert all(type(p) is float for p in holm_adjust(raw))
 
 
 # --- pairwise ---------------------------------------------------------------
@@ -270,18 +304,37 @@ def _bits(values):
 def test_norm_tail_matches_scipy_bit_for_bit(rng):
     from trustopt.stats import _norm_sf
 
-    zs = np.concatenate(([0.0, 5e-324, 1e-300, 38.0, 40.0, 1e300],
-                         rng.uniform(0.0, 10.0, size=2000)))
-    ours = [_norm_sf(z) for z in zs]
+    # a dense grid over [0, 1.5] crosses the erf/erfc switch at z = 1; past
+    # z = 37.5 the tail nears exp(-z^2/2) underflow, and erfc gives 0
+    zs = np.concatenate(([0.0, 5e-324, 1e-300, 1.0, np.nextafter(1.0, 0.0),
+                          np.nextafter(1.0, 2.0), 8.0 * math.sqrt(2.0), 38.0, 40.0, 1e300],
+                         np.linspace(0.0, 1.5, 15001), np.linspace(37.5, 38.6, 2001),
+                         rng.uniform(0.0, 10.0, size=2000), -rng.uniform(0.0, 10.0, size=200)))
+    ours = [_norm_sf(z) for z in zs.tolist()]
     assert np.array_equal(_bits(ours), _bits(scipy.stats.norm.sf(zs)))
 
 
 def test_chi2_tail_matches_scipy_bit_for_bit(rng):
     from trustopt.stats import _chi2_sf
 
-    hs = np.concatenate(([-1e-15, -0.0, 0.0], rng.exponential(5.0, size=300)))
-    for df in range(1, 20):
-        ours = [_chi2_sf(h, df) for h in hs]
+    # igamc switches series at x = h/2 = 0.5 and 1.1; a dense grid on
+    # [0, 3] crosses both, for every df the port covers
+    edges = [v for h in (1.0, 2.2) for v in (np.nextafter(h, 0.0), h, np.nextafter(h, 3.0))]
+    hs = np.concatenate(([-1e-15, -0.0, 0.0, 5e-324, 1e300, math.inf], edges,
+                         np.linspace(0.0, 3.0, 1501), rng.exponential(5.0, size=300),
+                         rng.uniform(0.0, 120.0, size=300)))
+    for df in range(1, 41):
+        ours = [_chi2_sf(h, df) for h in hs.tolist()]
+        assert np.array_equal(_bits(ours), _bits(scipy.stats.chi2.sf(hs, df))), df
+
+
+def test_chi2_tail_past_forty_df_matches_scipy(rng):
+    from trustopt.stats import _chi2_sf
+
+    # 42 or more groups: Cephes' asymptotic series near h = df, from scipy
+    hs = np.concatenate(([0.0, 41.0, 60.0, 1e3], rng.uniform(20.0, 80.0, size=50)))
+    for df in (41, 60):
+        ours = [_chi2_sf(h, df) for h in hs.tolist()]
         assert np.array_equal(_bits(ours), _bits(scipy.stats.chi2.sf(hs, df))), df
 
 
@@ -301,3 +354,42 @@ def test_compare_groups_p_values_match_scipy_bit_for_bit(rng):
         raws = [p.raw_p for p in report.pairwise]
         ref = [2.0 * float(scipy.stats.norm.sf(abs(p.z))) for p in report.pairwise]
         assert np.array_equal(_bits(raws), _bits(ref))
+
+
+# --- reports against the numpy and scipy formulas ---------------------------
+
+
+_TIE_VALUES = (-0.0, 0.0, 1.0, -2.5, 3.0, 1e-300, 1e16)
+
+
+@st.composite
+def _summary_groups(draw):
+    """2-8 groups of 1-300 values: drawn from a small pool (ties, +-0.0)
+    and from a wide continuous spread, mixed in a drawn share."""
+    sizes = draw(st.lists(st.integers(1, 300), min_size=2, max_size=8))
+    pool = draw(st.lists(st.sampled_from(_TIE_VALUES) | st.floats(allow_nan=False,
+                                                                     allow_infinity=False),
+                         min_size=1, max_size=6))
+    tie_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return [[rnd.choice(pool) if rnd.random() < tie_share
+             else rnd.gauss(0.0, 1.0) * 10.0 ** rnd.randint(-6, 6) for _ in range(n)]
+            for n in sizes]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(groups=_summary_groups(), alpha=st.sampled_from([0.01, 0.05]))
+def test_reports_match_the_numpy_scipy_reference_bytes(groups, alpha):
+    labels = ["island_model"] + [f"g{k}" for k in range(1, len(groups))]
+    rows = [("sphere", 2, label, rep, v, 10, 7)
+            for label, values in zip(labels, groups) for rep, v in enumerate(values)]
+    with tempfile.TemporaryDirectory() as tmp:
+        summary = Path(tmp) / "summary_sphere_d2.csv"
+        write_summary_csv(rows, summary)
+        ours = write_stats_reports([summary], Path(tmp) / "ours", alpha=alpha)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, reference in STATS_REFERENCE.items():
+                mp.setattr(trustopt.stats, name, reference)
+            ref = write_stats_reports([summary], Path(tmp) / "ref", alpha=alpha)
+        for a, b in zip(ours, ref):
+            assert a.read_bytes() == b.read_bytes(), a.name
