@@ -59,7 +59,7 @@ from .results import (  # noqa: F401
     write_trace_csv,
 )
 from .rng import derive_run_seed
-from .stats import compare_groups, summarize, write_stats_reports  # noqa: F401
+from .stats import compare_groups, summarize  # noqa: F401
 from .svgchart import render_convergence_svg  # noqa: F401
 
 # run_repetitions, best_so_far_series, read_trace_csv, read_summary_csv,

@@ -137,19 +137,12 @@ class SummaryRow:
 
 
 def read_summary_csv(path: Union[str, Path]) -> list[SummaryRow]:
-    """Read a summary CSV; every ``final_best`` must be a finite number
-    (a run never writes NaN or infinity there, and ranks need an order)."""
     rows = _read_rows(path, SUMMARY_HEADER, "summary")
     try:
-        out = [SummaryRow(r[0], int(r[1]), r[2], int(r[3]), float(r[4]), int(r[5]), int(r[6]))
-               for r in rows]
+        return [SummaryRow(r[0], int(r[1]), r[2], int(r[3]), float(r[4]), int(r[5]), int(r[6]))
+                for r in rows]
     except ValueError as err:
         raise ValueError(f"{err} in summary file {path}") from None
-    for k, row in enumerate(out, 1):
-        if not math.isfinite(row.final_best):
-            raise ValueError(f"row {k} has a non-finite final_best {rows[k - 1][4]!r} "
-                             f"in summary file {path}")
-    return out
 
 
 def _minimum(a: float, b: float) -> float:

@@ -63,13 +63,14 @@ class SampleGroup:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:  # one pass, so that an iterator is read once; a non-number becomes NaN
-            values = tuple(float(v) if isinstance(v, Real) else math.nan for v in self.values)
+        try:  # one pass, so that an iterator is read once
+            values = tuple(float(v) if isinstance(v, Real) else v for v in self.values)
         except (TypeError, OverflowError):  # not a sequence, or an int beyond a double
             values = ()
-        if not values or not all(map(math.isfinite, values)):
-            raise ValueError(f"group {self.label!r} needs a non-empty 1-D sample "
-                             f"of finite real numbers")
+        bad = [v for v in values if not (isinstance(v, float) and math.isfinite(v))]
+        if not values or bad:
+            raise ValueError(f"group {self.label!r} needs a non-empty 1-D sample of finite "
+                             f"real numbers" + (f", got {bad[0]!r}" if bad else ""))
         object.__setattr__(self, "values", values)
 
 
@@ -572,8 +573,9 @@ def write_stats_reports(
     pair with Holm-adjusted p-values), ``stats_vs_baseline.csv`` (the
     algorithms not significantly different from the baseline at ``alpha``)
     and ``stats_report.txt`` (the same content as aligned text).  Every
-    summary is read, and must be the only one of its (problem, dim) and
-    hold at least 2 algorithms, before anything is written.
+    summary is read, and must be the only one of its (problem, dim), hold
+    at least 2 algorithms and hold only finite values, before anything is
+    written.
     """
     tables, seen = [], {}
     for path in summary_paths:
@@ -587,7 +589,10 @@ def write_stats_reports(
         groups = _collect_groups(rows)
         if len(groups) < 2:
             raise ValueError(f"summary {path} holds fewer than 2 algorithms")
-        tables.append((key, groups))
+        try:
+            tables.append((key, [SampleGroup(k, v) for k, v in groups.items()]))
+        except ValueError as err:
+            raise ValueError(f"{err} in summary file {path}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     omnibus_lines = [_OMNIBUS_HEADER]
@@ -595,10 +600,9 @@ def write_stats_reports(
     baseline_lines = [_BASELINE_HEADER]
     text: list[str] = []
 
-    for (problem, dim), groups in tables:
-        sample = [SampleGroup(k, v) for k, v in groups.items()]
+    for (problem, dim), sample in tables:
         report = compare_groups(sample, alpha)
-        stats_rows = summarize(sample) if min(len(v) for v in groups.values()) >= 2 else None
+        stats_rows = summarize(sample) if min(len(g.values) for g in sample) >= 2 else None
 
         omnibus_lines.append(
             f"{problem},{dim},{report.statistic!r},{report.p_value!r},{report.df},"

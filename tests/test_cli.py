@@ -443,12 +443,24 @@ def test_import_and_validate_leave_scipy_unloaded(manifest_path):
 
 
 def test_plot_and_stats_leave_scipy_stats_unloaded(manifest_path, tmp_path):
-    # plot and stats run on the standard library: neither loads numpy or
-    # any part of scipy (stats needs scipy.special only for 42 or more
-    # algorithms, which no run directory here holds)
+    # run needs numpy but no part of scipy; plot and stats run on the
+    # standard library: neither loads numpy or any part of scipy (stats
+    # needs scipy.special only for 42 or more algorithms, which no run
+    # directory here holds)
     out = tmp_path / "res"
-    assert main(["run", "--manifest", str(manifest_path), "--out", str(out)]) == 0
     package = Path(trustopt.__file__).parent
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    run_code = (
+        "import sys\n"
+        "import trustopt.cli\n"
+        "manifest, out = sys.argv[1:]\n"
+        "assert trustopt.cli.main(['run', '--manifest', manifest, '--out', out]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, f'loaded by run: {loaded}'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", run_code, str(manifest_path), str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     code = (
         "import sys\n"
         "import trustopt.cli\n"
@@ -460,7 +472,6 @@ def test_plot_and_stats_leave_scipy_stats_unloaded(manifest_path, tmp_path):
         "assert trustopt.cli.main(['stats', out]) == 0\n"
         "assert not heavy(), f'loaded by stats: {heavy()}'\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(package.parent)}
     proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -296,6 +296,13 @@ def test_compare_groups_degenerate_flag_propagates():
 
 # --- distribution tails -----------------------------------------------------
 
+# The ports replay Cephes' IEEE operations in Cephes' order.  Their match
+# with scipy's compiled tails was checked on x86-64 with glibc (scipy 1.17).
+# A scipy build that fuses the polynomial steps `ans * x + c` into FMAs, or
+# links a libm whose exp, log or pow round differently, may differ in the
+# last bit: there a failure below is a platform difference, not a regression.
+_PLATFORM = "bit-for-bit match checked on x86-64/glibc only"
+
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
@@ -311,7 +318,7 @@ def test_norm_tail_matches_scipy_bit_for_bit(rng):
                          np.linspace(0.0, 1.5, 15001), np.linspace(37.5, 38.6, 2001),
                          rng.uniform(0.0, 10.0, size=2000), -rng.uniform(0.0, 10.0, size=200)))
     ours = [_norm_sf(z) for z in zs.tolist()]
-    assert np.array_equal(_bits(ours), _bits(scipy.stats.norm.sf(zs)))
+    assert np.array_equal(_bits(ours), _bits(scipy.stats.norm.sf(zs))), _PLATFORM
 
 
 def test_chi2_tail_matches_scipy_bit_for_bit(rng):
@@ -325,7 +332,7 @@ def test_chi2_tail_matches_scipy_bit_for_bit(rng):
                          rng.uniform(0.0, 120.0, size=300)))
     for df in range(1, 41):
         ours = [_chi2_sf(h, df) for h in hs.tolist()]
-        assert np.array_equal(_bits(ours), _bits(scipy.stats.chi2.sf(hs, df))), df
+        assert np.array_equal(_bits(ours), _bits(scipy.stats.chi2.sf(hs, df))), (df, _PLATFORM)
 
 
 def test_chi2_tail_past_forty_df_matches_scipy(rng):
@@ -350,10 +357,11 @@ def test_compare_groups_p_values_match_scipy_bit_for_bit(rng):
         report = compare_groups(data)
         if report.degenerate:
             continue
-        assert _bits(report.p_value) == _bits(scipy.stats.chi2.sf(report.statistic, k - 1))
+        assert _bits(report.p_value) == _bits(scipy.stats.chi2.sf(report.statistic, k - 1)), \
+            _PLATFORM
         raws = [p.raw_p for p in report.pairwise]
         ref = [2.0 * float(scipy.stats.norm.sf(abs(p.z))) for p in report.pairwise]
-        assert np.array_equal(_bits(raws), _bits(ref))
+        assert np.array_equal(_bits(raws), _bits(ref)), _PLATFORM
 
 
 # --- reports against the numpy and scipy formulas ---------------------------
@@ -392,4 +400,4 @@ def test_reports_match_the_numpy_scipy_reference_bytes(groups, alpha):
                 mp.setattr(trustopt.stats, name, reference)
             ref = write_stats_reports([summary], Path(tmp) / "ref", alpha=alpha)
         for a, b in zip(ours, ref):
-            assert a.read_bytes() == b.read_bytes(), a.name
+            assert a.read_bytes() == b.read_bytes(), (a.name, _PLATFORM)
