@@ -24,11 +24,12 @@ schwefel = get_objective("schwefel_noise", D, noise_sigma=0.0)
 x = np.full((1, D), 420.9687)
 print(f"noiseless schwefel at 420.9687 per gene: {schwefel.base(x)[0]:.3e}")
 
-# with noise on, evaluate_rows() adds one Normal(0, sigma) draw per genome,
-# from the stream of the genome's owner (here one owner of one genome)
+# with noise on, evaluate_rows() adds one Normal(0, sigma) draw per genome
+# of an (owners, k, D) stack, from the stream of the genome's owner (here
+# one owner of one genome)
 noisy = get_objective("schwefel_noise", D)
 rng = np.random.default_rng(3)
-draws = [noisy.evaluate_rows(x, [1], [rng])[0] for _ in range(5)]
+draws = [noisy.evaluate_rows(x[None], [rng])[0, 0] for _ in range(5)]
 print("five noisy evaluations at the same point:", " ".join(f"{v:.3f}" for v in draws))
 
 print()

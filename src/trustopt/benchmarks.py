@@ -195,23 +195,22 @@ class ObjectiveSpec:
             )
         return self._fn(genes)
 
-    def evaluate_rows(self, rows: np.ndarray, counts: Sequence[int],
+    def evaluate_rows(self, stack: np.ndarray,
                       streams: Sequence[Optional[np.random.Generator]]) -> np.ndarray:
-        """Flat values of a block of genomes (last axis D) whose owners come
-        in order: ``counts[i]`` consecutive genomes belong to owner ``i``.
+        """The ``(owners, k)`` values of an ``(owners, k, D)`` stack of
+        genomes: row ``i`` belongs to owner ``i``.  ``base`` sees the stack as
+        one ``(owners * k, D)`` block.
 
         The noise rule: a noisy objective adds one Normal(0, noise_sigma)
-        draw per genome to the noise-free value, from the owner's stream in
-        genome order; an owner of any genome then needs a Generator.
+        draw per genome to the noise-free value, from ``streams[i]`` in
+        genome order; every owner then needs a Generator.
         """
-        vals = np.atleast_1d(self.base(rows)).ravel()
+        vals = self.base(stack.reshape(-1, stack.shape[-1])).reshape(stack.shape[:2])
         if self.noisy:
-            end = np.cumsum(counts)
-            for rng, lo, hi in zip(streams, end - counts, end):
-                if hi > lo:
-                    if rng is None:
-                        raise ValueError(f"{self.name} is noisy and needs a Generator")
-                    vals[lo:hi] += rng.normal(0.0, self.noise_sigma, size=hi - lo)
+            for rng, row in zip(streams, vals):
+                if rng is None:
+                    raise ValueError(f"{self.name} is noisy and needs a Generator")
+                row += rng.normal(0.0, self.noise_sigma, size=len(row))
         return vals
 
 

@@ -14,9 +14,9 @@ other failure (an unreadable or malformed input, or a binding too large
 to allocate).
 
 Importing this module loads no numpy.  ``plot`` and ``stats`` run on the
-standard library alone (``stats`` imports ``scipy.special`` only to
-compare 42 or more algorithms); ``run``, ``validate`` and ``presets``
-import numpy when they run, and so does every error exit.
+standard library alone; ``run``, ``validate`` and ``presets`` import
+numpy when they run, and so does every error exit.  No command imports
+scipy.
 """
 
 from __future__ import annotations

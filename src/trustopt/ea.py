@@ -27,12 +27,11 @@ blocks).  A gate stream's gap budget is ``min(M, ceil(mu + 6 sqrt(mu) +
 With ``npairs = ceil(offspring_size / 2)``, ``n`` parents and dimension
 ``D``, the crossover gates have ``Mc = npairs * D`` trials ordered pair by
 pair, gene by gene; the mutation gates have ``Mm = offspring_size * D``
-trials ordered child by child, gene by gene.  Agent ``i`` draws from its
-stream:
+trials ordered child by child, gene by gene.  The members come evaluated
+(the run loop's noise draws precede the step; see :mod:`trustopt.engine`).
+Agent ``i`` draws from its stream:
 
-1. noise for evaluating its unevaluated members, in member order, when the
-   objective is noisy (see :func:`~trustopt.types.evaluate_stack`);
-2. one flat block of ``6 * npairs + bc + bm`` uniforms, consumed left to
+1. one flat block of ``6 * npairs + bc + bm`` uniforms, consumed left to
    right as
 
    * ``(npairs, 2, 2)`` tournament candidates ``min(floor(u * n), n - 1)``,
@@ -42,14 +41,15 @@ stream:
    * ``bc`` crossover gaps, then ``bm`` mutation gaps: the budgets above,
      none at p = 0 or p = 1;
 
-3. a top-up, only when a budget ran out before its gate stream ended:
+2. a top-up, only when a budget ran out before its gate stream ended:
    one uniform per remaining trial, each firing below ``p`` (crossover
    first, then mutation);
-4. one block of values: one spread value per firing crossover gene, in
+3. one block of values: one spread value per firing crossover gene, in
    trial order, then one mutation magnitude per firing mutation gene, in
    trial order;
-5. objective noise draws for the offspring evaluation, in offspring order,
-   when the objective is noisy (the same rule as step 1).
+4. objective noise draws for the offspring evaluation, one per child in
+   offspring order, when the objective is noisy
+   (:meth:`~trustopt.benchmarks.ObjectiveSpec.evaluate_rows`).
 
 Each agent takes these steps in this order; each agent has its own
 stream, so how the agents' steps interleave changes no value.  A spread
@@ -70,7 +70,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .benchmarks import ObjectiveSpec
-from .types import evaluate_stack
 
 __all__ = [
     "ea_step_all",
@@ -111,20 +110,21 @@ def _sbx_apply(
     Parents are inside the box by invariant, so pass-through genes need no
     clamping.
     """
-    if not len(spread):
-        return
     a = genes[at1]
     bb = genes[at2]
+    # genes where the parents agree are fixed points of the exact map; skip
+    # them, so identical parents yield bitwise-identical children
+    differ = a != bb
+    at1, at2, a, bb, gene, spread = (x[differ] for x in (at1, at2, a, bb, gene, spread))
+    if not len(spread):
+        return
     exp = 1.0 / (eta_c + 1.0)
     beta = np.where(spread <= 0.5, (2.0 * spread) ** exp, (2.0 * (1.0 - spread)) ** -exp)
     lo = lower[gene]
     hi = upper[gene]
     up, down = 1.0 + beta, 1.0 - beta
-    # genes where the parents agree are fixed points of the exact map; keep
-    # them so identical parents yield bitwise-identical children
-    differ = a != bb
-    genes[at1] = np.where(differ, _clamp(0.5 * (up * a + down * bb), lo, hi), a)
-    genes[at2] = np.where(differ, _clamp(0.5 * (down * a + up * bb), lo, hi), bb)
+    genes[at1] = _clamp(0.5 * (up * a + down * bb), lo, hi)
+    genes[at2] = _clamp(0.5 * (down * a + up * bb), lo, hi)
 
 
 def _poly_apply(
@@ -294,8 +294,8 @@ def ea_step_all(
 ) -> None:
     """One EA step for all agents of a homogeneous society, in place.
 
-    ``genes`` is the (N, n, D) stack of agent populations, ``fitness`` the
-    matching (N, n) cache (NaN = not evaluated) and ``plan`` the
+    ``genes`` is the (N, n, D) stack of agent populations, ``fitness`` its
+    evaluated (N, n) cache and ``plan`` the
     :func:`step_plan` of this shape, with the agents' effective rates.
     Draws follow the module draw discipline.
 
@@ -307,7 +307,6 @@ def ea_step_all(
     n_agents, n, d = genes.shape
     lam = plan.lam
 
-    evaluate_stack(genes, fitness, objective, streams)
     if lam == 0:
         return
 
@@ -350,9 +349,9 @@ def ea_step_all(
     _poly_apply(flat, (n_par + lam * (row[k:] - n_agents)) * d + pos[k:], pos[k:] % d,
                 values[start[row[k:]] + j[k:]], plan.eta_m, objective.lower, objective.upper)
 
-    children = union[n_par:n_par + n_agents * lam]
-    off_fit = objective.evaluate_rows(children, [lam] * n_agents, streams)
-    union_fit = np.concatenate([fitness, off_fit.reshape(n_agents, lam)], axis=1)
+    children = union[n_par:n_par + n_agents * lam].reshape(n_agents, lam, d)
+    off_fit = objective.evaluate_rows(children, streams)
+    union_fit = np.concatenate([fitness, off_fit], axis=1)
     keep = _survivors(union_fit, n)
     fitness[...] = union_fit[agents, keep]
     genes[...] = union[np.where(keep < n, keep + n * agents, keep + (n_par - n) + lam * agents)]

@@ -38,26 +38,29 @@ objective binding.  Since each agent draws only from its own stream,
 every operator works row by row and an objective gives a row the same
 bytes in any block, a cell gives the same bytes in a group as alone.
 
-On an epoch step each agent draws from its own stream, in this order:
-noise for re-evaluating its population (noisy objectives only), its
-exchange partner (uniform over the other agents of its repetition),
-then, for tbo and only if its share is accepted, its offspring's
-resident partners and their objective noise.  Shares, thresholds and
-adoption depths are read from the populations and credibility as they
-stood at step start, so one agent's update never leaks into another
-agent's same-step decision and relabeling agents (with their streams)
-relabels the run.  The engine reads every m and K from the credibility
-state, runs the tbo exchange (:func:`~trustopt.socio.exchange_all`), then
-credits its outcomes, summed and clamped into ``[min_value, max_value]``
-once per step, so their order does not matter.  An interaction log keeps
-the exchange's record, one entry per epoch step, with one row per agent
-of every repetition, repetition after repetition.
+The run loop is the one owner of member evaluation: it evaluates the whole
+group in one :meth:`~trustopt.benchmarks.ObjectiveSpec.evaluate_rows` call
+at the top of step 1 and, for a noisy objective, at the top of every step,
+before any cell steps.  The EA step and the exchange take that evaluated
+cache and evaluate only their offspring, so a noisy value is never reused
+across steps.  Within a step each agent draws from its own stream, in this
+order: its members' noise (noisy objectives only, in member order), then
+the EA step's draws (:mod:`trustopt.ea`) or, on an epoch step, its
+exchange partner (uniform over the other agents of its repetition) and,
+for tbo and only if its share is accepted, its offspring's resident
+partners and their objective noise.  Shares, thresholds and adoption
+depths are read from the populations and credibility as they stood at step
+start, so one agent's update never leaks into another agent's same-step
+decision and relabeling agents (with their streams) relabels the run.  The
+engine reads every m and K from the credibility state, runs the tbo
+exchange (:func:`~trustopt.socio.exchange_all`), then credits its
+outcomes, summed and clamped into ``[min_value, max_value]`` once per
+step, so their order does not matter.  An interaction log keeps the
+exchange's record, one entry per epoch step, with one row per agent of
+every repetition, repetition after repetition.
 
-For noisy objectives the run loop clears the whole group's fitness once at
-the start of each step, before any cell steps: values are evaluated at
-most once within a step and never reused across steps.  The trace's
-global best is the running minimum of observed fitness, so it never
-increases even under noise.
+The trace's global best is the running minimum of observed fitness, so
+it never increases even under noise.
 """
 
 from __future__ import annotations
@@ -72,8 +75,7 @@ from .config import TboConfig, validate_config
 from .ea import StepPlan, ea_step_all, step_plan
 from .rng import agent_stream
 from .socio import exchange_all
-from .types import (ConvergenceTrace, CredibilityState, GlobalBest, effective_rates,
-                    evaluate_stack, init_population)
+from .types import ConvergenceTrace, CredibilityState, GlobalBest, effective_rates, init_population
 
 ea_step, interaction_step = ea_step_all, exchange_all  # perfbench/tracer.py patches these names; nothing calls them
 
@@ -93,7 +95,7 @@ class RunState:
     plan: StepPlan  # EA step constants, the (R*N,) rates and scratch
     streams: list[np.random.Generator]
     genes: np.ndarray  # (R*N, n, D)
-    fitness: np.ndarray  # (R*N, n), NaN = not evaluated
+    fitness: np.ndarray  # (R*N, n), filled by the run loop at step 1
     credibility: Optional[CredibilityState]  # only diagonal blocks of a trust table are read
     repetitions: list[int]
     interaction_log: Optional[list] = None
@@ -117,19 +119,17 @@ def _build_state(cfg: TboConfig, repetitions: Sequence[int],
         credibility = CredibilityState.initial(c.kind, len(streams), c.start_value,
                                                c.min_value, c.max_value)
     return RunState(
-        cfg, objective, plan, streams, genes, np.full(genes.shape[:2], np.nan),
+        cfg, objective, plan, streams, genes, np.empty(genes.shape[:2]),
         credibility, list(repetitions), interaction_log,
     )
 
 
 def advance_step(state: RunState, t: int) -> None:
-    """Run global step ``t`` as an epoch step for every agent.  The
-    members' missing fitness is evaluated first (a noisy objective's cache
-    is cleared by the caller at the top of every step).  In a migration the
-    source's first best genome replaces the recipient's first worst member,
-    both read from the step-start populations."""
+    """Run global step ``t`` as an epoch step for every agent, on the
+    evaluated fitness cache.  In a migration the source's first best genome
+    replaces the recipient's first worst member, both read from the
+    step-start populations."""
     genes, fitness, streams = state.genes, state.fitness, state.streams
-    evaluate_stack(genes, fitness, state.objective, streams)
     # one integer draw per agent, uniform over the other agents of its
     # repetition
     n_agents = state.cfg.agent_count
@@ -195,8 +195,8 @@ def _lockstep(states: list[RunState], record_every: int) -> list[list[Convergenc
     best_fit, best_genes, best_step = np.full(n_reps, np.inf), [None] * n_reps, [-1] * n_reps
 
     for t in range(1, last + 1):
-        if objective.noisy:
-            fit.fill(np.nan)
+        if t == 1 or objective.noisy:
+            fit[...] = objective.evaluate_rows(genes, streams)
         epoch = [t % s.cfg.epoch_length == 0 for s in states]
         if any(epoch):
             for s, on in zip(states, epoch):

@@ -34,7 +34,9 @@ draws.  Objective noise for the offspring follows, in offspring order.
 
 :func:`exchange_all` runs every interaction of an epoch step on the
 stacked society at once and returns its :class:`ExchangeRecord`; the
-engine calls it.  One recipient's interaction is its row of that record.
+engine calls it with the fitness cache it evaluated, so only offspring
+are evaluated here.  One recipient's interaction is its row of that
+record.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def exchange_all(
         distinct = _adopt(base, donor, depth, gene_op == "average")
         # one evaluation per recipient keeps its block in cache
         off_fit = np.concatenate([
-            objective.evaluate_rows(distinct[row[lo:lo + c]], [c], [streams[i]])
+            objective.evaluate_rows(distinct[row[lo:lo + c]][None], [streams[i]])[0]
             for i, lo, c in zip(acc.tolist(), starts.tolist(), counts[acc].tolist())])
 
         # mu+lambda per recipient on its parents' and offspring's fitness,

@@ -9,9 +9,9 @@ routines (Moshier 1989) that ``scipy.special.chdtrc`` and ``ndtr`` still
 run, operation for operation, so p-values equal ``scipy.stats.chi2.sf``
 and ``norm.sf`` bit for bit.  The mean and SD replay numpy's pairwise sum,
 so they equal ``numpy.mean`` and ``numpy.std(ddof=1)`` bit for bit too.
-Only a comparison of 42 or more groups (df >= 41, where Cephes switches to
-an asymptotic series) imports ``scipy.special``; a ``stats`` run over a
-results directory loads neither numpy nor scipy.
+Every function here takes 2 to 41 groups (``ValueError`` otherwise): past
+df = 40 Cephes switches to an asymptotic series, which is not ported.
+Nothing here imports numpy or scipy.
 
 References
 ----------
@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 BASELINE_ALGORITHM = "island_model"
+# the chi-squared tail is ported for df <= 40
+_MAX_GROUPS = 41
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,8 @@ def _as_groups(groups: Groups) -> list[SampleGroup]:
         out = [g if isinstance(g, SampleGroup) else SampleGroup(*g) for g in groups]
     if len(out) < 2:
         raise ValueError("need at least 2 groups to compare")
+    if len(out) > _MAX_GROUPS:
+        raise ValueError(f"at most {_MAX_GROUPS} groups can be compared, got {len(out)}")
     labels = [g.label for g in out]
     if len(set(labels)) != len(labels):
         raise ValueError("group labels must be unique")
@@ -182,7 +186,7 @@ def _rank(groups: Groups) -> tuple:
 
 
 def kruskal_wallis(groups: Groups) -> TestReport:
-    """Kruskal-Wallis H test on two or more groups.
+    """Kruskal-Wallis H test on 2 to 41 groups.
 
     Uses pooled mid-ranks with the standard tie correction; the p-value is
     the chi-squared upper tail with k-1 degrees of freedom.  When every
@@ -531,18 +535,14 @@ def _igamc(a: float, x: float) -> float:
 
 
 def _chi2_sf(h: float, df: int) -> float:
-    """Chi-squared upper tail, equal bit for bit to ``scipy.stats.chi2.sf``.
+    """Chi-squared upper tail for df <= 40, equal bit for bit to
+    ``scipy.stats.chi2.sf``.
 
     That evaluates Cephes ``chdtrc(df, h) = igamc(df/2, h/2)`` and returns
     1 for h < 0, where ``chdtrc`` gives NaN; rounding can leave H at
-    -1e-15.  For df >= 41 (42 or more groups) this calls
-    ``scipy.special.chdtrc``, imported on first use.
+    -1e-15.
     """
-    h = max(h, 0.0)
-    if df > 40:
-        from scipy.special import chdtrc
-        return float(chdtrc(df, h))
-    return _igamc(df / 2.0, h / 2.0)
+    return _igamc(df / 2.0, max(h, 0.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +574,7 @@ def write_stats_reports(
     algorithms not significantly different from the baseline at ``alpha``)
     and ``stats_report.txt`` (the same content as aligned text).  Every
     summary is read, and must be the only one of its (problem, dim), hold
-    at least 2 algorithms and hold only finite values, before anything is
+    2 to 41 algorithms and hold only finite values, before anything is
     written.
     """
     tables, seen = [], {}
@@ -590,7 +590,7 @@ def write_stats_reports(
         if len(groups) < 2:
             raise ValueError(f"summary {path} holds fewer than 2 algorithms")
         try:
-            tables.append((key, [SampleGroup(k, v) for k, v in groups.items()]))
+            tables.append((key, _as_groups(groups)))
         except ValueError as err:
             raise ValueError(f"{err} in summary file {path}") from None
     out = Path(out_dir)

@@ -67,6 +67,8 @@ def _linear_ticks(lo: float, hi: float) -> list[float]:
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:  # a span below about one ulp of v: the step is lost
+            break
         v += step
     return ticks
 
@@ -200,8 +202,9 @@ def write_plots(
 
     Each algorithm contributes one curve: the best-so-far series averaged
     over its repetitions (grids must agree across repetitions).  Two
-    traces of the same (problem, dim, algorithm, rep) are an error.  Every
-    chart is rendered before anything is written.
+    traces of the same (problem, dim, algorithm, rep), or a non-finite
+    ``best``, are an error.  Every chart is rendered before anything is
+    written.
     """
     cells: dict[tuple[str, int], dict[str, list]] = {}
     seen: dict[tuple, Union[str, Path]] = {}
@@ -213,6 +216,9 @@ def write_plots(
                              f"{seen[key]} and {path}")
         seen[key] = path
         data = read_trace_csv(path)
+        bad = next((v for v in data["best"] if not math.isfinite(v)), None)
+        if bad is not None:
+            raise ValueError(f"best must be a finite number, got {bad!r} in trace file {path}")
         steps, curve = best_so_far_series(data["step"], data["best"])
         cell = cells.setdefault((meta["problem"], meta["dim"]), {})
         cell.setdefault(meta["algorithm"], []).append((meta["rep"], steps, curve))

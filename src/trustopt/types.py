@@ -2,18 +2,16 @@
 
 A genome is a plain 1-D float array, and an agent's population an
 ``(n, D)`` block of them; the engine holds the whole society as one
-``(N, n, D)`` genes stack with an ``(N, n)`` fitness cache (``NaN`` marks a
-value that has not been evaluated yet).  Noisy objectives are handled by
-clearing the cache at every global step, so a noisy fitness is never
-carried across steps.  This module holds the credibility state and its
-rule, the rate amplification, the fitness evaluation of a stack and the
-trace records.
+``(N, n, D)`` genes stack with an ``(N, n)`` fitness cache, which the run
+loop fills at step 1 and, for a noisy objective, at the top of every step,
+so a noisy fitness is never carried across steps.  This module holds the
+credibility state and its rule, the rate amplification and the trace
+records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +22,6 @@ __all__ = [
     "GlobalBest",
     "ConvergenceTrace",
     "init_population",
-    "evaluate_stack",
     "effective_rates",
     "GENOME_INTENSITIES",
     "GENE_OPS",
@@ -50,16 +47,6 @@ def init_population(
     if size < 1:
         raise ValueError("population size must be >= 1")
     return rng.uniform(objective.lower, objective.upper, size=(size, objective.dimension))
-
-
-def evaluate_stack(genes: np.ndarray, fitness: np.ndarray, objective: ObjectiveSpec,
-                   streams: Sequence[Optional[np.random.Generator]]) -> None:
-    """Fill the NaN entries of an (N, n) fitness stack in place, agent by
-    agent in member order, so noisy draws are consumed exactly once per
-    member per step."""
-    miss = np.isnan(fitness)
-    if miss.any():
-        fitness[miss] = objective.evaluate_rows(genes[miss], miss.sum(axis=1), streams)
 
 
 @dataclass

@@ -91,11 +91,10 @@ def test_schwefel_known_point_values():
 
 
 def test_schwefel_noise_requires_generator():
-    # only an owner with genomes to evaluate needs a stream
+    # every owner of a noisy stack needs a stream
     spec = get_objective("schwefel_noise", 3, noise_sigma=0.5)
     with pytest.raises(ValueError, match="Generator"):
-        spec.evaluate_rows(np.zeros((2, 3)), [1, 1], [np.random.default_rng(0), None])
-    assert len(spec.evaluate_rows(np.zeros((1, 3)), [1, 0], [np.random.default_rng(0), None])) == 1
+        spec.evaluate_rows(np.zeros((2, 1, 3)), [np.random.default_rng(0), None])
 
 
 def test_lennard_jones_two_particles_at_unit_distance():
@@ -231,24 +230,24 @@ def test_schwefel_noise_spec_defaults_and_flag():
 
 def test_noisy_evaluate_is_base_plus_gaussian(rng):
     spec = get_objective("schwefel_noise", 4, noise_sigma=2.0)
-    genes = rng.uniform(-500, 500, (6, 4))
-    r1 = np.random.default_rng(7)
-    r2 = np.random.default_rng(7)
-    vals = spec.evaluate_rows(genes, [6], [r1])
-    expected = spec.base(genes) + r2.normal(0.0, 2.0, size=6)
+    # row i draws its noise from streams[i], in genome order
+    genes = rng.uniform(-500, 500, (2, 3, 4))
+    vals = spec.evaluate_rows(genes, [np.random.default_rng(7), np.random.default_rng(8)])
+    expected = [spec.base(g) + np.random.default_rng(seed).normal(0.0, 2.0, size=3)
+                for g, seed in zip(genes, (7, 8))]
     assert np.array_equal(vals, expected)
 
 
 def test_noisy_evaluate_requires_generator():
     spec = get_objective("schwefel_noise", 3)
     with pytest.raises(ValueError):
-        spec.evaluate_rows(np.zeros((1, 3)), [1], [None])
+        spec.evaluate_rows(np.zeros((1, 1, 3)), [None])
 
 
 def test_evaluate_checks_dimension():
     spec = get_objective("sphere", 5)
     with pytest.raises(ValueError):
-        spec.evaluate_rows(np.zeros((1, 4)), [1], [None])
+        spec.evaluate_rows(np.zeros((1, 1, 4)), [None])
 
 
 def test_lennard_jones_constants_are_knobs():
@@ -263,6 +262,5 @@ def test_deterministic_objectives_repeat_exactly(rng):
         if name == "schwefel_noise":
             continue
         spec = get_objective(name, 9)
-        pts = rng.uniform(spec.lower, spec.upper, (5, 9))
-        assert np.array_equal(spec.evaluate_rows(pts, [5], [None]),
-                              spec.evaluate_rows(pts, [5], [None]))
+        pts = rng.uniform(spec.lower, spec.upper, (1, 5, 9))
+        assert np.array_equal(spec.evaluate_rows(pts, [None]), spec.evaluate_rows(pts, [None]))

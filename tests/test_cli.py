@@ -387,6 +387,19 @@ def test_plot_failing_later_problem_leaves_no_chart(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_plot_rejects_non_finite_best_and_writes_nothing(tmp_path, capsys, value):
+    # a best that is not a finite number has no place on the axis; the
+    # trace is rejected by name before the chart directory is made
+    name = "trace_sphere_d2_island_model_rep0.csv"
+    (tmp_path / name).write_text(f"step,agent_id,best,mean\n1,0,{value},1.0\n2,0,1.0,1.0\n")
+    out = tmp_path / "charts"
+    assert main(["plot", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and value in err, err
+    assert not out.exists()
+
+
 def test_stats_one_algorithm_summary_writes_nothing(tmp_path, capsys):
     # a summary of one algorithm cannot be compared; it is rejected before
     # the report directory is made, even after a good summary
@@ -399,6 +412,20 @@ def test_stats_one_algorithm_summary_writes_nothing(tmp_path, capsys):
     assert main(["stats", str(tmp_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "fewer than 2 algorithms" in err, err
+    assert not out.exists()
+
+
+def test_stats_rejects_42_algorithms_and_writes_nothing(tmp_path, capsys):
+    # 42 algorithms need a chi-squared tail past 40 degrees of freedom,
+    # which stats does not carry; the summary is rejected by name first
+    name = "summary_sphere_d2.csv"
+    (tmp_path / name).write_text(
+        "problem,dim,algorithm,repetition,final_best,steps,seed\n"
+        + "".join(f"sphere,2,a{i},0,{i}.0,5,7\n" for i in range(42)))
+    out = tmp_path / "reports"
+    assert main(["stats", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and "at most 41" in err, err
     assert not out.exists()
 
 
@@ -424,8 +451,8 @@ def test_run_rejects_bad_jobs(manifest_path, tmp_path, capsys):
 
 
 def test_import_and_validate_leave_scipy_unloaded(manifest_path):
-    # scipy is needed only by `trustopt stats`; importing the CLI and
-    # validating a manifest must not pay for loading it
+    # no command needs scipy; importing the CLI and validating a manifest
+    # must not load it
     package = Path(trustopt.__file__).parent
     code = (
         "import sys\n"
@@ -444,9 +471,7 @@ def test_import_and_validate_leave_scipy_unloaded(manifest_path):
 
 def test_plot_and_stats_leave_scipy_stats_unloaded(manifest_path, tmp_path):
     # run needs numpy but no part of scipy; plot and stats run on the
-    # standard library: neither loads numpy or any part of scipy (stats
-    # needs scipy.special only for 42 or more algorithms, which no run
-    # directory here holds)
+    # standard library: neither loads numpy or any part of scipy
     out = tmp_path / "res"
     package = Path(trustopt.__file__).parent
     env = {**os.environ, "PYTHONPATH": str(package.parent)}

@@ -1,7 +1,9 @@
 """Package namespace, core state, rate amplification, config validation, streams."""
 
+import ast
 import json
 from dataclasses import fields
+from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -30,7 +32,6 @@ from trustopt import (
     load_preset,
     validate_config,
 )
-from trustopt.types import evaluate_stack
 
 
 # --- package namespace ------------------------------------------------------
@@ -61,6 +62,20 @@ def test_package_namespace_is_pinned():
     from trustopt import ea
 
     assert isinstance(ea, ModuleType)
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency: no module of the package
+    # imports scipy, at the top or inside a function
+    for path in sorted(Path(trustopt.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), path
 
 
 # every field of a run config and every manifest override name: adding a
@@ -146,19 +161,14 @@ def test_mean_fitness_matches_oracle(rng):
     assert out.mean_before == pytest.approx(expected, rel=1e-12)
 
 
-def test_evaluate_population_fills_only_missing():
+def test_evaluate_rows_gives_each_owner_its_row():
+    # an (owners, k, D) stack evaluates to (owners, k): row i holds owner
+    # i's genomes in order, and a noise-free objective needs no stream
     spec = linear_objective()
-    genes = genomes_with_values([3.0, 8.0])[None]
-    fitness = np.full((1, 2), np.nan)
-    evaluate_stack(genes, fitness, spec, [None])
-    assert np.array_equal(fitness, [[3.0, 8.0]])
-    # poison the cache; a second call must not touch filled entries
-    fitness[0, 0] = -1.0
-    evaluate_stack(genes, fitness, spec, [None])
-    assert np.array_equal(fitness, [[-1.0, 8.0]])
-    fitness[0, 1] = np.nan
-    evaluate_stack(genes, fitness, spec, [None])
-    assert np.array_equal(fitness, [[-1.0, 8.0]])
+    genes = np.stack([genomes_with_values([3.0, 8.0]), genomes_with_values([-1.0, 0.5])])
+    fitness = spec.evaluate_rows(genes, [None, None])
+    assert np.array_equal(fitness, [[3.0, 8.0], [-1.0, 0.5]])
+    assert spec.evaluate_rows(genes[:, :0], [None, None]).shape == (2, 0)
 
 
 # --- credibility state ------------------------------------------------------

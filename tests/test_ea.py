@@ -222,10 +222,10 @@ def test_replacement_rejects_overdraw():
     # negative offspring count is rejected
     spec = get_objective("sphere", 2)
     genes = np.stack([init_population(3, spec, np.random.default_rng(1))])
-    fitness = np.full((1, 3), np.nan)
+    fitness = spec.evaluate_rows(genes, [None])
     plan = step_plan(3, 2, 0, 20.0, 40.0, [0.5], [0.5])
     ea_step_all(genes, fitness, plan, spec, [np.random.default_rng(2)])
-    assert genes.shape == (1, 3, 2) and not np.isnan(fitness).any()
+    assert genes.shape == (1, 3, 2) and fitness.shape == (1, 3)
     cfg = load_preset("island_model")
     bad = replace(cfg, per_agent=replace(cfg.per_agent, offspring_size=-1))
     with pytest.raises(ConfigError, match="offspring_size must be >= 0"):
@@ -308,11 +308,12 @@ def _societies(draw):
 
 
 def _society(s, spec):
-    """The (genes, fitness, plan, streams) of society ``s`` (see _societies)."""
+    """The (genes, fitness, plan, streams) of society ``s`` (see _societies),
+    its members evaluated as the run loop does at step 1."""
     streams = [np.random.default_rng(s["seed"] + i) for i in range(s["n_agents"])]
     genes = np.stack([init_population(s["n"], spec, g) for g in streams])
     plan = step_plan(s["n"], s["d"], s["lam"], *s["eta"], s["pcs"], s["pms"])
-    return genes, np.full(genes.shape[:2], np.nan), plan, streams
+    return genes, spec.evaluate_rows(genes, streams), plan, streams
 
 
 def _assert_batched_matches_replay(spec, s, budget=gap_budget):
@@ -320,9 +321,9 @@ def _assert_batched_matches_replay(spec, s, budget=gap_budget):
     ref_streams = [np.random.default_rng(s["seed"] + i) for i in range(s["n_agents"])]
     ref = [[init_population(s["n"], spec, g), np.full(s["n"], np.nan)]
            for g in ref_streams]
-    for _ in range(s["steps"]):
-        if spec.noisy:
-            fitness[...] = np.nan
+    for t in range(s["steps"]):
+        if spec.noisy and t:
+            fitness[...] = spec.evaluate_rows(genes, streams)
         ea_step_all(genes, fitness, plan, spec, streams)
         for i, rng in enumerate(ref_streams):
             if spec.noisy:
@@ -369,16 +370,18 @@ def test_batched_step_matches_the_replay_past_the_budget(society):
             lambda m, p: min(gap_budget(m, p), 1 if p < 1 else m))
 
 
-def test_batched_step_zero_offspring_only_evaluates():
-    spec = get_objective("sphere", 3)
+def test_batched_step_zero_offspring_changes_nothing():
+    # without offspring a step draws nothing and evaluates nothing
+    spec = get_objective("schwefel_noise", 3)
     streams = [np.random.default_rng(s) for s in (1, 2)]
     genes = np.stack([init_population(4, spec, st) for st in streams])
-    fitness = np.full((2, 4), np.nan)
-    before = genes.copy()
+    fitness = spec.evaluate_rows(genes, streams)
+    before = genes.copy(), fitness.copy(), [g.bit_generator.state for g in streams]
     plan = step_plan(4, 3, 0, 20.0, 40.0, np.array([0.5, 0.5]), np.array([0.1, 0.1]))
     ea_step_all(genes, fitness, plan, spec, streams)
-    assert np.array_equal(genes, before)
-    assert np.array_equal(fitness, spec.base(genes.reshape(-1, 3)).reshape(2, 4))
+    assert np.array_equal(genes, before[0])
+    assert np.array_equal(fitness, before[1])
+    assert [g.bit_generator.state for g in streams] == before[2]
 
 
 # --- step plan --------------------------------------------------------------
@@ -484,7 +487,7 @@ def test_zero_rates_breed_copies_of_the_parents():
     rec = RecordingObjective(4)
     streams = [CountingStream(np.random.default_rng(s)) for s in range(3)]
     genes = np.stack([init_population(5, rec.spec, s.rng) for s in streams])
-    fitness = np.full((3, 5), np.nan)
+    fitness = rec.spec.evaluate_rows(genes, streams)
     plan = step_plan(5, 4, 7, 20.0, 40.0, [0.0] * 3, [0.0] * 3)
     ea_step_all(genes.copy(), fitness, plan, rec.spec, streams)
     children = rec.blocks[-1].reshape(3, 7, 4)
@@ -505,8 +508,8 @@ def test_child_genes_match_the_dense_scheme():
     plan = step_plan(2, d, lam, 20.0, 40.0, [pc] * n_agents, [pm] * n_agents)
     for seed in range(20):
         streams = [np.random.default_rng([seed, i]) for i in range(n_agents)]
-        ea_step_all(np.repeat(pop[None], n_agents, axis=0), np.full((n_agents, 2), np.nan),
-                    plan, rec.spec, streams)
+        society = np.repeat(pop[None], n_agents, axis=0)
+        ea_step_all(society, rec.spec.evaluate_rows(society, streams), plan, rec.spec, streams)
         sparse.append(rec.blocks[-1].ravel())
         ref = np.random.default_rng([seed, 10_000])
         dense += [dense_children(pop, lam, pc, pm, rec.spec, ref).ravel()
@@ -525,7 +528,7 @@ def test_high_dimensional_step_draws_few_uniforms():
     rates = np.array([effective_rates(0.005, 0.0005, i, 1.3) for i in range(n_agents)])
     streams = [CountingStream(np.random.default_rng(s)) for s in range(n_agents)]
     genes = np.stack([init_population(5, spec, s.rng) for s in streams])
-    fitness = np.full((n_agents, 5), np.nan)
+    fitness = spec.evaluate_rows(genes, streams)
     plan = step_plan(5, d, 15, 20.0, 40.0, rates[:, 0], rates[:, 1])
     for _ in range(5):
         for s in streams:

@@ -19,6 +19,7 @@ from trustopt import (
     ConfigError,
     CredibilityConfig,
     CredibilityState,
+    ObjectiveSpec,
     TboConfig,
     effective_rates,
     get_objective,
@@ -63,6 +64,12 @@ def _run(cfg, repetition=0, record_every=1, interaction_log=None):
     return _lockstep([_build_state(cfg, [repetition], interaction_log)], record_every)[0][0]
 
 
+def _evaluated(state):
+    """``state`` with its members evaluated, as the run loop does at step 1."""
+    state.fitness[...] = state.objective.evaluate_rows(state.genes, state.streams)
+    return state
+
+
 def _inject(monkeypatch, seeds):
     """Give agent ``i`` of every repetition the stream ``default_rng(seeds[i])``."""
     monkeypatch.setattr(engine, "agent_stream",
@@ -91,7 +98,7 @@ def test_dispatch_runs_ea_step_off_epoch():
 
 def test_dispatch_runs_interaction_on_epoch():
     log = []
-    state = _build_state(_cfg(), [0], log)
+    state = _evaluated(_build_state(_cfg(), [0], log))
     advance_step(state, 5)
     record = log[0][1]
     assert len(record.sender) == 3  # one entry per recipient
@@ -118,7 +125,7 @@ def test_trust_updates_stay_off_the_diagonal():
 
 def test_migration_replaces_worst_with_donor_best():
     log = []
-    state = _build_state(_island_cfg(), [0], log)
+    state = _evaluated(_build_state(_island_cfg(), [0], log))
     state.streams[0], probe = twin_rngs(777)
     spec = get_objective("sphere", 2)
     genes_before = state.genes.copy()
@@ -138,7 +145,7 @@ def test_migration_replaces_worst_with_donor_best():
 def test_epoch_snapshot_is_taken_before_any_write():
     # the second recipient must see the first recipient's pre-step
     # population, not its freshly merged one
-    state = _build_state(_island_cfg(agent_count=2), [0])
+    state = _evaluated(_build_state(_island_cfg(agent_count=2), [0]))
     spec = get_objective("sphere", 2)
     frozen = state.genes.copy()
     fit = spec.base(frozen)
@@ -147,6 +154,29 @@ def test_epoch_snapshot_is_taken_before_any_write():
         expected = frozen[i].copy()
         expected[int(np.argmax(fit[i]))] = frozen[1 - i, int(np.argmin(fit[1 - i]))]
         assert np.array_equal(state.genes[i], expected)
+
+
+@pytest.mark.parametrize("objective", ["sphere", "schwefel_noise"])
+def test_island_model_evaluates_members_at_step_one_and_children_per_ea_step(objective,
+                                                                            monkeypatch):
+    # the genomes passed to base: the N*n members at step 1 (at every step
+    # on a noisy objective) and the N*lam children of every EA step; a
+    # migration evaluates nothing
+    cfg = _island_cfg(objective=objective, max_steps=13, repetitions=2)
+    genomes = []
+    base = ObjectiveSpec.base
+
+    def counting(self, genes):
+        genomes.append(len(genes))
+        return base(self, genes)
+
+    monkeypatch.setattr(ObjectiveSpec, "base", counting)
+    run_repetitions(cfg)
+    n_agents, tpl, steps = cfg.agent_count * cfg.repetitions, cfg.per_agent, cfg.max_steps
+    ea_steps = steps - steps // cfg.epoch_length
+    evaluations = steps if objective == "schwefel_noise" else 1
+    assert sum(genomes) == (evaluations * n_agents * tpl.population_size
+                            + ea_steps * n_agents * tpl.offspring_size)
 
 
 # --- no-exchange runs reduce to independent chains --------------------------
@@ -352,10 +382,7 @@ def test_validate_accepts_exactly_the_bindings_the_engine_builds(objective, dime
     assert valid == built
     if built:
         # a binding that validates also evaluates to finite values
-        n = cfg.per_agent.population_size
-        values = state.objective.evaluate_rows(state.genes.reshape(-1, dimension),
-                                               [n] * cfg.agent_count, state.streams)
-        assert np.all(np.isfinite(values))
+        assert np.all(np.isfinite(_evaluated(state).fitness))
 
 
 _DIMENSION_FLOORS = {"expanded_schaffer": 2, "lennard_jones": 6}

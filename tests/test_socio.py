@@ -543,7 +543,7 @@ def _society(s):
     genes = rng.uniform(spec.lower, spec.upper, size=(s["n_agents"], s["n"], s["d"]))
     if s["grid"]:
         genes = np.round(genes / (spec.upper - spec.lower) * 4) * (spec.upper - spec.lower) / 4
-    fitness = spec.evaluate_rows(genes.reshape(-1, s["d"]), [genes.size // s["d"]], [rng])
+    fitness = spec.evaluate_rows(genes.reshape(1, -1, s["d"]), [rng])
     cred = CredibilityState.initial(s["kind"], s["n_agents"], s["lo"], s["lo"], s["hi"])
     cred.table[...] = rng.integers(s["lo"], s["hi"] + 1, size=cred.table.shape)
     senders = rng.integers(0, s["n_agents"] - 1, size=s["n_agents"])

@@ -1,9 +1,15 @@
 """Dependency-free SVG chart rendering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import best_so_far_reference, mean_curve_reference
 
+import trustopt
 from trustopt import PRESET_NAMES
 from trustopt.svgchart import PALETTE, display_color, render_convergence_svg, write_plots
 
@@ -60,6 +66,25 @@ def test_forced_log_scale_rejects_nonpositive_values():
     # forcing linear on positive data is allowed
     svg = render_convergence_svg(_one_series(), "t", log_scale="off")
     assert "linear scale (non-positive values)" not in svg
+
+
+@pytest.mark.parametrize("values,log_scale", [
+    ([-5.0, -5.000000000000001], "auto"),  # non-positive: falls back to linear
+    ([5.0, 5.000000000000001], "off"),
+])
+def test_linear_axis_over_a_sub_ulp_span_terminates(values, log_scale):
+    # the two values differ by one ulp, so a fifth of their span is lost
+    # when added to a tick; the tick loop must still end
+    code = ("import sys\n"
+            "from trustopt.svgchart import render_convergence_svg\n"
+            f"svg = render_convergence_svg([('a', [1, 2], {values!r})], 't', "
+            f"log_scale={log_scale!r})\n"
+            "sys.stdout.write(svg)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(trustopt.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("<polyline") == 1 and proc.stdout.endswith("</svg>\n")
 
 
 def test_render_validates_inputs():
