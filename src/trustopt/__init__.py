@@ -14,8 +14,8 @@ import importlib
 __version__ = "0.1.0"
 
 # each public name and the submodule it is defined in; a name is imported on
-# first access (PEP 562), so that ``import trustopt``, ``trustopt plot`` and
-# ``trustopt stats`` load no numpy
+# first access (PEP 562), so that ``import trustopt`` loads no numpy, and
+# no command but ``trustopt run`` does
 _EXPORTS = {
     "OBJECTIVE_NAMES": "benchmarks", "ObjectiveSpec": "benchmarks",
     "get_objective": "benchmarks",
@@ -23,7 +23,7 @@ _EXPORTS = {
     "TboConfig": "config", "config_from_dict": "config", "config_to_dict": "config",
     "dump_config": "config", "load_config": "config", "validate_config": "config",
     "run_repetitions": "engine",
-    "load_manifest": "harness", "run_manifest": "harness",
+    "load_manifest": "manifest", "run_manifest": "harness",
     "PRESET_NAMES": "presets", "load_preset": "presets",
     "agent_stream": "rng", "derive_run_seed": "rng",
     "SampleGroup": "stats", "compare_groups": "stats", "dunn_holm": "stats",

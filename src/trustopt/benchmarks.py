@@ -6,7 +6,8 @@ population block ``(n, D)`` yields ``(n,)``.
 
 The registry (:func:`get_objective`) wraps each function in an
 :class:`ObjectiveSpec` carrying its search box, known optimum and noise flag.
-Its table holds one row per name (``OBJECTIVE_NAMES``)::
+Its numpy-free table, :data:`trustopt.config.OBJECTIVES`, holds one row per
+name (``OBJECTIVE_NAMES``), each naming its function here::
 
     sphere, griewank, rastrigin, expanded_schaffer, schwefel_noise,
     lennard_jones
@@ -15,12 +16,12 @@ Its table holds one row per name (``OBJECTIVE_NAMES``)::
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .config import OBJECTIVES, objective_binding
 
 __all__ = [
     "sphere",
@@ -214,67 +215,17 @@ class ObjectiveSpec:
         return vals
 
 
-def finite_real(v) -> bool:
-    """True for a finite real number that is not a bool."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
-class _Row(NamedTuple):
-    """One registered objective and everything a valid binding must meet."""
-
-    fn: Callable[..., np.ndarray]
-    half_width: float  # search box [-half_width, half_width]^D
-    min_dimension: int = 1
-    # accepted parameters and their defaults (a callable default takes D);
-    # noise_sigma sets the evaluation noise, the others are keywords of fn
-    params: dict = {}
-    optimum_value: Optional[float] = None
-
-
-_REGISTRY = {
-    "sphere": _Row(sphere, 100.0, optimum_value=0.0),
-    "griewank": _Row(griewank, 600.0, optimum_value=0.0),
-    "rastrigin": _Row(rastrigin, 5.12, optimum_value=0.0),
-    "expanded_schaffer": _Row(expanded_schaffer, 100.0, 2, optimum_value=0.0),
-    "schwefel_noise": _Row(schwefel_noisy, 500.0, params={"noise_sigma": lambda d: 0.01 * d}),
-    "lennard_jones": _Row(lennard_jones, 3.0, 6, params={"a": 1.0, "b": 2.0}),
-}
-
-OBJECTIVE_NAMES = tuple(_REGISTRY)
+OBJECTIVE_NAMES = tuple(OBJECTIVES)
 
 
 def get_objective(name: str, dimension: int, **params) -> ObjectiveSpec:
-    """Construct a registered objective at a given dimension.
-
-    The registry table is the one place that decides what a valid binding
-    is: a known name, a dimension at or above the objective's floor, only
-    the objective's own parameters (``noise_sigma`` for ``schwefel_noise``,
-    default ``0.01 * dimension``; ``a`` and ``b`` for ``lennard_jones``,
-    defaults 1 and 2), each a finite, non-bool real number, and
-    ``noise_sigma >= 0``.  Any other binding raises ``ValueError``.
-    """
-    row = _REGISTRY.get(name)
-    if row is None:
-        raise ValueError(f"unknown objective: {name!r}")
-    if dimension < row.min_dimension:
-        raise ValueError(f"objective {name!r} needs dimension >= {row.min_dimension}, "
-                         f"got {dimension}")
-    extra = set(params) - set(row.params)
-    if extra:
-        raise ValueError(f"objective {name!r} does not accept parameters {sorted(extra)}")
-    for key, value in params.items():
-        if not finite_real(value):
-            raise ValueError(f"objective {name!r} parameter {key!r} must be a finite number, "
-                             f"got {value!r}")
-    bound = {k: float(params[k]) if k in params else float(d(dimension) if callable(d) else d)
-             for k, d in row.params.items()}
-    sigma = bound.pop("noise_sigma", 0.0)
-    if sigma < 0:
-        raise ValueError(f"objective {name!r} parameter 'noise_sigma' must be >= 0, got {sigma!r}")
-
-    full = np.full(dimension, row.half_width)
+    """A registered objective at a given dimension, its binding checked by
+    :func:`~trustopt.config.objective_binding`."""
+    row, bound, sigma, box = objective_binding(name, dimension, params)
+    fn = globals()[row.function]
+    upper = np.asarray(box)
     return ObjectiveSpec(
-        name, dimension, -full, full,
-        functools.partial(row.fn, **bound) if bound else row.fn,
+        name, dimension, -upper, upper,
+        functools.partial(fn, **bound) if bound else fn,
         optimum_value=row.optimum_value, noise_sigma=sigma,
     )

@@ -13,10 +13,10 @@ errors (the message names the offending field or objective), 1 on any
 other failure (an unreadable or malformed input, or a binding too large
 to allocate).
 
-Importing this module loads no numpy.  ``plot`` and ``stats`` run on the
-standard library alone; ``run``, ``validate`` and ``presets`` import
-numpy when they run, and so does every error exit.  No command imports
-scipy.
+Importing this module loads no numpy, and only ``run`` imports it, once
+its manifest and options have passed validation: ``validate``,
+``presets``, ``plot``, ``stats`` and every error exit run on the standard
+library alone.  No command imports scipy.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ __all__ = ["main", "build_parser"]
 
 def _lazy(module: str, name: str):
     """``trustopt.<module>.<name>``, imported at the first call: the harness
-    loads numpy, and ``stats`` is needed by one command only.  The commands
-    call these module-level names, which the benchmark tracer
+    loads numpy, and the other modules are needed by one command each.
+    The commands call these module-level names, which the benchmark tracer
     (perfbench/tracer.py) patches."""
     def call(*args, **kwargs):
         return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
@@ -42,7 +42,7 @@ def _lazy(module: str, name: str):
     return call
 
 
-load_manifest = _lazy("harness", "load_manifest")
+load_manifest = _lazy("manifest", "load_manifest")
 run_manifest = _lazy("harness", "run_manifest")
 write_stats_reports = _lazy("stats", "write_stats_reports")
 
@@ -100,13 +100,15 @@ def _expand(inputs, pattern: str) -> list[Path]:
 
 
 def cmd_run(args) -> int:
-    from .config import ConfigError
+    from .config import ConfigError, seed_errors
 
     manifest = load_manifest(args.manifest)
     if args.jobs < 1:
         raise ConfigError(["--jobs must be >= 1"])
     if args.downsample is not None and args.downsample < 1:
         raise ConfigError(["--downsample must be >= 1"])
+    if args.seed is not None and (bad := seed_errors(args.seed)):
+        raise ConfigError(bad)
     summaries = run_manifest(manifest, args.out, jobs=args.jobs, seed=args.seed,
                              record_every=args.downsample)
     for p in summaries:
@@ -116,7 +118,7 @@ def cmd_run(args) -> int:
 
 def _usage_error(message: str):
     """A ConfigError (exit status 2), imported only on this error path:
-    ``config`` loads numpy, which ``stats`` and ``plot`` do not need."""
+    ``stats`` and ``plot`` do not need ``config``."""
     from .config import ConfigError
 
     return ConfigError([message])
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (OSError, ValueError, MemoryError) as err:
-        from .config import ConfigError  # a ValueError; config loads numpy
+        from .config import ConfigError  # a ValueError
 
         if isinstance(err, ConfigError):
             for v in err.violations:

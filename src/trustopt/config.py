@@ -6,18 +6,21 @@ agent template (EA and interaction parameters shared by every agent) and
 the EA operator constants.
 ``validate_config`` collects every violation instead of stopping at the
 first one.
+
+The objective registry table (:data:`OBJECTIVES`) lives here too, so
+checking a config or a manifest loads no numpy.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import sys
+from array import array
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
-
-from .benchmarks import finite_real, get_objective
-from .types import CREDIBILITY_KINDS, GENE_OPS, GENOME_INTENSITIES
+from typing import NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "AgentTemplate",
@@ -33,6 +36,68 @@ __all__ = [
 ]
 
 ALGORITHMS = ("tbo", "island_model")
+GENOME_INTENSITIES = ("weak", "moderate", "strong")
+GENE_OPS = ("swap", "average")
+CREDIBILITY_KINDS = ("trust", "reputation")
+
+
+def finite_real(v) -> bool:
+    """True for a finite real number that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+class _Row(NamedTuple):
+    """One registered objective and everything a valid binding must meet."""
+
+    function: str  # the name of its function in trustopt.benchmarks
+    half_width: float  # search box [-half_width, half_width]^D
+    min_dimension: int = 1
+    # accepted parameters and their defaults (a callable default takes D);
+    # noise_sigma sets the evaluation noise, the others are keywords of the function
+    params: dict = {}
+    optimum_value: Optional[float] = None
+
+
+OBJECTIVES = {
+    "sphere": _Row("sphere", 100.0, optimum_value=0.0),
+    "griewank": _Row("griewank", 600.0, optimum_value=0.0),
+    "rastrigin": _Row("rastrigin", 5.12, optimum_value=0.0),
+    "expanded_schaffer": _Row("expanded_schaffer", 100.0, 2, optimum_value=0.0),
+    "schwefel_noise": _Row("schwefel_noisy", 500.0, params={"noise_sigma": lambda d: 0.01 * d}),
+    "lennard_jones": _Row("lennard_jones", 3.0, 6, params={"a": 1.0, "b": 2.0}),
+}
+
+
+def objective_binding(name: str, dimension: int, params: dict) -> tuple:
+    """Check a binding against the registry table, the one owner of the
+    rules, and return its row, keyword parameters, noise sigma and search
+    box upper corner (``array("d")``).  A rejected binding raises
+    ``ValueError``, and so does a box larger in bytes than the largest
+    index; a box that memory cannot hold raises ``MemoryError``."""
+    row = OBJECTIVES.get(name)
+    if row is None:
+        raise ValueError(f"unknown objective: {name!r}")
+    if dimension < row.min_dimension:
+        raise ValueError(f"objective {name!r} needs dimension >= {row.min_dimension}, "
+                         f"got {dimension}")
+    extra = set(params) - set(row.params)
+    if extra:
+        raise ValueError(f"objective {name!r} does not accept parameters {sorted(extra)}")
+    for key, value in params.items():
+        if not finite_real(value):
+            raise ValueError(f"objective {name!r} parameter {key!r} must be a finite number, "
+                             f"got {value!r}")
+    bound = {k: float(params[k]) if k in params else float(d(dimension) if callable(d) else d)
+             for k, d in row.params.items()}
+    sigma = bound.pop("noise_sigma", 0.0)
+    if sigma < 0:
+        raise ValueError(f"objective {name!r} parameter 'noise_sigma' must be >= 0, got {sigma!r}")
+    if dimension > sys.maxsize // 8:
+        raise ValueError(f"objective {name!r} dimension {dimension} is too large for a search box")
+    try:
+        return row, bound, sigma, array("d", [row.half_width]) * dimension
+    except MemoryError:
+        raise MemoryError(f"no memory for the {dimension}-gene search box of {name!r}") from None
 
 
 class ConfigError(ValueError):
@@ -121,7 +186,7 @@ def validate_config(cfg: TboConfig) -> None:
     full list of violations when any fail.  Wrongly typed values are
     reported on their own, before any range is checked.  The objective
     binding (name, dimension, parameters) is checked by
-    :func:`~trustopt.benchmarks.get_objective`."""
+    :func:`objective_binding`."""
     bad = list(type_errors(TboConfig, vars(cfg)).values())
     if isinstance(cfg.credibility, CredibilityConfig):
         bad += type_errors(CredibilityConfig, vars(cfg.credibility), "credibility ").values()
@@ -135,7 +200,7 @@ def validate_config(cfg: TboConfig) -> None:
     if cfg.agent_count < 2:
         bad.append("agent_count must be >= 2")
     try:
-        get_objective(cfg.objective, cfg.dimension, **cfg.objective_params)
+        objective_binding(cfg.objective, cfg.dimension, cfg.objective_params)
     except ValueError as err:
         bad.append(str(err))
     if cfg.epoch_length < 1:
@@ -232,11 +297,18 @@ def config_from_dict(data: dict) -> TboConfig:
     return TboConfig(**data)
 
 
+def read_json(path: Union[str, Path]):
+    """The JSON value in ``path``; nesting too deep to parse is malformed JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def load_config(path: Union[str, Path]) -> TboConfig:
     """Load, parse and validate a JSON config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    cfg = config_from_dict(data)
+    cfg = config_from_dict(read_json(path))
     validate_config(cfg)
     return cfg
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import ObjectiveSpec
+from .config import CREDIBILITY_KINDS, GENOME_INTENSITIES  # noqa: F401 (perfbench/tracer.py)
 
 __all__ = [
     "CredibilityState",
@@ -23,14 +24,7 @@ __all__ = [
     "ConvergenceTrace",
     "init_population",
     "effective_rates",
-    "GENOME_INTENSITIES",
-    "GENE_OPS",
-    "CREDIBILITY_KINDS",
 ]
-
-GENOME_INTENSITIES = ("weak", "moderate", "strong")
-GENE_OPS = ("swap", "average")
-CREDIBILITY_KINDS = ("trust", "reputation")
 
 
 def init_population(

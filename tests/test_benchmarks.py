@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from helpers import lennard_jones_reference
 from trustopt.benchmarks import (
     _LJ_BLOCK,
-    _REGISTRY,
     OBJECTIVE_NAMES,
     expanded_schaffer,
     get_objective,
@@ -20,6 +19,7 @@ from trustopt.benchmarks import (
     schwefel_noisy,
     sphere,
 )
+from trustopt.config import OBJECTIVES
 
 
 def test_sphere_origin_and_pythagorean_pair():
@@ -167,7 +167,7 @@ def test_lennard_jones_bytes_match_the_reference(rng, dimension):
 @given(name=st.sampled_from(OBJECTIVE_NAMES), data=st.data())
 def test_base_rows_are_independent_of_their_block(name, data):
     # a row's value is the same alone, in any sub-block and in the whole block
-    dimension = data.draw(st.integers(_REGISTRY[name].min_dimension, 100), label="dimension")
+    dimension = data.draw(st.integers(OBJECTIVES[name].min_dimension, 100), label="dimension")
     rows = data.draw(st.integers(1, 2500), label="rows")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     spec = get_objective(name, dimension)
@@ -218,6 +218,16 @@ def test_registry_dimension_floors():
         get_objective("lennard_jones", 5)
     with pytest.raises(ValueError):
         get_objective("sphere", 0)
+
+
+def test_registry_names_the_dimension_of_a_box_too_large():
+    # 7 PiB: the allocation fails at once
+    with pytest.raises(MemoryError, match="1000000000000000"):
+        get_objective("sphere", 10**15)
+    # a byte size beyond the largest index is a binding error
+    for dimension in (3 * 10**18, 10**30):
+        with pytest.raises(ValueError, match=str(dimension)):
+            get_objective("sphere", dimension)
 
 
 def test_schwefel_noise_spec_defaults_and_flag():

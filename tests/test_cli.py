@@ -138,8 +138,12 @@ def _manifest(objective, dimension, **params):
     ("manifest", _manifest("schwefel_noise", 4, noise_sigma=True), "noise_sigma"),
     ("manifest", _manifest("schwefel_noise", 4, noise_sigma="0.5"), "noise_sigma"),
     ("manifest", _manifest("lennard_jones", 6, a="2"), "'a'"),
+    ("config", _config(objective_params={"dimension": 3}), "['dimension']"),
+    ("manifest", {**TINY, "problems": [{"objective": "sphere", "dimension": 4, "max_steps": 5,
+                                        "objective_params": {"name": 1}}]}, "['name']"),
 ], ids=["lj-d5", "schaffer-d1", "bogus-param", "negative-sigma", "string-sigma",
-        "nan-sigma", "inf-sigma", "bool-sigma", "string-sigma-manifest", "string-lj-a"])
+        "nan-sigma", "inf-sigma", "bool-sigma", "string-sigma-manifest", "string-lj-a",
+        "param-named-dimension", "param-named-name"])
 def test_validate_rejects_invalid_objective_binding(tmp_path, capsys, kind, data, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -338,6 +342,37 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("kind,dimension,status", [
+    ("manifest", 3 * 10**18, 2), ("manifest", 10**30, 2),
+    ("config", 10**15, 1), ("config", 3 * 10**18, 2), ("config", 10**30, 2),
+])
+def test_huge_dimension_exits_with_one_error_line(tmp_path, capsys, kind, dimension, status):
+    # a search box memory cannot hold (10**15 genes) exits 1; one whose size
+    # in bytes exceeds the largest index is a binding error, exit 2
+    data = _manifest("sphere", dimension) if kind == "manifest" else _config(dimension=dimension)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", f"--{kind}", str(path)]) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    if kind == "manifest":
+        assert f"problems[0] sphere d={dimension}:" in err, err
+
+
+@pytest.mark.parametrize("argv", [["validate", "--manifest"], ["validate", "--config"],
+                                  ["run", "--manifest"]], ids=" ".join)
+def test_deeply_nested_json_exits_1(tmp_path, capsys, argv):
+    # nesting beyond the parser's recursion limit is malformed input, not a
+    # RecursionError traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    out = tmp_path / "out"
+    assert main([*argv, str(path), *(["--out", str(out)] if argv[0] == "run" else [])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "deep.json" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,name,text", [
     ("plot", "trace_sphere_d2_island_model_rep0.csv", "step,agent_id,best,mean\n1,0,{v},{v}\n"),
     ("stats", "summary_sphere_d2.csv", "problem,dim,algorithm,repetition,final_best,steps,seed\n"
@@ -450,23 +485,40 @@ def test_run_rejects_bad_jobs(manifest_path, tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_import_and_validate_leave_scipy_unloaded(manifest_path):
-    # no command needs scipy; importing the CLI and validating a manifest
-    # must not load it
+def test_only_run_loads_numpy(manifest_path, tmp_path):
+    # importing the CLI, validate, presets and a run its manifest stops all
+    # use the standard library alone; a run that passes validation loads
+    # numpy, and no command loads scipy
     package = Path(trustopt.__file__).parent
+    config, bad = tmp_path / "cfg.json", tmp_path / "bad.json"
+    config.write_text(json.dumps(_config()))
+    bad.write_text(json.dumps(_manifest("sphere", 0)))
     code = (
         "import sys\n"
         "import trustopt.cli\n"
-        "assert 'scipy' not in sys.modules, 'loaded by the import'\n"
-        "for path in sys.argv[1:]:\n"
-        "    assert trustopt.cli.main(['validate', '--manifest', path]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'loaded by validate'\n"
+        "desk, manifest, config, bad, out = sys.argv[1:]\n"
+        "def loaded():\n"
+        "    return sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})\n"
+        "assert not loaded(), f'loaded by the import: {loaded()}'\n"
+        "for argv, status in [(['validate', '--manifest', desk], 0),\n"
+        "                     (['validate', '--manifest', manifest], 0),\n"
+        "                     (['validate', '--config', config], 0),\n"
+        "                     (['presets'], 0), (['presets', 'exploration'], 0),\n"
+        "                     (['run', '--manifest', bad, '--out', out], 2),\n"
+        "                     (['run', '--manifest', manifest, '--out', out,\n"
+        "                       '--seed', '-1'], 2)]:\n"
+        "    assert trustopt.cli.main(argv) == status, argv\n"
+        "    assert not loaded(), f'loaded by {argv}: {loaded()}'\n"
+        "assert trustopt.cli.main(['run', '--manifest', manifest, '--out', out]) == 0\n"
+        "assert loaded() == ['numpy'], f'loaded by run: {loaded()}'\n"
     )
     desk = package / "data" / "manifests" / "desk.json"
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
-    proc = subprocess.run([sys.executable, "-c", code, str(desk), str(manifest_path)],
+    proc = subprocess.run([sys.executable, "-c", code, str(desk), str(manifest_path),
+                           str(config), str(bad), str(tmp_path / "out")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert "needs dimension >= 1" in proc.stderr
 
 
 def test_plot_and_stats_leave_scipy_stats_unloaded(manifest_path, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from helpers import exchange_pair, genomes_with_values, linear_objective, receive
 
 import trustopt
-from trustopt import harness
+from trustopt import manifest
 from trustopt.cli import main
 
 from trustopt import (
@@ -93,7 +93,7 @@ OVERRIDE_NAMES = (
 
 def test_config_schema_is_pinned():
     assert tuple(f.name for f in fields(TboConfig)) == CONFIG_FIELDS
-    assert harness._AGENT_OVERRIDES + harness._RUN_OVERRIDES == OVERRIDE_NAMES
+    assert manifest._AGENT_OVERRIDES + manifest._RUN_OVERRIDES == OVERRIDE_NAMES
 
 
 # --- effective rates --------------------------------------------------------
