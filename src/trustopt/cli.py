@@ -26,8 +26,6 @@ import importlib
 import sys
 from pathlib import Path
 
-from .svgchart import write_plots
-
 __all__ = ["main", "build_parser"]
 
 
@@ -45,6 +43,7 @@ def _lazy(module: str, name: str):
 load_manifest = _lazy("manifest", "load_manifest")
 run_manifest = _lazy("harness", "run_manifest")
 write_stats_reports = _lazy("stats", "write_stats_reports")
+write_plots = _lazy("svgchart", "write_plots")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -298,12 +298,13 @@ def config_from_dict(data: dict) -> TboConfig:
 
 
 def read_json(path: Union[str, Path]):
-    """The JSON value in ``path``; nesting too deep to parse is malformed JSON."""
+    """The JSON value in ``path``; malformed JSON raises a ``ValueError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+        except (RecursionError, ValueError) as err:
+            why = "JSON nested too deeply to parse" if isinstance(err, RecursionError) else err
+            raise ValueError(f"{path}: {why}") from None
 
 
 def load_config(path: Union[str, Path]) -> TboConfig:

@@ -169,15 +169,16 @@ class StepPlan(NamedTuple):
     agent's stream fills its row view ``rows[i]``) and ``union``.  The
     other arrays are never written.
 
-    Sparse sampler: rows ``i`` and ``N + i`` of the stream arrays belong to
-    agent ``i``'s crossover and mutation gates: ``gates`` trials fire with
-    probability ``p``.  ``rows[i]`` covers the uniforms agent ``i`` draws
-    per step; the rest of ``block`` stays NaN, with a 0 in the last column.
-    ``gather`` turns ``block`` into one row of gap uniforms per stream:
-    NaN past the budget, 0 at p = 1.  ``den`` holds ``log1p(-p)`` per
-    stream.  The ``j``-th gap fires while the running gap sum is at most
-    ``limit = gates - 1 - j``; the streams whose budget is below ``gates``
-    end at ``short`` (row, column).
+    Sparse sampler: streams ``i`` and ``N + i`` are agent ``i``'s crossover
+    and mutation gates: ``gates`` trials fire with probability ``p``.
+    ``rows[i]`` covers the uniforms agent ``i`` draws per step; the rest of
+    ``block`` stays NaN, with a 0 in the last column.  Cell ``k`` of the
+    flat run of all streams' gaps (cell 0 never fires) is gap ``gap[k]`` of
+    stream ``stream[k]``: it reads ``block`` at flat index ``src[k]`` (the 0
+    at p = 1), divides by ``den = log1p(-p)`` and fires while the stream's
+    running gap sum is at most ``limit = gates - 1 - gap``; ``base[k]`` is
+    the cell before the stream's first.  Streams whose budget is below
+    ``gates`` end at the cells ``short``.
 
     Children layout, in ``union``: the rows of all parents, then every
     agent's ``lam`` children, then (odd ``lam``) each agent's dropped
@@ -194,11 +195,13 @@ class StepPlan(NamedTuple):
     p: np.ndarray
     block: np.ndarray
     rows: list
-    gather: np.ndarray
+    src: np.ndarray
     den: np.ndarray
     limit: np.ndarray
-    short: tuple
-    short_limit: np.ndarray
+    base: np.ndarray
+    stream: np.ndarray
+    gap: np.ndarray
+    short: np.ndarray
     pick: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
@@ -216,18 +219,19 @@ def step_plan(n: int, d: int, offspring_size: int, eta_c: float, eta_m: float,
     budget = _gate_budget(gates, p)
     drawn = np.where(p < 1.0, budget, 0)
     draws = t + drawn[:n_agents] + drawn[n_agents:]
-    width = int(draws.max()) + 2
+    width = int(draws.max()) + 1
     block = np.full((n_agents, width), np.nan)
     block[:, -1] = 0.0
     start = np.concatenate([np.full(n_agents, t), t + drawn[:n_agents]])
-    j = np.arange(budget.max())
-    gather = np.where(j < drawn[:, None], start[:, None] + j,
-                      np.where(j < budget[:, None], width - 1, width - 2))
-    gather += width * np.tile(np.arange(n_agents), 2)[:, None]
-    den = np.log1p(-np.where((p > 0.0) & (p < 1.0), p, 0.5))[:, None]
-    limit = (gates[:, None] - 1 - j).astype(float)
-    short = np.flatnonzero((budget > 0) & (budget < gates))
-    last = budget[short] - 1
+    start += width * np.tile(np.arange(n_agents), 2)
+    stream = np.repeat(np.arange(2 * n_agents), budget)
+    first = budget.cumsum() - budget
+    gap = np.arange(len(stream)) - first[stream]
+    src = np.r_[width - 1, np.where(gap < drawn[stream], start[stream] + gap, width - 1)]
+    den = np.r_[-1.0, np.log1p(-np.where((p > 0.0) & (p < 1.0), p, 0.5))[stream]]
+    limit = np.r_[-1.0, gates[stream] - 1 - gap]
+    base, stream, gap = np.r_[0, first[stream]], np.r_[0, stream], np.r_[0, gap]
+    short = (first + budget)[(budget > 0) & (budget < gates)]  # last cells of short budgets
 
     slot = np.arange(n_agents * 2 * n_pairs).reshape(n_agents, 2 * n_pairs)
     pick = np.concatenate([slot[:, :lam].ravel(), slot[:, lam:].ravel()])
@@ -235,7 +239,7 @@ def step_plan(n: int, d: int, offspring_size: int, eta_c: float, eta_m: float,
     at[pick] = n_agents * n + np.arange(len(pick))  # the union row of every slot
     at = at.reshape(n_agents, n_pairs, 2) * d
     return StepPlan(lam, eta_c, eta_m, gates, p, block, [block[i, :k] for i, k in enumerate(draws)],
-                    gather, den, limit, (short, last), limit[short, last], pick,
+                    src, den, limit, base, stream, gap, short, pick,
                     at[..., 0], at[..., 1], np.empty((n_agents * n + len(pick), d)))
 
 
@@ -246,14 +250,18 @@ def _fires(plan: StepPlan,
     draws the top-ups, if any."""
     # the j-th gap of a stream fires at position sum(gaps[:j + 1]) + j
     # while that is below the stream's gate count
-    sums = np.log1p(-plan.block.take(plan.gather))
+    sums = np.log1p(-plan.block.take(plan.src))
     sums /= plan.den
     np.floor(sums, out=sums)
-    sums.cumsum(axis=1, out=sums)
-    row, j = (sums <= plan.limit).nonzero()
-    pos = sums[row, j].astype(np.int64) + j
-    short, last = plan.short
-    if len(short) and (sums[short, last] < plan.short_limit).any():
+    # capping gaps at the largest gate count fires the same and keeps the flat
+    # running sum exact, so minus its value before a stream it is the stream's own
+    np.minimum(sums, plan.gates.max(), out=sums)
+    sums.cumsum(out=sums)
+    sums -= sums[plan.base]
+    cell = (sums <= plan.limit).nonzero()[0]
+    row, j = plan.stream[cell], plan.gap[cell]
+    pos = sums[cell].astype(np.int64) + j
+    if (sums[plan.short] < plan.limit[plan.short]).any():
         row, j, pos = _top_up(sums, plan, row, j, pos, streams)
     return row, j, pos
 
@@ -265,8 +273,9 @@ def _top_up(sums: np.ndarray, plan: StepPlan, row: np.ndarray, j: np.ndarray, po
     gate from its agent's stream, crossover before mutation.  The result
     stays in (row, j) order; ``j`` counts on past the budget."""
     parts = [(row, j, pos)]
-    for r, c in zip(*(x.tolist() for x in plan.short)):
-        end = int(sums[r, c]) + c + 1  # one past the last firing gate
+    for k in plan.short.tolist():
+        r, c = plan.stream[k], plan.gap[k]
+        end = int(sums[k]) + c + 1  # one past the last firing gate
         if end < plan.gates[r]:
             u = streams[r % len(streams)].random(plan.gates[r] - end)
             new = end + np.flatnonzero(u < plan.p[r])

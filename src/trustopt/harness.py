@@ -11,6 +11,7 @@ problem.
 
 from __future__ import annotations
 
+import importlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Optional, Union
 
 from .config import ConfigError, seed_errors
 from .engine import run_cells, run_repetitions  # noqa: F401
-from .manifest import ExperimentManifest, ProblemCell, cell_config
+from .manifest import ExperimentManifest, ProblemCell  # noqa: F401
 from .results import (  # noqa: F401
     best_so_far_series,
     read_summary_csv,
@@ -30,21 +31,27 @@ from .results import (  # noqa: F401
     write_trace_csv,
 )
 from .rng import derive_run_seed
-from .stats import compare_groups, summarize  # noqa: F401
-from .svgchart import render_convergence_svg  # noqa: F401
 
-# run_repetitions, best_so_far_series, read_trace_csv, read_summary_csv,
-# compare_groups, summarize and render_convergence_svg are unused here: the
-# benchmark tracer (perfbench/tracer.py) looks them up on this module by
-# name.  The stats reports live in trustopt.stats.
+# run_repetitions, best_so_far_series, read_trace_csv, read_summary_csv and
+# the three _LAZY names (imported on first access, PEP 562, so that a run
+# loads neither stats nor svgchart) are unused here: the benchmark tracer
+# (perfbench/tracer.py) looks them up on this module by name.
+_LAZY = {"compare_groups": "stats", "summarize": "stats", "render_convergence_svg": "svgchart"}
 
 __all__ = ["run_manifest"]
 
 
-def _cell_config(manifest: ExperimentManifest, problem: ProblemCell, algorithm: str):
-    """The cell's config under the run seed derived from its labels."""
-    return cell_config(manifest, problem, algorithm, derive_run_seed(
-        manifest.seed, problem.objective, problem.dimension, algorithm))
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+
+
+def _cell_configs(manifest: ExperimentManifest, k: int, root: int) -> list:
+    """Problem ``k``'s cell configs under the run seeds derived from ``root``."""
+    p = manifest.problems[k]
+    return [replace(cfg, seed=derive_run_seed(root, p.objective, p.dimension, a))
+            for a, cfg in zip(manifest.algorithms, manifest.configs[k])]
 
 
 def _run_cell(args: tuple) -> list[tuple]:
@@ -54,8 +61,8 @@ def _run_cell(args: tuple) -> list[tuple]:
     Standalone so process pools can pickle it; returns the problem's
     summary rows, algorithm by algorithm.
     """
-    manifest, problem, out_dir, record_every = args
-    cfgs = [_cell_config(manifest, problem, a) for a in manifest.algorithms]
+    manifest, k, root, out_dir, record_every = args
+    problem, cfgs = manifest.problems[k], _cell_configs(manifest, k, root)
     out, rows = Path(out_dir), []
     for algorithm, traces in zip(manifest.algorithms, run_cells(cfgs, record_every=record_every)):
         for tr in traces:
@@ -80,15 +87,14 @@ def run_manifest(
     ``jobs > 1`` runs problems in a process pool; outputs are identical
     either way.  Returns the written summary paths.
     """
-    if seed is not None:
-        manifest = replace(manifest, seed=seed)
-    if bad := seed_errors(manifest.seed):
+    root = manifest.seed if seed is None else seed
+    if bad := seed_errors(root):
         raise ConfigError(bad)
     every = manifest.record_every if record_every is None else record_every
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(manifest, problem, str(out), every) for problem in manifest.problems]
+    tasks = [(manifest, k, root, str(out), every) for k in range(len(manifest.problems))]
     if jobs > 1:
         # a forking pool starts all its workers at the first submit, so ask
         # for no more than there are problems

@@ -58,6 +58,10 @@ class ExperimentManifest:
     problems: tuple[ProblemCell, ...]
     record_every: int = 1
     overrides: dict = field(default_factory=dict)
+    configs: tuple = field(init=False, repr=False, compare=False)  # [problem][algorithm]
+
+    def __post_init__(self):
+        object.__setattr__(self, "configs", _cell_configs(self))
 
 
 def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
@@ -65,7 +69,7 @@ def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
     data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError([f"manifest must be a JSON object, got {type(data).__name__}"])
-    unknown = set(data) - {f.name for f in fields(ExperimentManifest)}
+    unknown = set(data) - {f.name for f in fields(ExperimentManifest) if f.init}
     bad: list[str] = [f"unknown manifest field: {k}" for k in sorted(unknown)]
     wrong = type_errors(ExperimentManifest, data)
     bad += wrong.values()
@@ -135,33 +139,33 @@ def load_manifest(path: Union[str, Path]) -> ExperimentManifest:
     if bad:
         raise ConfigError(bad)
 
-    manifest = ExperimentManifest(name, seed, reps, tuple(algorithms), tuple(problems),
-                                  record_every, overrides)
-    validate_manifest_cells(manifest)
-    return manifest
+    return ExperimentManifest(name, seed, reps, tuple(algorithms), tuple(problems),
+                              record_every, overrides)
 
 
-def validate_manifest_cells(manifest: ExperimentManifest) -> None:
-    """Build every cell config once, under the root seed (a derived run seed
-    is an unsigned 64-bit integer by construction); surfaces per-cell
-    violations (for example an override that one preset's config rejects)."""
-    bad: list[str] = []
+def _cell_configs(manifest: ExperimentManifest) -> tuple:
+    """Every cell config, each preset parsed once; one ConfigError names every
+    cell that fails (for example an override that one preset's config rejects)."""
+    presets = [load_preset(a) for a in manifest.algorithms]
+    bad, configs = [], []
     for problem in manifest.problems:
-        for algorithm in manifest.algorithms:
+        configs.append([])
+        for algorithm, preset in zip(manifest.algorithms, presets):
             try:
-                cell_config(manifest, problem, algorithm, manifest.seed)
+                configs[-1].append(cell_config(manifest, problem, preset))
             except (ConfigError, ValueError) as err:
                 bad.append(f"{problem.objective} d={problem.dimension} / {algorithm}: {err}")
     if bad:
         raise ConfigError(bad)
+    return tuple(map(tuple, configs))
 
 
-def cell_config(manifest: ExperimentManifest, problem: ProblemCell, algorithm: str,
-                seed: int) -> TboConfig:
-    """The validated config of one (problem x algorithm) cell under ``seed``,
-    with the manifest's repetitions and overrides."""
-    cfg = with_cell(load_preset(algorithm), objective=problem.objective,
-                    dimension=problem.dimension, max_steps=problem.max_steps, seed=seed,
+def cell_config(manifest: ExperimentManifest, problem: ProblemCell,
+                preset: TboConfig) -> TboConfig:
+    """The validated config of one (problem x preset) cell, with the manifest's
+    repetitions and overrides, under the root seed (any derived seed is a uint64)."""
+    cfg = with_cell(preset, objective=problem.objective, dimension=problem.dimension,
+                    max_steps=problem.max_steps, seed=manifest.seed,
                     repetitions=manifest.repetitions)
     if problem.objective_params:
         cfg = replace(cfg, objective_params=dict(problem.objective_params))

@@ -373,6 +373,22 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["validate", "--manifest"], ["validate", "--config"],
+                                  ["run", "--manifest"]], ids=" ".join)
+@pytest.mark.parametrize("data", [b'{"name": "x",\n', b'{"name": "\xff"}'],
+                         ids=["truncated", "invalid-utf8"])
+def test_malformed_json_names_the_file(tmp_path, capsys, argv, data):
+    # a truncated file and one that is not UTF-8: one error line naming the
+    # file, exit 1, nothing written
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    assert main([*argv, str(path), *(["--out", str(out)] if argv[0] == "run" else [])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,name,text", [
     ("plot", "trace_sphere_d2_island_model_rep0.csv", "step,agent_id,best,mean\n1,0,{v},{v}\n"),
     ("stats", "summary_sphere_d2.csv", "problem,dim,algorithm,repetition,final_best,steps,seed\n"
@@ -488,7 +504,7 @@ def test_run_rejects_bad_jobs(manifest_path, tmp_path, capsys):
 def test_only_run_loads_numpy(manifest_path, tmp_path):
     # importing the CLI, validate, presets and a run its manifest stops all
     # use the standard library alone; a run that passes validation loads
-    # numpy, and no command loads scipy
+    # numpy but not the stats or chart modules, and no command loads scipy
     package = Path(trustopt.__file__).parent
     config, bad = tmp_path / "cfg.json", tmp_path / "bad.json"
     config.write_text(json.dumps(_config()))
@@ -511,6 +527,8 @@ def test_only_run_loads_numpy(manifest_path, tmp_path):
         "    assert not loaded(), f'loaded by {argv}: {loaded()}'\n"
         "assert trustopt.cli.main(['run', '--manifest', manifest, '--out', out]) == 0\n"
         "assert loaded() == ['numpy'], f'loaded by run: {loaded()}'\n"
+        "reports = sorted({'trustopt.stats', 'trustopt.svgchart'} & set(sys.modules))\n"
+        "assert not reports, f'loaded by run: {reports}'\n"
     )
     desk = package / "data" / "manifests" / "desk.json"
     env = {**os.environ, "PYTHONPATH": str(package.parent)}

@@ -17,6 +17,7 @@ import pytest
 from helpers import (
     CountingStream,
     RecordingObjective,
+    _firing_gates,
     dense_children,
     gap_budget,
     plateau_objective,
@@ -481,6 +482,53 @@ def test_forced_top_up_keeps_the_marginals(monkeypatch, p):
     for counts in (cross, mut):
         _assert_binomial(counts, n_agents * steps, p)
     assert len(calls) == steps  # every step topped up some stream
+
+
+@st.composite
+def _gate_streams(draw):
+    n_agents = draw(st.integers(1, 6))
+    rates = st.sampled_from([0.0, 1e-300, 1e-9, 0.002, 0.05, 0.3, 0.9, 1.0]) | st.floats(1e-6, 1.0)
+    return dict(n_agents=n_agents, d=draw(st.integers(1, 8)), lam=draw(st.integers(0, 9)),
+                pcs=draw(st.lists(rates, min_size=n_agents, max_size=n_agents)),
+                pms=draw(st.lists(rates, min_size=n_agents, max_size=n_agents)),
+                seed=draw(st.integers(0, 2**32)), one_gap=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_gate_streams())
+def test_fires_match_the_gap_walk(case):
+    # every stream's fires, in (row, gap) order, and every stream's end
+    # state equal the plain-loop walk of the same draws; a one-gap budget
+    # forces the top-ups on most streams, and p = 1e-300 gaps reach far
+    # past every gate
+    n_agents, d, lam = case["n_agents"], case["d"], case["lam"]
+    n_pairs = (lam + 1) // 2
+    budget = ea._gate_budget
+    ref_budget = gap_budget
+    with pytest.MonkeyPatch.context() as mp:
+        if case["one_gap"]:
+            mp.setattr(ea, "_gate_budget",
+                       lambda m, p: np.minimum(budget(m, p), np.where(p < 1, 1, m)))
+            ref_budget = lambda m, p: min(gap_budget(m, p), 1 if p < 1 else m)  # noqa: E731
+        plan = step_plan(2, d, lam, 20.0, 40.0, case["pcs"], case["pms"])
+    streams = [np.random.default_rng([case["seed"], i]) for i in range(n_agents)]
+    refs = [np.random.default_rng([case["seed"], i]) for i in range(n_agents)]
+    for _ in range(2):
+        for rng, view in zip(streams, plan.rows):
+            rng.random(out=view)
+        got = ea._fires(plan, streams)
+        fired = [[], []]
+        for rng, pc, pm in zip(refs, case["pcs"], case["pms"]):
+            gates = [(n_pairs * d, pc), (lam * d, pm)]
+            drawn = [ref_budget(m, p) if p < 1.0 else 0 for m, p in gates]
+            rng.random(6 * n_pairs)
+            gaps = [rng.random(k).tolist() for k in drawn]
+            for kind, ((m, p), g) in enumerate(zip(gates, gaps)):
+                fired[kind].append(_firing_gates(g, m, p, rng))
+        want = [(r, j, q) for r, f in enumerate(fired[0] + fired[1]) for j, q in enumerate(f)]
+        assert [tuple(x) for x in zip(*(a.tolist() for a in got))] == want
+        assert all(a.dtype == np.int64 for a in got)
+        assert [g.bit_generator.state for g in streams] == [g.bit_generator.state for g in refs]
 
 
 def test_zero_rates_breed_copies_of_the_parents():

@@ -16,7 +16,7 @@ from trustopt import (
     write_stats_reports,
 )
 from trustopt.engine import run_repetitions
-from trustopt.harness import ExperimentManifest, ProblemCell, _cell_config
+from trustopt.harness import ProblemCell, _cell_configs
 from trustopt.results import (read_summary_csv, read_trace_csv, summary_filename, summary_rows,
                               trace_filename, write_summary_csv, write_trace_csv)
 
@@ -97,8 +97,7 @@ def test_load_manifest_checks_cells(tmp_path):
 
 
 def test_cell_config_binds_cell_and_applies_overrides(tiny_manifest):
-    cell = tiny_manifest.problems[0]
-    cfg = _cell_config(tiny_manifest, cell, "small_society")
+    cfg = _cell_configs(tiny_manifest, 0, tiny_manifest.seed)[0]
     preset = load_preset("small_society")
     assert cfg.objective == "sphere"
     assert cfg.dimension == 2
@@ -114,16 +113,44 @@ def test_cell_config_binds_cell_and_applies_overrides(tiny_manifest):
     assert cfg.credibility == preset.credibility
 
 
-def test_cell_config_passes_objective_params(tiny_manifest):
-    cell = ProblemCell("schwefel_noise", 2, 4, {"noise_sigma": 0.0})
-    cfg = _cell_config(tiny_manifest, cell, "island_model")
+def test_cell_config_passes_objective_params(tmp_path):
+    manifest = load_manifest(_write_manifest(tmp_path, dict(TINY, problems=[
+        {"objective": "schwefel_noise", "dimension": 2, "max_steps": 4,
+         "objective_params": {"noise_sigma": 0.0}}])))
+    cfg = _cell_configs(manifest, 0, manifest.seed)[1]
     assert cfg.objective_params == {"noise_sigma": 0.0}
 
 
 def test_cell_seeds_are_order_free(tiny_manifest):
-    a = _cell_config(tiny_manifest, tiny_manifest.problems[0], "small_society")
-    b = _cell_config(tiny_manifest, tiny_manifest.problems[0], "island_model")
+    a, b = _cell_configs(tiny_manifest, 0, tiny_manifest.seed)
     assert a.seed != b.seed
+    assert _cell_configs(tiny_manifest, 0, 99)[0].seed == derive_run_seed(
+        99, "sphere", 2, "small_society")
+
+
+def test_run_builds_each_cell_once(tmp_path, monkeypatch):
+    # a 1-problem, 2-preset run parses each preset once and validates each
+    # cell config twice: once with the manifest, once as the engine builds it
+    import trustopt.engine as engine
+    import trustopt.manifest as manifest_module
+
+    calls = {"validate": 0, "preset": 0}
+
+    def counted(fn, key):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    for module in (manifest_module, engine):
+        monkeypatch.setattr(module, "validate_config",
+                            counted(module.validate_config, "validate"))
+    monkeypatch.setattr(manifest_module, "load_preset",
+                        counted(manifest_module.load_preset, "preset"))
+    manifest = load_manifest(_write_manifest(tmp_path, TINY))
+    assert calls == {"validate": 2, "preset": 2}
+    run_manifest(manifest, tmp_path / "out", seed=5)
+    assert calls == {"validate": 4, "preset": 2}
 
 
 # --- execution --------------------------------------------------------------
@@ -192,10 +219,11 @@ def test_grouped_problem_writes_the_files_of_lone_cells(tmp_path):
     grouped, alone = tmp_path / "grouped", tmp_path / "alone"
     run_manifest(manifest, grouped)
     alone.mkdir()
-    for problem in manifest.problems:
+    for k, problem in enumerate(manifest.problems):
         rows = []
-        for algorithm in manifest.algorithms:
-            traces = run_repetitions(_cell_config(manifest, problem, algorithm), record_every=7)
+        cfgs = _cell_configs(manifest, k, manifest.seed)
+        for algorithm, cfg in zip(manifest.algorithms, cfgs):
+            traces = run_repetitions(cfg, record_every=7)
             for tr in traces:
                 write_trace_csv(tr, alone / trace_filename(problem.objective, problem.dimension,
                                                            algorithm, tr.repetition))
