@@ -228,7 +228,10 @@ def step_plan(n: int, d: int, offspring_size: int, eta_c: float, eta_m: float,
     first = budget.cumsum() - budget
     gap = np.arange(len(stream)) - first[stream]
     src = np.r_[width - 1, np.where(gap < drawn[stream], start[stream] + gap, width - 1)]
-    den = np.r_[-1.0, np.log1p(-np.where((p > 0.0) & (p < 1.0), p, 0.5))[stream]]
+    # capped at -1e-300 so that a subnormal rate's gaps do not overflow: for
+    # u > 0 they still reach past every gate
+    den = np.r_[-1.0, np.minimum(np.log1p(-np.where((p > 0.0) & (p < 1.0), p, 0.5)),
+                                 -1e-300)[stream]]
     limit = np.r_[-1.0, gates[stream] - 1 - gap]
     base, stream, gap = np.r_[0, first[stream]], np.r_[0, stream], np.r_[0, gap]
     short = (first + budget)[(budget > 0) & (budget < gates)]  # last cells of short budgets

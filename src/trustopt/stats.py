@@ -4,13 +4,11 @@
 Everything here is plain Python on the standard library: the rank
 machinery (pooled mid-ranks with tie correction, Kruskal-Wallis H, Dunn
 pairwise z statistics, Holm step-down adjustment), the per-group mean and
-SD, and the two distribution tails.  The tails are ports of the Cephes
-routines (Moshier 1989) that ``scipy.special.chdtrc`` and ``ndtr`` still
-run, operation for operation, so p-values equal ``scipy.stats.chi2.sf``
-and ``norm.sf`` bit for bit.  The mean and SD replay numpy's pairwise sum,
-so they equal ``numpy.mean`` and ``numpy.std(ddof=1)`` bit for bit too.
-Every function here takes 2 to 41 groups (``ValueError`` otherwise): past
-df = 40 Cephes switches to an asymptotic series, which is not ported.
+SD, and the two distribution tails.  The tails are closed forms: the
+normal tail is ``math.erfc``, and the chi-squared tail for an integer df is
+a finite sum of Poisson terms (plus ``erfc`` for odd df), so a comparison
+takes any number of groups from 2 up.  The mean is summed
+with ``math.fsum`` and the SD is a ``math.hypot`` of the deviations.
 Nothing here imports numpy or scipy.
 
 References
@@ -20,8 +18,8 @@ analysis", JASA 47 (1952).
 O. J. Dunn, "Multiple comparisons using rank sums", Technometrics 6 (1964).
 S. Holm, "A simple sequentially rejective multiple test procedure",
 Scand. J. Statist. 6 (1979).
-S. L. Moshier, "Methods and Programs for Mathematical Functions" (1989)
-(the Cephes library).
+M. Abramowitz, I. A. Stegun, "Handbook of Mathematical Functions" (1964),
+26.4.4-26.4.5.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ __all__ = [
 ]
 
 BASELINE_ALGORITHM = "island_model"
-# the chi-squared tail is ported for df <= 40
-_MAX_GROUPS = 41
 
 
 @dataclass(frozen=True)
@@ -112,60 +108,30 @@ def _as_groups(groups: Groups) -> list[SampleGroup]:
         out = [g if isinstance(g, SampleGroup) else SampleGroup(*g) for g in groups]
     if len(out) < 2:
         raise ValueError("need at least 2 groups to compare")
-    if len(out) > _MAX_GROUPS:
-        raise ValueError(f"at most {_MAX_GROUPS} groups can be compared, got {len(out)}")
     labels = [g.label for g in out]
     if len(set(labels)) != len(labels):
         raise ValueError("group labels must be unique")
     return out
 
 
-def _pairwise_sum(xs: Sequence[float], lo: int, n: int) -> float:
-    """``xs[lo:lo + n]`` summed as numpy's float64 ``add.reduce`` does:
-    one left-to-right sum from 0 below 8 values, 8 interleaved accumulators
-    up to 128, and above that the two halves (cut at a multiple of 8)
-    summed separately."""
-    if n < 8:
-        res = 0.0
-        for v in xs[lo:lo + n]:
-            res += v
-        return res
-    if n <= 128:
-        r = list(xs[lo:lo + 8])
-        i, end = 8, n - n % 8
-        while i < end:
-            for j in range(8):
-                r[j] += xs[lo + i + j]
-            i += 8
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in xs[lo + i:lo + n]:
-            res += v
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
-
-
-def _np_sum(xs: Sequence[float]) -> float:
-    """``numpy.sum`` of a float sequence: the reduction starts from 0."""
-    return 0.0 + _pairwise_sum(xs, 0, len(xs))
-
-
 def summarize(groups: Groups) -> list[tuple[str, float, float, int]]:
     """Per-group (label, mean, sample SD, n); SD uses the n-1 divisor.
 
-    Both equal ``numpy.mean`` and ``numpy.std(ddof=1)`` bit for bit: the
-    mean is the pairwise sum over n, the SD the square root of the
-    pairwise sum of squared deviations over n - 1.
+    The mean is the correctly rounded sum (``math.fsum``) over n, and the
+    SD the ``math.hypot`` of the deviations from it over sqrt(n - 1).  A
+    sample near the largest double is scaled down by a power of two first,
+    just enough that no sum or deviation overflows.
     """
     out = []
     for g in _as_groups(groups):
         n = len(g.values)
         if n < 2:
             raise ValueError(f"group {g.label!r} needs at least 2 values for an SD")
-        mean = _np_sum(g.values) / n
-        var = _np_sum([(v - mean) * (v - mean) for v in g.values]) / (n - 1)
-        out.append((g.label, mean, math.sqrt(var), n))
+        top = math.frexp(max(map(abs, g.values)))[1]  # every |v| < 2**top
+        scale = 2.0 ** max(0, top + n.bit_length() - 1023)
+        mean = math.fsum(v / scale for v in g.values) / n
+        sd = math.hypot(*(v / scale - mean for v in g.values)) / math.sqrt(n - 1)
+        out.append((g.label, mean * scale, sd * scale, n))
     return out
 
 
@@ -186,7 +152,7 @@ def _rank(groups: Groups) -> tuple:
 
 
 def kruskal_wallis(groups: Groups) -> TestReport:
-    """Kruskal-Wallis H test on 2 to 41 groups.
+    """Kruskal-Wallis H test on 2 or more groups.
 
     Uses pooled mid-ranks with the standard tie correction; the p-value is
     the chi-squared upper tail with k-1 degrees of freedom.  When every
@@ -282,267 +248,34 @@ def compare_groups(groups: Groups, alpha: float = 0.01) -> TestReport:
 
 
 # ---------------------------------------------------------------------------
-# distribution tails, ported from Cephes as scipy.special carries it: every
-# constant, branch and operation in the same order, so each result carries
-# the same bits.  math.erf, math.erfc, math.expm1 and math.lgamma differ
-# from these in the last bit for some arguments.
-
-_MACHEP = 1.11022302462515654042e-16  # 2**-53
-_MAXLOG = 7.09782712893383996843e2  # log(2**1024)
-_MAXITER = 2000
-_BIG = 4.503599627370496e15  # 2**52
-_BIGINV = 2.22044604925031308085e-16  # 2**-52
-
-
-def _polevl(x: float, coef: Sequence[float]) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef: Sequence[float]) -> float:
-    """:func:`_polevl` with a leading coefficient of 1 left out of ``coef``."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-
-
-def _erf(x: float) -> float:
-    """Cephes ``erf`` for |x| <= 1 (beyond, Cephes takes 1 - erfc)."""
-    if x < 0.0:
-        return -_erf(-x)
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
-
-
-def _erfc(a: float) -> float:
-    """Cephes ``erfc`` for a >= 0; 0 once exp(-a^2) would underflow."""
-    if a < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    if z < -_MAXLOG:
-        return 0.0
-    if a < 8.0:
-        p, q = _polevl(a, _ERFC_P), _p1evl(a, _ERFC_Q)
-    else:
-        p, q = _polevl(a, _ERFC_R), _p1evl(a, _ERFC_S)
-    return (math.exp(z) * p) / q
-
-
-_SQRT1_2 = math.sqrt(0.5)
+# distribution tails
 
 
 def _norm_sf(z: float) -> float:
-    """Standard normal upper tail, equal bit for bit to ``scipy.stats.norm.sf``,
-    which is Cephes ``ndtr(-z)``."""
-    x = -z * _SQRT1_2
-    if abs(x) < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(abs(x))
-    return 1.0 - y if x > 0 else y
-
-
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-
-
-def _lgam(x: float) -> float:
-    """Cephes ``lgam`` (log of the gamma function) for 0 < x < 1000."""
-    if x < 13.0:
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        p -= 2.0
-        x = x + p
-        p = x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
-        return math.log(z) + p
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    return q + _polevl(1.0 / (x * x), _LGAM_A) / x
-
-
-# Lanczos approximation (Boost's lanczos13m53), highest power first
-_LANCZOS_G = 6.024680040776729583740234375
-_LANCZOS_NUM = (
-    0.006061842346248906525783753964555936883222, 0.5098416655656676188125178644804694509993,
-    19.51992788247617482847860966235652136208, 449.9445569063168119446858607650988409623,
-    6955.999602515376140356310115515198987526, 75999.29304014542649875303443598909137092,
-    601859.6171681098786670226533699352302507, 3481712.15498064590882071018964774556468,
-    14605578.08768506808414169982791359218571, 43338889.32467613834773723740590533316085,
-    86363131.28813859145546927288977868422342, 103794043.1163445451906271053616070238554,
-    56906521.91347156388090791033559122686859)
-_LANCZOS_DEN = (1.0, 66.0, 1925.0, 32670.0, 357423.0, 2637558.0, 13339535.0, 45995730.0,
-                105258076.0, 150917976.0, 120543840.0, 39916800.0, 0.0)
-
-
-def _lanczos_sum_expg_scaled(x: float) -> float:
-    """Cephes ``ratevl`` of the Lanczos sum: a polynomial in 1/x above 1.
-    Numerator and denominator share their degree, so no power of x is
-    left over."""
-    if abs(x) > 1.0:
-        y = 1.0 / x
-        return _polevl(y, _LANCZOS_NUM[::-1]) / _polevl(y, _LANCZOS_DEN[::-1])
-    return _polevl(x, _LANCZOS_NUM) / _polevl(x, _LANCZOS_DEN)
-
-
-def _igam_fac(a: float, x: float) -> float:
-    """x^a e^-x / gamma(a), for a and x below 200."""
-    if abs(a - x) > 0.4 * abs(a):
-        ax = a * math.log(x) - x - _lgam(a)
-        if ax < -_MAXLOG:
-            return 0.0
-        return math.exp(ax)
-    fac = a + _LANCZOS_G - 0.5
-    res = math.sqrt(fac / math.e) / _lanczos_sum_expg_scaled(a)
-    return res * (math.exp(a - x) * math.pow(x / fac, a))
-
-
-def _igam_series(a: float, x: float) -> float:
-    """The regularized lower incomplete gamma function (DLMF 8.11.4)."""
-    ax = _igam_fac(a, x)
-    if ax == 0.0:
-        return 0.0
-    r, c, ans = a, 1.0, 1.0
-    for _ in range(_MAXITER):
-        r += 1.0
-        c *= x / r
-        ans += c
-        if c <= _MACHEP * ans:
-            break
-    return ans * ax / a
-
-
-def _igamc_continued_fraction(a: float, x: float) -> float:
-    """The regularized upper incomplete gamma function (DLMF 8.9.2)."""
-    ax = _igam_fac(a, x)
-    if ax == 0.0:
-        return 0.0
-    y = 1.0 - a
-    z = x + y + 1.0
-    c = 0.0
-    pkm2, qkm2 = 1.0, x
-    pkm1, qkm1 = x + 1.0, z * x
-    ans = pkm1 / qkm1
-    for _ in range(_MAXITER):
-        c += 1.0
-        y += 1.0
-        z += 2.0
-        yc = y * c
-        pk = pkm1 * z - pkm2 * yc
-        qk = qkm1 * z - qkm2 * yc
-        if qk != 0:
-            r = pk / qk
-            t = abs((ans - r) / r)
-            ans = r
-        else:
-            t = 1.0
-        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
-        if abs(pk) > _BIG:
-            pkm2 *= _BIGINV
-            pkm1 *= _BIGINV
-            qkm2 *= _BIGINV
-            qkm1 *= _BIGINV
-        if t <= _MACHEP:
-            break
-    return ans * ax
-
-
-_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2, 9.9999999999999999991025e-1)
-_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
-            2.2726554820815502876593e-1, 2.0000000000000000000897e0)
-
-
-def _expm1(x: float) -> float:
-    """Cephes ``expm1`` for finite x."""
-    if x < -0.5 or x > 0.5:
-        return math.exp(x) - 1.0
-    xx = x * x
-    r = x * _polevl(xx, _EXPM1_P)
-    r = r / (_polevl(xx, _EXPM1_Q) - r)
-    return r + r
-
-
-# Cephes lgam1p(a) = log gamma(1 + a) from its Taylor series, at the only
-# two values of a that reach _igamc_series (lgam1p(1) is log(1) plus the
-# series at 0); math.lgamma(1.5) differs in the last bit
-_LGAM1P = {0.5: -0.12078223763524884, 1.0: 0.0}
-
-
-def _igamc_series(a: float, x: float) -> float:
-    """The regularized upper incomplete gamma function for x <= 1.1 and
-    a in {0.5, 1} (DLMF 8.7.3)."""
-    fac, total = 1.0, 0.0
-    for n in range(1, _MAXITER):
-        fac *= -x / n
-        term = fac / (a + n)
-        total += term
-        if abs(term) <= _MACHEP * abs(total):
-            break
-    logx = math.log(x)
-    term = -_expm1(a * logx - _LGAM1P[a])
-    return term - math.exp(a * logx - _lgam(a)) * total
-
-
-def _igamc(a: float, x: float) -> float:
-    """Cephes ``igamc`` (regularized upper incomplete gamma) for a half-integer
-    a in [0.5, 20] and x >= 0.  Above a = 20 Cephes takes an asymptotic
-    series near x = a, which is not ported."""
-    if x == 0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x > 1.1:
-        if x < a:
-            return 1.0 - _igam_series(a, x)
-        return _igamc_continued_fraction(a, x)
-    if x <= 0.5:
-        if -0.4 / math.log(x) < a:
-            return 1.0 - _igam_series(a, x)
-        return _igamc_series(a, x)
-    if x * 1.1 < a:
-        return 1.0 - _igam_series(a, x)
-    return _igamc_series(a, x)
+    """Standard normal upper tail."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def _chi2_sf(h: float, df: int) -> float:
-    """Chi-squared upper tail for df <= 40, equal bit for bit to
-    ``scipy.stats.chi2.sf``.
+    """Chi-squared upper tail for an integer df >= 1, in closed form
+    (Abramowitz & Stegun 26.4.4-26.4.5).
 
-    That evaluates Cephes ``chdtrc(df, h) = igamc(df/2, h/2)`` and returns
-    1 for h < 0, where ``chdtrc`` gives NaN; rounding can leave H at
-    -1e-15.
+    With x = h/2 and a running over 0, 1, ..., df/2 - 1 (even df) or 1/2,
+    3/2, ..., df/2 - 1 (odd df), the tail is the sum of the terms
+    x^a e^-x / gamma(a + 1), plus erfc(sqrt(x)) for odd df.  Each term is
+    taken in log space and the terms are summed by ``math.fsum``, so no
+    term underflows before the tail does.  Gives 1 for h <= 0: rounding
+    can leave H at -1e-15.
     """
-    return _igamc(df / 2.0, max(h, 0.0) / 2.0)
+    x = max(h, 0.0) / 2.0
+    if x == 0.0 or x == math.inf:
+        return 1.0 if x == 0.0 else 0.0
+    log_x, half = math.log(x), df % 2 / 2.0
+    terms = [math.exp((i + half) * log_x - x - math.lgamma(i + half + 1.0))
+             for i in range(df // 2)]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(x)))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +307,7 @@ def write_stats_reports(
     algorithms not significantly different from the baseline at ``alpha``)
     and ``stats_report.txt`` (the same content as aligned text).  Every
     summary is read, and must be the only one of its (problem, dim), hold
-    2 to 41 algorithms and hold only finite values, before anything is
+    at least 2 algorithms and hold only finite values, before anything is
     written.
     """
     tables, seen = [], {}

@@ -27,8 +27,10 @@ formulas the plain-Python plot maths (``best_so_far_series`` and
 ``mean_curve`` in ``trustopt.results``) is checked against.
 :data:`STATS_REFERENCE` maps the numeric steps of ``trustopt.stats``
 (ranking, mean and SD, Holm adjustment and the two distribution tails) to
-their numpy and ``scipy.special`` formulas; patched over the module, it
-gives the reports the plain-Python statistics must reproduce byte for byte.
+their numpy and ``scipy.special`` formulas.  Patched over the module, the
+ranking and the adjustment give the reports the plain-Python statistics
+must reproduce byte for byte; the whole map gives the reference whose
+p-values the reports must meet within a stated bound.
 """
 
 from __future__ import annotations
@@ -179,12 +181,13 @@ def gap_budget(m: int, p: float) -> int:
 
 def _firing_gates(gaps, m, p, rng):
     """Positions in [0, m) where a gate stream fires, from its drawn gap
-    uniforms, plus the top-up draws when the gaps end before the last gate."""
+    uniforms, plus the top-up draws when the gaps end before the last gate.
+    The divisor log1p(-p) is capped at -1e-300 as in ``trustopt.ea``."""
     if p >= 1.0:
         return list(range(m))
     fired, at = [], -1
     for u in gaps:
-        at += math.floor(_log1p(-u) / _log1p(-p)) + 1
+        at += math.floor(_log1p(-u) / min(_log1p(-p), -1e-300)) + 1
         if at < m:
             fired.append(at)
     if gaps and at < m - 1:

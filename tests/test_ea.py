@@ -487,7 +487,8 @@ def test_forced_top_up_keeps_the_marginals(monkeypatch, p):
 @st.composite
 def _gate_streams(draw):
     n_agents = draw(st.integers(1, 6))
-    rates = st.sampled_from([0.0, 1e-300, 1e-9, 0.002, 0.05, 0.3, 0.9, 1.0]) | st.floats(1e-6, 1.0)
+    rates = (st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-9, 0.002, 0.05, 0.3, 0.9, 1.0])
+             | st.floats(5e-324, 1.0))
     return dict(n_agents=n_agents, d=draw(st.integers(1, 8)), lam=draw(st.integers(0, 9)),
                 pcs=draw(st.lists(rates, min_size=n_agents, max_size=n_agents)),
                 pms=draw(st.lists(rates, min_size=n_agents, max_size=n_agents)),
@@ -499,8 +500,8 @@ def _gate_streams(draw):
 def test_fires_match_the_gap_walk(case):
     # every stream's fires, in (row, gap) order, and every stream's end
     # state equal the plain-loop walk of the same draws; a one-gap budget
-    # forces the top-ups on most streams, and p = 1e-300 gaps reach far
-    # past every gate
+    # forces the top-ups on most streams, and the gaps of rates from 5e-324
+    # to 1e-300 reach far past every gate
     n_agents, d, lam = case["n_agents"], case["d"], case["lam"]
     n_pairs = (lam + 1) // 2
     budget = ea._gate_budget

@@ -2,6 +2,7 @@
 stepwise reference, stacked repetitions vs lone runs, invariants over
 random configs, traces."""
 
+import warnings
 from dataclasses import replace
 
 import helpers
@@ -617,3 +618,16 @@ def test_interaction_log_stacks_repetitions():
                 expected = lone_field + r * n if name == "sender" else lone_field
                 assert block.dtype == expected.dtype, name
                 assert block.tobytes() == expected.tobytes(), name
+
+
+def test_subnormal_rates_run_without_warnings():
+    # validation accepts a rate as small as 5e-324; its gaps reach past
+    # every gate, and dividing by its log1p(-p) must not overflow
+    template = AgentTemplate(population_size=4, offspring_size=6,
+                             base_crossover_rate=5e-324, base_mutation_rate=1e-310)
+    cfg = _cfg(per_agent=template)
+    validate_config(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [trace] = run_repetitions(cfg)
+    assert np.isfinite(trace.best).all()
